@@ -131,43 +131,68 @@ def normalize_shift_rows(shifts: np.ndarray) -> np.ndarray:
     return out
 
 
+def _calibrate_rows(rows: np.ndarray, shifts: np.ndarray) -> np.ndarray:
+    """Text calibration of every row of a K x D array; the kernel behind
+    tfc_calibrate and calibrate_bank.
+
+    One pass per shift row, each over the whole K x D block, in the
+    lexicographic order of the shift rows.  A dropped term is zeroed
+    before it is added, so each row keeps its own divisor.
+    """
+    rows = np.asarray(rows, dtype=np.float64)
+    shifts = np.asarray(shifts, dtype=np.float64)
+    if rows.ndim != 2 or shifts.ndim != 2 or shifts.shape[1] != rows.shape[1]:
+        raise ValueError(f"shifts shape {shifts.shape} does not match rows of shape {rows.shape}")
+    out = np.zeros_like(rows)
+    diff = np.empty_like(rows)
+    kept = np.zeros(rows.shape[0], dtype=np.int64)
+    for i in np.lexsort(shifts.T[::-1]):
+        np.subtract(rows, shifts[i], out=diff)
+        norms = np.sqrt(np.einsum("ij,ij->i", diff, diff))
+        drop = ~(norms >= DEGENERACY_EPS)  # a NaN norm is dropped too
+        diff[drop] = 0.0
+        norms[drop] = 1.0
+        kept += ~drop
+        diff /= norms[:, None]
+        out += diff
+    if not kept.all():
+        raise AllShiftsDegenerate("every text-minus-shift term of a row has zero norm")
+    skipped = int(kept.size * shifts.shape[0] - kept.sum())
+    if skipped:
+        warnings.warn(
+            f"skipped {skipped} degenerate calibration term(s); "
+            f"each affected row averages only its remaining terms",
+            RuntimeWarning,
+            stacklevel=3,
+        )
+    out /= kept[:, None]
+    return out
+
+
 def tfc_calibrate(t: np.ndarray, shifts: np.ndarray) -> np.ndarray:
     """Average of unit vectors (t - shift_i) over all shift rows.
 
     Terms whose difference has (near-)zero norm are skipped with a
     warning and the divisor shrinks to the kept count; if every term is
     degenerate AllShiftsDegenerate is raised.  Kept terms are summed in
-    lexicographic row order, so any permutation of the shift rows yields
-    bit-identical output.
+    the lexicographic order of the shift rows, an order that does not
+    depend on t: any permutation of the shift rows, and any repetition
+    of one, yields bit-identical output.  The same bits come back for t
+    as a row of calibrate_bank.
     """
-    t = np.asarray(t, dtype=np.float64)
-    shifts = np.asarray(shifts, dtype=np.float64)
-    if shifts.ndim != 2 or shifts.shape[1] != t.shape[0]:
-        raise ValueError(f"shifts shape {shifts.shape} does not match vector dim {t.shape}")
-    diffs = t[None, :] - shifts
-    norms = np.linalg.norm(diffs, axis=1)
-    keep = norms >= DEGENERACY_EPS
-    kept = int(keep.sum())
-    if kept == 0:
-        raise AllShiftsDegenerate("every text-minus-shift term has zero norm")
-    if kept < shifts.shape[0]:
-        warnings.warn(
-            f"skipped {shifts.shape[0] - kept} degenerate calibration term(s); "
-            f"averaging the remaining {kept}",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-    terms = diffs[keep] / norms[keep, None]
-    order = np.lexsort(terms.T[::-1])
-    return np.sum(terms[order], axis=0) / kept
+    return _calibrate_rows(np.asarray(t, dtype=np.float64)[None, :], shifts)[0]
 
 
 def calibrate_bank(
     bank: Union[TextBank, CalibratedTextBank], shifts: np.ndarray
 ) -> CalibratedTextBank:
-    """Apply tfc_calibrate to every row of a text bank."""
-    rows = np.stack([tfc_calibrate(bank.data[j], shifts) for j in range(bank.data.shape[0])])
-    return CalibratedTextBank(names=list(bank.names), data=rows)
+    """tfc_calibrate of every bank row, computed for the whole bank at once.
+
+    Each row keeps its own kept count as divisor; one RuntimeWarning
+    covers all skipped terms, and AllShiftsDegenerate is raised if any
+    row keeps none.
+    """
+    return CalibratedTextBank(names=list(bank.names), data=_calibrate_rows(bank.data, shifts))
 
 
 def _cosine_rows(f: np.ndarray, bank_data: np.ndarray) -> np.ndarray:

@@ -30,7 +30,6 @@ from .clustering import (
     ClusterModel,
     assign_batch,
     assign_nearest,
-    batch_cluster_means,
     kmeans_fit,
     _cluster_sums,
 )
@@ -299,11 +298,10 @@ def _advance(
     """One post-bootstrap batch: assign, update statistics, recalibrate, predict."""
     m = cfg.clusters
     labels = assign_batch(state.model, x).labels
-    batch_means, batch_counts = batch_cluster_means(x, labels, m)
+    batch_sums, batch_counts = _cluster_sums(x, labels, m)
     present = batch_counts > 0
 
     if cfg.mode == "memory":
-        batch_sums, _ = _cluster_sums(x, labels, m)
         running_sums = state.running_sums + batch_sums
         running_counts = state.running_counts + batch_counts
         prototypes = state.model.centroids.copy()
@@ -317,10 +315,12 @@ def _advance(
         running_counts = None
         global_sum = None
         prototypes = state.model.centroids.copy()
+        # the division batch_cluster_means makes, so the two agree bit for bit
+        batch_means = batch_sums[present] / batch_counts[present, None]
         if cfg.ema_additive:
-            prototypes[present] = prototypes[present] + cfg.eta * batch_means[present]
+            prototypes[present] = prototypes[present] + cfg.eta * batch_means
         else:
-            prototypes[present] = (1.0 - cfg.eta) * prototypes[present] + cfg.eta * batch_means[present]
+            prototypes[present] = (1.0 - cfg.eta) * prototypes[present] + cfg.eta * batch_means
         samples_seen = state.samples_seen + x.shape[0]
         mu_avg = np.sum(prototypes, axis=0) / m
 

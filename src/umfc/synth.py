@@ -18,10 +18,10 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .calib import CalibrationState, classify, compute_text_shifts, ifc_calibrate, tfc_calibrate
+from .calib import CalibrationState, classify, compute_text_shifts, ifc_calibrate
 from .calib import CalibratedTextBank
 from .clustering import kmeans_fit
-from .core import EmbeddingMatrix, Prediction, TextBank, l2_normalize
+from .core import DEGENERACY_EPS, EmbeddingMatrix, Prediction, TextBank, l2_normalize
 from .engine import EngineConfig
 from .errors import DimensionTooSmall
 
@@ -273,7 +273,10 @@ def oracle_transduce(
 
     shifts = compute_text_shifts(mu, mu_avg)
     state = CalibrationState(cluster_means=mu, global_mean=mu_avg, text_shifts=shifts)
-    cal_rows = [tfc_calibrate(t, shifts) for t in dataset.text_bank.data]
+    cal_rows = []
+    for t in dataset.text_bank.data:
+        terms = [l2_normalize(t - s) for s in shifts if np.linalg.norm(t - s) >= DEGENERACY_EPS]
+        cal_rows.append(np.mean(terms, axis=0))
     cal_bank = CalibratedTextBank(names=list(dataset.text_bank.names), data=np.stack(cal_rows))
 
     preds = []

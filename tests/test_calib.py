@@ -88,6 +88,58 @@ def test_calibrate_bank_matches_per_row():
         assert np.array_equal(cal.data[j], tfc_calibrate(bank.data[j], shifts))
 
 
+def test_calibrate_bank_bit_invariant_under_shift_permutation_and_duplicates():
+    rng = np.random.default_rng(15)
+    for _ in range(50):
+        k = int(rng.integers(2, 9))
+        m = int(rng.integers(2, 7))
+        d = int(rng.integers(2, 9))
+        bank = umfc.TextBank(names=[f"c{j}" for j in range(k)], data=rng.standard_normal((k, d)))
+        shifts = rng.standard_normal((m, d))
+        # repeat some rows, so equal sort keys are in play too
+        shifts = np.vstack([shifts, shifts[rng.integers(0, m, size=2)]])
+        base = umfc.calibrate_bank(bank, shifts).data
+        for _ in range(3):
+            perm = rng.permutation(shifts.shape[0])
+            assert np.array_equal(base, umfc.calibrate_bank(bank, shifts[perm]).data)
+        # and the batched sum stays the mean of the unit terms
+        for j in range(k):
+            terms = [umfc.l2_normalize(bank.data[j] - s) for s in shifts]
+            assert np.allclose(base[j], np.mean(terms, axis=0), rtol=0, atol=1e-14)
+
+
+def test_calibrate_bank_divisor_is_per_row():
+    rng = np.random.default_rng(16)
+    shifts = rng.standard_normal((4, 6))
+    data = rng.standard_normal((5, 6))
+    data[1] = shifts[2] + 1e-14  # a term below DEGENERACY_EPS but not zero
+    data[3] = shifts[0]
+    bank = umfc.TextBank(names=[f"c{j}" for j in range(5)], data=data)
+    with pytest.warns(RuntimeWarning) as record:
+        cal = umfc.calibrate_bank(bank, shifts)
+    assert len(record) == 1
+    # a row that lost a term equals the calibration against the other
+    # shifts alone: the dropped term adds nothing, the divisor is 3
+    assert np.array_equal(cal.data[1], tfc_calibrate(data[1], np.delete(shifts, 2, axis=0)))
+    assert np.array_equal(cal.data[3], tfc_calibrate(data[3], np.delete(shifts, 0, axis=0)))
+    for j in (0, 2, 4):
+        assert np.array_equal(cal.data[j], tfc_calibrate(data[j], shifts))
+
+
+def test_calibrate_bank_raises_when_one_row_loses_every_term():
+    bank = umfc.TextBank(names=["a", "b"], data=np.stack([E1, E2]))
+    with pytest.raises(umfc.AllShiftsDegenerate):
+        umfc.calibrate_bank(bank, np.stack([E2, E2]))
+
+
+def test_calibrate_bank_rejects_dim_mismatch():
+    bank = umfc.TextBank(names=["a", "b"], data=np.stack([E1, E2]))
+    with pytest.raises(ValueError):
+        umfc.calibrate_bank(bank, np.ones((2, 4)))
+    with pytest.raises(ValueError):
+        tfc_calibrate(E1, np.ones((2, 4)))
+
+
 def test_calibrated_bank_rows_not_renormalized():
     # averaging unit vectors shrinks the result; the rows must keep that
     # shrunken norm since classification divides by it explicitly
