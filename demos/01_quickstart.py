@@ -19,7 +19,7 @@ def main():
           f"{np.unique(images.domain_labels).size} domains, dim {images.dim}")
 
     zero_shot = umfc.oracle_zero_shot(ds)
-    zs_table = umfc.per_domain_accuracy(zero_shot, images.class_labels, images.domain_labels)
+    zs_table = umfc.per_domain_accuracy(zero_shot.labels, images.class_labels, images.domain_labels)
     print("\nzero-shot accuracy (no calibration):")
     print(zs_table.to_tsv())
 
@@ -28,7 +28,8 @@ def main():
     # and shift the text bank by the cluster-to-average transitions
     cfg = umfc.EngineConfig(clusters=3)
     preds, state = umfc.transduce(images, ds.text_bank, cfg)
-    table = umfc.per_domain_accuracy(preds, images.class_labels, images.domain_labels)
+    # preds is one Predictions: probs (N x K), labels, clusters, flags
+    table = umfc.per_domain_accuracy(preds.labels, images.class_labels, images.domain_labels)
     print("calibrated accuracy (same data, no labels used):")
     print(table.to_tsv())
 

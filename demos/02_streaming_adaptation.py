@@ -28,7 +28,7 @@ def accuracy_curve(ds, cfg, label):
         batch = ds.images.data[start:start + cfg.batch_size]
         truth = ds.images.class_labels[start:start + cfg.batch_size]
         preds, state = umfc.stream_step(state, batch, ds.text_bank, cfg)
-        correct += sum(p.label == int(t) for p, t in zip(preds, truth))
+        correct += int(np.sum(preds.labels == truth))
         seen += len(preds)
         if state.batches_seen % 5 == 0:
             checkpoints.append(correct / seen)
@@ -52,7 +52,7 @@ def main():
     flagged = 0
     for row in ds.images.data[:10]:
         preds, s = umfc.stream_step(s, row[None, :], ds.text_bank, tiny)
-        flagged += sum("uncalibrated" in p.flags for p in preds)
+        flagged += int(np.count_nonzero(preds.flags & umfc.Predictions.UNCALIBRATED))
     print(f"cold start with batch_size=1: {flagged} of the first 10 answers "
           f"were uncalibrated seeds")
 
@@ -64,8 +64,7 @@ def main():
         nxt = ds.images.data[:100]
         a, _ = umfc.stream_step(state, nxt, ds.text_bank, ema_cfg)
         b, _ = umfc.stream_step(restored, nxt, ds.text_bank, restored_cfg)
-        same = np.array_equal(np.stack([p.probs for p in a]),
-                              np.stack([p.probs for p in b]))
+        same = np.array_equal(a.probs, b.probs)
         print(f"snapshot -> restore -> next batch identical: {same}")
 
 

@@ -21,7 +21,7 @@ def main():
     k = len(ds.text_bank.names)
 
     zs = umfc.oracle_zero_shot(ds)
-    hist = umfc.prediction_histogram(zs, k)
+    hist = umfc.prediction_histogram(zs.labels, k)
     truth = np.bincount(np.asarray(ds.images.class_labels), minlength=k)
     print("zero-shot prediction counts vs the true 150-per-class split:")
     for c, n in hist.top():
@@ -39,7 +39,7 @@ def main():
           f"{np.round(cal.aggregate, 4)}  "
           f"KL to uniform {umfc.kl_to_uniform(cal.aggregate):.3e}")
 
-    hist2 = umfc.prediction_histogram(preds, k)
+    hist2 = umfc.prediction_histogram(preds.labels, k)
     spread_before = max(hist.counts) - min(hist.counts)
     spread_after = max(hist2.counts) - min(hist2.counts)
     print(f"\nprediction-count spread: {spread_before} before, {spread_after} after")

@@ -13,18 +13,16 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .core import DEGENERACY_EPS, Prediction, Temperature, TextBank, _as_tau, softmax_temp
-from .errors import AllShiftsDegenerate, DegenerateFeature, DegenerateVector, NonFiniteInput
+from .core import DEGENERACY_EPS, Temperature, TextBank, _as_tau, softmax_temp
+from .errors import AllShiftsDegenerate, DegenerateVector, DimensionMismatch, NonFiniteInput
 
 __all__ = [
     "CalibrationState",
     "CalibratedTextBank",
-    "ifc_calibrate",
     "compute_text_shifts",
     "tfc_calibrate",
     "calibrate_bank",
     "normalize_shift_rows",
-    "classify",
     "classify_batch",
 ]
 
@@ -96,22 +94,6 @@ class CalibratedTextBank:
         return self.data.shape[0]
 
 
-def ifc_calibrate(f: np.ndarray, mu: np.ndarray) -> np.ndarray:
-    """Unit direction from a cluster mean to a feature: (f - mu) / |f - mu|.
-
-    Raises DegenerateFeature when the feature sits on the mean itself.
-    """
-    f = np.asarray(f, dtype=np.float64)
-    mu = np.asarray(mu, dtype=np.float64)
-    residual = f - mu
-    # same pairwise reduction as the batched path, so one row gives the
-    # same bits alone as inside a batch
-    norm = float(np.sqrt(np.add.reduce(residual * residual)))
-    if norm < DEGENERACY_EPS:
-        raise DegenerateFeature(f"feature coincides with its cluster mean (residual norm {norm:.3e})")
-    return residual / norm
-
-
 def compute_text_shifts(cluster_means: np.ndarray, global_mean: np.ndarray) -> np.ndarray:
     """Per-cluster offset from the global mean, one exact subtraction per row."""
     cm = np.asarray(cluster_means, dtype=np.float64)
@@ -141,8 +123,12 @@ def _calibrate_rows(rows: np.ndarray, shifts: np.ndarray) -> np.ndarray:
     """
     rows = np.asarray(rows, dtype=np.float64)
     shifts = np.asarray(shifts, dtype=np.float64)
-    if rows.ndim != 2 or shifts.ndim != 2 or shifts.shape[1] != rows.shape[1]:
-        raise ValueError(f"shifts shape {shifts.shape} does not match rows of shape {rows.shape}")
+    if rows.ndim != 2 or shifts.ndim != 2:
+        raise ValueError(f"expected 2-d rows and shifts, got {rows.shape} and {shifts.shape}")
+    if shifts.shape[1] != rows.shape[1]:
+        raise DimensionMismatch(
+            f"shifts shape {shifts.shape} does not match rows of shape {rows.shape}"
+        )
     out = np.zeros_like(rows)
     diff = np.empty_like(rows)
     kept = np.zeros(rows.shape[0], dtype=np.int64)
@@ -195,34 +181,19 @@ def calibrate_bank(
     return CalibratedTextBank(names=list(bank.names), data=_calibrate_rows(bank.data, shifts))
 
 
-def _cosine_rows(f: np.ndarray, bank_data: np.ndarray) -> np.ndarray:
-    fn = float(np.linalg.norm(f))
-    bn = np.linalg.norm(bank_data, axis=1)
-    if fn < DEGENERACY_EPS or bool(np.any(bn < DEGENERACY_EPS)):
-        raise DegenerateVector("cosine similarity of a zero-norm vector is undefined")
-    return np.clip((bank_data @ f) / (fn * bn), -1.0, 1.0)
-
-
-def classify(
-    f_cal: np.ndarray,
-    bank: Union[TextBank, CalibratedTextBank],
-    tau: Union[float, Temperature],
-) -> Prediction:
-    """Softmax over cosine similarities between one feature and the bank rows."""
-    f_cal = np.asarray(f_cal, dtype=np.float64)
-    sims = _cosine_rows(f_cal, bank.data)
-    probs = softmax_temp(sims, tau)
-    return Prediction(probs=probs, label=int(np.argmax(probs)))
-
-
 def classify_batch(
     feats: np.ndarray,
     bank_data: np.ndarray,
     tau: Union[float, Temperature],
 ) -> np.ndarray:
-    """Probability rows for many features at once; same math as classify."""
+    """Softmax over the cosine similarities between each feature row and
+    every bank row; one probability row per feature."""
     tau = _as_tau(tau)
     feats = np.asarray(feats, dtype=np.float64)
+    if feats.shape[1] != bank_data.shape[1]:
+        raise DimensionMismatch(
+            f"features of dim {feats.shape[1]} against a bank of dim {bank_data.shape[1]}"
+        )
     fn = np.linalg.norm(feats, axis=1)
     bn = np.linalg.norm(bank_data, axis=1)
     if bool(np.any(fn < DEGENERACY_EPS)) or bool(np.any(bn < DEGENERACY_EPS)):

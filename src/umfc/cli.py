@@ -13,14 +13,14 @@ Exit codes: 0 success, 1 usage error, 2 unreadable/invalid data,
 import argparse
 import os
 import sys
-from pathlib import Path
+from dataclasses import fields, replace
 from typing import List, Optional
 
 import numpy as np
 
 from . import io as uio
-from .calib import calibrate_bank
-from .core import EmbeddingMatrix, Prediction, TextBank
+from .calib import calibrate_bank, classify_batch, normalize_shift_rows
+from .core import EmbeddingMatrix, Predictions, TextBank
 from .diagnostics import (
     balanced_subsample,
     domain_bias_probe,
@@ -31,8 +31,9 @@ from .diagnostics import (
 )
 from .engine import (
     EngineConfig,
-    apply_state,
+    StreamState,
     fit_unsupervised,
+    predict,
     run_stream,
     stream_init,
     stream_step,
@@ -41,6 +42,7 @@ from .engine import (
 from .errors import (
     AllShiftsDegenerate,
     DegenerateVector,
+    DimensionMismatch,
     DimensionTooSmall,
     EmptyDomain,
     FormatError,
@@ -131,20 +133,19 @@ def _engine_flags(parser, clusters=6, tau=0.01, eta=0.1, mode="memory", batch_si
 
 def _config_from(vals: dict) -> EngineConfig:
     try:
-        return EngineConfig(
-            clusters=vals["clusters"],
-            tau=vals["tau"],
-            eta=vals["eta"],
-            mode=vals["mode"],
-            batch_size=vals["batch_size"],
-            seed=vals["seed"],
-            max_iters=vals["max_iters"],
-            tol=vals["tol"],
-            normalize_input=vals["normalize_input"],
-            normalize_shifts=vals["normalize_shifts"],
-        )
+        return EngineConfig(**{f.name: vals[f.name] for f in fields(EngineConfig)})
     except ValueError as e:
         raise UsageError(str(e)) from None
+
+
+def _with_tau(cfg: EngineConfig, tau) -> EngineConfig:
+    """cfg with a --tau override applied, when one was given."""
+    if tau is None:
+        return cfg
+    try:
+        return replace(cfg, tau=tau)
+    except ValueError:
+        raise UsageError(f"--tau: must be finite and > 0, got {tau}") from None
 
 
 def _load_matrix(path) -> EmbeddingMatrix:
@@ -157,11 +158,17 @@ def _load_bank(path, names_path) -> TextBank:
     return uio.read_text_bank(path, names_path)
 
 
-def _write_predictions(path, preds: List[Prediction], ids, names) -> None:
-    lines = []
-    for pid, p in zip(ids, preds):
-        flags = ",".join(p.flags) if p.flags else "-"
-        lines.append(f"{pid}\t{names[p.label]}\t{p.probs[p.label]:.9f}\t{p.cluster}\t{flags}")
+def _write_predictions(path, preds: Predictions, ids, names) -> None:
+    top = preds.probs[np.arange(len(preds)), preds.labels].tolist()
+    # the flags column spells each distinct bitmask once, from its first row
+    codes, first = np.unique(preds.flags, return_index=True)
+    flag_text = {c: ",".join(preds[i].flags) or "-" for c, i in zip(codes.tolist(), first.tolist())}
+    lines = [
+        f"{pid}\t{names[label]}\t{prob:.9f}\t{cluster}\t{flag_text[code]}"
+        for pid, label, prob, cluster, code in zip(
+            ids, preds.labels.tolist(), top, preds.clusters.tolist(), preds.flags.tolist()
+        )
+    ]
     body = ("\n".join(lines) + "\n") if lines else ""
     uio._atomic_write(path, body.encode("utf-8"))
 
@@ -191,9 +198,6 @@ def cmd_fit(argv) -> int:
     train = _load_matrix(args.train)
     bank = _load_bank(args.bank, args.names)
     state, model, _ = fit_unsupervised(train, bank, cfg)
-
-    from .engine import StreamState
-
     snap = StreamState(
         model=model,
         calib=state,
@@ -229,25 +233,10 @@ def cmd_predict(argv) -> int:
     state, cfg = uio.restore_state(args.state)
     if state.model is None or state.calib is None:
         raise FormatError(f"{args.state}: state has no fitted model to predict with")
-    tau = cfg.tau if vals["tau"] is None else vals["tau"]
-    if not (np.isfinite(tau) and tau > 0):
-        raise UsageError(f"--tau: must be finite and > 0, got {tau}")
+    cfg = _with_tau(cfg, vals["tau"])
     test = _load_matrix(args.test)
     bank = _load_bank(args.bank, args.names)
-
-    from .engine import _bank_shifts, _predict_rows
-    from .core import l2_normalize_rows
-    from .clustering import assign_batch
-
-    cal_bank = calibrate_bank(bank, _bank_shifts(state.calib.text_shifts, cfg))
-    x = test.data
-    if test.n:
-        if cfg.normalize_input:
-            x = l2_normalize_rows(x)
-        labels = assign_batch(state.model, x).labels
-        preds = _predict_rows(x, labels, state.calib.cluster_means, cal_bank.data, tau)
-    else:
-        preds = []
+    preds = predict(state.calib, state.model, test, bank, cfg)
     _write_predictions(args.out, preds, test.ids, bank.names)
     _note(f"predict: {test.n} rows -> {args.out}")
     return EXIT_OK
@@ -313,16 +302,16 @@ def cmd_stream(argv) -> int:
     bank = _load_bank(args.bank, args.names)
 
     state = stream_init(cfg)
-    preds: List[Prediction] = []
+    parts = [Predictions.empty(bank.k)]
     n_batches = 0
     for start in range(0, test.n, cfg.batch_size):
         batch = test.data[start : start + cfg.batch_size]
         batch_preds, state = stream_step(state, batch, bank, cfg)
-        preds.extend(batch_preds)
+        parts.append(batch_preds)
         n_batches += 1
         if args.snapshot_every and n_batches % args.snapshot_every == 0:
             uio.snapshot_state(state, cfg, f"{args.out_state}.batch{n_batches:05d}")
-    _write_predictions(args.out, preds, test.ids, bank.names)
+    _write_predictions(args.out, Predictions.concat(parts), test.ids, bank.names)
     if args.out_state:
         uio.snapshot_state(state, cfg, args.out_state)
         _note(f"final state -> {args.out_state}")
@@ -423,19 +412,10 @@ def cmd_diagnose(argv) -> int:
             state, cfg = uio.restore_state(args.state)
             if state.model is None or state.calib is None:
                 raise FormatError(f"{args.state}: state has no fitted model")
-            from .engine import _bank_shifts, _predict_rows
-            from .core import l2_normalize_rows
-            from .clustering import assign_batch
-
-            cal_bank = calibrate_bank(bank, _bank_shifts(state.calib.text_shifts, cfg))
-            x = l2_normalize_rows(test.data) if cfg.normalize_input else test.data
-            labels = assign_batch(state.model, x).labels
-            preds = _predict_rows(x, labels, state.calib.cluster_means, cal_bank.data, tau)
+            labels = predict(state.calib, state.model, test, bank, _with_tau(cfg, tau)).labels
         else:
-            from .engine import _zero_shot_rows
-
-            preds = _zero_shot_rows(test.data, bank.data, tau, ())
-        hist = prediction_histogram(preds, bank.k)
+            labels = classify_batch(test.data, bank.data, tau).argmax(axis=1)
+        hist = prediction_histogram(labels, bank.k)
         lines = ["class\tcount"]
         for c, n in hist.top():
             lines.append(f"{bank.names[c]}\t{n}")
@@ -451,9 +431,10 @@ def cmd_diagnose(argv) -> int:
             state, cfg = uio.restore_state(args.state)
             if state.calib is None:
                 raise FormatError(f"{args.state}: state has no calibration")
-            from .engine import _bank_shifts
-
-            probed = calibrate_bank(bank, _bank_shifts(state.calib.text_shifts, cfg))
+            shifts = state.calib.text_shifts
+            if cfg.normalize_shifts:
+                shifts = normalize_shift_rows(shifts)
+            probed = calibrate_bank(bank, shifts)
         tau = 1.0 if v["tau"] is None else v["tau"]
         result = domain_bias_probe(probed, anchors.data, tau=tau)
         uio._atomic_write(args.out, result.to_csv().encode("utf-8"))
@@ -519,14 +500,11 @@ def cmd_sweep(argv) -> int:
     for val in values:
         try:
             if args.param == "clusters":
-                cfg = EngineConfig(**{**_cfg_dict(base), "clusters": val})
-                preds, _ = transduce(test, bank, cfg)
+                preds, _ = transduce(test, bank, replace(base, clusters=val))
             elif args.param == "batch-size":
-                cfg = EngineConfig(**{**_cfg_dict(base), "batch_size": val, "mode": "memory"})
-                preds, _ = run_stream(test, bank, cfg)
+                preds, _ = run_stream(test, bank, replace(base, batch_size=val, mode="memory"))
             else:
-                cfg = EngineConfig(**{**_cfg_dict(base), "eta": val, "mode": "ema"})
-                preds, _ = run_stream(test, bank, cfg)
+                preds, _ = run_stream(test, bank, replace(base, eta=val, mode="ema"))
         except ValueError as e:
             raise UsageError(f"--values: {val!r}: {e}") from None
         table = per_domain_accuracy(preds, test.class_labels, test.domain_labels)
@@ -541,22 +519,6 @@ def cmd_sweep(argv) -> int:
     uio._atomic_write(args.out, ("\n".join(lines) + "\n").encode("utf-8"))
     _note(f"sweep table -> {args.out}")
     return EXIT_OK
-
-
-def _cfg_dict(cfg: EngineConfig) -> dict:
-    return {
-        "clusters": cfg.clusters,
-        "tau": cfg.tau,
-        "eta": cfg.eta,
-        "mode": cfg.mode,
-        "batch_size": cfg.batch_size,
-        "seed": cfg.seed,
-        "max_iters": cfg.max_iters,
-        "tol": cfg.tol,
-        "normalize_input": cfg.normalize_input,
-        "normalize_shifts": cfg.normalize_shifts,
-        "ema_additive": cfg.ema_additive,
-    }
 
 
 _COMMANDS = {
@@ -600,6 +562,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         return EXIT_DEGENERATE
     except (
         FormatError,
+        DimensionMismatch,
         TooFewSamples,
         MissingLabels,
         EmptyDomain,

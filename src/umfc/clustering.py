@@ -18,7 +18,6 @@ __all__ = [
     "ClusterModel",
     "Assignment",
     "kmeans_fit",
-    "assign_nearest",
     "assign_batch",
     "batch_cluster_means",
     "inertia",
@@ -145,7 +144,7 @@ def kmeans_fit(
     """Fit n_clusters centroids to the rows of m.
 
     Returns the model and the assignment of every input row against the
-    final centroids, so re-running assign_nearest on any row reproduces
+    final centroids, so re-running assign_batch on the rows reproduces
     the returned labels exactly.  Iteration stops when the assignment
     stops changing (an exact fixed point: each centroid is then the mean
     of its members) or when the largest centroid movement drops below
@@ -183,7 +182,7 @@ def kmeans_fit(
         labels = repaired
 
     # the returned assignment is the plain argmin against the final
-    # centroids, so assign_nearest reproduces it row for row
+    # centroids, so assign_batch reproduces it row for row
     counts = np.bincount(pure_labels, minlength=n_clusters).astype(np.int64)
     model = ClusterModel(centroids=centroids, counts=counts, inertia_history=history)
     # d2 already measures against the final centroids, through the same
@@ -201,13 +200,6 @@ def assign_batch(model: ClusterModel, m: np.ndarray) -> Assignment:
     x = np.asarray(m, dtype=np.float64)
     labels, d2 = _assign_dense(x, model.centroids)
     return Assignment(labels=labels, distances=np.sqrt(d2))
-
-
-def assign_nearest(model: ClusterModel, f: np.ndarray) -> int:
-    """Index of the centroid nearest to f; ties go to the lowest index."""
-    f = np.asarray(f, dtype=np.float64)
-    labels, _ = _assign_dense(f[None, :], model.centroids)
-    return int(labels[0])
 
 
 def batch_cluster_means(

@@ -6,8 +6,8 @@ in float64 regardless of how the data was stored on disk; reductions walk
 rows in sorted index order so repeated runs produce bit-identical output.
 """
 
-from dataclasses import dataclass, field
-from typing import Optional, Sequence, Union
+from dataclasses import dataclass, fields
+from typing import ClassVar, Optional, Sequence, Union
 
 import numpy as np
 
@@ -21,6 +21,7 @@ __all__ = [
     "EmbeddingMatrix",
     "TextBank",
     "Prediction",
+    "Predictions",
     "Temperature",
     "l2_normalize",
     "l2_normalize_rows",
@@ -141,6 +142,59 @@ class Prediction:
     label: int
     cluster: int = -1
     flags: tuple = ()
+
+
+@dataclass
+class Predictions:
+    """Classification outcome of N rows, one array per column.
+
+    probs is N x K; labels (int64) is the argmax of each probs row, ties
+    broken toward the lowest class index; clusters (int64) is -1 where no
+    cluster model was involved; flags (uint8) is a bitmask of DEGENERATE
+    and UNCALIBRATED.  Indexing and iteration give Prediction rows, with
+    the flags spelled out as names.  Columns are not validated.
+    """
+
+    DEGENERATE: ClassVar[int] = 1
+    UNCALIBRATED: ClassVar[int] = 2
+
+    probs: np.ndarray
+    labels: np.ndarray
+    clusters: np.ndarray
+    flags: np.ndarray
+
+    @classmethod
+    def empty(cls, k: int) -> "Predictions":
+        """Zero rows over k classes."""
+        return cls(
+            probs=np.empty((0, k)),
+            labels=np.empty(0, dtype=np.int64),
+            clusters=np.empty(0, dtype=np.int64),
+            flags=np.empty(0, dtype=np.uint8),
+        )
+
+    @classmethod
+    def concat(cls, parts: Sequence["Predictions"]) -> "Predictions":
+        """Rows of every part, in order; parts must not be empty."""
+        return cls(*(np.concatenate([getattr(p, f.name) for p in parts]) for f in fields(cls)))
+
+    def __len__(self) -> int:
+        return self.labels.shape[0]
+
+    def __getitem__(self, i: int) -> Prediction:
+        code = int(self.flags[i])
+        return Prediction(
+            probs=self.probs[i],
+            label=int(self.labels[i]),
+            cluster=int(self.clusters[i]),
+            flags=tuple(name for bit, name in _FLAG_NAMES if code & bit),
+        )
+
+    def __iter__(self):
+        return (self[i] for i in range(len(self)))
+
+
+_FLAG_NAMES = ((Predictions.UNCALIBRATED, "uncalibrated"), (Predictions.DEGENERATE, "degenerate"))
 
 
 def l2_normalize(v: np.ndarray) -> np.ndarray:

@@ -11,7 +11,7 @@ from typing import List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from .calib import CalibratedTextBank
-from .core import EmbeddingMatrix, Prediction, TextBank, cosine_sim, mean_rows, softmax_temp
+from .core import EmbeddingMatrix, TextBank, cosine_sim, mean_rows, softmax_temp
 from .errors import EmptyDomain, MissingLabels
 
 __all__ = [
@@ -29,9 +29,8 @@ __all__ = [
 
 
 def _pred_labels(predictions) -> np.ndarray:
-    if len(predictions) and isinstance(predictions[0], Prediction):
-        return np.asarray([p.label for p in predictions], dtype=np.int64)
-    return np.asarray(predictions, dtype=np.int64)
+    """Labels of a Predictions, or the labels themselves as given."""
+    return np.asarray(getattr(predictions, "labels", predictions), dtype=np.int64)
 
 
 @dataclass

@@ -3,17 +3,20 @@
 Three ways to use the same math:
 
 * fit_unsupervised - estimate cluster means, the global mean, and text
-  shifts from an unlabeled training matrix, then apply them to anything.
+  shifts from an unlabeled training matrix; predict then applies them
+  to any rows.
 * transduce - fit on the evaluation matrix itself and predict it in one
   call.
 * stream_init / stream_step - consume batches as they arrive, keeping
   either exact running statistics ("memory" mode) or an exponential
   moving average ("ema" mode), recalibrating the text bank after every
   batch.
+
+Every regime returns its rows as one columnar Predictions.
 """
 
 from dataclasses import dataclass, replace
-from typing import List, Optional, Tuple, Union
+from typing import Optional, Tuple, Union
 
 import numpy as np
 
@@ -21,34 +24,31 @@ from .calib import (
     CalibratedTextBank,
     CalibrationState,
     calibrate_bank,
-    ifc_calibrate,
+    classify_batch,
     normalize_shift_rows,
 )
-from .calib import classify_batch
 from .clustering import (
     Assignment,
     ClusterModel,
     assign_batch,
-    assign_nearest,
     kmeans_fit,
     _cluster_sums,
 )
 from .core import (
     DEGENERACY_EPS,
     EmbeddingMatrix,
-    Prediction,
+    Predictions,
     TextBank,
-    l2_normalize,
     l2_normalize_rows,
     mean_rows,
 )
-from .errors import DegenerateVector
+from .errors import DimensionMismatch
 
 __all__ = [
     "EngineConfig",
     "StreamState",
     "fit_unsupervised",
-    "apply_state",
+    "predict",
     "transduce",
     "stream_init",
     "stream_step",
@@ -65,9 +65,7 @@ class EngineConfig:
     clusters is the number of cluster means estimated from images.  tau
     is the softmax temperature (0.01 matches the usual logit scale of
     100 used with contrastive image-text encoders).  eta only matters in
-    ema mode.  ema_additive switches the moving average to the raw
-    additive update c + eta*c_batch for auditing; it lets prototype
-    norms grow without bound, so it is off by default.
+    ema mode.
     """
 
     clusters: int = 6
@@ -80,7 +78,6 @@ class EngineConfig:
     tol: float = 1e-4
     normalize_input: bool = True
     normalize_shifts: bool = False
-    ema_additive: bool = False
 
     def __post_init__(self):
         if self.clusters < 1:
@@ -132,51 +129,33 @@ def _as_rows(data: Union[EmbeddingMatrix, np.ndarray]) -> np.ndarray:
 
 def _predict_rows(
     feats: np.ndarray,
-    clusters: np.ndarray,
-    cluster_means: np.ndarray,
+    clusters: Optional[np.ndarray],
+    cluster_means: Optional[np.ndarray],
     bank_data: np.ndarray,
     tau: float,
-    extra_flags: tuple = (),
-) -> List[Prediction]:
+) -> Predictions:
     """Calibrate rows against their assigned cluster mean and classify.
 
     Rows whose residual collapses (feature sits on the mean) fall back
-    to the plain normalized feature and are flagged "degenerate".
+    to the plain normalized feature and are flagged DEGENERATE.  With no
+    cluster model (clusters and cluster_means None) the rows are scored
+    as given, zero-shot: cluster -1, flagged UNCALIBRATED.
     """
-    residuals = feats - cluster_means[clusters]
-    norms = np.sqrt(np.add.reduce(residuals * residuals, axis=1))
-    ok = norms >= DEGENERACY_EPS
-    cal = np.empty_like(feats)
-    cal[ok] = residuals[ok] / norms[ok, None]
-    fallback = np.flatnonzero(~ok)
-    for i in fallback:
-        cal[i] = l2_normalize(feats[i])
+    if cluster_means is None:
+        cal = feats
+        clusters = np.full(feats.shape[0], -1, dtype=np.int64)
+        flags = np.full(feats.shape[0], Predictions.UNCALIBRATED, dtype=np.uint8)
+    else:
+        residuals = feats - cluster_means[clusters]
+        norms = np.sqrt(np.add.reduce(residuals * residuals, axis=1))
+        ok = norms >= DEGENERACY_EPS
+        cal = np.empty_like(feats)
+        cal[ok] = residuals[ok] / norms[ok, None]
+        if not ok.all():
+            cal[~ok] = l2_normalize_rows(feats[~ok])
+        flags = np.where(ok, np.uint8(0), np.uint8(Predictions.DEGENERATE))
     probs = classify_batch(cal, bank_data, tau)
-    pred_labels = np.argmax(probs, axis=1)
-    out = []
-    bad = set(fallback.tolist())
-    for i in range(feats.shape[0]):
-        flags = extra_flags + ("degenerate",) if i in bad else extra_flags
-        out.append(
-            Prediction(
-                probs=probs[i],
-                label=int(pred_labels[i]),
-                cluster=int(clusters[i]),
-                flags=flags,
-            )
-        )
-    return out
-
-
-def _zero_shot_rows(
-    feats: np.ndarray, bank_data: np.ndarray, tau: float, flags: tuple
-) -> List[Prediction]:
-    probs = classify_batch(feats, bank_data, tau)
-    pred_labels = np.argmax(probs, axis=1)
-    return [
-        Prediction(probs=probs[i], label=int(pred_labels[i]), cluster=-1, flags=flags)
-        for i in range(feats.shape[0])
-    ]
+    return Predictions(probs=probs, labels=np.argmax(probs, axis=1), clusters=clusters, flags=flags)
 
 
 def _bank_shifts(state_shifts: np.ndarray, cfg: EngineConfig) -> np.ndarray:
@@ -210,39 +189,37 @@ def fit_unsupervised(
     return state, model, cal_bank
 
 
-def apply_state(
-    state: CalibrationState,
+def predict(
+    calib: CalibrationState,
     model: ClusterModel,
-    f: np.ndarray,
-    bank: Union[TextBank, CalibratedTextBank],
-    tau: float,
-    normalize_input: bool = True,
-) -> Prediction:
-    """Calibrate and classify a single feature against a fitted state.
+    x: Union[EmbeddingMatrix, np.ndarray],
+    bank: TextBank,
+    cfg: EngineConfig,
+) -> Predictions:
+    """Calibrate and classify rows against a fitted state.
 
-    bank should already be calibrated (the third output of
-    fit_unsupervised); any bank is classified as given.  A feature that
-    coincides with its cluster mean cannot be re-expressed as a
-    direction, so it falls back to plain normalization and the
-    prediction is flagged "degenerate".
+    bank is the raw text bank; it is calibrated here from
+    calib.text_shifts.  Each row is assigned to its nearest cluster mean
+    and re-expressed as the unit direction from it; a row that sits on
+    its mean falls back to plain normalization and is flagged
+    DEGENERATE.  Zero rows give an empty Predictions; rows whose
+    dimension differs from the state raise DimensionMismatch.
     """
-    f = np.asarray(f, dtype=np.float64)
-    if normalize_input:
-        f = l2_normalize(f)
-    cluster = assign_nearest(model, f)
-    flags = ()
-    try:
-        f_cal = ifc_calibrate(f, state.cluster_means[cluster])
-    except DegenerateVector:
-        f_cal = l2_normalize(f)
-        flags = ("degenerate",)
-    probs = classify_batch(f_cal[None, :], bank.data, tau)[0]
-    return Prediction(probs=probs, label=int(np.argmax(probs)), cluster=cluster, flags=flags)
+    x = _as_rows(x)
+    if not x.shape[0]:
+        return Predictions.empty(bank.k)
+    if x.shape[1] != model.dim:
+        raise DimensionMismatch(f"rows of dim {x.shape[1]} against a state of dim {model.dim}")
+    if cfg.normalize_input:
+        x = l2_normalize_rows(x)
+    cal_bank = calibrate_bank(bank, _bank_shifts(calib.text_shifts, cfg))
+    labels = assign_batch(model, x).labels
+    return _predict_rows(x, labels, calib.cluster_means, cal_bank.data, cfg.tau)
 
 
 def transduce(
     test: Union[EmbeddingMatrix, np.ndarray], bank: TextBank, cfg: EngineConfig
-) -> Tuple[List[Prediction], CalibrationState]:
+) -> Tuple[Predictions, CalibrationState]:
     """Fit on the evaluation matrix itself, then predict every row of it."""
     x = _as_rows(test)
     if cfg.normalize_input:
@@ -294,7 +271,7 @@ def _seeded_state(seeds: np.ndarray, cfg: EngineConfig, batches_seen: int) -> St
 
 def _advance(
     state: StreamState, x: np.ndarray, bank: TextBank, cfg: EngineConfig
-) -> Tuple[List[Prediction], StreamState]:
+) -> Tuple[Predictions, StreamState]:
     """One post-bootstrap batch: assign, update statistics, recalibrate, predict."""
     m = cfg.clusters
     labels = assign_batch(state.model, x).labels
@@ -317,10 +294,7 @@ def _advance(
         prototypes = state.model.centroids.copy()
         # the division batch_cluster_means makes, so the two agree bit for bit
         batch_means = batch_sums[present] / batch_counts[present, None]
-        if cfg.ema_additive:
-            prototypes[present] = prototypes[present] + cfg.eta * batch_means
-        else:
-            prototypes[present] = (1.0 - cfg.eta) * prototypes[present] + cfg.eta * batch_means
+        prototypes[present] = (1.0 - cfg.eta) * prototypes[present] + cfg.eta * batch_means
         samples_seen = state.samples_seen + x.shape[0]
         mu_avg = np.sum(prototypes, axis=0) / m
 
@@ -357,12 +331,12 @@ def stream_step(
     batch: Union[EmbeddingMatrix, np.ndarray],
     bank: TextBank,
     cfg: EngineConfig,
-) -> Tuple[List[Prediction], StreamState]:
+) -> Tuple[Predictions, StreamState]:
     """Consume one batch and return its predictions plus the next state.
 
     Until a model exists: a first batch with at least `clusters` samples
     is clustered directly; smaller batches are buffered and answered
-    with plain zero-shot predictions flagged "uncalibrated".  The first
+    with plain zero-shot predictions flagged UNCALIBRATED.  The first
     `clusters` samples overall become the initial cluster means, and any
     remainder of the completing batch is processed normally.  Buffered
     samples are never re-predicted.
@@ -397,7 +371,7 @@ def stream_step(
     if x.shape[0] < need:
         # still short: buffer and answer zero-shot
         buf = x.copy() if buffered is None else np.vstack([buffered, x])
-        preds = _zero_shot_rows(x, bank.data, cfg.tau, ("uncalibrated",))
+        preds = _predict_rows(x, None, None, bank.data, cfg.tau)
         new_state = replace(
             state,
             bootstrap_buffer=buf,
@@ -409,13 +383,13 @@ def stream_step(
     # this batch completes the bootstrap
     seed_part = x[:need]
     seeds = seed_part if buffered is None else np.vstack([buffered, seed_part])
-    preds = _zero_shot_rows(seed_part, bank.data, cfg.tau, ("uncalibrated",))
+    preds = _predict_rows(seed_part, None, None, bank.data, cfg.tau)
     seeded = _seeded_state(seeds, cfg, state.batches_seen)
     rest = x[need:]
     if rest.shape[0]:
         rest_preds, new_state = _advance(seeded, rest, bank, cfg)
         # _advance counted the batch; seeding itself does not add one
-        preds = preds + rest_preds
+        preds = Predictions.concat([preds, rest_preds])
     else:
         new_state = replace(seeded, batches_seen=seeded.batches_seen + 1)
     return preds, new_state
@@ -425,12 +399,12 @@ def run_stream(
     test: Union[EmbeddingMatrix, np.ndarray],
     bank: TextBank,
     cfg: EngineConfig,
-) -> Tuple[List[Prediction], StreamState]:
+) -> Tuple[Predictions, StreamState]:
     """Feed a matrix through stream_step in batch_size slices, in order."""
     x = _as_rows(test)
     state = stream_init(cfg)
-    preds: List[Prediction] = []
+    parts = [Predictions.empty(bank.k)]
     for start in range(0, x.shape[0], cfg.batch_size):
         batch_preds, state = stream_step(state, x[start : start + cfg.batch_size], bank, cfg)
-        preds.extend(batch_preds)
-    return preds, state
+        parts.append(batch_preds)
+    return Predictions.concat(parts), state

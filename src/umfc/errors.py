@@ -8,7 +8,6 @@ specific exit paths instead of pattern-matching messages.
 __all__ = [
     "UmfcError",
     "DegenerateVector",
-    "DegenerateFeature",
     "AllShiftsDegenerate",
     "EmptySelection",
     "NonFiniteInput",
@@ -16,6 +15,7 @@ __all__ = [
     "MissingLabels",
     "EmptyDomain",
     "DimensionTooSmall",
+    "DimensionMismatch",
     "FormatError",
     "BadMagic",
     "UnsupportedVersion",
@@ -33,10 +33,6 @@ class UmfcError(Exception):
 
 class DegenerateVector(UmfcError):
     """A vector with (near-)zero norm where a direction is required."""
-
-
-class DegenerateFeature(DegenerateVector):
-    """A feature that coincides with its cluster mean, leaving no residual."""
 
 
 class AllShiftsDegenerate(UmfcError):
@@ -65,6 +61,10 @@ class EmptyDomain(UmfcError):
 
 class DimensionTooSmall(UmfcError):
     """Embedding dimension too small for the requested construction."""
+
+
+class DimensionMismatch(UmfcError, ValueError):
+    """Features, text bank and fitted state disagree on the dimension."""
 
 
 class FormatError(UmfcError):

@@ -21,6 +21,7 @@ import json
 import os
 import struct
 import tempfile
+from dataclasses import asdict
 from pathlib import Path
 from typing import List, Optional, Tuple
 
@@ -269,19 +270,7 @@ def snapshot_state(state: StreamState, cfg: EngineConfig, path) -> None:
     across a snapshot.
     """
     manifest = {
-        "config": {
-            "clusters": cfg.clusters,
-            "tau": cfg.tau,
-            "eta": cfg.eta,
-            "mode": cfg.mode,
-            "batch_size": cfg.batch_size,
-            "seed": cfg.seed,
-            "max_iters": cfg.max_iters,
-            "tol": cfg.tol,
-            "normalize_input": cfg.normalize_input,
-            "normalize_shifts": cfg.normalize_shifts,
-            "ema_additive": cfg.ema_additive,
-        },
+        "config": asdict(cfg),
         "samples_seen": state.samples_seen,
         "batches_seen": state.batches_seen,
         "arrays": [],
@@ -318,7 +307,12 @@ def restore_state(path) -> Tuple[StreamState, EngineConfig]:
         raise FormatError(f"{path}: unreadable snapshot manifest: {e}") from None
 
     try:
-        cfg = EngineConfig(**manifest["config"])
+        config = dict(manifest["config"])
+        # snapshots from before the additive EMA variant was removed
+        # carry its switch; only the default (off) still means something
+        if config.pop("ema_additive", False):
+            raise FormatError(f"{path}: snapshot uses the removed additive EMA update")
+        cfg = EngineConfig(**config)
     except (KeyError, TypeError, ValueError) as e:
         raise FormatError(f"{path}: bad config in snapshot: {e}") from None
 

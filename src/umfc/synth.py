@@ -14,14 +14,21 @@ reimplementation of the transductive pipeline.
 """
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
-from .calib import CalibrationState, classify, compute_text_shifts, ifc_calibrate
-from .calib import CalibratedTextBank
+from .calib import CalibrationState, compute_text_shifts
 from .clustering import kmeans_fit
-from .core import DEGENERACY_EPS, EmbeddingMatrix, Prediction, TextBank, l2_normalize
+from .core import (
+    DEGENERACY_EPS,
+    EmbeddingMatrix,
+    Predictions,
+    TextBank,
+    cosine_sim,
+    l2_normalize,
+    softmax_temp,
+)
 from .engine import EngineConfig
 from .errors import DimensionTooSmall
 
@@ -220,22 +227,35 @@ def pairwise_directions(axes: np.ndarray) -> np.ndarray:
     return out
 
 
-def oracle_zero_shot(dataset: SyntheticDataset, tau: float = 0.01) -> List[Prediction]:
+def _oracle_scores(f: np.ndarray, bank_rows: np.ndarray, tau: float) -> np.ndarray:
+    """Softmax over the cosines between one feature and each bank row, one at a time."""
+    return softmax_temp(np.array([cosine_sim(f, t) for t in bank_rows]), tau)
+
+
+def _oracle_predictions(probs: list, clusters: list) -> Predictions:
+    probs = np.array(probs)
+    return Predictions(
+        probs=probs,
+        labels=np.argmax(probs, axis=1),
+        clusters=np.array(clusters, dtype=np.int64),
+        flags=np.zeros(len(clusters), dtype=np.uint8),
+    )
+
+
+def oracle_zero_shot(dataset: SyntheticDataset, tau: float = 0.01) -> Predictions:
     """Uncalibrated reference predictions, one sample at a time.
 
     Deliberately naive: a per-row loop over plain cosine scoring with no
     clustering or calibration anywhere.
     """
-    bank = dataset.text_bank
-    preds = []
-    for row in dataset.images.data:
-        preds.append(classify(row, bank, tau))
-    return preds
+    bank = dataset.text_bank.data
+    probs = [_oracle_scores(row, bank, tau) for row in dataset.images.data]
+    return _oracle_predictions(probs, [-1] * len(probs))
 
 
 def oracle_transduce(
     dataset: SyntheticDataset, cfg: EngineConfig
-) -> Tuple[List[Prediction], CalibrationState]:
+) -> Tuple[Predictions, CalibrationState]:
     """Store-everything reimplementation of the transductive pipeline.
 
     Shares only kmeans_fit with the engine; every statistic downstream of
@@ -277,12 +297,9 @@ def oracle_transduce(
     for t in dataset.text_bank.data:
         terms = [l2_normalize(t - s) for s in shifts if np.linalg.norm(t - s) >= DEGENERACY_EPS]
         cal_rows.append(np.mean(terms, axis=0))
-    cal_bank = CalibratedTextBank(names=list(dataset.text_bank.names), data=np.stack(cal_rows))
 
-    preds = []
+    probs = []
     for i in range(n):
-        f_cal = ifc_calibrate(x[i], mu[labels[i]])
-        p = classify(f_cal, cal_bank, cfg.tau)
-        p.cluster = int(labels[i])
-        preds.append(p)
-    return preds, state
+        r = x[i] - mu[labels[i]]
+        probs.append(_oracle_scores(r / np.linalg.norm(r), cal_rows, cfg.tau))
+    return _oracle_predictions(probs, labels.tolist()), state

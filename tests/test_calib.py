@@ -5,6 +5,7 @@ import pytest
 
 import umfc
 from umfc.calib import tfc_calibrate
+from umfc.engine import _predict_rows
 
 E1 = np.array([1.0, 0.0, 0.0])
 E2 = np.array([0.0, 1.0, 0.0])
@@ -12,18 +13,24 @@ E3 = np.array([0.0, 0.0, 1.0])
 
 
 def test_ifc_hand_value():
-    # f=(1,0), mean=(0.5,0.5): residual (0.5,-0.5), norm sqrt(0.5)
-    out = umfc.ifc_calibrate(np.array([1.0, 0.0]), np.array([0.5, 0.5]))
-    r = np.sqrt(0.5)
-    assert np.allclose(out, [r, -r], rtol=0, atol=1e-15)
-    assert abs(np.linalg.norm(out) - 1.0) < 1e-12
+    # f=(1,0), mean=(0.5,0.5): residual (0.5,-0.5), norm sqrt(0.5), so the
+    # calibrated feature is (r,-r): cosine 1 against (1,-1), 0 against (1,1)
+    preds = _predict_rows(np.array([[1.0, 0.0]]), np.array([0]), np.array([[0.5, 0.5]]),
+                          np.array([[1.0, -1.0], [1.0, 1.0]]), tau=1.0)
+    e = np.e
+    assert np.allclose(preds.probs[0], [e / (e + 1), 1 / (e + 1)], rtol=0, atol=1e-15)
+    assert preds.labels[0] == 0 and preds.clusters[0] == 0 and preds.flags[0] == 0
 
 
 def test_ifc_degenerate():
-    with pytest.raises(umfc.DegenerateFeature):
-        umfc.ifc_calibrate(np.array([0.5, 0.5]), np.array([0.5, 0.5]))
-    # DegenerateFeature is a DegenerateVector, so one handler catches both
-    assert issubclass(umfc.DegenerateFeature, umfc.DegenerateVector)
+    # a feature on its cluster mean has no residual direction: it falls
+    # back to the plain normalized feature and is flagged, not fatal
+    f = np.array([[0.5, 0.5]])
+    bank = np.array([[1.0, 0.0], [0.0, 2.0]])
+    preds = _predict_rows(f, np.array([0]), f.copy(), bank, tau=1.0)
+    assert preds.flags[0] == umfc.Predictions.DEGENERATE
+    assert preds[0].flags == ("degenerate",)
+    assert np.array_equal(preds.probs, umfc.classify_batch(umfc.l2_normalize_rows(f), bank, 1.0))
 
 
 def test_compute_text_shifts_hand():
@@ -159,34 +166,37 @@ def test_normalize_shift_rows():
 
 def test_classify_hand_value():
     bank = umfc.TextBank(names=["x", "y"], data=np.array([[1.0, 0.0], [0.0, 1.0]]))
-    f = np.array([2.0, 1.0])
-    pred = umfc.classify(f, bank, tau=0.5)
+    f = np.array([[2.0, 1.0]])
+    probs = umfc.classify_batch(f, bank.data, tau=0.5)[0]
     # cosines (2,1)/sqrt(5) -> softmax at tau=0.5, worked by hand
     assert np.allclose(
-        pred.probs, [0.7098029437568892, 0.29019705624311065], rtol=0, atol=1e-14
+        probs, [0.7098029437568892, 0.29019705624311065], rtol=0, atol=1e-14
     )
-    assert pred.label == 0
-    assert pred.cluster == -1 and pred.flags == ()
+    assert int(np.argmax(probs)) == 0
 
 
 def test_classify_batch_matches_scalar_within_float():
     rng = np.random.default_rng(14)
     bank_data = rng.standard_normal((6, 8))
-    bank = umfc.TextBank(names=[f"c{i}" for i in range(6)], data=bank_data)
     feats = rng.standard_normal((40, 8))
     probs = umfc.classify_batch(feats, bank_data, tau=0.05)
     for i in range(40):
-        single = umfc.classify(feats[i], bank, tau=0.05)
-        assert np.allclose(probs[i], single.probs, rtol=0, atol=1e-12)
-        assert int(np.argmax(probs[i])) == single.label
+        sims = np.array([umfc.cosine_sim(feats[i], t) for t in bank_data])
+        single = umfc.softmax_temp(sims, 0.05)
+        assert np.allclose(probs[i], single, rtol=0, atol=1e-12)
+        assert int(np.argmax(probs[i])) == int(np.argmax(single))
 
 
 def test_classify_rejects_zero_vectors():
-    bank = umfc.TextBank(names=["x", "y"], data=np.eye(2))
     with pytest.raises(umfc.DegenerateVector):
-        umfc.classify(np.zeros(2), bank, tau=1.0)
+        umfc.classify_batch(np.array([[1.0, 0.0], [0.0, 0.0]]), np.eye(2), tau=1.0)
     with pytest.raises(umfc.DegenerateVector):
-        umfc.classify_batch(np.zeros((2, 2)), np.eye(2), tau=1.0)
+        umfc.classify_batch(np.eye(2), np.array([[1.0, 0.0], [0.0, 0.0]]), tau=1.0)
+
+
+def test_classify_batch_dimension_mismatch():
+    with pytest.raises(umfc.DimensionMismatch):
+        umfc.classify_batch(np.ones((2, 3)), np.eye(2), tau=1.0)
 
 
 def test_calibration_state_from_means():

@@ -1,5 +1,8 @@
 """End-to-end command line checks, run in-process via cli.main."""
 
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -44,6 +47,32 @@ def small_state(small, tmp_path_factory):
     assert run("fit", "--train", f"{small}_images.bin", "--bank", f"{small}_bank.bin",
                "--names", f"{small}_names.txt", "--out-state", path, "--clusters", "2") == 0
     return path
+
+
+@pytest.fixture(scope="module")
+def narrow(tmp_path_factory):
+    """A 4-class bank and a 10-row matrix of dim 8, against the dim-16 `small` files."""
+    prefix = str(tmp_path_factory.mktemp("cli_narrow") / "n")
+    rng = np.random.default_rng(5)
+    names = [f"class_{c:03d}" for c in range(4)]
+    bank = umfc.TextBank(names=names, data=rng.standard_normal((4, 8)))
+    umfc.write_text_bank(bank, f"{prefix}_bank.bin", f"{prefix}_names.txt")
+    images = umfc.EmbeddingMatrix(data=rng.standard_normal((10, 8)))
+    umfc.write_embeddings(images, f"{prefix}_images.bin")
+    return prefix
+
+
+def test_cli_imports_no_private_names():
+    source = Path(cli.__file__).read_text(encoding="utf-8")
+    checked = ("engine", "calib", "clustering", "core")
+    private = [
+        (node.module, alias.name)
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.ImportFrom) and node.module in checked
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+    assert private == []
 
 
 # ---------------------------------------------------------------------------
@@ -136,10 +165,11 @@ def test_predict_matches_library_route(small, small_state, tmp_path):
     test = umfc.read_embeddings(f"{small}_images.bin")
     bank = umfc.read_text_bank(f"{small}_bank.bin", f"{small}_names.txt")
     cfg = umfc.EngineConfig(clusters=2)
-    state, model, cal_bank = umfc.fit_unsupervised(test, bank, cfg)
-    for (pid, name, prob, cluster, flags), feature in zip(rows, test.data):
-        p = umfc.apply_state(state, model, feature, cal_bank, cfg.tau)
+    state, model, _ = umfc.fit_unsupervised(test, bank, cfg)
+    preds = umfc.predict(state, model, test, bank, cfg)
+    for (pid, name, prob, cluster, flags), p in zip(rows, preds):
         assert name == bank.names[p.label]
+        assert cluster == p.cluster
         assert np.isclose(prob, p.probs[p.label], rtol=0, atol=1e-9)
 
 
@@ -163,6 +193,13 @@ def test_predict_empty_test_writes_empty_file(small, small_state, tmp_path):
                "--bank", f"{small}_bank.bin", "--names", f"{small}_names.txt",
                "--out", str(out)) == 0
     assert out.read_bytes() == b""
+
+
+def test_predict_dimension_mismatch_is_data_error(small, small_state, narrow, tmp_path, capsys):
+    assert run("predict", "--state", small_state, "--test", f"{narrow}_images.bin",
+               "--bank", f"{small}_bank.bin", "--names", f"{small}_names.txt",
+               "--out", str(tmp_path / "p.tsv")) == 2
+    assert "data error" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------
@@ -190,6 +227,13 @@ def test_transduce_report_needs_labels(small, tmp_path):
     assert run("transduce", "--test", str(bare), "--bank", f"{small}_bank.bin",
                "--names", f"{small}_names.txt", "--out", str(tmp_path / "p.tsv"),
                "--report", str(tmp_path / "r.tsv")) == 2
+
+
+def test_transduce_dimension_mismatch_is_data_error(small, narrow, tmp_path, capsys):
+    assert run("transduce", "--test", f"{small}_images.bin", "--bank", f"{narrow}_bank.bin",
+               "--names", f"{narrow}_names.txt", "--out", str(tmp_path / "p.tsv"),
+               "--clusters", "2") == 2
+    assert "data error" in capsys.readouterr().err
 
 
 def test_transduce_single_cluster_runs(small, tmp_path):
@@ -263,6 +307,24 @@ def test_stream_snapshots_and_ema_replacement(small, tmp_path):
         assert np.array_equal(
             cur.calib.cluster_means[~present], prev.calib.cluster_means[~present]
         )
+
+
+@pytest.mark.parametrize("batch_size", ["1", "100"])
+def test_stream_dimension_mismatch_is_data_error(small, narrow, tmp_path, capsys, batch_size):
+    # batch size 1 fails in the zero-shot cold start, 100 in text calibration
+    assert run("stream", "--test", f"{small}_images.bin", "--bank", f"{narrow}_bank.bin",
+               "--names", f"{narrow}_names.txt", "--out", str(tmp_path / "p.tsv"),
+               "--clusters", "2", "--batch-size", batch_size) == 2
+    assert "data error" in capsys.readouterr().err
+
+
+def test_stream_empty_test_writes_empty_file(small, tmp_path):
+    empty = tmp_path / "empty.bin"
+    umfc.write_embeddings(umfc.EmbeddingMatrix(data=np.empty((0, 16))), empty)
+    out = tmp_path / "p.tsv"
+    assert run("stream", "--test", str(empty), "--bank", f"{small}_bank.bin",
+               "--names", f"{small}_names.txt", "--out", str(out)) == 0
+    assert out.read_bytes() == b""
 
 
 def test_stream_snapshot_every_requires_out_state(small, tmp_path):

@@ -84,13 +84,13 @@ def test_assignment_reproducible_from_model():
     assert np.array_equal(again.distances, asg.distances)
 
 
-def test_assign_nearest_matches_batch():
+def test_assign_batch_single_rows_match_batch():
     rng = np.random.default_rng(9)
     x = rng.standard_normal((30, 4))
     model, _ = umfc.kmeans_fit(x, 3, seed=2)
     batch = umfc.assign_batch(model, x)
     for i in range(30):
-        assert umfc.assign_nearest(model, x[i]) == batch.labels[i]
+        assert umfc.assign_batch(model, x[i : i + 1]).labels[0] == batch.labels[i]
 
 
 def test_assign_ties_lowest_index():

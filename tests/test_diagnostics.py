@@ -4,17 +4,17 @@ import numpy as np
 import pytest
 
 import umfc
-from umfc.core import Prediction
 
 
 def _preds(labels):
-    k = int(max(labels)) + 1
-    out = []
-    for y in labels:
-        probs = np.zeros(k)
-        probs[y] = 1.0
-        out.append(Prediction(probs=probs, label=int(y)))
-    return out
+    labels = np.asarray(labels, dtype=np.int64)
+    n = labels.size
+    return umfc.Predictions(
+        probs=np.eye(int(labels.max()) + 1)[labels],
+        labels=labels,
+        clusters=np.full(n, -1, dtype=np.int64),
+        flags=np.zeros(n, dtype=np.uint8),
+    )
 
 
 def test_per_domain_accuracy_all_correct():

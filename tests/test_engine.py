@@ -61,16 +61,49 @@ def test_fit_rejects_small_train():
         umfc.fit_unsupervised(np.eye(2), bank, umfc.EngineConfig(clusters=5))
 
 
-def test_apply_state_matches_transduce():
+def test_predict_matches_transduce():
     ds = small_benchmark()
     cfg = cfg2()
     preds, state = umfc.transduce(ds.images, ds.text_bank, cfg)
-    _, model, cal_bank = umfc.fit_unsupervised(ds.images, ds.text_bank, cfg)
+    _, model, _ = umfc.fit_unsupervised(ds.images, ds.text_bank, cfg)
+    batch = umfc.predict(state, model, ds.images, ds.text_bank, cfg)
+    assert np.array_equal(batch.labels, preds.labels)
+    assert np.array_equal(batch.clusters, preds.clusters)
+    assert np.allclose(batch.probs, preds.probs, rtol=0, atol=1e-12)
+    # one row at a time gives the same answers
     for i in range(ds.images.n):
-        single = umfc.apply_state(state, model, ds.images.data[i], cal_bank, cfg.tau)
-        assert single.label == preds[i].label
-        assert single.cluster == preds[i].cluster
-        assert np.allclose(single.probs, preds[i].probs, rtol=0, atol=1e-12)
+        single = umfc.predict(state, model, ds.images.data[i : i + 1], ds.text_bank, cfg)
+        assert single.labels[0] == preds.labels[i]
+        assert single.clusters[0] == preds.clusters[i]
+        assert np.allclose(single.probs[0], preds.probs[i], rtol=0, atol=1e-12)
+
+
+def test_predict_empty_and_mismatched_rows():
+    ds = small_benchmark()
+    cfg = cfg2()
+    state, model, _ = umfc.fit_unsupervised(ds.images, ds.text_bank, cfg)
+    empty = umfc.predict(state, model, np.empty((0, 0)), ds.text_bank, cfg)
+    assert len(empty) == 0 and empty.probs.shape == (0, ds.text_bank.k)
+    with pytest.raises(umfc.DimensionMismatch):
+        umfc.predict(state, model, np.ones((3, 5)), ds.text_bank, cfg)
+
+
+def test_predictions_rows_and_concat():
+    preds = umfc.Predictions(
+        probs=np.array([[0.9, 0.1], [0.2, 0.8], [0.5, 0.5]]),
+        labels=np.array([0, 1, 0]),
+        clusters=np.array([-1, 0, 1]),
+        flags=np.array(
+            [umfc.Predictions.UNCALIBRATED, 0, umfc.Predictions.DEGENERATE], dtype=np.uint8
+        ),
+    )
+    rows = list(preds)
+    assert [p.flags for p in rows] == [("uncalibrated",), (), ("degenerate",)]
+    assert [(p.label, p.cluster) for p in rows] == [(0, -1), (1, 0), (0, 1)]
+    assert np.array_equal(rows[1].probs, [0.2, 0.8])
+    both = umfc.Predictions.concat([umfc.Predictions.empty(2), preds, preds])
+    assert len(both) == 6 and both.flags.dtype == np.uint8
+    assert np.array_equal(both.labels, [0, 1, 0, 0, 1, 0])
 
 
 def test_transduce_cluster_field_matches_assignment():
@@ -156,24 +189,6 @@ def test_ema_eta_one_replaces():
     assert np.allclose(st2.model.centroids[bc > 0], bm[bc > 0], rtol=0, atol=1e-12)
 
 
-def test_ema_additive_variant():
-    rng = np.random.default_rng(22)
-    b1 = np.vstack([rng.normal(0, 0.01, (5, 2)) + [3, 0], rng.normal(0, 0.01, (5, 2)) - [3, 0]])
-    b2 = np.vstack([rng.normal(0, 0.01, (4, 2)) + [3, 0], rng.normal(0, 0.01, (4, 2)) - [3, 0]])
-    bank = umfc.TextBank(names=["a", "b"], data=np.eye(2))
-    cfg = umfc.EngineConfig(clusters=2, mode="ema", eta=0.25, batch_size=10, seed=0,
-                            normalize_input=False, ema_additive=True)
-    st = umfc.stream_init(cfg)
-    _, st1 = umfc.stream_step(st, b1, bank, cfg)
-    c1 = st1.model.centroids.copy()
-    labels = umfc.assign_batch(st1.model, b2).labels
-    bm, bc = batch_cluster_means(b2, labels, 2)
-    _, st2 = umfc.stream_step(st1, b2, bank, cfg)
-    expect = c1.copy()
-    expect[bc > 0] = c1[bc > 0] + 0.25 * bm[bc > 0]
-    assert np.allclose(st2.model.centroids, expect, rtol=0, atol=1e-12)
-
-
 def test_absent_cluster_keeps_prototype_and_shift():
     rng = np.random.default_rng(23)
     b1 = np.vstack([rng.normal(0, 0.01, (5, 2)) + [3, 0], rng.normal(0, 0.01, (5, 2)) - [3, 0]])
@@ -197,10 +212,10 @@ def test_bootstrap_batch_size_one():
     cfg = cfg2(clusters=3, batch_size=1)
     preds, state = umfc.run_stream(ds.images, ds.text_bank, cfg)
     assert len(preds) == ds.images.n
-    flagged = [i for i, p in enumerate(preds) if "uncalibrated" in p.flags]
-    assert flagged == [0, 1, 2]
-    assert all(p.cluster == -1 for p in preds[:3])
-    assert all(p.cluster >= 0 for p in preds[3:])
+    flagged = np.flatnonzero(preds.flags & umfc.Predictions.UNCALIBRATED)
+    assert flagged.tolist() == [0, 1, 2]
+    assert (preds.clusters[:3] == -1).all()
+    assert (preds.clusters[3:] >= 0).all()
     # the uncalibrated answers are plain zero-shot scores
     x = umfc.l2_normalize_rows(ds.images.data[:3])
     ref = umfc.classify_batch(x, ds.text_bank.data, cfg.tau)

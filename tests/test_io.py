@@ -279,6 +279,14 @@ def _minimal_manifest(**config_overrides):
     return {"config": config, "samples_seen": 0, "batches_seen": 0, "arrays": []}
 
 
+def test_snapshot_with_additive_ema_is_refused(tmp_path):
+    # the additive EMA update was removed; a snapshot that used it cannot resume
+    p = tmp_path / "s.state"
+    p.write_bytes(_snapshot_bytes(_minimal_manifest(ema_additive=True), b""))
+    with pytest.raises(umfc.FormatError):
+        umfc.restore_state(p)
+
+
 def test_snapshot_corrupt_manifest(tmp_path):
     p = tmp_path / "s.state"
     payload = struct.pack("<I", 9) + b"not json!"
