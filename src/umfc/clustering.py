@@ -12,6 +12,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
+from .core import row_blocks
 from .errors import TooFewSamples
 
 __all__ = [
@@ -76,6 +77,16 @@ def _cluster_sums(x: np.ndarray, labels: np.ndarray, m: int) -> Tuple[np.ndarray
         if counts[j]:
             sums[j] = np.sum(x[labels == j], axis=0)
     return sums, counts
+
+
+def _inertia(x: np.ndarray, centroids: np.ndarray, labels: np.ndarray) -> float:
+    """Sum of squared distances to the assigned centroids, summed per row
+    block; within one block the bits are those of a single np.sum."""
+    total = 0.0
+    for sl in row_blocks(x.shape[0]):
+        diff = x[sl] - centroids[labels[sl]]
+        total += float(np.sum(np.square(diff, out=diff)))
+    return total
 
 
 def _kmeanspp_init(x: np.ndarray, m: int, rng: np.random.Generator) -> np.ndarray:
@@ -172,7 +183,7 @@ def kmeans_fit(
         # labels is post-repair here so every cluster has members
         sums, counts = _cluster_sums(x, labels, n_clusters)
         new_centroids = sums / counts[:, None]
-        history.append(float(np.sum((x - new_centroids[labels]) ** 2)))
+        history.append(_inertia(x, new_centroids, labels))
         shift = float(np.max(np.linalg.norm(new_centroids - centroids, axis=1)))
         centroids = new_centroids
         pure_labels, d2 = _assign_dense(x, centroids)
@@ -188,11 +199,6 @@ def kmeans_fit(
     # d2 already measures against the final centroids, through the same
     # expansion assign_batch uses, so the two agree bit for bit
     return model, Assignment(labels=pure_labels, distances=np.sqrt(d2))
-
-
-def _assigned_sq(x: np.ndarray, centroids: np.ndarray, labels: np.ndarray) -> np.ndarray:
-    diff = x - centroids[labels]
-    return np.einsum("ij,ij->i", diff, diff)
 
 
 def assign_batch(model: ClusterModel, m: np.ndarray) -> Assignment:
@@ -225,4 +231,4 @@ def batch_cluster_means(
 def inertia(m: np.ndarray, model: ClusterModel, assignment: Assignment) -> float:
     """Sum of squared Euclidean distances to each row's assigned centroid."""
     x = np.asarray(m, dtype=np.float64)
-    return float(np.sum(_assigned_sq(x, model.centroids, assignment.labels)))
+    return _inertia(x, model.centroids, assignment.labels)

@@ -13,6 +13,7 @@ import numpy as np
 
 from .errors import (
     DegenerateVector,
+    DimensionMismatch,
     EmptySelection,
     NonFiniteInput,
 )
@@ -33,6 +34,17 @@ __all__ = [
 
 # Norms below this are treated as zero everywhere in the package.
 DEGENERACY_EPS = 1e-12
+
+# Rows per block in every pass over the rows of a matrix (reading a
+# container, normalizing, k-means inertia, scoring): a pass holds
+# temporaries for one block, not for the whole matrix.
+CHUNK_ROWS = 4096
+
+
+def row_blocks(n: int):
+    """Consecutive slices of at most CHUNK_ROWS rows that cover range(n)."""
+    step = CHUNK_ROWS
+    return (slice(start, min(start + step, n)) for start in range(0, n, step))
 
 
 @dataclass(frozen=True)
@@ -71,9 +83,9 @@ class EmbeddingMatrix:
         self.data = np.asarray(self.data, dtype=np.float64)
         if self.data.ndim != 2:
             raise ValueError(f"expected a 2-d array, got shape {self.data.shape}")
-        if not np.isfinite(self.data).all():
-            raise NonFiniteInput("embedding matrix contains NaN or infinity")
         n = self.data.shape[0]
+        if not all(np.isfinite(self.data[sl]).all() for sl in row_blocks(n)):
+            raise NonFiniteInput("embedding matrix contains NaN or infinity")
         if self.ids is None:
             self.ids = [str(i) for i in range(n)]
         else:
@@ -214,19 +226,32 @@ def l2_normalize(v: np.ndarray) -> np.ndarray:
 
 
 def l2_normalize_rows(m: np.ndarray) -> np.ndarray:
-    """Row-wise unit normalization of a matrix; rejects (near-)zero rows."""
+    """Row-wise unit normalization of a matrix; rejects (near-)zero rows.
+
+    Works through row_blocks, so besides the result it holds one block
+    of temporaries; every row gets the same bits as in a single pass.
+    """
     m = np.asarray(m, dtype=np.float64)
-    norms = np.sqrt(np.add.reduce(m * m, axis=1))
-    bad = np.flatnonzero(norms < DEGENERACY_EPS)
-    if bad.size:
-        raise DegenerateVector(f"row {bad[0]} has norm {norms[bad[0]]:.3e}")
-    return m / norms[:, None]
+    out = np.empty(m.shape)
+    for sl in row_blocks(m.shape[0]):
+        block = m[sl]
+        norms = np.sqrt(np.add.reduce(block * block, axis=1))
+        bad = np.flatnonzero(norms < DEGENERACY_EPS)
+        if bad.size:
+            raise DegenerateVector(f"row {sl.start + bad[0]} has norm {norms[bad[0]]:.3e}")
+        np.divide(block, norms[:, None], out=out[sl])
+    return out
 
 
 def cosine_sim(a: np.ndarray, b: np.ndarray) -> float:
-    """Cosine similarity, clamped to [-1, 1] against rounding drift."""
+    """Cosine similarity, clamped to [-1, 1] against rounding drift.
+
+    Vectors of different shapes raise DimensionMismatch.
+    """
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
+    if a.shape != b.shape:
+        raise DimensionMismatch(f"cosine similarity of shapes {a.shape} and {b.shape}")
     na = float(np.linalg.norm(a))
     nb = float(np.linalg.norm(b))
     if na < DEGENERACY_EPS or nb < DEGENERACY_EPS:

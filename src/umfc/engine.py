@@ -41,6 +41,7 @@ from .core import (
     TextBank,
     l2_normalize_rows,
     mean_rows,
+    row_blocks,
 )
 from .errors import DimensionMismatch
 
@@ -127,6 +128,20 @@ def _as_rows(data: Union[EmbeddingMatrix, np.ndarray]) -> np.ndarray:
     return out
 
 
+def _calibrate_block(
+    feats: np.ndarray, clusters: np.ndarray, cluster_means: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Unit residuals of rows from their cluster means, and their flags."""
+    cal = feats - cluster_means[clusters]
+    norms = np.sqrt(np.add.reduce(cal * cal, axis=1))
+    ok = norms >= DEGENERACY_EPS
+    norms[~ok] = 1.0
+    cal /= norms[:, None]
+    if not ok.all():
+        cal[~ok] = l2_normalize_rows(feats[~ok])
+    return cal, np.where(ok, np.uint8(0), np.uint8(Predictions.DEGENERATE))
+
+
 def _predict_rows(
     feats: np.ndarray,
     clusters: Optional[np.ndarray],
@@ -139,22 +154,27 @@ def _predict_rows(
     Rows whose residual collapses (feature sits on the mean) fall back
     to the plain normalized feature and are flagged DEGENERATE.  With no
     cluster model (clusters and cluster_means None) the rows are scored
-    as given, zero-shot: cluster -1, flagged UNCALIBRATED.
+    as given, zero-shot: cluster -1, flagged UNCALIBRATED.  Rows are
+    calibrated and scored one row block at a time; rows that fit in one
+    block are scored in one call, with no copy.
     """
+    n = feats.shape[0]
     if cluster_means is None:
-        cal = feats
-        clusters = np.full(feats.shape[0], -1, dtype=np.int64)
-        flags = np.full(feats.shape[0], Predictions.UNCALIBRATED, dtype=np.uint8)
+        clusters = np.full(n, -1, dtype=np.int64)
+        flags = np.full(n, Predictions.UNCALIBRATED, dtype=np.uint8)
     else:
-        residuals = feats - cluster_means[clusters]
-        norms = np.sqrt(np.add.reduce(residuals * residuals, axis=1))
-        ok = norms >= DEGENERACY_EPS
-        cal = np.empty_like(feats)
-        cal[ok] = residuals[ok] / norms[ok, None]
-        if not ok.all():
-            cal[~ok] = l2_normalize_rows(feats[~ok])
-        flags = np.where(ok, np.uint8(0), np.uint8(Predictions.DEGENERATE))
-    probs = classify_batch(cal, bank_data, tau)
+        flags = np.empty(n, dtype=np.uint8)
+    blocks = list(row_blocks(n))
+    probs = None if len(blocks) == 1 else np.empty((n, bank_data.shape[0]))
+    for sl in blocks:
+        cal = feats[sl]
+        if cluster_means is not None:
+            cal, flags[sl] = _calibrate_block(cal, clusters[sl], cluster_means)
+        block_probs = classify_batch(cal, bank_data, tau)
+        if probs is None:
+            probs = block_probs
+        else:
+            probs[sl] = block_probs
     return Predictions(probs=probs, labels=np.argmax(probs, axis=1), clusters=clusters, flags=flags)
 
 
@@ -339,9 +359,12 @@ def stream_step(
     with plain zero-shot predictions flagged UNCALIBRATED.  The first
     `clusters` samples overall become the initial cluster means, and any
     remainder of the completing batch is processed normally.  Buffered
-    samples are never re-predicted.
+    samples are never re-predicted.  An empty batch returns an empty
+    Predictions and the state as it was.
     """
     x = _as_rows(batch)
+    if not x.shape[0]:
+        return Predictions.empty(bank.k), state
     if cfg.normalize_input:
         x = l2_normalize_rows(x)
 

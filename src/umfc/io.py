@@ -29,7 +29,7 @@ import numpy as np
 
 from .calib import CalibrationState
 from .clustering import ClusterModel
-from .core import EmbeddingMatrix, TextBank
+from .core import EmbeddingMatrix, TextBank, row_blocks
 from .engine import EngineConfig, StreamState
 from .errors import (
     BadMagic,
@@ -138,18 +138,31 @@ def _parse_labels(path, n: int):
 
 
 def read_embeddings(path) -> EmbeddingMatrix:
-    """Read an embedding container (and its label sidecar if present)."""
-    raw = Path(path).read_bytes()
-    count, dim, kind = _read_header(raw, path)
-    if kind not in (KIND_IMAGE, KIND_TEXT):
-        raise FormatError(f"{path}: payload kind {kind} is not an embedding payload")
-    expected = count * dim * 4
-    body = raw[_HEADER.size :]
-    if len(body) != expected:
-        raise TruncatedPayload(f"{path}: payload is {len(body)} bytes, header promises {expected}")
-    data = np.frombuffer(body, dtype="<f4").reshape(count, dim).astype(np.float64)
-    if not np.isfinite(data).all():
-        raise NonFinitePayload(f"{path}: payload contains NaN or infinity")
+    """Read an embedding container (and its label sidecar if present).
+
+    The payload size is checked against the header before anything is
+    allocated; rows are then read block by block (core.row_blocks)
+    through one float32 buffer into the float64 result.
+    """
+    with open(path, "rb") as fh:
+        count, dim, kind = _read_header(fh.read(_HEADER.size), path)
+        if kind not in (KIND_IMAGE, KIND_TEXT):
+            raise FormatError(f"{path}: payload kind {kind} is not an embedding payload")
+        expected = count * dim * 4
+        size = os.fstat(fh.fileno()).st_size - _HEADER.size
+        if size != expected:
+            raise TruncatedPayload(f"{path}: payload is {size} bytes, header promises {expected}")
+        data = np.empty((count, dim))
+        buf = None
+        for sl in row_blocks(count):
+            if buf is None:  # the first block is the largest
+                buf = np.empty((sl.stop - sl.start, dim), dtype="<f4")
+            block = buf[: sl.stop - sl.start]
+            if fh.readinto(block) != block.nbytes:
+                raise TruncatedPayload(f"{path}: payload cut short while reading")
+            if not np.isfinite(block).all():
+                raise NonFinitePayload(f"{path}: payload contains NaN or infinity")
+            data[sl] = block
     ids = cls = dom = None
     sidecar = Path(str(path) + ".labels")
     if sidecar.exists():

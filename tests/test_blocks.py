@@ -1,0 +1,117 @@
+"""Row-block passes: the block size changes no result and bounds memory."""
+
+import tracemalloc
+
+import numpy as np
+import pytest
+
+import umfc
+from umfc import core
+
+SMALL_BLOCK = 7  # odd, so blocks end at every remainder of a 4-row BLAS kernel
+ONE_BLOCK = 1 << 30
+
+
+def _spec():
+    # 60 rows: eight full blocks of SMALL_BLOCK and a 4-row remainder
+    return umfc.SynthSpec(n_classes=5, n_domains=3, dim=16, samples_per_cell=4, seed=2)
+
+
+def _at_block_size(monkeypatch, rows, fn):
+    monkeypatch.setattr(core, "CHUNK_ROWS", rows)
+    return fn()
+
+
+def _assert_same_predictions(a, b):
+    # labels, clusters and flags must be bit-identical; probs come from a
+    # BLAS matrix product whose rows can move by an ulp or so when the
+    # product is split into other row blocks
+    assert np.array_equal(a.labels, b.labels)
+    assert np.array_equal(a.clusters, b.clusters)
+    assert np.array_equal(a.flags, b.flags)
+    assert a.probs.shape == b.probs.shape
+    np.testing.assert_allclose(a.probs, b.probs, rtol=0, atol=1e-12)
+
+
+def test_row_blocks_cover_rows_in_order(monkeypatch):
+    monkeypatch.setattr(core, "CHUNK_ROWS", SMALL_BLOCK)
+    blocks = list(core.row_blocks(23))
+    assert [(b.start, b.stop) for b in blocks] == [(0, 7), (7, 14), (14, 21), (21, 23)]
+    assert list(core.row_blocks(0)) == []
+
+
+def test_normalize_rows_bit_identical_across_block_sizes(monkeypatch):
+    m = np.random.default_rng(4).standard_normal((60, 16))
+    small = _at_block_size(monkeypatch, SMALL_BLOCK, lambda: umfc.l2_normalize_rows(m))
+    whole = _at_block_size(monkeypatch, ONE_BLOCK, lambda: umfc.l2_normalize_rows(m))
+    assert np.array_equal(small, whole)
+
+
+def test_normalize_rows_reports_global_row_index(monkeypatch):
+    m = np.ones((20, 3))
+    m[9] = 0.0  # second block at SMALL_BLOCK
+    monkeypatch.setattr(core, "CHUNK_ROWS", SMALL_BLOCK)
+    with pytest.raises(umfc.DegenerateVector, match="row 9 "):
+        umfc.l2_normalize_rows(m)
+
+
+def test_transduce_same_across_block_sizes(monkeypatch):
+    ds = umfc.generate_benchmark(_spec())
+    cfg = umfc.EngineConfig(clusters=3)
+    small = _at_block_size(monkeypatch, SMALL_BLOCK, lambda: umfc.transduce(ds.images, ds.text_bank, cfg))
+    whole = _at_block_size(monkeypatch, ONE_BLOCK, lambda: umfc.transduce(ds.images, ds.text_bank, cfg))
+    _assert_same_predictions(small[0], whole[0])
+    for name in ("cluster_means", "global_mean", "text_shifts"):
+        assert np.array_equal(getattr(small[1], name), getattr(whole[1], name))
+
+
+def test_predict_same_across_block_sizes_with_degenerate_row(monkeypatch):
+    ds = umfc.generate_benchmark(_spec())
+    cfg = umfc.EngineConfig(clusters=3)
+    calib, model, _ = umfc.fit_unsupervised(ds.images, ds.text_bank, cfg)
+    # put cluster 0's mean on row 9 (in the second block), so that row
+    # calibrates to a zero residual
+    means = calib.cluster_means.copy()
+    means[0] = umfc.l2_normalize(ds.images.data[9])
+    calib = umfc.CalibrationState.from_means(means, calib.global_mean)
+    model = umfc.ClusterModel(centroids=means, counts=model.counts)
+
+    def run():
+        return umfc.predict(calib, model, ds.images, ds.text_bank, cfg)
+
+    small = _at_block_size(monkeypatch, SMALL_BLOCK, run)
+    whole = _at_block_size(monkeypatch, ONE_BLOCK, run)
+    _assert_same_predictions(small, whole)
+    degenerate = np.flatnonzero(small.flags & umfc.Predictions.DEGENERATE)
+    assert degenerate.tolist() == [9]
+
+
+def test_read_embeddings_bit_identical_across_block_sizes(monkeypatch, tmp_path):
+    ds = umfc.generate_benchmark(_spec())
+    path = tmp_path / "m.bin"
+    umfc.write_embeddings(ds.images, path)
+    small = _at_block_size(monkeypatch, SMALL_BLOCK, lambda: umfc.read_embeddings(path))
+    whole = _at_block_size(monkeypatch, ONE_BLOCK, lambda: umfc.read_embeddings(path))
+    assert np.array_equal(small.data, whole.data)
+    assert np.array_equal(small.data, ds.images.data.astype(np.float32).astype(np.float64))
+    assert small.ids == whole.ids
+    assert np.array_equal(small.class_labels, whole.class_labels)
+
+
+def test_transduce_traced_peak_within_twice_input_plus_probs():
+    ds = umfc.generate_benchmark(
+        umfc.SynthSpec(n_classes=50, n_domains=4, dim=64, samples_per_cell=100)
+    )
+    n, d = ds.images.data.shape
+    k = ds.text_bank.k
+    assert (n, d, k) == (20_000, 64, 50)
+    cfg = umfc.EngineConfig(clusters=4)
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        umfc.transduce(ds.images, ds.text_bank, cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the normalized copy of the input and the N x K probabilities, twice
+    assert peak <= 2 * (n * d * 8 + n * k * 8)

@@ -372,6 +372,19 @@ def test_diagnose_direction_noiseless_matches_storage_precision(tmp_path, capsys
     assert min(cells) >= 1.0 - 1e-4
 
 
+@pytest.mark.parametrize("which", ["probe", "direction"])
+def test_diagnose_anchor_dimension_mismatch_is_data_error(small, narrow, tmp_path, capsys, which):
+    # one dim-8 anchor per domain of the dim-16 bank (probe) and test matrix (direction)
+    anchors = tmp_path / "anchors.bin"
+    narrow_rows = umfc.read_embeddings(f"{narrow}_images.bin").data
+    umfc.write_embeddings(umfc.EmbeddingMatrix(data=narrow_rows[:2]), anchors)
+    inputs = {"probe": ["--bank", f"{small}_bank.bin", "--names", f"{small}_names.txt"],
+              "direction": ["--test", f"{small}_images.bin"]}[which]
+    assert run("diagnose", "--which", which, *inputs, "--domain-bank", str(anchors),
+               "--out", str(tmp_path / "d.out")) == 2
+    assert "data error" in capsys.readouterr().err
+
+
 def test_diagnose_balance_shortfall_still_succeeds(small, tmp_path, capsys):
     out = tmp_path / "b.tsv"
     assert run("diagnose", "--which", "balance", "--test", f"{small}_images.bin",

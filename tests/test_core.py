@@ -44,6 +44,11 @@ def test_cosine_sim_hand_values():
     assert np.isclose(anti, -1.0, rtol=0, atol=1e-15)
 
 
+def test_cosine_sim_dimension_mismatch():
+    with pytest.raises(umfc.DimensionMismatch):
+        umfc.cosine_sim(np.ones(3), np.ones(4))
+
+
 def test_cosine_sim_clamped():
     # parallel vectors with rounding noise cannot exceed the [-1, 1] range
     v = np.full(64, 0.1230000000000001)

@@ -268,6 +268,24 @@ def test_bootstrap_first_batch_exactly_m():
     assert st2.samples_seen == 8
 
 
+def test_empty_batch_leaves_state_untouched():
+    ds = umfc.default_benchmark()
+    cfg = umfc.EngineConfig(clusters=3)
+    batch = ds.images.data[:100]
+    empty_preds, st = umfc.stream_step(umfc.stream_init(cfg), batch[:0], ds.text_bank, cfg)
+    assert len(empty_preds) == 0 and empty_preds.probs.shape == (0, ds.text_bank.k)
+    assert st == umfc.stream_init(cfg)
+    after, st_after = umfc.stream_step(st, batch, ds.text_bank, cfg)
+    fresh, st_fresh = umfc.stream_step(umfc.stream_init(cfg), batch, ds.text_bank, cfg)
+    assert not (after.flags & umfc.Predictions.UNCALIBRATED).any()
+    assert np.array_equal(st_after.model.centroids, st_fresh.model.centroids)
+    for name in ("probs", "labels", "clusters", "flags"):
+        assert np.array_equal(getattr(after, name), getattr(fresh, name))
+    # past the bootstrap an empty batch changes nothing either
+    again_preds, again = umfc.stream_step(st_after, batch[:0], ds.text_bank, cfg)
+    assert len(again_preds) == 0 and again is st_after
+
+
 def test_degenerate_row_flagged_not_fatal():
     rng = np.random.default_rng(24)
     base = np.vstack([rng.normal(0, 0.01, (6, 2)) + [2, 0], rng.normal(0, 0.01, (6, 2)) - [2, 0]])

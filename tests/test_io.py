@@ -2,6 +2,7 @@
 
 import json
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -107,6 +108,36 @@ def test_nonfinite_payload(tmp_path):
     p = tmp_path / "m.bin"
     nan = struct.pack("<f", float("nan"))
     p.write_bytes(_header(1, 2, 0) + nan + struct.pack("<f", 1.0))
+    with pytest.raises(umfc.NonFinitePayload):
+        umfc.read_embeddings(p)
+
+
+def test_oversized_header_fails_before_allocating(tmp_path):
+    p = tmp_path / "m.bin"
+    p.write_bytes(_header(2**31, 512, 0) + b"\x00" * 80)  # promises 4 TiB
+    tracemalloc.start()
+    try:
+        with pytest.raises(umfc.TruncatedPayload):
+            umfc.read_embeddings(p)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def test_trailing_payload_bytes(tmp_path):
+    p = tmp_path / "m.bin"
+    p.write_bytes(_header(2, 2, 0) + b"\x00" * 17)  # header promises 16
+    with pytest.raises(umfc.TruncatedPayload):
+        umfc.read_embeddings(p)
+
+
+def test_nonfinite_payload_in_last_block(tmp_path, monkeypatch):
+    monkeypatch.setattr(umfc.core, "CHUNK_ROWS", 7)
+    data = np.ones((20, 3), dtype="<f4")
+    data[19, 2] = np.inf
+    p = tmp_path / "m.bin"
+    p.write_bytes(_header(20, 3, 0) + data.tobytes())
     with pytest.raises(umfc.NonFinitePayload):
         umfc.read_embeddings(p)
 
