@@ -9,11 +9,11 @@ results are averaged, which strips per-domain preference from the bank.
 
 import warnings
 from dataclasses import dataclass
-from typing import Sequence, Union
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .core import DEGENERACY_EPS, Temperature, TextBank, _as_tau, softmax_temp
+from .core import DEGENERACY_EPS, Temperature, TextBank, _as_tau
 from .errors import AllShiftsDegenerate, DegenerateVector, DimensionMismatch, NonFiniteInput
 
 __all__ = [
@@ -185,9 +185,16 @@ def classify_batch(
     feats: np.ndarray,
     bank_data: np.ndarray,
     tau: Union[float, Temperature],
+    out: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """Softmax over the cosine similarities between each feature row and
-    every bank row; one probability row per feature."""
+    every bank row; one probability row per feature.
+
+    The probabilities are written to out (float64, N x K) when given and
+    to a new array otherwise; either way that array is returned.  Every
+    step after the matrix product works in that array, with the bits of
+    core.softmax_temp.
+    """
     tau = _as_tau(tau)
     feats = np.asarray(feats, dtype=np.float64)
     if feats.shape[1] != bank_data.shape[1]:
@@ -198,5 +205,11 @@ def classify_batch(
     bn = np.linalg.norm(bank_data, axis=1)
     if bool(np.any(fn < DEGENERACY_EPS)) or bool(np.any(bn < DEGENERACY_EPS)):
         raise DegenerateVector("cosine similarity of a zero-norm vector is undefined")
-    sims = np.clip((feats @ bank_data.T) / np.outer(fn, bn), -1.0, 1.0)
-    return softmax_temp(sims, tau)
+    probs = np.matmul(feats, bank_data.T, out=out)
+    probs /= np.outer(fn, bn)
+    np.clip(probs, -1.0, 1.0, out=probs)
+    probs -= np.max(probs, axis=-1, keepdims=True)
+    probs /= tau
+    np.exp(probs, out=probs)
+    probs /= np.sum(probs, axis=-1, keepdims=True)
+    return probs

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import io as uio
 from .calib import calibrate_bank, classify_batch, normalize_shift_rows
-from .core import EmbeddingMatrix, Predictions, TextBank
+from .core import EmbeddingMatrix, Predictions, TextBank, l2_normalize_rows
 from .diagnostics import (
     balanced_subsample,
     domain_bias_probe,
@@ -158,6 +158,19 @@ def _load_bank(path, names_path) -> TextBank:
     return uio.read_text_bank(path, names_path)
 
 
+def _normalize_loaded(matrix: EmbeddingMatrix, cfg: EngineConfig) -> EngineConfig:
+    """Normalize the rows of a matrix this command loaded, in place, and
+    return the config for the engine to take them as they are.
+
+    The engine would normalize the same rows with the same function into
+    a copy; doing it here keeps one float64 copy of the input alive.
+    """
+    if not cfg.normalize_input:
+        return cfg
+    l2_normalize_rows(matrix.data, out=matrix.data)
+    return replace(cfg, normalize_input=False)
+
+
 def _write_predictions(path, preds: Predictions, ids, names) -> None:
     top = preds.probs[np.arange(len(preds)), preds.labels].tolist()
     # the flags column spells each distinct bitmask once, from its first row
@@ -197,7 +210,8 @@ def cmd_fit(argv) -> int:
 
     train = _load_matrix(args.train)
     bank = _load_bank(args.bank, args.names)
-    state, model, _ = fit_unsupervised(train, bank, cfg)
+    # the snapshot keeps cfg as given, so predict --state normalizes its rows
+    state, model, _ = fit_unsupervised(train, bank, _normalize_loaded(train, cfg))
     snap = StreamState(
         model=model,
         calib=state,
@@ -263,7 +277,7 @@ def cmd_transduce(argv) -> int:
     bank = _load_bank(args.bank, args.names)
     if args.report is not None and (test.class_labels is None or test.domain_labels is None):
         raise MissingLabels("per-domain accuracy needs class and domain labels")
-    preds, _ = transduce(test, bank, cfg)
+    preds, _ = transduce(test, bank, _normalize_loaded(test, cfg))
     _write_predictions(args.out, preds, test.ids, bank.names)
     _note(f"transduce: {test.n} rows -> {args.out}")
     if args.report is not None:

@@ -54,14 +54,18 @@ class Assignment:
     distances: np.ndarray
 
 
-def _assign_dense(x: np.ndarray, centroids: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+def _assign_dense(
+    x: np.ndarray, centroids: np.ndarray, x2: Optional[np.ndarray] = None
+) -> Tuple[np.ndarray, np.ndarray]:
     """Labels and squared distances to the assigned centroid.
 
     Uses the expansion |x-c|^2 = |x|^2 - 2 x.c + |c|^2 so the heavy part
     is one matrix product; negatives from cancellation are clamped to 0.
     Ties take the lowest centroid index (argmin keeps the first hit).
+    x2, the squared row norms of x, is computed here unless given.
     """
-    x2 = np.einsum("ij,ij->i", x, x)
+    if x2 is None:
+        x2 = np.einsum("ij,ij->i", x, x)
     c2 = np.einsum("ij,ij->i", centroids, centroids)
     d2 = x2[:, None] - 2.0 * (x @ centroids.T) + c2[None, :]
     np.maximum(d2, 0.0, out=d2)
@@ -70,12 +74,26 @@ def _assign_dense(x: np.ndarray, centroids: np.ndarray) -> Tuple[np.ndarray, np.
 
 
 def _cluster_sums(x: np.ndarray, labels: np.ndarray, m: int) -> Tuple[np.ndarray, np.ndarray]:
-    """Per-cluster row sums and counts, rows taken in ascending index order."""
+    """Per-cluster row sums and counts, rows taken in ascending index order.
+
+    Works through row_blocks, copying one block's rows of a cluster at a
+    time.  numpy reduces axis 0 of C-contiguous rows one row after
+    another, so carrying a cluster's sum in as the first row of its next
+    block's reduction gives the bits of one np.sum over all its rows.  A
+    sum starts from its first block's own reduction, not from a zero
+    row, so signed zeros come out as np.sum gives them.
+    """
     sums = np.zeros((m, x.shape[1]), dtype=np.float64)
-    counts = np.bincount(labels, minlength=m).astype(np.int64)
-    for j in range(m):
-        if counts[j]:
-            sums[j] = np.sum(x[labels == j], axis=0)
+    counts = np.zeros(m, dtype=np.int64)
+    for sl in row_blocks(x.shape[0]):
+        block, block_labels = x[sl], labels[sl]
+        block_counts = np.bincount(block_labels, minlength=m)
+        for j in np.flatnonzero(block_counts):
+            rows = block[block_labels == j]
+            if counts[j]:
+                rows = np.concatenate((sums[j : j + 1], rows))
+            sums[j] = np.add.reduce(rows, axis=0)
+        counts += block_counts
     return sums, counts
 
 
@@ -89,8 +107,10 @@ def _inertia(x: np.ndarray, centroids: np.ndarray, labels: np.ndarray) -> float:
     return total
 
 
-def _kmeanspp_init(x: np.ndarray, m: int, rng: np.random.Generator) -> np.ndarray:
-    """Greedy k-means++ seeding.
+def _kmeanspp_init(
+    x: np.ndarray, x2: np.ndarray, m: int, rng: np.random.Generator
+) -> np.ndarray:
+    """Greedy k-means++ seeding; x2 holds the squared row norms of x.
 
     Each new center is drawn from the squared-distance distribution; of
     2 + floor(log m) sampled candidates the one that lowers the total
@@ -99,7 +119,6 @@ def _kmeanspp_init(x: np.ndarray, m: int, rng: np.random.Generator) -> np.ndarra
     """
     n = x.shape[0]
     centers = np.empty((m, x.shape[1]), dtype=np.float64)
-    x2 = np.einsum("ij,ij->i", x, x)
     first = int(rng.integers(n))
     centers[0] = x[first]
     d2 = x2 - 2.0 * (x @ centers[0]) + x2[first]
@@ -174,8 +193,9 @@ def kmeans_fit(
         raise ValueError(f"max_iters must be >= 1, got {max_iters}")
 
     rng = np.random.default_rng(seed)
-    centroids = _kmeanspp_init(x, n_clusters, rng)
-    pure_labels, d2 = _assign_dense(x, centroids)
+    x2 = np.einsum("ij,ij->i", x, x)
+    centroids = _kmeanspp_init(x, x2, n_clusters, rng)
+    pure_labels, d2 = _assign_dense(x, centroids, x2)
     labels = _repair_empty(x, pure_labels, d2, n_clusters)
     history = []
 
@@ -186,7 +206,7 @@ def kmeans_fit(
         history.append(_inertia(x, new_centroids, labels))
         shift = float(np.max(np.linalg.norm(new_centroids - centroids, axis=1)))
         centroids = new_centroids
-        pure_labels, d2 = _assign_dense(x, centroids)
+        pure_labels, d2 = _assign_dense(x, centroids, x2)
         repaired = _repair_empty(x, pure_labels, d2, n_clusters)
         if np.array_equal(repaired, labels) or shift < tol:
             break

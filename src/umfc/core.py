@@ -225,14 +225,21 @@ def l2_normalize(v: np.ndarray) -> np.ndarray:
     return v / norm
 
 
-def l2_normalize_rows(m: np.ndarray) -> np.ndarray:
+def l2_normalize_rows(m: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
     """Row-wise unit normalization of a matrix; rejects (near-)zero rows.
 
     Works through row_blocks, so besides the result it holds one block
     of temporaries; every row gets the same bits as in a single pass.
+    The result goes to out (a float64 array of m's shape) when given;
+    out=m normalizes m in place with the same bits, since a block's
+    norms are taken before its rows are divided.  A DegenerateVector
+    raised then leaves the rows of earlier blocks already overwritten.
     """
     m = np.asarray(m, dtype=np.float64)
-    out = np.empty(m.shape)
+    if out is None:
+        out = np.empty(m.shape)
+    elif out.dtype != np.float64 or out.shape != m.shape:
+        raise ValueError(f"out is {out.dtype} {out.shape}, expected float64 {m.shape}")
     for sl in row_blocks(m.shape[0]):
         block = m[sl]
         norms = np.sqrt(np.add.reduce(block * block, axis=1))

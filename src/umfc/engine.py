@@ -43,7 +43,7 @@ from .core import (
     mean_rows,
     row_blocks,
 )
-from .errors import DimensionMismatch
+from .errors import DimensionMismatch, FormatError
 
 __all__ = [
     "EngineConfig",
@@ -155,8 +155,8 @@ def _predict_rows(
     to the plain normalized feature and are flagged DEGENERATE.  With no
     cluster model (clusters and cluster_means None) the rows are scored
     as given, zero-shot: cluster -1, flagged UNCALIBRATED.  Rows are
-    calibrated and scored one row block at a time; rows that fit in one
-    block are scored in one call, with no copy.
+    calibrated and scored one row block at a time, each block's
+    probabilities written straight into the result.
     """
     n = feats.shape[0]
     if cluster_means is None:
@@ -164,17 +164,12 @@ def _predict_rows(
         flags = np.full(n, Predictions.UNCALIBRATED, dtype=np.uint8)
     else:
         flags = np.empty(n, dtype=np.uint8)
-    blocks = list(row_blocks(n))
-    probs = None if len(blocks) == 1 else np.empty((n, bank_data.shape[0]))
-    for sl in blocks:
+    probs = np.empty((n, bank_data.shape[0]))
+    for sl in row_blocks(n):
         cal = feats[sl]
         if cluster_means is not None:
             cal, flags[sl] = _calibrate_block(cal, clusters[sl], cluster_means)
-        block_probs = classify_batch(cal, bank_data, tau)
-        if probs is None:
-            probs = block_probs
-        else:
-            probs[sl] = block_probs
+        classify_batch(cal, bank_data, tau, out=probs[sl])
     return Predictions(probs=probs, labels=np.argmax(probs, axis=1), clusters=clusters, flags=flags)
 
 
@@ -360,7 +355,8 @@ def stream_step(
     `clusters` samples overall become the initial cluster means, and any
     remainder of the completing batch is processed normally.  Buffered
     samples are never re-predicted.  An empty batch returns an empty
-    Predictions and the state as it was.
+    Predictions and the state as it was.  In memory mode a state with a
+    model but no accumulators (a fit state) raises FormatError.
     """
     x = _as_rows(batch)
     if not x.shape[0]:
@@ -369,6 +365,14 @@ def stream_step(
         x = l2_normalize_rows(x)
 
     if state.model is not None:
+        if cfg.mode == "memory":
+            accumulators = ("running_sums", "running_counts", "global_sum")
+            missing = [name for name in accumulators if getattr(state, name) is None]
+            if missing:
+                raise FormatError(
+                    f"a memory-mode stream needs its accumulators, and this state has no "
+                    f"{', '.join(missing)} (a fit state cannot be resumed as a memory stream)"
+                )
         return _advance(state, x, bank, cfg)
 
     # bootstrap path

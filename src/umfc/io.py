@@ -276,6 +276,10 @@ def _manifest_arrays(state: StreamState):
     ]
 
 
+# snapshot arrays with one row per cluster of the config
+_PER_CLUSTER = ("centroids", "counts", "running_sums", "running_counts", "calib_cluster_means")
+
+
 def snapshot_state(state: StreamState, cfg: EngineConfig, path) -> None:
     """Persist a stream state plus its config; restoring continues bit-for-bit.
 
@@ -349,6 +353,13 @@ def restore_state(path) -> Tuple[StreamState, EngineConfig]:
         offset += nbytes
     if offset != len(body):
         raise TruncatedPayload(f"{path}: {len(body) - offset} unexpected trailing bytes")
+    for name in _PER_CLUSTER:
+        arr = arrays.get(name)
+        if arr is not None and arr.shape[:1] != (cfg.clusters,):
+            raise FormatError(
+                f"{path}: array {name} has shape {arr.shape}, "
+                f"but the snapshot config has {cfg.clusters} clusters"
+            )
 
     try:
         model = None

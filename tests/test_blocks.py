@@ -6,10 +6,12 @@ import numpy as np
 import pytest
 
 import umfc
-from umfc import core
+from umfc import cli, core
+from umfc.clustering import _cluster_sums
 
 SMALL_BLOCK = 7  # odd, so blocks end at every remainder of a 4-row BLAS kernel
 ONE_BLOCK = 1 << 30
+DEFAULT_BLOCK = core.CHUNK_ROWS
 
 
 def _spec():
@@ -115,3 +117,67 @@ def test_transduce_traced_peak_within_twice_input_plus_probs():
         tracemalloc.stop()
     # the normalized copy of the input and the N x K probabilities, twice
     assert peak <= 2 * (n * d * 8 + n * k * 8)
+
+
+@pytest.mark.parametrize("rows", [SMALL_BLOCK, ONE_BLOCK])
+def test_normalize_rows_in_place_bit_identical(monkeypatch, rows):
+    monkeypatch.setattr(core, "CHUNK_ROWS", rows)
+    m = np.random.default_rng(5).standard_normal((60, 16))
+    copied = umfc.l2_normalize_rows(m)
+    assert umfc.l2_normalize_rows(m, out=m) is m
+    assert m.tobytes() == copied.tobytes()
+
+
+def test_normalize_rows_rejects_mismatched_out():
+    m = np.ones((4, 3))
+    with pytest.raises(ValueError):
+        umfc.l2_normalize_rows(m, out=np.empty((4, 3), dtype=np.float32))
+    with pytest.raises(ValueError):
+        umfc.l2_normalize_rows(m, out=np.empty((3, 3)))
+
+
+def _per_cluster_sums(x, labels, m):
+    # one np.sum over each cluster's rows: the reference the blocked sums keep
+    sums = np.zeros((m, x.shape[1]))
+    for j in range(m):
+        if np.any(labels == j):
+            sums[j] = np.sum(x[labels == j], axis=0)
+    return sums
+
+
+@pytest.mark.parametrize("rows", [SMALL_BLOCK, DEFAULT_BLOCK])
+def test_cluster_sums_bit_identical_to_one_sum_per_cluster(monkeypatch, rows):
+    monkeypatch.setattr(core, "CHUNK_ROWS", rows)
+    rng = np.random.default_rng(6)
+    n = 3 * DEFAULT_BLOCK + 5
+    x = rng.standard_normal((n, 8)) * 10.0 ** rng.integers(-8, 8, size=(n, 1))
+    labels = rng.integers(0, 4, size=n)  # cluster 4 stays empty
+    # a column of -0.0 only: its sum takes the sign np.sum gives it
+    x[labels == 2, 0] = -0.0
+    sums, counts = _cluster_sums(x, labels, 5)
+    assert sums.tobytes() == _per_cluster_sums(x, labels, 5).tobytes()
+    assert np.array_equal(counts, np.bincount(labels, minlength=5))
+
+
+def test_cli_transduce_traced_peak_within_input_plus_probs(tmp_path):
+    ds = umfc.generate_benchmark(
+        umfc.SynthSpec(n_classes=50, n_domains=4, dim=64, samples_per_cell=100)
+    )
+    n, d = ds.images.data.shape
+    k = ds.text_bank.k
+    assert (n, d, k) == (20_000, 64, 50)
+    umfc.write_embeddings(ds.images, tmp_path / "images.bin")
+    umfc.write_text_bank(ds.text_bank, tmp_path / "bank.bin", tmp_path / "names.txt")
+    argv = ["transduce", "--test", str(tmp_path / "images.bin"), "--bank", str(tmp_path / "bank.bin"),
+            "--names", str(tmp_path / "names.txt"), "--out", str(tmp_path / "preds.tsv"),
+            "--report", str(tmp_path / "report.tsv"), "--clusters", "4"]
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        assert cli.main(argv) == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the input, normalized where it was read, and the N x K probabilities;
+    # a second full copy of the input would take the ratio past 2
+    assert peak <= 1.6 * (n * d * 8 + n * k * 8)

@@ -210,3 +210,21 @@ def test_calibration_state_from_means():
         )
     with pytest.raises(umfc.NonFiniteInput):
         umfc.CalibrationState.from_means(np.array([[np.inf, 0.0]]), np.zeros(2))
+
+
+def test_classify_batch_into_out_is_bit_identical():
+    rng = np.random.default_rng(15)
+    bank_data = rng.standard_normal((7, 12))
+    feats = rng.standard_normal((30, 12))
+    fresh = umfc.classify_batch(feats, bank_data, tau=0.05)
+    # the composed steps classify_batch runs in place
+    fn = np.linalg.norm(feats, axis=1)
+    bn = np.linalg.norm(bank_data, axis=1)
+    sims = np.clip((feats @ bank_data.T) / np.outer(fn, bn), -1.0, 1.0)
+    assert fresh.tobytes() == umfc.softmax_temp(sims, 0.05).tobytes()
+    # into rows of a larger result, as _predict_rows scores a block
+    buf = np.full((40, 7), np.nan)
+    out = umfc.classify_batch(feats, bank_data, tau=0.05, out=buf[5:35])
+    assert out.base is buf
+    assert buf[5:35].tobytes() == fresh.tobytes()
+    assert np.isnan(buf[:5]).all() and np.isnan(buf[35:]).all()

@@ -484,3 +484,31 @@ def test_bool_flag_values(small, tmp_path):
             "--names", f"{small}_names.txt", "--out", str(tmp_path / "p.tsv"), "--clusters", "2"]
     assert run(*base, "--normalize-input", "off") == 0
     assert run(*base, "--normalize-input", "maybe") == 1
+
+
+@pytest.mark.parametrize("normalize", ["1", "0"])
+def test_fit_state_byte_identical_to_library_route(small, tmp_path, normalize):
+    # the command normalizes the rows it read in place; the state it
+    # writes must still carry the config as given
+    out = tmp_path / "cli.state"
+    assert run("fit", "--train", f"{small}_images.bin", "--bank", f"{small}_bank.bin",
+               "--names", f"{small}_names.txt", "--out-state", str(out), "--clusters", "2",
+               "--normalize-input", normalize) == 0
+    cfg = umfc.EngineConfig(clusters=2, normalize_input=normalize == "1")
+    train = umfc.read_embeddings(f"{small}_images.bin")
+    bank = umfc.read_text_bank(f"{small}_bank.bin", f"{small}_names.txt")
+    state, model, _ = umfc.fit_unsupervised(train, bank, cfg)
+    snap = umfc.StreamState(model=model, calib=state, samples_seen=train.n, batches_seen=1)
+    umfc.snapshot_state(snap, cfg, tmp_path / "lib.state")
+    assert out.read_bytes() == (tmp_path / "lib.state").read_bytes()
+
+
+def test_transduce_zero_row_is_degeneracy(tmp_path, capsys):
+    images = umfc.EmbeddingMatrix(data=np.vstack([np.eye(4), np.zeros((1, 4))]))
+    umfc.write_embeddings(images, tmp_path / "i.bin")
+    bank = umfc.TextBank(names=["a", "b"], data=np.eye(4)[:2])
+    umfc.write_text_bank(bank, tmp_path / "b.bin", tmp_path / "n.txt")
+    assert run("transduce", "--test", str(tmp_path / "i.bin"), "--bank", str(tmp_path / "b.bin"),
+               "--names", str(tmp_path / "n.txt"), "--out", str(tmp_path / "p.tsv"),
+               "--clusters", "2") == 3
+    assert "row 4 has norm" in capsys.readouterr().err

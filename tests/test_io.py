@@ -398,3 +398,27 @@ def test_no_stray_temp_files(tmp_path):
 
 def test_format_property_sweep(tmp_path):
     check_format_roundtrip(120, tmpdir=tmp_path, seed=77)
+
+
+def test_memory_stream_from_fit_state_names_missing_accumulators(tmp_path):
+    # a fit state (as `umfc fit` writes it) keeps no running accumulators,
+    # so it cannot continue as a memory-mode stream
+    ds, cfg, _ = _fit_state()
+    calib, model, _ = umfc.fit_unsupervised(ds.images, ds.text_bank, cfg)
+    p = tmp_path / "fit.state"
+    umfc.snapshot_state(StreamState(model=model, calib=calib, samples_seen=60, batches_seen=1), cfg, p)
+    back, back_cfg = umfc.restore_state(p)
+    with pytest.raises(umfc.FormatError, match="running_sums, running_counts, global_sum"):
+        umfc.stream_step(back, ds.images.data[:10], ds.text_bank, back_cfg)
+    # ema mode keeps no accumulators and continues from the same state
+    ema = umfc.EngineConfig(clusters=cfg.clusters, mode="ema")
+    preds, _ = umfc.stream_step(back, ds.images.data[:10], ds.text_bank, ema)
+    assert len(preds) == 10
+
+
+def test_snapshot_cluster_count_must_match_config(tmp_path):
+    ds, cfg, state = _fit_state()
+    p = tmp_path / "s.state"
+    umfc.snapshot_state(state, umfc.EngineConfig(clusters=cfg.clusters + 1), p)
+    with pytest.raises(umfc.FormatError, match="centroids has shape"):
+        umfc.restore_state(p)
