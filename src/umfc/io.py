@@ -279,6 +279,10 @@ def _manifest_arrays(state: StreamState):
 # snapshot arrays with one row per cluster of the config
 _PER_CLUSTER = ("centroids", "counts", "running_sums", "running_counts", "calib_cluster_means")
 
+# snapshot arrays whose last axis is the feature dimension, with their ndim
+_PER_DIM = {"centroids": 2, "running_sums": 2, "global_sum": 1, "calib_cluster_means": 2,
+            "calib_global_mean": 1, "calib_text_shifts": 2, "bootstrap_buffer": 2}
+
 
 def snapshot_state(state: StreamState, cfg: EngineConfig, path) -> None:
     """Persist a stream state plus its config; restoring continues bit-for-bit.
@@ -360,6 +364,14 @@ def restore_state(path) -> Tuple[StreamState, EngineConfig]:
                 f"{path}: array {name} has shape {arr.shape}, "
                 f"but the snapshot config has {cfg.clusters} clusters"
             )
+    shapes = {name: arrays[name].shape for name in _PER_DIM if arrays.get(name) is not None}
+    if any(len(shape) != _PER_DIM[name] for name, shape in shapes.items()) or (
+        len({shape[-1] for shape in shapes.values()}) > 1
+    ):
+        raise FormatError(
+            f"{path}: snapshot arrays do not share one feature dimension: "
+            + ", ".join(f"{name} {shape}" for name, shape in shapes.items())
+        )
 
     try:
         model = None

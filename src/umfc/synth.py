@@ -18,7 +18,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .calib import CalibrationState, compute_text_shifts
+from .calib import CalibrationState
 from .clustering import kmeans_fit
 from .core import (
     DEGENERACY_EPS,
@@ -291,7 +291,7 @@ def oracle_transduce(
             mu[m] = model.centroids[m]
     mu_avg = total / n
 
-    shifts = compute_text_shifts(mu, mu_avg)
+    shifts = mu - mu_avg
     state = CalibrationState(cluster_means=mu, global_mean=mu_avg, text_shifts=shifts)
     cal_rows = []
     for t in dataset.text_bank.data:

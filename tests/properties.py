@@ -12,8 +12,13 @@ import tempfile
 import numpy as np
 
 import umfc
-from umfc.calib import tfc_calibrate
 from umfc.engine import _predict_rows
+
+
+def calibrate_row(t: np.ndarray, shifts: np.ndarray) -> np.ndarray:
+    """Text calibration of the single vector t: calibrate_bank of a one-row bank."""
+    one = umfc.CalibratedTextBank(names=["t"], data=np.asarray(t, dtype=np.float64)[None, :])
+    return umfc.calibrate_bank(one, shifts).data[0]
 
 
 def check_normalize_idempotent(cases: int, seed: int = 101) -> None:
@@ -80,11 +85,11 @@ def check_relabel_invariance(cases: int, seed: int = 404) -> None:
         bank = rng.standard_normal((k, dim))
         clusters = rng.integers(0, m, size=n)
 
-        cal_rows = np.stack([tfc_calibrate(bank[j], shifts) for j in range(k)])
+        cal_rows = np.stack([calibrate_row(bank[j], shifts) for j in range(k)])
         base = _predict_rows(feats, clusters, means, cal_rows, tau=0.05)
 
         perm = rng.permutation(m)
-        cal_rows_p = np.stack([tfc_calibrate(bank[j], shifts[perm]) for j in range(k)])
+        cal_rows_p = np.stack([calibrate_row(bank[j], shifts[perm]) for j in range(k)])
         moved = _predict_rows(feats, np.argsort(perm)[clusters], means[perm], cal_rows_p, tau=0.05)
 
         for a, b in zip(base, moved):

@@ -1,11 +1,14 @@
 """Feature and text calibration math, frozen against hand-worked cases."""
 
+import warnings
+
 import numpy as np
 import pytest
 
 import umfc
-from umfc.calib import tfc_calibrate
 from umfc.engine import _predict_rows
+
+from properties import calibrate_row
 
 E1 = np.array([1.0, 0.0, 0.0])
 E2 = np.array([0.0, 1.0, 0.0])
@@ -36,7 +39,7 @@ def test_ifc_degenerate():
 def test_compute_text_shifts_hand():
     means = np.array([[1.0, 0.0], [0.0, 2.0]])
     global_mean = np.array([0.5, 1.0])
-    shifts = umfc.compute_text_shifts(means, global_mean)
+    shifts = umfc.CalibrationState.from_means(means, global_mean).text_shifts
     assert np.array_equal(shifts, [[0.5, -1.0], [-0.5, 1.0]])
 
 
@@ -45,7 +48,7 @@ def test_tfc_hand_value():
     #   normalize(e1-e2) = (r, -r, 0), normalize(e1-e3) = (r, 0, -r)
     #   mean = (r, -r/2, -r/2) with r = sqrt(1/2)
     shifts = np.stack([E2, E3])
-    out = tfc_calibrate(E1, shifts)
+    out = calibrate_row(E1, shifts)
     r = np.sqrt(0.5)
     assert np.allclose(out, [r, -r / 2, -r / 2], rtol=0, atol=1e-15)
 
@@ -53,7 +56,7 @@ def test_tfc_hand_value():
 def test_tfc_zero_shifts_is_plain_normalization():
     shifts = np.zeros((2, 3))
     t = np.array([3.0, 0.0, 4.0])
-    out = tfc_calibrate(t, shifts)
+    out = calibrate_row(t, shifts)
     assert np.allclose(out, [0.6, 0.0, 0.8], rtol=0, atol=1e-15)
 
 
@@ -62,14 +65,14 @@ def test_tfc_skips_degenerate_term_and_warns():
     # leaving only normalize(e1 - e2); the divisor is the kept count
     shifts = np.stack([E1, E2])
     with pytest.warns(RuntimeWarning):
-        out = tfc_calibrate(E1, shifts)
+        out = calibrate_row(E1, shifts)
     r = np.sqrt(0.5)
     assert np.allclose(out, [r, -r, 0.0], rtol=0, atol=1e-15)
 
 
 def test_tfc_all_degenerate_raises():
     with pytest.raises(umfc.AllShiftsDegenerate):
-        tfc_calibrate(E1, E1[None, :])
+        calibrate_row(E1, E1[None, :])
 
 
 def test_tfc_shift_row_order_bit_invariant():
@@ -79,9 +82,9 @@ def test_tfc_shift_row_order_bit_invariant():
         d = int(rng.integers(2, 9))
         t = rng.standard_normal(d)
         shifts = rng.standard_normal((m, d))
-        base = tfc_calibrate(t, shifts)
+        base = calibrate_row(t, shifts)
         perm = rng.permutation(m)
-        assert np.array_equal(base, tfc_calibrate(t, shifts[perm]))
+        assert np.array_equal(base, calibrate_row(t, shifts[perm]))
 
 
 def test_calibrate_bank_matches_per_row():
@@ -92,7 +95,7 @@ def test_calibrate_bank_matches_per_row():
     assert isinstance(cal, umfc.CalibratedTextBank)
     assert cal.names == bank.names
     for j in range(3):
-        assert np.array_equal(cal.data[j], tfc_calibrate(bank.data[j], shifts))
+        assert np.array_equal(cal.data[j], calibrate_row(bank.data[j], shifts))
 
 
 def test_calibrate_bank_bit_invariant_under_shift_permutation_and_duplicates():
@@ -115,6 +118,19 @@ def test_calibrate_bank_bit_invariant_under_shift_permutation_and_duplicates():
             assert np.allclose(base[j], np.mean(terms, axis=0), rtol=0, atol=1e-14)
 
 
+def test_calibrate_bank_bit_invariant_when_shift_rows_share_leading_columns():
+    # rows that only differ after their first columns still have one order
+    rng = np.random.default_rng(21)
+    for _ in range(50):
+        m = int(rng.integers(3, 9))
+        shifts = rng.standard_normal((m, 12))
+        shifts[:, :3] = rng.standard_normal(3)
+        bank = umfc.TextBank(names=list("abcd"), data=rng.standard_normal((4, 12)))
+        base = umfc.calibrate_bank(bank, shifts).data
+        for _ in range(3):
+            assert np.array_equal(base, umfc.calibrate_bank(bank, shifts[rng.permutation(m)]).data)
+
+
 def test_calibrate_bank_divisor_is_per_row():
     rng = np.random.default_rng(16)
     shifts = rng.standard_normal((4, 6))
@@ -127,10 +143,37 @@ def test_calibrate_bank_divisor_is_per_row():
     assert len(record) == 1
     # a row that lost a term equals the calibration against the other
     # shifts alone: the dropped term adds nothing, the divisor is 3
-    assert np.array_equal(cal.data[1], tfc_calibrate(data[1], np.delete(shifts, 2, axis=0)))
-    assert np.array_equal(cal.data[3], tfc_calibrate(data[3], np.delete(shifts, 0, axis=0)))
+    assert np.array_equal(cal.data[1], calibrate_row(data[1], np.delete(shifts, 2, axis=0)))
+    assert np.array_equal(cal.data[3], calibrate_row(data[3], np.delete(shifts, 0, axis=0)))
     for j in (0, 2, 4):
-        assert np.array_equal(cal.data[j], tfc_calibrate(data[j], shifts))
+        assert np.array_equal(cal.data[j], calibrate_row(data[j], shifts))
+
+
+def test_calibrate_bank_dropped_term_changes_no_bit_with_many_shifts():
+    # past 8 shifts a pairwise sum would group the weights differently
+    # once a zero is among them; the terms must still add one by one
+    for seed in range(40):
+        rng = np.random.default_rng(seed)
+        m = int(rng.integers(8, 20))
+        d = int(rng.integers(2, 40))
+        shifts = rng.standard_normal((m, d))
+        data = rng.standard_normal((3, d))
+        j = int(rng.integers(m))
+        data[1] = shifts[j]
+        with pytest.warns(RuntimeWarning):
+            cal = umfc.calibrate_bank(umfc.TextBank(names=list("abc"), data=data), shifts)
+        assert np.array_equal(cal.data[1], calibrate_row(data[1], np.delete(shifts, j, axis=0)))
+
+
+def test_calibrate_bank_drops_a_nan_shift_from_every_row():
+    rng = np.random.default_rng(20)
+    shifts = rng.standard_normal((4, 6))
+    shifts[1, 3] = np.nan
+    bank = umfc.TextBank(names=list("abc"), data=rng.standard_normal((3, 6)))
+    with pytest.warns(RuntimeWarning):
+        cal = umfc.calibrate_bank(bank, shifts)
+    rest = umfc.calibrate_bank(bank, np.delete(shifts, 1, axis=0))
+    assert np.array_equal(cal.data, rest.data)
 
 
 def test_calibrate_bank_raises_when_one_row_loses_every_term():
@@ -144,7 +187,66 @@ def test_calibrate_bank_rejects_dim_mismatch():
     with pytest.raises(ValueError):
         umfc.calibrate_bank(bank, np.ones((2, 4)))
     with pytest.raises(ValueError):
-        tfc_calibrate(E1, np.ones((2, 4)))
+        calibrate_row(E1, np.ones((2, 4)))
+
+
+def _plain_calibration(t, shifts):
+    """Text calibration term by term: the mean of the kept unit vectors t - s."""
+    diffs = [t - s for s in shifts]
+    return np.mean([d / np.linalg.norm(d) for d in diffs
+                    if np.linalg.norm(d) >= umfc.DEGENERACY_EPS], axis=0)
+
+
+def _unit(rng, d):
+    u = rng.standard_normal(d)
+    return u / np.linalg.norm(u)
+
+
+def test_calibrate_bank_near_term_matches_plain_loop():
+    # t - s_1 is 1e-7 long against |t|, |s| near 6: the expanded distance
+    # |t|^2 - 2 t.s + |s|^2 keeps almost no digits of it, so the row must
+    # be summed term by term
+    rng = np.random.default_rng(17)
+    shifts = rng.standard_normal((5, 32))
+    data = rng.standard_normal((4, 32))
+    data[2] = shifts[1] + 1e-7 * _unit(rng, 32)
+    cal = umfc.calibrate_bank(umfc.TextBank(names=list("abcd"), data=data), shifts)
+    for j in range(4):
+        assert np.max(np.abs(cal.data[j] - _plain_calibration(data[j], shifts))) <= 1e-14
+
+
+def test_calibrate_bank_mixed_rows_bit_identical_to_one_row():
+    # far rows, a kept near term and a dropped term in one call: every row
+    # takes its own path and gets the bits of its one-row calibration
+    rng = np.random.default_rng(18)
+    shifts = rng.standard_normal((5, 512))
+    data = rng.standard_normal((345, 512))
+    data[7] = shifts[3] + 1e-7 * _unit(rng, 512)  # near, kept
+    data[200] = shifts[0] + 1e-14 * _unit(rng, 512)  # near, dropped
+    bank = umfc.TextBank(names=[f"c{j}" for j in range(345)], data=data)
+    with pytest.warns(RuntimeWarning) as record:
+        cal = umfc.calibrate_bank(bank, shifts)
+    assert len(record) == 1
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        for j in range(345):
+            assert cal.data[j].tobytes() == calibrate_row(data[j], shifts).tobytes(), j
+    assert np.max(np.abs(cal.data[7] - _plain_calibration(data[7], shifts))) <= 1e-14
+    assert np.max(np.abs(cal.data[200] - _plain_calibration(data[200], shifts))) <= 1e-14
+
+
+def test_calibrate_bank_large_and_small_rows_match_plain_loop():
+    rng = np.random.default_rng(19)
+    for shift_scale in (1e-3, 1.0, 1e3):
+        shifts = shift_scale * rng.standard_normal((5, 16))
+        data = rng.standard_normal((6, 16))
+        data /= np.linalg.norm(data, axis=1)[:, None]
+        data[:3] *= 1e3
+        data[3:] *= 1e-3
+        cal = umfc.calibrate_bank(umfc.TextBank(names=list("abcdef"), data=data), shifts)
+        for j in range(6):
+            plain = _plain_calibration(data[j], shifts)
+            assert np.max(np.abs(cal.data[j] - plain)) <= 1e-13 * np.max(np.abs(plain))
 
 
 def test_calibrated_bank_rows_not_renormalized():

@@ -1,5 +1,6 @@
 """File format round-trips and every typed malformed-input failure."""
 
+import dataclasses
 import json
 import struct
 import tracemalloc
@@ -421,4 +422,22 @@ def test_snapshot_cluster_count_must_match_config(tmp_path):
     p = tmp_path / "s.state"
     umfc.snapshot_state(state, umfc.EngineConfig(clusters=cfg.clusters + 1), p)
     with pytest.raises(umfc.FormatError, match="centroids has shape"):
+        umfc.restore_state(p)
+
+
+@pytest.mark.parametrize("field", ["centroids", "running_sums", "global_sum", "bootstrap_buffer"])
+def test_snapshot_arrays_must_share_the_feature_dimension(tmp_path, field):
+    # one array cut from 8 to 6 columns: refused at restore, not left to
+    # fail later inside a matrix product
+    ds, cfg, state = _fit_state()
+    if field == "centroids":
+        model = umfc.ClusterModel(centroids=state.model.centroids[:, :6], counts=state.model.counts)
+        state = dataclasses.replace(state, model=model)
+    elif field == "bootstrap_buffer":
+        state = dataclasses.replace(state, bootstrap_buffer=ds.images.data[:3, :6])
+    else:
+        state = dataclasses.replace(state, **{field: getattr(state, field)[..., :6]})
+    p = tmp_path / "s.state"
+    umfc.snapshot_state(state, cfg, p)
+    with pytest.raises(umfc.FormatError, match="feature dimension"):
         umfc.restore_state(p)
