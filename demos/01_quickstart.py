@@ -28,7 +28,7 @@ def main():
     # and shift the text bank by the cluster-to-average transitions
     cfg = umfc.EngineConfig(clusters=3)
     preds, state = umfc.transduce(images, ds.text_bank, cfg)
-    # preds is one Predictions: probs (N x K), labels, clusters, flags
+    # preds is one Predictions: probs (N x K), labels, top, clusters, flags
     table = umfc.per_domain_accuracy(preds.labels, images.class_labels, images.domain_labels)
     print("calibrated accuracy (same data, no labels used):")
     print(table.to_tsv())

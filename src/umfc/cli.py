@@ -171,8 +171,24 @@ def _normalize_loaded(matrix: EmbeddingMatrix, cfg: EngineConfig) -> EngineConfi
     return replace(cfg, normalize_input=False)
 
 
+def _predict_loaded(
+    state: StreamState, test: EmbeddingMatrix, bank: TextBank, cfg: EngineConfig
+) -> Predictions:
+    """Top-1 predictions of a matrix this command loaded against a fitted
+    state, its rows normalized in place.
+
+    The row dimension is checked before the rows are normalized, so a
+    row of the wrong dimension is a data error even when it is also
+    degenerate.
+    """
+    if test.n and test.dim != state.model.dim:
+        raise DimensionMismatch(f"rows of dim {test.dim} against a state of dim {state.model.dim}")
+    cfg = _normalize_loaded(test, cfg)
+    return predict(state.calib, state.model, test, bank, cfg, keep_probs=False)
+
+
 def _write_predictions(path, preds: Predictions, ids, names) -> None:
-    top = preds.probs[np.arange(len(preds)), preds.labels].tolist()
+    top = preds.top.tolist()
     # the flags column spells each distinct bitmask once, from its first row
     codes, first = np.unique(preds.flags, return_index=True)
     flag_text = {c: ",".join(preds[i].flags) or "-" for c, i in zip(codes.tolist(), first.tolist())}
@@ -250,7 +266,7 @@ def cmd_predict(argv) -> int:
     cfg = _with_tau(cfg, vals["tau"])
     test = _load_matrix(args.test)
     bank = _load_bank(args.bank, args.names)
-    preds = predict(state.calib, state.model, test, bank, cfg)
+    preds = _predict_loaded(state, test, bank, cfg)
     _write_predictions(args.out, preds, test.ids, bank.names)
     _note(f"predict: {test.n} rows -> {args.out}")
     return EXIT_OK
@@ -277,7 +293,7 @@ def cmd_transduce(argv) -> int:
     bank = _load_bank(args.bank, args.names)
     if args.report is not None and (test.class_labels is None or test.domain_labels is None):
         raise MissingLabels("per-domain accuracy needs class and domain labels")
-    preds, _ = transduce(test, bank, _normalize_loaded(test, cfg))
+    preds, _ = transduce(test, bank, _normalize_loaded(test, cfg), keep_probs=False)
     _write_predictions(args.out, preds, test.ids, bank.names)
     _note(f"transduce: {test.n} rows -> {args.out}")
     if args.report is not None:
@@ -321,7 +337,7 @@ def cmd_stream(argv) -> int:
     for start in range(0, test.n, cfg.batch_size):
         batch = test.data[start : start + cfg.batch_size]
         batch_preds, state = stream_step(state, batch, bank, cfg)
-        parts.append(batch_preds)
+        parts.append(replace(batch_preds, probs=None))  # the TSV needs only the top-1 columns
         n_batches += 1
         if args.snapshot_every and n_batches % args.snapshot_every == 0:
             uio.snapshot_state(state, cfg, f"{args.out_state}.batch{n_batches:05d}")
@@ -426,7 +442,7 @@ def cmd_diagnose(argv) -> int:
             state, cfg = uio.restore_state(args.state)
             if state.model is None or state.calib is None:
                 raise FormatError(f"{args.state}: state has no fitted model")
-            labels = predict(state.calib, state.model, test, bank, _with_tau(cfg, tau)).labels
+            labels = _predict_loaded(state, test, bank, _with_tau(cfg, tau)).labels
         else:
             labels = classify_batch(test.data, bank.data, tau).argmax(axis=1)
         hist = prediction_histogram(labels, bank.k)
@@ -508,13 +524,14 @@ def cmd_sweep(argv) -> int:
     bank = _load_bank(args.bank, args.names)
     if test.class_labels is None or test.domain_labels is None:
         raise MissingLabels("sweep needs class and domain labels on --test")
+    base = _normalize_loaded(test, base)
 
     rows = []
     domains = np.unique(test.domain_labels)
     for val in values:
         try:
             if args.param == "clusters":
-                preds, _ = transduce(test, bank, replace(base, clusters=val))
+                preds, _ = transduce(test, bank, replace(base, clusters=val), keep_probs=False)
             elif args.param == "batch-size":
                 preds, _ = run_stream(test, bank, replace(base, batch_size=val, mode="memory"))
             else:

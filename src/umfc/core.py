@@ -145,12 +145,13 @@ class TextBank:
 class Prediction:
     """Per-sample classification outcome.
 
-    probs sums to 1; label is the argmax with ties broken toward the
-    lowest class index; cluster is -1 when no cluster model was involved.
-    flags carries markers such as "uncalibrated" or "degenerate".
+    probs sums to 1 (None when its Predictions kept no probs); label is
+    the argmax with ties broken toward the lowest class index; cluster
+    is -1 when no cluster model was involved.  flags carries markers
+    such as "uncalibrated" or "degenerate".
     """
 
-    probs: np.ndarray
+    probs: Optional[np.ndarray]
     label: int
     cluster: int = -1
     flags: tuple = ()
@@ -160,20 +161,29 @@ class Prediction:
 class Predictions:
     """Classification outcome of N rows, one array per column.
 
-    probs is N x K; labels (int64) is the argmax of each probs row, ties
-    broken toward the lowest class index; clusters (int64) is -1 where no
-    cluster model was involved; flags (uint8) is a bitmask of DEGENERATE
-    and UNCALIBRATED.  Indexing and iteration give Prediction rows, with
-    the flags spelled out as names.  Columns are not validated.
+    probs is N x K, or None when only the top-1 columns were kept;
+    labels (int64) is the argmax of each probs row, ties broken toward
+    the lowest class index; top (float64) is the probability of that
+    label, probs[i, labels[i]], and is always filled (taken from probs
+    when not given); clusters (int64) is -1 where no cluster model was
+    involved; flags (uint8) is a bitmask of DEGENERATE and UNCALIBRATED.
+    Indexing and iteration give Prediction rows, with the flags spelled
+    out as names and probs None when the columns have none.  Columns
+    are not validated.
     """
 
     DEGENERATE: ClassVar[int] = 1
     UNCALIBRATED: ClassVar[int] = 2
 
-    probs: np.ndarray
+    probs: Optional[np.ndarray]
     labels: np.ndarray
     clusters: np.ndarray
     flags: np.ndarray
+    top: Optional[np.ndarray] = None
+
+    def __post_init__(self):
+        if self.top is None:
+            self.top = self.probs[np.arange(self.labels.shape[0]), self.labels]
 
     @classmethod
     def empty(cls, k: int) -> "Predictions":
@@ -183,12 +193,19 @@ class Predictions:
             labels=np.empty(0, dtype=np.int64),
             clusters=np.empty(0, dtype=np.int64),
             flags=np.empty(0, dtype=np.uint8),
+            top=np.empty(0),
         )
 
     @classmethod
     def concat(cls, parts: Sequence["Predictions"]) -> "Predictions":
-        """Rows of every part, in order; parts must not be empty."""
-        return cls(*(np.concatenate([getattr(p, f.name) for p in parts]) for f in fields(cls)))
+        """Rows of every part, in order; parts must not be empty.  probs
+        is None when any part has none."""
+
+        def column(name):
+            cols = [getattr(p, name) for p in parts]
+            return None if any(c is None for c in cols) else np.concatenate(cols)
+
+        return cls(**{f.name: column(f.name) for f in fields(cls)})
 
     def __len__(self) -> int:
         return self.labels.shape[0]
@@ -196,7 +213,7 @@ class Predictions:
     def __getitem__(self, i: int) -> Prediction:
         code = int(self.flags[i])
         return Prediction(
-            probs=self.probs[i],
+            probs=None if self.probs is None else self.probs[i],
             label=int(self.labels[i]),
             cluster=int(self.clusters[i]),
             flags=tuple(name for bit, name in _FLAG_NAMES if code & bit),

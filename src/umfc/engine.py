@@ -20,6 +20,7 @@ from typing import Optional, Tuple, Union
 
 import numpy as np
 
+from . import core
 from .calib import (
     CalibratedTextBank,
     CalibrationState,
@@ -148,6 +149,7 @@ def _predict_rows(
     cluster_means: Optional[np.ndarray],
     bank_data: np.ndarray,
     tau: float,
+    keep_probs: bool = True,
 ) -> Predictions:
     """Calibrate rows against their assigned cluster mean and classify.
 
@@ -155,22 +157,32 @@ def _predict_rows(
     to the plain normalized feature and are flagged DEGENERATE.  With no
     cluster model (clusters and cluster_means None) the rows are scored
     as given, zero-shot: cluster -1, flagged UNCALIBRATED.  Rows are
-    calibrated and scored one row block at a time, each block's
-    probabilities written straight into the result.
+    calibrated and scored one row block at a time, and each block's
+    labels and top probabilities are read from the block just scored.
+    The scores go straight into the N x K probs, or, without keep_probs,
+    into one reused block of scratch, and probs is None.
     """
     n = feats.shape[0]
+    k = bank_data.shape[0]
     if cluster_means is None:
         clusters = np.full(n, -1, dtype=np.int64)
         flags = np.full(n, Predictions.UNCALIBRATED, dtype=np.uint8)
     else:
         flags = np.empty(n, dtype=np.uint8)
-    probs = np.empty((n, bank_data.shape[0]))
+    probs = np.empty((n, k)) if keep_probs else None
+    scratch = None if keep_probs else np.empty((min(n, core.CHUNK_ROWS), k))
+    labels = np.empty(n, dtype=np.int64)
+    top = np.empty(n)
     for sl in row_blocks(n):
         cal = feats[sl]
         if cluster_means is not None:
             cal, flags[sl] = _calibrate_block(cal, clusters[sl], cluster_means)
-        classify_batch(cal, bank_data, tau, out=probs[sl])
-    return Predictions(probs=probs, labels=np.argmax(probs, axis=1), clusters=clusters, flags=flags)
+        out = probs[sl] if keep_probs else scratch[: sl.stop - sl.start]
+        classify_batch(cal, bank_data, tau, out=out)
+        best = np.argmax(out, axis=1)
+        labels[sl] = best
+        top[sl] = out[np.arange(best.size), best]
+    return Predictions(probs=probs, labels=labels, clusters=clusters, flags=flags, top=top)
 
 
 def _bank_shifts(state_shifts: np.ndarray, cfg: EngineConfig) -> np.ndarray:
@@ -210,6 +222,8 @@ def predict(
     x: Union[EmbeddingMatrix, np.ndarray],
     bank: TextBank,
     cfg: EngineConfig,
+    *,
+    keep_probs: bool = True,
 ) -> Predictions:
     """Calibrate and classify rows against a fitted state.
 
@@ -218,7 +232,9 @@ def predict(
     and re-expressed as the unit direction from it; a row that sits on
     its mean falls back to plain normalization and is flagged
     DEGENERATE.  Zero rows give an empty Predictions; rows whose
-    dimension differs from the state raise DimensionMismatch.
+    dimension differs from the state raise DimensionMismatch.  With
+    keep_probs=False the result holds no N x K matrix: probs is None and
+    labels, top, clusters and flags have the bits of the default call.
     """
     x = _as_rows(x)
     if not x.shape[0]:
@@ -229,18 +245,27 @@ def predict(
         x = l2_normalize_rows(x)
     cal_bank = calibrate_bank(bank, _bank_shifts(calib.text_shifts, cfg))
     labels = assign_batch(model, x).labels
-    return _predict_rows(x, labels, calib.cluster_means, cal_bank.data, cfg.tau)
+    return _predict_rows(x, labels, calib.cluster_means, cal_bank.data, cfg.tau, keep_probs)
 
 
 def transduce(
-    test: Union[EmbeddingMatrix, np.ndarray], bank: TextBank, cfg: EngineConfig
+    test: Union[EmbeddingMatrix, np.ndarray],
+    bank: TextBank,
+    cfg: EngineConfig,
+    *,
+    keep_probs: bool = True,
 ) -> Tuple[Predictions, CalibrationState]:
-    """Fit on the evaluation matrix itself, then predict every row of it."""
+    """Fit on the evaluation matrix itself, then predict every row of it.
+
+    With keep_probs=False the predictions hold no N x K matrix: probs is
+    None and labels, top, clusters and flags have the bits of the
+    default call.
+    """
     x = _as_rows(test)
     if cfg.normalize_input:
         x = l2_normalize_rows(x)
     state, model, cal_bank, asg = _fit(x, bank, cfg)
-    preds = _predict_rows(x, asg.labels, state.cluster_means, cal_bank.data, cfg.tau)
+    preds = _predict_rows(x, asg.labels, state.cluster_means, cal_bank.data, cfg.tau, keep_probs)
     return preds, state
 
 

@@ -181,3 +181,92 @@ def test_cli_transduce_traced_peak_within_input_plus_probs(tmp_path):
     # the input, normalized where it was read, and the N x K probabilities;
     # a second float64 copy of the input alone adds 0.56 to the ratio
     assert peak <= 1.6 * (n * d * 8 + n * k * 8)
+
+
+def _outlier_images():
+    # row 9 (in the second block at SMALL_BLOCK) points away from every
+    # other row; at 6 clusters and seed 0 it is a cluster of its own, so
+    # its residual is zero and it is flagged DEGENERATE
+    ds = umfc.generate_benchmark(_spec())
+    x = umfc.l2_normalize_rows(ds.images.data)
+    x[9] = -umfc.l2_normalize(x.mean(axis=0))
+    return x, ds.text_bank, umfc.EngineConfig(clusters=6)
+
+
+def _assert_top1_bit_identical(top1, full):
+    assert top1.probs is None
+    assert np.flatnonzero(full.flags & umfc.Predictions.DEGENERATE).tolist() == [9]
+    for name in ("labels", "top", "clusters", "flags"):
+        assert getattr(top1, name).tobytes() == getattr(full, name).tobytes(), name
+    assert full.top.tobytes() == full.probs[np.arange(len(full)), full.labels].tobytes()
+
+
+def test_transduce_top1_bit_identical_to_full_probs(monkeypatch):
+    monkeypatch.setattr(core, "CHUNK_ROWS", SMALL_BLOCK)
+    x, bank, cfg = _outlier_images()
+    full, _ = umfc.transduce(x, bank, cfg)
+    top1, _ = umfc.transduce(x, bank, cfg, keep_probs=False)
+    _assert_top1_bit_identical(top1, full)
+
+
+def test_predict_top1_bit_identical_to_full_probs(monkeypatch):
+    monkeypatch.setattr(core, "CHUNK_ROWS", SMALL_BLOCK)
+    x, bank, cfg = _outlier_images()
+    calib, model, _ = umfc.fit_unsupervised(x, bank, cfg)
+    full = umfc.predict(calib, model, x, bank, cfg)
+    top1 = umfc.predict(calib, model, x, bank, cfg, keep_probs=False)
+    _assert_top1_bit_identical(top1, full)
+
+
+@pytest.fixture(scope="module")
+def peak_files(tmp_path_factory):
+    """20,000 x 64 rows, 50 classes, and a 4-cluster fit state of them."""
+    ds = umfc.generate_benchmark(
+        umfc.SynthSpec(n_classes=50, n_domains=4, dim=64, samples_per_cell=100)
+    )
+    assert (ds.images.n, ds.images.dim, ds.text_bank.k) == (20_000, 64, 50)
+    d = tmp_path_factory.mktemp("peak")
+    umfc.write_embeddings(ds.images, d / "images.bin")
+    umfc.write_text_bank(ds.text_bank, d / "bank.bin", d / "names.txt")
+    files = ["--bank", str(d / "bank.bin"), "--names", str(d / "names.txt")]
+    assert cli.main(["fit", "--train", str(d / "images.bin"), *files,
+                     "--out-state", str(d / "s.state"), "--clusters", "4"]) == 0
+    return d, files
+
+
+@pytest.mark.parametrize("command", [
+    ["transduce", "--report", "{d}/report.tsv", "--clusters", "4"],
+    ["predict", "--state", "{d}/s.state"],
+    ["sweep", "--param", "clusters", "--values", "4"],
+], ids=["transduce", "predict", "sweep"])
+def test_cli_top1_traced_peak_within_input_plus_probs(peak_files, command):
+    d, files = peak_files
+    n, dim, k = 20_000, 64, 50
+    argv = [a.format(d=d) for a in command] + ["--test", str(d / "images.bin"), *files,
+                                               "--out", str(d / "out.tsv")]
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        assert cli.main(argv) == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the input, normalized where it was read, and no N x K probabilities:
+    # holding them adds 0.44 to the ratio, a normalized copy of the input 0.56
+    assert peak <= 1.15 * (n * dim * 8 + n * k * 8)
+
+
+def test_cli_fit_then_predict_matches_transduce_across_blocks(monkeypatch, tmp_path):
+    monkeypatch.setattr(core, "CHUNK_ROWS", SMALL_BLOCK)
+    ds = umfc.default_benchmark()
+    umfc.write_embeddings(ds.images, tmp_path / "images.bin")
+    umfc.write_text_bank(ds.text_bank, tmp_path / "bank.bin", tmp_path / "names.txt")
+    files = ["--bank", str(tmp_path / "bank.bin"), "--names", str(tmp_path / "names.txt")]
+    images = str(tmp_path / "images.bin")
+    assert cli.main(["transduce", "--test", images, *files, "--clusters", "3",
+                     "--out", str(tmp_path / "t.tsv")]) == 0
+    assert cli.main(["fit", "--train", images, *files, "--clusters", "3",
+                     "--out-state", str(tmp_path / "s.state")]) == 0
+    assert cli.main(["predict", "--state", str(tmp_path / "s.state"), "--test", images, *files,
+                     "--out", str(tmp_path / "p.tsv")]) == 0
+    assert (tmp_path / "p.tsv").read_bytes() == (tmp_path / "t.tsv").read_bytes()

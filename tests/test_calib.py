@@ -330,3 +330,27 @@ def test_classify_batch_into_out_is_bit_identical():
     assert out.base is buf
     assert buf[5:35].tobytes() == fresh.tobytes()
     assert np.isnan(buf[:5]).all() and np.isnan(buf[35:]).all()
+
+
+def test_calibrate_bank_rows_just_above_near_threshold_match_plain_loop():
+    # bank rows whose squared distance to one shift is a small fraction
+    # of |t|^2 + |s|^2: the expansion loses about 1e-17 / ratio of each
+    # such term, so rows on either side of the near threshold must stay
+    # within a few ulps of the term-by-term mean
+    ratios = (2e-4, 1e-3, 1.1e-2, 1e-1)
+    rng = np.random.default_rng(23)
+    worst = 0.0
+    for _ in range(200):
+        shifts = rng.standard_normal((5, 64))
+        data = np.empty((len(ratios), 64))
+        for j, r in enumerate(ratios):
+            s = shifts[j]
+            u = rng.standard_normal(64)
+            u -= (u @ s) / (s @ s) * s
+            # t = s + delta u with u orthogonal to s: d^2 / (|t|^2 + |s|^2) = r
+            delta = np.sqrt(2.0 * r / (1.0 - r)) * np.linalg.norm(s)
+            data[j] = s + delta * u / np.linalg.norm(u)
+        cal = umfc.calibrate_bank(umfc.TextBank(names=list("abcd"), data=data), shifts)
+        for j in range(len(ratios)):
+            worst = max(worst, np.max(np.abs(cal.data[j] - _plain_calibration(data[j], shifts))))
+    assert worst <= 3e-15

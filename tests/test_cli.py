@@ -202,6 +202,22 @@ def test_predict_dimension_mismatch_is_data_error(small, small_state, narrow, tm
     assert "data error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", [["predict"], ["diagnose", "--which", "hist"]],
+                         ids=["predict", "hist"])
+def test_state_dimension_mismatch_with_degenerate_row_is_data_error(
+        small, small_state, tmp_path, capsys, command):
+    # the rows are normalized in place after the dimension check, so a
+    # zero row of the wrong dimension is a data error, not a degeneracy
+    rows = np.random.default_rng(6).standard_normal((10, 8))
+    rows[3] = 0.0
+    wrong = tmp_path / "wrong.bin"
+    umfc.write_embeddings(umfc.EmbeddingMatrix(data=rows), wrong)
+    assert run(*command, "--state", small_state, "--test", str(wrong),
+               "--bank", f"{small}_bank.bin", "--names", f"{small}_names.txt",
+               "--out", str(tmp_path / "p.tsv")) == 2
+    assert "data error" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # transduce
 

@@ -1,5 +1,7 @@
 """Regimes: one-shot fit, transduction, and batch streaming."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -104,6 +106,23 @@ def test_predictions_rows_and_concat():
     both = umfc.Predictions.concat([umfc.Predictions.empty(2), preds, preds])
     assert len(both) == 6 and both.flags.dtype == np.uint8
     assert np.array_equal(both.labels, [0, 1, 0, 0, 1, 0])
+
+
+def test_predictions_without_probs():
+    full = umfc.Predictions(
+        probs=np.array([[0.9, 0.1], [0.2, 0.8]]),
+        labels=np.array([0, 1]),
+        clusters=np.array([-1, 0]),
+        flags=np.zeros(2, dtype=np.uint8),
+    )
+    assert full.top.tolist() == [0.9, 0.8]
+    bare = dataclasses.replace(full, probs=None)
+    both = umfc.Predictions.concat([umfc.Predictions.empty(2), full, bare])
+    assert both.probs is None
+    assert both.top.tolist() == [0.9, 0.8, 0.9, 0.8]
+    assert both[3].probs is None and (both[3].label, both[3].cluster) == (1, 0)
+    kept = umfc.Predictions.concat([umfc.Predictions.empty(2), full])
+    assert np.array_equal(kept.probs, full.probs)
 
 
 def test_transduce_cluster_field_matches_assignment():
