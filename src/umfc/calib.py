@@ -13,11 +13,11 @@ expansion cannot resolve send their row to the exact per-shift loop.
 
 import warnings
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple, Union
+from typing import Optional, Tuple
 
 import numpy as np
 
-from .core import DEGENERACY_EPS, Temperature, TextBank, _as_tau
+from .core import DEGENERACY_EPS, TextBank, _check_tau
 from .errors import AllShiftsDegenerate, DegenerateVector, DimensionMismatch, NonFiniteInput
 
 # a text-minus-shift term whose expanded squared distance is below this
@@ -30,9 +30,7 @@ _BLOCK_ROWS = 64
 
 __all__ = [
     "CalibrationState",
-    "CalibratedTextBank",
     "calibrate_bank",
-    "normalize_shift_rows",
     "classify_batch",
 ]
 
@@ -77,41 +75,6 @@ class CalibrationState:
     @property
     def m(self) -> int:
         return self.cluster_means.shape[0]
-
-
-@dataclass
-class CalibratedTextBank:
-    """Bank rows after text calibration.
-
-    Rows are averages of unit vectors and are deliberately left at
-    whatever norm that average has; classification uses cosine
-    similarity, which absorbs the row norm.
-    """
-
-    names: Sequence[str]
-    data: np.ndarray
-
-    def __post_init__(self):
-        self.names = [str(s) for s in self.names]
-        self.data = np.asarray(self.data, dtype=np.float64)
-        if self.data.ndim != 2 or self.data.shape[0] != len(self.names):
-            raise ValueError(
-                f"bank shape {self.data.shape} does not match {len(self.names)} names"
-            )
-
-    @property
-    def k(self) -> int:
-        return self.data.shape[0]
-
-
-def normalize_shift_rows(shifts: np.ndarray) -> np.ndarray:
-    """Unit-normalize shift rows, leaving (near-)zero rows untouched."""
-    shifts = np.asarray(shifts, dtype=np.float64)
-    norms = np.linalg.norm(shifts, axis=1)
-    out = shifts.copy()
-    ok = norms >= DEGENERACY_EPS
-    out[ok] = shifts[ok] / norms[ok, None]
-    return out
 
 
 def _lex_order(a: np.ndarray) -> np.ndarray:
@@ -226,11 +189,9 @@ def _calibrate_rows(rows: np.ndarray, shifts: np.ndarray) -> np.ndarray:
     return out
 
 
-def calibrate_bank(
-    bank: Union[TextBank, CalibratedTextBank], shifts: np.ndarray
-) -> CalibratedTextBank:
+def calibrate_bank(bank: TextBank, shifts: np.ndarray) -> TextBank:
     """Average of the unit vectors (t - shift_i) over all shift rows, for
-    every bank row t.
+    every bank row t, as a bank with the same names.
 
     Terms whose difference has (near-)zero norm are skipped; each row
     keeps its own kept count as divisor, one RuntimeWarning covers all
@@ -238,15 +199,17 @@ def calibrate_bank(
     none.  Terms are summed in the lexicographic order of the shift
     rows, an order that does not depend on the bank: any permutation of
     the shift rows, and any repetition of one, yields bit-identical
-    output, and a row gets the same bits in a one-row bank.
+    output, and a row gets the same bits in a one-row bank.  Rows are
+    left at whatever norm the average has; classification uses cosine
+    similarity, which absorbs the row norm.
     """
-    return CalibratedTextBank(names=list(bank.names), data=_calibrate_rows(bank.data, shifts))
+    return TextBank._unchecked(list(bank.names), _calibrate_rows(bank.data, shifts))
 
 
 def classify_batch(
     feats: np.ndarray,
     bank_data: np.ndarray,
-    tau: Union[float, Temperature],
+    tau: float,
     out: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """Softmax over the cosine similarities between each feature row and
@@ -257,7 +220,7 @@ def classify_batch(
     step after the matrix product works in that array, with the bits of
     core.softmax_temp.
     """
-    tau = _as_tau(tau)
+    tau = _check_tau(tau)
     feats = np.asarray(feats, dtype=np.float64)
     if feats.shape[1] != bank_data.shape[1]:
         raise DimensionMismatch(

@@ -19,8 +19,8 @@ from typing import List, Optional
 import numpy as np
 
 from . import io as uio
-from .calib import calibrate_bank, classify_batch, normalize_shift_rows
-from .core import EmbeddingMatrix, Predictions, TextBank, l2_normalize_rows
+from .calib import calibrate_bank, classify_batch
+from .core import EmbeddingMatrix, Predictions, TextBank, l2_normalize_rows, row_blocks
 from .diagnostics import (
     balanced_subsample,
     domain_bias_probe,
@@ -34,7 +34,6 @@ from .engine import (
     StreamState,
     fit_unsupervised,
     predict,
-    run_stream,
     stream_init,
     stream_step,
     transduce,
@@ -127,7 +126,6 @@ def _engine_flags(parser, clusters=6, tau=0.01, eta=0.1, mode="memory", batch_si
     f.add("--max-iters", int, 100, "clustering iteration cap")
     f.add("--tol", float, 1e-4, "clustering movement tolerance")
     f.add("--normalize-input", bool, True, "L2-normalize feature rows at ingestion")
-    f.add("--normalize-shifts", bool, False, "unit-normalize text shifts before use")
     return f
 
 
@@ -152,10 +150,6 @@ def _load_matrix(path) -> EmbeddingMatrix:
     if str(path).endswith(".csv"):
         return uio.read_embeddings_csv(path)
     return uio.read_embeddings(path)
-
-
-def _load_bank(path, names_path) -> TextBank:
-    return uio.read_text_bank(path, names_path)
 
 
 def _normalize_loaded(matrix: EmbeddingMatrix, cfg: EngineConfig) -> EngineConfig:
@@ -185,6 +179,19 @@ def _predict_loaded(
         raise DimensionMismatch(f"rows of dim {test.dim} against a state of dim {state.model.dim}")
     cfg = _normalize_loaded(test, cfg)
     return predict(state.calib, state.model, test, bank, cfg, keep_probs=False)
+
+
+def _stream_top1(test: EmbeddingMatrix, bank: TextBank, cfg: EngineConfig, on_batch=None):
+    """engine.run_stream keeping only each batch's top-1 columns, so no
+    N x K matrix is held; on_batch(batches_done, state) runs after each batch."""
+    state = stream_init(cfg)
+    parts = [Predictions.empty(bank.k)]
+    for start in range(0, test.n, cfg.batch_size):
+        batch_preds, state = stream_step(state, test.data[start : start + cfg.batch_size], bank, cfg)
+        parts.append(replace(batch_preds, probs=None))
+        if on_batch is not None:
+            on_batch(len(parts) - 1, state)
+    return Predictions.concat(parts), state
 
 
 def _write_predictions(path, preds: Predictions, ids, names) -> None:
@@ -225,7 +232,7 @@ def cmd_fit(argv) -> int:
     cfg = _config_from(flags.resolve(args))
 
     train = _load_matrix(args.train)
-    bank = _load_bank(args.bank, args.names)
+    bank = uio.read_text_bank(args.bank, args.names)
     # the snapshot keeps cfg as given, so predict --state normalizes its rows
     state, model, _ = fit_unsupervised(train, bank, _normalize_loaded(train, cfg))
     snap = StreamState(
@@ -265,7 +272,7 @@ def cmd_predict(argv) -> int:
         raise FormatError(f"{args.state}: state has no fitted model to predict with")
     cfg = _with_tau(cfg, vals["tau"])
     test = _load_matrix(args.test)
-    bank = _load_bank(args.bank, args.names)
+    bank = uio.read_text_bank(args.bank, args.names)
     preds = _predict_loaded(state, test, bank, cfg)
     _write_predictions(args.out, preds, test.ids, bank.names)
     _note(f"predict: {test.n} rows -> {args.out}")
@@ -290,7 +297,7 @@ def cmd_transduce(argv) -> int:
     cfg = _config_from(vals)
 
     test = _load_matrix(args.test)
-    bank = _load_bank(args.bank, args.names)
+    bank = uio.read_text_bank(args.bank, args.names)
     if args.report is not None and (test.class_labels is None or test.domain_labels is None):
         raise MissingLabels("per-domain accuracy needs class and domain labels")
     preds, _ = transduce(test, bank, _normalize_loaded(test, cfg), keep_probs=False)
@@ -329,22 +336,18 @@ def cmd_stream(argv) -> int:
         raise UsageError("--snapshot-every needs --out-state for the snapshot path")
 
     test = _load_matrix(args.test)
-    bank = _load_bank(args.bank, args.names)
+    bank = uio.read_text_bank(args.bank, args.names)
 
-    state = stream_init(cfg)
-    parts = [Predictions.empty(bank.k)]
-    n_batches = 0
-    for start in range(0, test.n, cfg.batch_size):
-        batch = test.data[start : start + cfg.batch_size]
-        batch_preds, state = stream_step(state, batch, bank, cfg)
-        parts.append(replace(batch_preds, probs=None))  # the TSV needs only the top-1 columns
-        n_batches += 1
-        if args.snapshot_every and n_batches % args.snapshot_every == 0:
-            uio.snapshot_state(state, cfg, f"{args.out_state}.batch{n_batches:05d}")
-    _write_predictions(args.out, Predictions.concat(parts), test.ids, bank.names)
+    def snapshot(batches_done, state):
+        if batches_done % args.snapshot_every == 0:
+            uio.snapshot_state(state, cfg, f"{args.out_state}.batch{batches_done:05d}")
+
+    preds, state = _stream_top1(test, bank, cfg, snapshot if args.snapshot_every else None)
+    _write_predictions(args.out, preds, test.ids, bank.names)
     if args.out_state:
         uio.snapshot_state(state, cfg, args.out_state)
         _note(f"final state -> {args.out_state}")
+    n_batches = -(-test.n // cfg.batch_size)
     _note(f"stream: {test.n} rows in {n_batches} batches ({cfg.mode} mode) -> {args.out}")
     return EXIT_OK
 
@@ -436,7 +439,7 @@ def cmd_diagnose(argv) -> int:
 
     if args.which == "hist":
         test = _load_matrix(need("--test", args.test))
-        bank = _load_bank(need("--bank", args.bank), need("--names", args.names))
+        bank = uio.read_text_bank(need("--bank", args.bank), need("--names", args.names))
         tau = 0.01 if v["tau"] is None else v["tau"]
         if args.state is not None:
             state, cfg = uio.restore_state(args.state)
@@ -444,7 +447,11 @@ def cmd_diagnose(argv) -> int:
                 raise FormatError(f"{args.state}: state has no fitted model")
             labels = _predict_loaded(state, test, bank, _with_tau(cfg, tau)).labels
         else:
-            labels = classify_batch(test.data, bank.data, tau).argmax(axis=1)
+            # one row block at a time, keeping only its argmax; 0 rows still
+            # score one empty block, so tau and the dimension are checked
+            labels = np.empty(test.n, dtype=np.int64)
+            for sl in row_blocks(max(test.n, 1)):
+                labels[sl] = classify_batch(test.data[sl], bank.data, tau).argmax(axis=1)
         hist = prediction_histogram(labels, bank.k)
         lines = ["class\tcount"]
         for c, n in hist.top():
@@ -454,17 +461,14 @@ def cmd_diagnose(argv) -> int:
         return EXIT_OK
 
     if args.which == "probe":
-        bank = _load_bank(need("--bank", args.bank), need("--names", args.names))
+        bank = uio.read_text_bank(need("--bank", args.bank), need("--names", args.names))
         anchors = _load_matrix(need("--domain-bank", args.domain_bank))
         probed = bank
         if args.state is not None:
-            state, cfg = uio.restore_state(args.state)
+            state, _ = uio.restore_state(args.state)
             if state.calib is None:
                 raise FormatError(f"{args.state}: state has no calibration")
-            shifts = state.calib.text_shifts
-            if cfg.normalize_shifts:
-                shifts = normalize_shift_rows(shifts)
-            probed = calibrate_bank(bank, shifts)
+            probed = calibrate_bank(bank, state.calib.text_shifts)
         tau = 1.0 if v["tau"] is None else v["tau"]
         result = domain_bias_probe(probed, anchors.data, tau=tau)
         uio._atomic_write(args.out, result.to_csv().encode("utf-8"))
@@ -521,7 +525,7 @@ def cmd_sweep(argv) -> int:
         raise UsageError("--values: empty list")
 
     test = _load_matrix(args.test)
-    bank = _load_bank(args.bank, args.names)
+    bank = uio.read_text_bank(args.bank, args.names)
     if test.class_labels is None or test.domain_labels is None:
         raise MissingLabels("sweep needs class and domain labels on --test")
     base = _normalize_loaded(test, base)
@@ -533,9 +537,9 @@ def cmd_sweep(argv) -> int:
             if args.param == "clusters":
                 preds, _ = transduce(test, bank, replace(base, clusters=val), keep_probs=False)
             elif args.param == "batch-size":
-                preds, _ = run_stream(test, bank, replace(base, batch_size=val, mode="memory"))
+                preds, _ = _stream_top1(test, bank, replace(base, batch_size=val, mode="memory"))
             else:
-                preds, _ = run_stream(test, bank, replace(base, eta=val, mode="ema"))
+                preds, _ = _stream_top1(test, bank, replace(base, eta=val, mode="ema"))
         except ValueError as e:
             raise UsageError(f"--values: {val!r}: {e}") from None
         table = per_domain_accuracy(preds, test.class_labels, test.domain_labels)

@@ -7,7 +7,7 @@ rows in sorted index order so repeated runs produce bit-identical output.
 """
 
 from dataclasses import dataclass, fields
-from typing import ClassVar, Optional, Sequence, Union
+from typing import ClassVar, Optional, Sequence
 
 import numpy as np
 
@@ -23,7 +23,6 @@ __all__ = [
     "TextBank",
     "Prediction",
     "Predictions",
-    "Temperature",
     "l2_normalize",
     "l2_normalize_rows",
     "cosine_sim",
@@ -47,23 +46,11 @@ def row_blocks(n: int):
     return (slice(start, min(start + step, n)) for start in range(0, n, step))
 
 
-@dataclass(frozen=True)
-class Temperature:
-    """Softmax temperature; must be a strictly positive finite scalar."""
-
-    value: float
-
-    def __post_init__(self):
-        v = float(self.value)
-        if not np.isfinite(v) or v <= 0.0:
-            raise ValueError(f"temperature must be finite and > 0, got {self.value!r}")
-        object.__setattr__(self, "value", v)
-
-
-def _as_tau(tau: Union[float, Temperature]) -> float:
-    if isinstance(tau, Temperature):
-        return tau.value
-    return Temperature(float(tau)).value
+def _check_tau(tau: float) -> float:
+    """tau as a float; raises ValueError unless it is finite and > 0."""
+    if not np.isfinite(tau) or tau <= 0.0:
+        raise ValueError(f"tau must be finite and > 0, got {tau}")
+    return float(tau)
 
 
 @dataclass
@@ -111,7 +98,8 @@ class EmbeddingMatrix:
 
 @dataclass
 class TextBank:
-    """One text embedding per class, aligned with a list of class names."""
+    """One text embedding per class, aligned with a list of class names;
+    a calibrated bank (calibrate_bank) is one too, its rows of any norm."""
 
     names: Sequence[str]
     data: np.ndarray
@@ -131,6 +119,13 @@ class TextBank:
             raise ValueError("a text bank needs at least two classes")
         if len(set(self.names)) != len(self.names):
             raise ValueError("class names must be unique")
+
+    @classmethod
+    def _unchecked(cls, names: Sequence[str], data: np.ndarray) -> "TextBank":
+        """A bank of rows derived from a checked bank, left unchecked."""
+        bank = cls.__new__(cls)
+        bank.names, bank.data = names, data
+        return bank
 
     @property
     def k(self) -> int:
@@ -310,14 +305,14 @@ def mean_rows(m: np.ndarray, selector: Optional[np.ndarray] = None) -> np.ndarra
     return np.sum(rows, axis=0) / idx.size
 
 
-def softmax_temp(logits: np.ndarray, tau: Union[float, Temperature]) -> np.ndarray:
+def softmax_temp(logits: np.ndarray, tau: float) -> np.ndarray:
     """Temperature-scaled softmax with max subtraction for stability.
 
     exp((x - max(x)) / tau) normalized to sum to one.  Subtracting the max
     keeps the largest exponent at zero, so even tau as sharp as 0.01 with
     logits near 1 stays inside float range.
     """
-    tau = _as_tau(tau)
+    tau = _check_tau(tau)
     logits = np.asarray(logits, dtype=np.float64)
     shifted = (logits - np.max(logits, axis=-1, keepdims=True)) / tau
     e = np.exp(shifted)

@@ -6,11 +6,10 @@ to CSV), one record per row, so output can be piped into anything.
 """
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .calib import CalibratedTextBank
 from .core import EmbeddingMatrix, TextBank, cosine_sim, mean_rows, softmax_temp
 from .errors import EmptyDomain, MissingLabels
 
@@ -128,7 +127,7 @@ class ProbeResult:
 
 
 def domain_bias_probe(
-    bank: Union[TextBank, CalibratedTextBank],
+    bank: TextBank,
     domain_anchors: np.ndarray,
     tau: float = 1.0,
 ) -> ProbeResult:

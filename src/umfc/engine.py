@@ -21,13 +21,7 @@ from typing import Optional, Tuple, Union
 import numpy as np
 
 from . import core
-from .calib import (
-    CalibratedTextBank,
-    CalibrationState,
-    calibrate_bank,
-    classify_batch,
-    normalize_shift_rows,
-)
+from .calib import CalibrationState, calibrate_bank, classify_batch
 from .clustering import (
     Assignment,
     ClusterModel,
@@ -40,6 +34,7 @@ from .core import (
     EmbeddingMatrix,
     Predictions,
     TextBank,
+    _check_tau,
     l2_normalize_rows,
     mean_rows,
     row_blocks,
@@ -79,13 +74,11 @@ class EngineConfig:
     max_iters: int = 100
     tol: float = 1e-4
     normalize_input: bool = True
-    normalize_shifts: bool = False
 
     def __post_init__(self):
         if self.clusters < 1:
             raise ValueError(f"clusters must be >= 1, got {self.clusters}")
-        if not np.isfinite(self.tau) or self.tau <= 0:
-            raise ValueError(f"tau must be finite and > 0, got {self.tau}")
+        _check_tau(self.tau)
         if not (0.0 < self.eta <= 1.0):
             raise ValueError(f"eta must be in (0, 1], got {self.eta}")
         if self.mode not in MODES:
@@ -185,25 +178,19 @@ def _predict_rows(
     return Predictions(probs=probs, labels=labels, clusters=clusters, flags=flags, top=top)
 
 
-def _bank_shifts(state_shifts: np.ndarray, cfg: EngineConfig) -> np.ndarray:
-    if cfg.normalize_shifts:
-        return normalize_shift_rows(state_shifts)
-    return state_shifts
-
-
 def _fit(
     x: np.ndarray, bank: TextBank, cfg: EngineConfig
-) -> Tuple[CalibrationState, ClusterModel, CalibratedTextBank, Assignment]:
+) -> Tuple[CalibrationState, ClusterModel, TextBank, Assignment]:
     model, asg = kmeans_fit(x, cfg.clusters, cfg.seed, cfg.max_iters, cfg.tol)
     mu_avg = mean_rows(x)
     state = CalibrationState.from_means(model.centroids, mu_avg)
-    cal_bank = calibrate_bank(bank, _bank_shifts(state.text_shifts, cfg))
+    cal_bank = calibrate_bank(bank, state.text_shifts)
     return state, model, cal_bank, asg
 
 
 def fit_unsupervised(
     train: Union[EmbeddingMatrix, np.ndarray], bank: TextBank, cfg: EngineConfig
-) -> Tuple[CalibrationState, ClusterModel, CalibratedTextBank]:
+) -> Tuple[CalibrationState, ClusterModel, TextBank]:
     """Estimate calibration statistics from an unlabeled training matrix.
 
     The global mean is taken over every training row (not over the
@@ -243,7 +230,7 @@ def predict(
         raise DimensionMismatch(f"rows of dim {x.shape[1]} against a state of dim {model.dim}")
     if cfg.normalize_input:
         x = l2_normalize_rows(x)
-    cal_bank = calibrate_bank(bank, _bank_shifts(calib.text_shifts, cfg))
+    cal_bank = calibrate_bank(bank, calib.text_shifts)
     labels = assign_batch(model, x).labels
     return _predict_rows(x, labels, calib.cluster_means, cal_bank.data, cfg.tau, keep_probs)
 
@@ -347,7 +334,7 @@ def _advance(
     shifts[present] = prototypes[present] - mu_avg
 
     calib = CalibrationState(cluster_means=prototypes, global_mean=mu_avg, text_shifts=shifts)
-    cal_bank = calibrate_bank(bank, _bank_shifts(shifts, cfg))
+    cal_bank = calibrate_bank(bank, shifts)
     preds = _predict_rows(x, labels, prototypes, cal_bank.data, cfg.tau)
 
     counts_total = state.model.counts + batch_counts

@@ -329,10 +329,11 @@ def restore_state(path) -> Tuple[StreamState, EngineConfig]:
 
     try:
         config = dict(manifest["config"])
-        # snapshots from before the additive EMA variant was removed
-        # carry its switch; only the default (off) still means something
-        if config.pop("ema_additive", False):
-            raise FormatError(f"{path}: snapshot uses the removed additive EMA update")
+        # snapshots from before a switch was removed carry it; only the
+        # default (off) still means something
+        for key in ("ema_additive", "normalize_shifts"):
+            if config.pop(key, False):
+                raise FormatError(f"{path}: snapshot turns on the removed switch {key}")
         cfg = EngineConfig(**config)
     except (KeyError, TypeError, ValueError) as e:
         raise FormatError(f"{path}: bad config in snapshot: {e}") from None

@@ -17,7 +17,7 @@ from umfc.engine import _predict_rows
 
 def calibrate_row(t: np.ndarray, shifts: np.ndarray) -> np.ndarray:
     """Text calibration of the single vector t: calibrate_bank of a one-row bank."""
-    one = umfc.CalibratedTextBank(names=["t"], data=np.asarray(t, dtype=np.float64)[None, :])
+    one = umfc.TextBank._unchecked(["t"], np.asarray(t, dtype=np.float64)[None, :])
     return umfc.calibrate_bank(one, shifts).data[0]
 
 

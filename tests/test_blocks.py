@@ -238,7 +238,10 @@ def peak_files(tmp_path_factory):
     ["transduce", "--report", "{d}/report.tsv", "--clusters", "4"],
     ["predict", "--state", "{d}/s.state"],
     ["sweep", "--param", "clusters", "--values", "4"],
-], ids=["transduce", "predict", "sweep"])
+    ["sweep", "--param", "batch-size", "--values", "100"],
+    ["sweep", "--param", "eta", "--values", "0.5"],
+    ["diagnose", "--which", "hist"],
+], ids=["transduce", "predict", "sweep", "sweep-batch-size", "sweep-eta", "hist"])
 def test_cli_top1_traced_peak_within_input_plus_probs(peak_files, command):
     d, files = peak_files
     n, dim, k = 20_000, 64, 50

@@ -92,7 +92,7 @@ def test_calibrate_bank_matches_per_row():
     bank = umfc.TextBank(names=["a", "b", "c"], data=rng.standard_normal((3, 5)))
     shifts = rng.standard_normal((4, 5))
     cal = umfc.calibrate_bank(bank, shifts)
-    assert isinstance(cal, umfc.CalibratedTextBank)
+    assert isinstance(cal, umfc.TextBank)
     assert cal.names == bank.names
     for j in range(3):
         assert np.array_equal(cal.data[j], calibrate_row(bank.data[j], shifts))
@@ -256,14 +256,6 @@ def test_calibrated_bank_rows_not_renormalized():
     bank = umfc.TextBank(names=["a", "b"], data=np.stack([E1, E2 * 2.0]))
     cal = umfc.calibrate_bank(bank, shifts)
     assert np.linalg.norm(cal.data[0]) < 0.95
-
-
-def test_normalize_shift_rows():
-    shifts = np.array([[3.0, 4.0], [0.0, 0.0], [0.0, 2.0]])
-    out = umfc.normalize_shift_rows(shifts)
-    assert np.allclose(out[0], [0.6, 0.8], rtol=0, atol=1e-15)
-    assert np.array_equal(out[1], [0.0, 0.0])
-    assert np.array_equal(out[2], [0.0, 1.0])
 
 
 def test_classify_hand_value():

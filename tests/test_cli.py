@@ -1,6 +1,8 @@
 """End-to-end command line checks, run in-process via cli.main."""
 
 import ast
+import json
+import struct
 from pathlib import Path
 
 import numpy as np
@@ -177,6 +179,25 @@ def test_predict_rejects_zero_tau(small, small_state, tmp_path):
     assert run("predict", "--state", small_state, "--test", f"{small}_images.bin",
                "--bank", f"{small}_bank.bin", "--names", f"{small}_names.txt",
                "--out", str(tmp_path / "p.tsv"), "--tau", "0") == 1
+
+
+def test_predict_from_snapshot_with_normalize_shifts_off(small, small_state, tmp_path):
+    # snapshots written before the normalize_shifts switch was removed
+    # carry it, off by default; they restore and predict as they did
+    raw = Path(small_state).read_bytes()
+    (head_len,) = struct.unpack_from("<I", raw, 20)
+    manifest = json.loads(raw[24 : 24 + head_len])
+    assert "normalize_shifts" not in manifest["config"]
+    manifest["config"]["normalize_shifts"] = False
+    head = json.dumps(manifest, sort_keys=True).encode()
+    payload = struct.pack("<I", len(head)) + head + raw[24 + head_len :]
+    old = tmp_path / "old.state"
+    old.write_bytes(raw[:8] + struct.pack("<I", len(payload)) + raw[12:20] + payload)
+    files = ["--test", f"{small}_images.bin", "--bank", f"{small}_bank.bin",
+             "--names", f"{small}_names.txt"]
+    assert run("predict", "--state", small_state, *files, "--out", str(tmp_path / "new.tsv")) == 0
+    assert run("predict", "--state", str(old), *files, "--out", str(tmp_path / "old.tsv")) == 0
+    assert (tmp_path / "old.tsv").read_bytes() == (tmp_path / "new.tsv").read_bytes()
 
 
 def test_predict_rejects_embedding_file_as_state(small, tmp_path):
@@ -423,6 +444,26 @@ def test_diagnose_hist_counts_sum(small, small_state, tmp_path):
     assert sum(int(l.split("\t")[1]) for l in lines[1:]) == 120
 
 
+@pytest.mark.parametrize("which", ["hist", "probe"])
+def test_diagnose_rejects_zero_tau(small, tmp_path, which, capsys):
+    assert run("diagnose", "--which", which, "--test", f"{small}_images.bin",
+               "--bank", f"{small}_bank.bin", "--names", f"{small}_names.txt",
+               "--domain-bank", f"{small}_domains.bin", "--out", str(tmp_path / "x"),
+               "--tau", "0") == 1
+    assert "tau must be finite and > 0" in capsys.readouterr().err
+
+
+def test_diagnose_hist_empty_file_counts_zero(small, tmp_path):
+    empty = tmp_path / "empty.bin"
+    umfc.write_embeddings(umfc.EmbeddingMatrix(data=np.empty((0, 16))), empty)
+    out = tmp_path / "h.tsv"
+    assert run("diagnose", "--which", "hist", "--test", str(empty), "--bank", f"{small}_bank.bin",
+               "--names", f"{small}_names.txt", "--out", str(out)) == 0
+    lines = out.read_text().splitlines()
+    assert lines[0] == "class\tcount" and len(lines) == 5
+    assert all(line.split("\t")[1] == "0" for line in lines[1:])
+
+
 def test_diagnose_missing_required_flag(small, tmp_path):
     assert run("diagnose", "--which", "probe", "--bank", f"{small}_bank.bin",
                "--names", f"{small}_names.txt", "--out", str(tmp_path / "x.csv")) == 1
@@ -500,6 +541,13 @@ def test_bool_flag_values(small, tmp_path):
             "--names", f"{small}_names.txt", "--out", str(tmp_path / "p.tsv"), "--clusters", "2"]
     assert run(*base, "--normalize-input", "off") == 0
     assert run(*base, "--normalize-input", "maybe") == 1
+
+
+def test_removed_normalize_shifts_flag_is_usage_error(small, tmp_path):
+    assert run("transduce", "--test", f"{small}_images.bin", "--bank", f"{small}_bank.bin",
+               "--names", f"{small}_names.txt", "--out", str(tmp_path / "p.tsv"),
+               "--normalize-shifts", "1") == 1
+    assert not (tmp_path / "p.tsv").exists()
 
 
 @pytest.mark.parametrize("normalize", ["1", "0"])

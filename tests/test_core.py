@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import umfc
-from umfc.core import _as_tau
+from umfc.core import _check_tau
 
 from properties import check_normalize_idempotent, check_softmax_argmax_tau_invariant
 
@@ -102,14 +102,15 @@ def test_softmax_batched_rows():
 
 
 def test_temperature_validation():
-    assert umfc.Temperature(0.01).value == 0.01
+    assert _check_tau(0.01) == 0.01
+    assert _check_tau(2) == 2.0 and isinstance(_check_tau(2), float)
     for bad in (0.0, -1.0, float("nan"), float("inf")):
         with pytest.raises(ValueError):
-            umfc.Temperature(bad)
-    assert _as_tau(umfc.Temperature(2.0)) == 2.0
-    assert _as_tau(0.5) == 0.5
-    with pytest.raises(ValueError):
-        _as_tau(0.0)
+            _check_tau(bad)
+        with pytest.raises(ValueError):
+            umfc.softmax_temp(np.array([1.0, 0.0]), bad)
+        with pytest.raises(ValueError):
+            umfc.classify_batch(np.eye(2), np.eye(2), bad)
 
 
 def test_embedding_matrix_validation():

@@ -7,7 +7,6 @@ import pytest
 
 import umfc
 from umfc.clustering import batch_cluster_means
-from umfc.engine import _bank_shifts
 
 from properties import check_relabel_invariance, check_snapshot_roundtrip
 
@@ -323,20 +322,6 @@ def test_normalize_input_off_is_respected():
     on = umfc.transduce(ds.images, ds.text_bank, cfg2())[0]
     off = umfc.transduce(ds.images, ds.text_bank, cfg2(normalize_input=False))[0]
     assert any(not np.array_equal(a.probs, b.probs) for a, b in zip(on, off))
-
-
-def test_normalize_shifts_option():
-    ds = small_benchmark()
-    cfg = cfg2(normalize_shifts=True)
-    preds, state = umfc.transduce(ds.images, ds.text_bank, cfg)
-    shifts = _bank_shifts(state.text_shifts, cfg)
-    norms = np.linalg.norm(shifts, axis=1)
-    assert np.allclose(norms[norms > 0], 1.0, rtol=0, atol=1e-12)
-    # stored state keeps the raw shifts; normalization happens at use time
-    assert not np.allclose(np.linalg.norm(state.text_shifts, axis=1), 1.0, atol=1e-6)
-    ref = umfc.calibrate_bank(ds.text_bank, shifts)
-    raw = umfc.calibrate_bank(ds.text_bank, state.text_shifts)
-    assert not np.array_equal(ref.data, raw.data)
 
 
 def test_run_stream_partial_final_batch():

@@ -311,11 +311,13 @@ def _minimal_manifest(**config_overrides):
     return {"config": config, "samples_seen": 0, "batches_seen": 0, "arrays": []}
 
 
-def test_snapshot_with_additive_ema_is_refused(tmp_path):
-    # the additive EMA update was removed; a snapshot that used it cannot resume
+@pytest.mark.parametrize("switch", ["ema_additive", "normalize_shifts"])
+def test_snapshot_with_additive_ema_is_refused(tmp_path, switch):
+    # a snapshot that turned on a removed switch cannot resume; one that
+    # left it off (as _minimal_manifest does) restores
     p = tmp_path / "s.state"
-    p.write_bytes(_snapshot_bytes(_minimal_manifest(ema_additive=True), b""))
-    with pytest.raises(umfc.FormatError):
+    p.write_bytes(_snapshot_bytes(_minimal_manifest(**{switch: True}), b""))
+    with pytest.raises(umfc.FormatError, match=switch):
         umfc.restore_state(p)
 
 
