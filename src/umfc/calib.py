@@ -37,44 +37,36 @@ __all__ = [
 
 @dataclass(frozen=True)
 class CalibrationState:
-    """Everything needed to calibrate new features and the text bank.
+    """The text side of a fitted state: the global mean and one shift
+    row per cluster (the cluster means are the state's model.centroids).
 
-    For states produced by a one-shot fit, text_shifts is exactly
-    cluster_means - global_mean row for row.  Streaming states refresh a
-    shift row only on batches where that cluster appears, so rows there
-    reflect the global mean as of the cluster's last appearance.
+    For states produced by a one-shot fit, text_shifts is exactly the
+    cluster means - global_mean row for row (from_means).  Streaming
+    states refresh a shift row only on batches where that cluster
+    appears, so rows there reflect the global mean as of the cluster's
+    last appearance.
     """
 
-    cluster_means: np.ndarray
     global_mean: np.ndarray
     text_shifts: np.ndarray
 
     def __post_init__(self):
-        cm = np.asarray(self.cluster_means, dtype=np.float64)
         gm = np.asarray(self.global_mean, dtype=np.float64)
         ts = np.asarray(self.text_shifts, dtype=np.float64)
-        if cm.ndim != 2:
-            raise ValueError(f"cluster_means must be 2-d, got shape {cm.shape}")
-        if gm.shape != (cm.shape[1],):
-            raise ValueError(f"global_mean shape {gm.shape} does not match dim {cm.shape[1]}")
-        if ts.shape != cm.shape:
-            raise ValueError(f"text_shifts shape {ts.shape} does not match {cm.shape}")
-        for name, a in (("cluster_means", cm), ("global_mean", gm), ("text_shifts", ts)):
+        if ts.ndim != 2:
+            raise ValueError(f"text_shifts must be 2-d, got shape {ts.shape}")
+        if gm.shape != (ts.shape[1],):
+            raise ValueError(f"global_mean shape {gm.shape} does not match dim {ts.shape[1]}")
+        for name, a in (("global_mean", gm), ("text_shifts", ts)):
             if not np.isfinite(a).all():
                 raise NonFiniteInput(f"{name} contains NaN or infinity")
-        object.__setattr__(self, "cluster_means", cm)
         object.__setattr__(self, "global_mean", gm)
         object.__setattr__(self, "text_shifts", ts)
 
     @classmethod
     def from_means(cls, cluster_means: np.ndarray, global_mean: np.ndarray) -> "CalibrationState":
-        cm = np.asarray(cluster_means, dtype=np.float64)
         gm = np.asarray(global_mean, dtype=np.float64)
-        return cls(cluster_means=cm, global_mean=gm, text_shifts=cm - gm)
-
-    @property
-    def m(self) -> int:
-        return self.cluster_means.shape[0]
+        return cls(global_mean=gm, text_shifts=np.asarray(cluster_means, dtype=np.float64) - gm)
 
 
 def _lex_order(a: np.ndarray) -> np.ndarray:

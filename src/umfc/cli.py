@@ -123,8 +123,6 @@ def _engine_flags(parser, clusters=6, tau=0.01, eta=0.1, mode="memory", batch_si
     f.add("--mode", str, mode, "streaming statistics: memory or ema")
     f.add("--batch-size", int, batch_size, "streaming batch size")
     f.add("--seed", int, seed, "PRNG seed for clustering")
-    f.add("--max-iters", int, 100, "clustering iteration cap")
-    f.add("--tol", float, 1e-4, "clustering movement tolerance")
     f.add("--normalize-input", bool, True, "L2-normalize feature rows at ingestion")
     return f
 
@@ -178,7 +176,7 @@ def _predict_loaded(
     if test.n and test.dim != state.model.dim:
         raise DimensionMismatch(f"rows of dim {test.dim} against a state of dim {state.model.dim}")
     cfg = _normalize_loaded(test, cfg)
-    return predict(state.calib, state.model, test, bank, cfg, keep_probs=False)
+    return predict(state, test, bank, cfg, keep_probs=False)
 
 
 def _stream_top1(test: EmbeddingMatrix, bank: TextBank, cfg: EngineConfig, on_batch=None):
@@ -234,18 +232,12 @@ def cmd_fit(argv) -> int:
     train = _load_matrix(args.train)
     bank = uio.read_text_bank(args.bank, args.names)
     # the snapshot keeps cfg as given, so predict --state normalizes its rows
-    state, model, _ = fit_unsupervised(train, bank, _normalize_loaded(train, cfg))
-    snap = StreamState(
-        model=model,
-        calib=state,
-        samples_seen=train.n,
-        batches_seen=1,
-    )
-    uio.snapshot_state(snap, cfg, args.out_state)
+    state = fit_unsupervised(train, bank, _normalize_loaded(train, cfg))
+    uio.snapshot_state(state, cfg, args.out_state)
     _note(f"fit: {train.n} samples -> {cfg.clusters} clusters")
-    shift_norms = np.linalg.norm(state.text_shifts, axis=1)
+    shift_norms = np.linalg.norm(state.calib.text_shifts, axis=1)
     for m in range(cfg.clusters):
-        _note(f"  cluster {m}: size {int(model.counts[m])}, shift norm {shift_norms[m]:.6f}")
+        _note(f"  cluster {m}: size {int(state.model.counts[m])}, shift norm {shift_norms[m]:.6f}")
     _note(f"state written to {args.out_state}")
     return EXIT_OK
 

@@ -12,7 +12,9 @@ Three ways to use the same math:
   moving average ("ema" mode), recalibrating the text bank after every
   batch.
 
-Every regime returns its rows as one columnar Predictions.
+Every regime returns its rows as one columnar Predictions and its
+fitted state as one StreamState, which predict applies and
+snapshot_state writes.
 """
 
 from dataclasses import dataclass, replace
@@ -71,8 +73,6 @@ class EngineConfig:
     mode: str = "memory"
     batch_size: int = 100
     seed: int = 0
-    max_iters: int = 100
-    tol: float = 1e-4
     normalize_input: bool = True
 
     def __post_init__(self):
@@ -85,28 +85,26 @@ class EngineConfig:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
         if self.batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
-        if self.max_iters < 1:
-            raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
-        if self.tol < 0:
-            raise ValueError(f"tol must be >= 0, got {self.tol}")
 
 
 @dataclass(frozen=True)
 class StreamState:
-    """Immutable snapshot of a stream between batches.
+    """The fitted state of every regime: a stream between batches, or
+    what fit_unsupervised and transduce estimate (one batch, no
+    accumulators).
 
-    Before enough samples have arrived to place the cluster means, model
-    and calib are None and bootstrap_buffer holds what has been seen.
-    In memory mode running_sums / running_counts / global_sum are the
-    exact accumulators behind the prototypes; ema mode allocates none of
-    them.  Invariant (memory mode): every prototype row m with
-    running_counts[m] > 0 equals running_sums[m] / running_counts[m].
+    model holds the cluster means and counts, calib the global mean and
+    text shifts; before enough samples have arrived to place the cluster
+    means, both are None and bootstrap_buffer holds what has been seen.
+    In memory mode running_sums / global_sum are the exact accumulators
+    behind the prototypes; ema mode allocates none of them.  Invariant
+    (memory mode): every prototype row m with model.counts[m] > 0
+    equals running_sums[m] / model.counts[m].
     """
 
     model: Optional[ClusterModel] = None
     calib: Optional[CalibrationState] = None
     running_sums: Optional[np.ndarray] = None
-    running_counts: Optional[np.ndarray] = None
     global_sum: Optional[np.ndarray] = None
     samples_seen: int = 0
     batches_seen: int = 0
@@ -178,34 +176,32 @@ def _predict_rows(
     return Predictions(probs=probs, labels=labels, clusters=clusters, flags=flags, top=top)
 
 
-def _fit(
-    x: np.ndarray, bank: TextBank, cfg: EngineConfig
-) -> Tuple[CalibrationState, ClusterModel, TextBank, Assignment]:
-    model, asg = kmeans_fit(x, cfg.clusters, cfg.seed, cfg.max_iters, cfg.tol)
-    mu_avg = mean_rows(x)
-    state = CalibrationState.from_means(model.centroids, mu_avg)
-    cal_bank = calibrate_bank(bank, state.text_shifts)
-    return state, model, cal_bank, asg
+def _fit(x: np.ndarray, cfg: EngineConfig) -> Tuple[StreamState, Assignment]:
+    model, asg = kmeans_fit(x, cfg.clusters, cfg.seed)
+    calib = CalibrationState.from_means(model.centroids, mean_rows(x))
+    return StreamState(model=model, calib=calib, samples_seen=x.shape[0], batches_seen=1), asg
 
 
 def fit_unsupervised(
     train: Union[EmbeddingMatrix, np.ndarray], bank: TextBank, cfg: EngineConfig
-) -> Tuple[CalibrationState, ClusterModel, TextBank]:
-    """Estimate calibration statistics from an unlabeled training matrix.
+) -> StreamState:
+    """Estimate the fitted state from an unlabeled training matrix.
 
     The global mean is taken over every training row (not over the
     cluster means), so unequal cluster sizes weigh in proportionally.
+    The bank is only checked against the rows' dimension; predict
+    calibrates it.
     """
     x = _as_rows(train)
+    if x.shape[1] != bank.dim:
+        raise DimensionMismatch(f"rows of dim {x.shape[1]} against a bank of dim {bank.dim}")
     if cfg.normalize_input:
         x = l2_normalize_rows(x)
-    state, model, cal_bank, _ = _fit(x, bank, cfg)
-    return state, model, cal_bank
+    return _fit(x, cfg)[0]
 
 
 def predict(
-    calib: CalibrationState,
-    model: ClusterModel,
+    state: StreamState,
     x: Union[EmbeddingMatrix, np.ndarray],
     bank: TextBank,
     cfg: EngineConfig,
@@ -215,14 +211,18 @@ def predict(
     """Calibrate and classify rows against a fitted state.
 
     bank is the raw text bank; it is calibrated here from
-    calib.text_shifts.  Each row is assigned to its nearest cluster mean
-    and re-expressed as the unit direction from it; a row that sits on
-    its mean falls back to plain normalization and is flagged
-    DEGENERATE.  Zero rows give an empty Predictions; rows whose
+    state.calib.text_shifts.  A state with no model yet (a stream still
+    bootstrapping) raises FormatError.  Each row is assigned to its
+    nearest cluster mean and re-expressed as the unit direction from it;
+    a row that sits on its mean falls back to plain normalization and is
+    flagged DEGENERATE.  Zero rows give an empty Predictions; rows whose
     dimension differs from the state raise DimensionMismatch.  With
     keep_probs=False the result holds no N x K matrix: probs is None and
     labels, top, clusters and flags have the bits of the default call.
     """
+    model = state.model
+    if model is None or state.calib is None:
+        raise FormatError("the state has no fitted model to predict with yet")
     x = _as_rows(x)
     if not x.shape[0]:
         return Predictions.empty(bank.k)
@@ -230,9 +230,9 @@ def predict(
         raise DimensionMismatch(f"rows of dim {x.shape[1]} against a state of dim {model.dim}")
     if cfg.normalize_input:
         x = l2_normalize_rows(x)
-    cal_bank = calibrate_bank(bank, calib.text_shifts)
+    cal_bank = calibrate_bank(bank, state.calib.text_shifts)
     labels = assign_batch(model, x).labels
-    return _predict_rows(x, labels, calib.cluster_means, cal_bank.data, cfg.tau, keep_probs)
+    return _predict_rows(x, labels, model.centroids, cal_bank.data, cfg.tau, keep_probs)
 
 
 def transduce(
@@ -241,8 +241,10 @@ def transduce(
     cfg: EngineConfig,
     *,
     keep_probs: bool = True,
-) -> Tuple[Predictions, CalibrationState]:
-    """Fit on the evaluation matrix itself, then predict every row of it.
+) -> Tuple[Predictions, StreamState]:
+    """Fit on the evaluation matrix itself, then predict every row of it;
+    return the predictions and the fitted state, which predict can apply
+    to further rows.
 
     With keep_probs=False the predictions hold no N x K matrix: probs is
     None and labels, top, clusters and flags have the bits of the
@@ -251,8 +253,9 @@ def transduce(
     x = _as_rows(test)
     if cfg.normalize_input:
         x = l2_normalize_rows(x)
-    state, model, cal_bank, asg = _fit(x, bank, cfg)
-    preds = _predict_rows(x, asg.labels, state.cluster_means, cal_bank.data, cfg.tau, keep_probs)
+    state, asg = _fit(x, cfg)
+    cal_bank = calibrate_bank(bank, state.calib.text_shifts)
+    preds = _predict_rows(x, asg.labels, state.model.centroids, cal_bank.data, cfg.tau, keep_probs)
     return preds, state
 
 
@@ -270,29 +273,15 @@ def _seeded_state(seeds: np.ndarray, cfg: EngineConfig, batches_seen: int) -> St
     appeared once.
     """
     m = cfg.clusters
-    centroids = seeds.copy()
-    counts = np.ones(m, dtype=np.int64)
-    model = ClusterModel(centroids=centroids, counts=counts)
-    if cfg.mode == "memory":
-        running_sums = seeds.copy()
-        running_counts = counts.copy()
-        global_sum = np.sum(seeds, axis=0)
-        mu_avg = global_sum / m
-    else:
-        running_sums = None
-        running_counts = None
-        global_sum = None
-        mu_avg = np.sum(centroids, axis=0) / m
-    calib = CalibrationState.from_means(centroids, mu_avg)
+    total = np.sum(seeds, axis=0)
+    memory = cfg.mode == "memory"
     return StreamState(
-        model=model,
-        calib=calib,
-        running_sums=running_sums,
-        running_counts=running_counts,
-        global_sum=global_sum,
+        model=ClusterModel(centroids=seeds, counts=np.ones(m, dtype=np.int64)),
+        calib=CalibrationState.from_means(seeds, total / m),
+        running_sums=seeds.copy() if memory else None,
+        global_sum=total if memory else None,
         samples_seen=m,
         batches_seen=batches_seen,
-        bootstrap_buffer=None,
     )
 
 
@@ -304,25 +293,21 @@ def _advance(
     labels = assign_batch(state.model, x).labels
     batch_sums, batch_counts = _cluster_sums(x, labels, m)
     present = batch_counts > 0
+    counts = state.model.counts + batch_counts
+    prototypes = state.model.centroids.copy()
+    samples_seen = state.samples_seen + x.shape[0]
 
     if cfg.mode == "memory":
         running_sums = state.running_sums + batch_sums
-        running_counts = state.running_counts + batch_counts
-        prototypes = state.model.centroids.copy()
-        nonzero = running_counts > 0
-        prototypes[nonzero] = running_sums[nonzero] / running_counts[nonzero, None]
+        nonzero = counts > 0
+        prototypes[nonzero] = running_sums[nonzero] / counts[nonzero, None]
         global_sum = state.global_sum + np.sum(x, axis=0)
-        samples_seen = state.samples_seen + x.shape[0]
         mu_avg = global_sum / samples_seen
     else:
-        running_sums = None
-        running_counts = None
-        global_sum = None
-        prototypes = state.model.centroids.copy()
+        running_sums = global_sum = None
         # the division batch_cluster_means makes, so the two agree bit for bit
         batch_means = batch_sums[present] / batch_counts[present, None]
         prototypes[present] = (1.0 - cfg.eta) * prototypes[present] + cfg.eta * batch_means
-        samples_seen = state.samples_seen + x.shape[0]
         mu_avg = np.sum(prototypes, axis=0) / m
 
     # shift rows refresh only for clusters that appeared in this batch;
@@ -333,18 +318,13 @@ def _advance(
         shifts = np.zeros_like(prototypes)
     shifts[present] = prototypes[present] - mu_avg
 
-    calib = CalibrationState(cluster_means=prototypes, global_mean=mu_avg, text_shifts=shifts)
     cal_bank = calibrate_bank(bank, shifts)
     preds = _predict_rows(x, labels, prototypes, cal_bank.data, cfg.tau)
-
-    counts_total = state.model.counts + batch_counts
-    model = ClusterModel(centroids=prototypes, counts=counts_total)
     new_state = replace(
         state,
-        model=model,
-        calib=calib,
+        model=ClusterModel(centroids=prototypes, counts=counts),
+        calib=CalibrationState(global_mean=mu_avg, text_shifts=shifts),
         running_sums=running_sums,
-        running_counts=running_counts,
         global_sum=global_sum,
         samples_seen=samples_seen,
         batches_seen=state.batches_seen + 1,
@@ -378,7 +358,7 @@ def stream_step(
 
     if state.model is not None:
         if cfg.mode == "memory":
-            accumulators = ("running_sums", "running_counts", "global_sum")
+            accumulators = ("running_sums", "global_sum")
             missing = [name for name in accumulators if getattr(state, name) is None]
             if missing:
                 raise FormatError(
@@ -389,19 +369,11 @@ def stream_step(
 
     # bootstrap path
     if state.bootstrap_buffer is None and x.shape[0] >= cfg.clusters:
-        model, _ = kmeans_fit(x, cfg.clusters, cfg.seed, cfg.max_iters, cfg.tol)
+        model, _ = kmeans_fit(x, cfg.clusters, cfg.seed)
+        base = replace(state, model=ClusterModel(model.centroids, np.zeros(cfg.clusters, dtype=np.int64)))
         if cfg.mode == "memory":
             d = x.shape[1]
-            base = replace(
-                state,
-                model=model,
-                running_sums=np.zeros((cfg.clusters, d)),
-                running_counts=np.zeros(cfg.clusters, dtype=np.int64),
-                global_sum=np.zeros(d),
-            )
-        else:
-            base = replace(state, model=model)
-        base = replace(base, model=ClusterModel(model.centroids, np.zeros(cfg.clusters, dtype=np.int64)))
+            base = replace(base, running_sums=np.zeros((cfg.clusters, d)), global_sum=np.zeros(d))
         return _advance(base, x, bank, cfg)
 
     buffered = state.bootstrap_buffer

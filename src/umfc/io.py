@@ -18,6 +18,7 @@ from .errors rather than crashing.
 """
 
 import json
+import math
 import os
 import struct
 import tempfile
@@ -248,6 +249,8 @@ def write_text_bank(bank: TextBank, path, names_path) -> None:
 
 def read_text_bank(path, names_path) -> TextBank:
     mat = read_embeddings(path)
+    if mat.n < 2:
+        raise FormatError(f"{path}: a text bank needs at least two classes, this one has {mat.n}")
     names = read_names(names_path, expected=mat.n)
     return TextBank(names=names, data=mat.data)
 
@@ -267,9 +270,7 @@ def _manifest_arrays(state: StreamState):
         ("centroids", None if model is None else model.centroids, _F8),
         ("counts", None if model is None else model.counts, _I8),
         ("running_sums", state.running_sums, _F8),
-        ("running_counts", state.running_counts, _I8),
         ("global_sum", state.global_sum, _F8),
-        ("calib_cluster_means", None if calib is None else calib.cluster_means, _F8),
         ("calib_global_mean", None if calib is None else calib.global_mean, _F8),
         ("calib_text_shifts", None if calib is None else calib.text_shifts, _F8),
         ("bootstrap_buffer", state.bootstrap_buffer, _F8),
@@ -277,15 +278,24 @@ def _manifest_arrays(state: StreamState):
 
 
 # snapshot arrays with one row per cluster of the config
-_PER_CLUSTER = ("centroids", "counts", "running_sums", "running_counts", "calib_cluster_means")
+_PER_CLUSTER = ("centroids", "counts", "running_sums", "calib_text_shifts")
 
-# snapshot arrays whose last axis is the feature dimension, with their ndim
-_PER_DIM = {"centroids": 2, "running_sums": 2, "global_sum": 1, "calib_cluster_means": 2,
-            "calib_global_mean": 1, "calib_text_shifts": 2, "bootstrap_buffer": 2}
+# the ndim of every snapshot array; the last axis of each but counts is
+# the feature dimension
+_NDIM = {"centroids": 2, "counts": 1, "running_sums": 2, "global_sum": 1,
+         "calib_global_mean": 1, "calib_text_shifts": 2, "bootstrap_buffer": 2}
+
+# arrays that older snapshots carry as exact copies: name -> the original
+_TWINS = {"running_counts": "counts", "calib_cluster_means": "centroids"}
+
+
+def _count(value) -> bool:
+    """value is a non-negative JSON integer."""
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 0
 
 
 def snapshot_state(state: StreamState, cfg: EngineConfig, path) -> None:
-    """Persist a stream state plus its config; restoring continues bit-for-bit.
+    """Persist a fitted state plus its config; restoring continues bit-for-bit.
 
     Cluster inertia history is a fit-time diagnostic and is not carried
     across a snapshot.
@@ -329,25 +339,35 @@ def restore_state(path) -> Tuple[StreamState, EngineConfig]:
 
     try:
         config = dict(manifest["config"])
-        # snapshots from before a switch was removed carry it; only the
-        # default (off) still means something
-        for key in ("ema_additive", "normalize_shifts"):
-            if config.pop(key, False):
+        # snapshots from before a knob was removed carry it: the k-means
+        # limits go whatever they say (a restored model is never fitted
+        # again), and of the switches only the default (off) still means
+        # something
+        for key in ("max_iters", "tol", "ema_additive", "normalize_shifts"):
+            if config.pop(key, False) and key not in ("max_iters", "tol"):
                 raise FormatError(f"{path}: snapshot turns on the removed switch {key}")
         cfg = EngineConfig(**config)
     except (KeyError, TypeError, ValueError) as e:
         raise FormatError(f"{path}: bad config in snapshot: {e}") from None
+    entries = manifest.get("arrays", [])
+    seen = {key: manifest.get(key, 0) for key in ("samples_seen", "batches_seen")}
+    if not isinstance(entries, list) or not all(map(_count, seen.values())):
+        raise FormatError(f"{path}: snapshot manifest needs an arrays list and counters >= 0")
 
     offset = 4 + head_len
     arrays = {}
-    for entry in manifest.get("arrays", []):
+    for entry in entries:
+        if not (isinstance(entry, list) and len(entry) == 3 and isinstance(entry[0], str)):
+            raise FormatError(f"{path}: array entry {entry!r} is not a [name, dtype, shape] triple")
         name, dtype, shape = entry
         if dtype is None:
             arrays[name] = None
             continue
         if dtype not in (_F8, _I8):
             raise FormatError(f"{path}: unknown array dtype {dtype!r}")
-        nbytes = int(np.prod(shape, dtype=np.int64)) * 8 if shape else 8
+        if not (isinstance(shape, list) and all(map(_count, shape))):
+            raise FormatError(f"{path}: array {name} has a bad shape {shape!r}")
+        nbytes = math.prod(shape) * 8
         chunk = body[offset : offset + nbytes]
         if len(chunk) != nbytes:
             raise TruncatedPayload(f"{path}: array {name} cut short")
@@ -365,14 +385,18 @@ def restore_state(path) -> Tuple[StreamState, EngineConfig]:
                 f"{path}: array {name} has shape {arr.shape}, "
                 f"but the snapshot config has {cfg.clusters} clusters"
             )
-    shapes = {name: arrays[name].shape for name in _PER_DIM if arrays.get(name) is not None}
-    if any(len(shape) != _PER_DIM[name] for name, shape in shapes.items()) or (
-        len({shape[-1] for shape in shapes.values()}) > 1
+    shapes = {name: arrays[name].shape for name in _NDIM if arrays.get(name) is not None}
+    if any(len(shape) != _NDIM[name] for name, shape in shapes.items()) or (
+        len({shape[-1] for name, shape in shapes.items() if name != "counts"}) > 1
     ):
         raise FormatError(
-            f"{path}: snapshot arrays do not share one feature dimension: "
+            f"{path}: snapshot arrays need their ndim and one feature dimension: "
             + ", ".join(f"{name} {shape}" for name, shape in shapes.items())
         )
+    for name, twin in _TWINS.items():
+        old, new = arrays.get(name), arrays.get(twin)
+        if old is not None and (new is None or not np.array_equal(old, new)):
+            raise FormatError(f"{path}: array {name} differs from {twin}, of which it is a copy")
 
     try:
         model = None
@@ -381,11 +405,9 @@ def restore_state(path) -> Tuple[StreamState, EngineConfig]:
                 raise FormatError(f"{path}: snapshot has centroids but no counts")
             model = ClusterModel(centroids=arrays["centroids"], counts=arrays["counts"])
         calib = None
-        if arrays.get("calib_cluster_means") is not None:
+        if arrays.get("calib_text_shifts") is not None:
             calib = CalibrationState(
-                cluster_means=arrays["calib_cluster_means"],
-                global_mean=arrays["calib_global_mean"],
-                text_shifts=arrays["calib_text_shifts"],
+                global_mean=arrays.get("calib_global_mean"), text_shifts=arrays["calib_text_shifts"]
             )
     except (ValueError, TypeError) as e:
         raise FormatError(f"{path}: inconsistent snapshot arrays: {e}") from None
@@ -393,10 +415,8 @@ def restore_state(path) -> Tuple[StreamState, EngineConfig]:
         model=model,
         calib=calib,
         running_sums=arrays.get("running_sums"),
-        running_counts=arrays.get("running_counts"),
         global_sum=arrays.get("global_sum"),
-        samples_seen=int(manifest.get("samples_seen", 0)),
-        batches_seen=int(manifest.get("batches_seen", 0)),
         bootstrap_buffer=arrays.get("bootstrap_buffer"),
+        **seen,
     )
     return state, cfg

@@ -19,7 +19,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .calib import CalibrationState
-from .clustering import kmeans_fit
+from .clustering import ClusterModel, kmeans_fit
 from .core import (
     DEGENERACY_EPS,
     EmbeddingMatrix,
@@ -29,7 +29,7 @@ from .core import (
     l2_normalize,
     softmax_temp,
 )
-from .engine import EngineConfig
+from .engine import EngineConfig, StreamState
 from .errors import DimensionTooSmall
 
 __all__ = [
@@ -255,20 +255,21 @@ def oracle_zero_shot(dataset: SyntheticDataset, tau: float = 0.01) -> Prediction
 
 def oracle_transduce(
     dataset: SyntheticDataset, cfg: EngineConfig
-) -> Tuple[Predictions, CalibrationState]:
+) -> Tuple[Predictions, StreamState]:
     """Store-everything reimplementation of the transductive pipeline.
 
     Shares only kmeans_fit with the engine; every statistic downstream of
     clustering (cluster means, global mean, shifts, per-sample
     calibration, scoring) is recomputed here with scalar/row-level
     operations so the fast vectorized path has an independent yardstick.
+    The returned state is built from those recomputed means.
     """
     x = np.array(dataset.images.data, dtype=np.float64)
     n = x.shape[0]
     if cfg.normalize_input:
         x = np.stack([l2_normalize(row) for row in x])
 
-    model, _ = kmeans_fit(x, cfg.clusters, cfg.seed, cfg.max_iters, cfg.tol)
+    model, _ = kmeans_fit(x, cfg.clusters, cfg.seed)
 
     # assign every sample by explicit distance comparison
     labels = np.empty(n, dtype=np.int64)
@@ -292,7 +293,12 @@ def oracle_transduce(
     mu_avg = total / n
 
     shifts = mu - mu_avg
-    state = CalibrationState(cluster_means=mu, global_mean=mu_avg, text_shifts=shifts)
+    state = StreamState(
+        model=ClusterModel(centroids=mu, counts=counts),
+        calib=CalibrationState(global_mean=mu_avg, text_shifts=shifts),
+        samples_seen=n,
+        batches_seen=1,
+    )
     cal_rows = []
     for t in dataset.text_bank.data:
         terms = [l2_normalize(t - s) for s in shifts if np.linalg.norm(t - s) >= DEGENERACY_EPS]

@@ -96,8 +96,8 @@ def test_criterion_03_memory_mode_prototypes_are_exact_means():
         members = x[assigned == m]
         assert members.shape[0] > 0
         naive = members.mean(axis=0)
-        assert np.max(np.abs(state.calib.cluster_means[m] - naive)) <= 1e-9
-        assert state.running_counts[m] == members.shape[0]
+        assert np.max(np.abs(state.model.centroids[m] - naive)) <= 1e-9
+        assert state.model.counts[m] == members.shape[0]
     assert np.max(np.abs(state.calib.global_mean - x.mean(axis=0))) <= 1e-9
 
 
@@ -113,7 +113,7 @@ def test_criterion_04_noiseless_recovery():
 
     x = l2_normalize_rows(ds.images.data)
     assigned = np.array([p.cluster for p in preds])
-    calibrated = l2_normalize_rows(x - state.cluster_means[assigned])
+    calibrated = l2_normalize_rows(x - state.model.centroids[assigned])
     for c in range(10):
         rows = calibrated[np.asarray(ds.images.class_labels) == c]
         gram = rows @ rows.T  # includes every cross-domain pair
@@ -143,7 +143,7 @@ def test_criterion_06_transition_direction_fidelity(bench):
 def test_criterion_07_text_calibration_flattens_domain_bias(bench):
     raw = umfc.domain_bias_probe(bench.text_bank, bench.domain_anchor_texts)
     _, state = umfc.transduce(bench.images, bench.text_bank, umfc.EngineConfig(clusters=3))
-    calibrated_bank = umfc.calibrate_bank(bench.text_bank, state.text_shifts)
+    calibrated_bank = umfc.calibrate_bank(bench.text_bank, state.calib.text_shifts)
     cal = umfc.domain_bias_probe(calibrated_bank, bench.domain_anchor_texts)
     kl_raw = umfc.kl_to_uniform(raw.aggregate)
     kl_cal = umfc.kl_to_uniform(cal.aggregate)

@@ -1,5 +1,6 @@
 """Row-block passes: the block size changes no result and bounds memory."""
 
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -63,23 +64,28 @@ def test_transduce_same_across_block_sizes(monkeypatch):
     small = _at_block_size(monkeypatch, SMALL_BLOCK, lambda: umfc.transduce(ds.images, ds.text_bank, cfg))
     whole = _at_block_size(monkeypatch, ONE_BLOCK, lambda: umfc.transduce(ds.images, ds.text_bank, cfg))
     _assert_same_predictions(small[0], whole[0])
-    for name in ("cluster_means", "global_mean", "text_shifts"):
-        assert np.array_equal(getattr(small[1], name), getattr(whole[1], name))
+    for name in ("global_mean", "text_shifts"):
+        assert np.array_equal(getattr(small[1].calib, name), getattr(whole[1].calib, name))
+    for name in ("centroids", "counts"):
+        assert np.array_equal(getattr(small[1].model, name), getattr(whole[1].model, name))
 
 
 def test_predict_same_across_block_sizes_with_degenerate_row(monkeypatch):
     ds = umfc.generate_benchmark(_spec())
     cfg = umfc.EngineConfig(clusters=3)
-    calib, model, _ = umfc.fit_unsupervised(ds.images, ds.text_bank, cfg)
+    state = umfc.fit_unsupervised(ds.images, ds.text_bank, cfg)
     # put cluster 0's mean on row 9 (in the second block), so that row
     # calibrates to a zero residual
-    means = calib.cluster_means.copy()
+    means = state.model.centroids.copy()
     means[0] = umfc.l2_normalize(ds.images.data[9])
-    calib = umfc.CalibrationState.from_means(means, calib.global_mean)
-    model = umfc.ClusterModel(centroids=means, counts=model.counts)
+    state = dataclasses.replace(
+        state,
+        model=umfc.ClusterModel(centroids=means, counts=state.model.counts),
+        calib=umfc.CalibrationState.from_means(means, state.calib.global_mean),
+    )
 
     def run():
-        return umfc.predict(calib, model, ds.images, ds.text_bank, cfg)
+        return umfc.predict(state, ds.images, ds.text_bank, cfg)
 
     small = _at_block_size(monkeypatch, SMALL_BLOCK, run)
     whole = _at_block_size(monkeypatch, ONE_BLOCK, run)
@@ -212,9 +218,9 @@ def test_transduce_top1_bit_identical_to_full_probs(monkeypatch):
 def test_predict_top1_bit_identical_to_full_probs(monkeypatch):
     monkeypatch.setattr(core, "CHUNK_ROWS", SMALL_BLOCK)
     x, bank, cfg = _outlier_images()
-    calib, model, _ = umfc.fit_unsupervised(x, bank, cfg)
-    full = umfc.predict(calib, model, x, bank, cfg)
-    top1 = umfc.predict(calib, model, x, bank, cfg, keep_probs=False)
+    state = umfc.fit_unsupervised(x, bank, cfg)
+    full = umfc.predict(state, x, bank, cfg)
+    top1 = umfc.predict(state, x, bank, cfg, keep_probs=False)
     _assert_top1_bit_identical(top1, full)
 
 

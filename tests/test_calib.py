@@ -299,9 +299,7 @@ def test_calibration_state_from_means():
     state = umfc.CalibrationState.from_means(means, g)
     assert np.array_equal(state.text_shifts, means - g)
     with pytest.raises(ValueError):
-        umfc.CalibrationState(
-            cluster_means=means, global_mean=np.zeros(3), text_shifts=means
-        )
+        umfc.CalibrationState(global_mean=np.zeros(3), text_shifts=means)
     with pytest.raises(umfc.NonFiniteInput):
         umfc.CalibrationState.from_means(np.array([[np.inf, 0.0]]), np.zeros(2))
 

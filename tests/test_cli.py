@@ -167,8 +167,8 @@ def test_predict_matches_library_route(small, small_state, tmp_path):
     test = umfc.read_embeddings(f"{small}_images.bin")
     bank = umfc.read_text_bank(f"{small}_bank.bin", f"{small}_names.txt")
     cfg = umfc.EngineConfig(clusters=2)
-    state, model, _ = umfc.fit_unsupervised(test, bank, cfg)
-    preds = umfc.predict(state, model, test, bank, cfg)
+    state = umfc.fit_unsupervised(test, bank, cfg)
+    preds = umfc.predict(state, test, bank, cfg)
     for (pid, name, prob, cluster, flags), p in zip(rows, preds):
         assert name == bank.names[p.label]
         assert cluster == p.cluster
@@ -340,10 +340,8 @@ def test_stream_snapshots_and_ema_replacement(small, tmp_path):
         labels = assign_batch(prev.model, xb).labels
         means, counts = batch_cluster_means(xb, labels, 2)
         present = counts > 0
-        assert np.array_equal(cur.calib.cluster_means[present], means[present])
-        assert np.array_equal(
-            cur.calib.cluster_means[~present], prev.calib.cluster_means[~present]
-        )
+        assert np.array_equal(cur.model.centroids[present], means[present])
+        assert np.array_equal(cur.model.centroids[~present], prev.model.centroids[~present])
 
 
 @pytest.mark.parametrize("batch_size", ["1", "100"])
@@ -550,6 +548,28 @@ def test_removed_normalize_shifts_flag_is_usage_error(small, tmp_path):
     assert not (tmp_path / "p.tsv").exists()
 
 
+@pytest.mark.parametrize("flag", ["--max-iters", "--tol"])
+def test_removed_clustering_limit_flags_are_usage_errors(small, tmp_path, monkeypatch, flag):
+    # the flags are gone; their environment variables are ignored
+    args = ["transduce", "--test", f"{small}_images.bin", "--bank", f"{small}_bank.bin",
+            "--names", f"{small}_names.txt", "--out", str(tmp_path / "p.tsv")]
+    assert run(*args, flag, "5") == 1
+    assert not (tmp_path / "p.tsv").exists()
+    monkeypatch.setenv(cli._env_name(flag), "nonsense")
+    assert run(*args) == 0
+
+
+@pytest.mark.parametrize("rows", [0, 1])
+def test_bank_of_fewer_than_two_rows_is_data_error(small, tmp_path, capsys, rows):
+    bank = umfc.read_text_bank(f"{small}_bank.bin", f"{small}_names.txt")
+    umfc.write_embeddings(umfc.EmbeddingMatrix(data=bank.data[:rows]), tmp_path / "b.bin",
+                          kind=umfc.io.KIND_TEXT)
+    (tmp_path / "n.txt").write_text("".join(name + "\n" for name in bank.names[:rows]))
+    assert run("transduce", "--test", f"{small}_images.bin", "--bank", str(tmp_path / "b.bin"),
+               "--names", str(tmp_path / "n.txt"), "--out", str(tmp_path / "p.tsv")) == 2
+    assert "at least two classes" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("normalize", ["1", "0"])
 def test_fit_state_byte_identical_to_library_route(small, tmp_path, normalize):
     # the command normalizes the rows it read in place; the state it
@@ -561,9 +581,8 @@ def test_fit_state_byte_identical_to_library_route(small, tmp_path, normalize):
     cfg = umfc.EngineConfig(clusters=2, normalize_input=normalize == "1")
     train = umfc.read_embeddings(f"{small}_images.bin")
     bank = umfc.read_text_bank(f"{small}_bank.bin", f"{small}_names.txt")
-    state, model, _ = umfc.fit_unsupervised(train, bank, cfg)
-    snap = umfc.StreamState(model=model, calib=state, samples_seen=train.n, batches_seen=1)
-    umfc.snapshot_state(snap, cfg, tmp_path / "lib.state")
+    state = umfc.fit_unsupervised(train, bank, cfg)
+    umfc.snapshot_state(state, cfg, tmp_path / "lib.state")
     assert out.read_bytes() == (tmp_path / "lib.state").read_bytes()
 
 

@@ -45,15 +45,16 @@ def test_config_validation():
 def test_fit_statistics():
     ds = small_benchmark()
     cfg = cfg2()
-    state, model, cal_bank = umfc.fit_unsupervised(ds.images, ds.text_bank, cfg)
+    state = umfc.fit_unsupervised(ds.images, ds.text_bank, cfg)
     x = umfc.l2_normalize_rows(ds.images.data)
-    ref_model, _ = umfc.kmeans_fit(x, 2, seed=1)
-    assert np.array_equal(model.centroids, ref_model.centroids)
-    assert np.array_equal(state.cluster_means, model.centroids)
-    assert np.allclose(state.global_mean, x.mean(axis=0), rtol=0, atol=1e-14)
-    assert np.array_equal(state.text_shifts, state.cluster_means - state.global_mean)
-    ref_bank = umfc.calibrate_bank(ds.text_bank, state.text_shifts)
-    assert np.array_equal(cal_bank.data, ref_bank.data)
+    ref_model, asg = umfc.kmeans_fit(x, 2, seed=1)
+    assert np.array_equal(state.model.centroids, ref_model.centroids)
+    assert np.array_equal(state.model.counts, np.bincount(asg.labels, minlength=2))
+    calib = state.calib
+    assert np.allclose(calib.global_mean, x.mean(axis=0), rtol=0, atol=1e-14)
+    assert np.array_equal(calib.text_shifts, state.model.centroids - calib.global_mean)
+    assert (state.samples_seen, state.batches_seen) == (ds.images.n, 1)
+    assert state.running_sums is None and state.global_sum is None
 
 
 def test_fit_rejects_small_train():
@@ -62,18 +63,26 @@ def test_fit_rejects_small_train():
         umfc.fit_unsupervised(np.eye(2), bank, umfc.EngineConfig(clusters=5))
 
 
+def test_fit_rejects_bank_of_another_dimension():
+    # fit no longer calibrates the bank, but still refuses one that no
+    # state fitted on these rows could be applied with
+    ds = small_benchmark()
+    bank = umfc.TextBank(names=["a", "b"], data=np.eye(3)[:2])
+    with pytest.raises(umfc.DimensionMismatch):
+        umfc.fit_unsupervised(ds.images, bank, cfg2())
+
+
 def test_predict_matches_transduce():
     ds = small_benchmark()
     cfg = cfg2()
     preds, state = umfc.transduce(ds.images, ds.text_bank, cfg)
-    _, model, _ = umfc.fit_unsupervised(ds.images, ds.text_bank, cfg)
-    batch = umfc.predict(state, model, ds.images, ds.text_bank, cfg)
+    batch = umfc.predict(state, ds.images, ds.text_bank, cfg)
     assert np.array_equal(batch.labels, preds.labels)
     assert np.array_equal(batch.clusters, preds.clusters)
     assert np.allclose(batch.probs, preds.probs, rtol=0, atol=1e-12)
     # one row at a time gives the same answers
     for i in range(ds.images.n):
-        single = umfc.predict(state, model, ds.images.data[i : i + 1], ds.text_bank, cfg)
+        single = umfc.predict(state, ds.images.data[i : i + 1], ds.text_bank, cfg)
         assert single.labels[0] == preds.labels[i]
         assert single.clusters[0] == preds.clusters[i]
         assert np.allclose(single.probs[0], preds.probs[i], rtol=0, atol=1e-12)
@@ -82,11 +91,18 @@ def test_predict_matches_transduce():
 def test_predict_empty_and_mismatched_rows():
     ds = small_benchmark()
     cfg = cfg2()
-    state, model, _ = umfc.fit_unsupervised(ds.images, ds.text_bank, cfg)
-    empty = umfc.predict(state, model, np.empty((0, 0)), ds.text_bank, cfg)
+    state = umfc.fit_unsupervised(ds.images, ds.text_bank, cfg)
+    empty = umfc.predict(state, np.empty((0, 0)), ds.text_bank, cfg)
     assert len(empty) == 0 and empty.probs.shape == (0, ds.text_bank.k)
     with pytest.raises(umfc.DimensionMismatch):
-        umfc.predict(state, model, np.ones((3, 5)), ds.text_bank, cfg)
+        umfc.predict(state, np.ones((3, 5)), ds.text_bank, cfg)
+
+
+def test_predict_without_a_model_is_format_error():
+    ds = small_benchmark()
+    cfg = cfg2()
+    with pytest.raises(umfc.FormatError, match="no fitted model"):
+        umfc.predict(umfc.stream_init(cfg), ds.images, ds.text_bank, cfg)
 
 
 def test_predictions_rows_and_concat():
@@ -143,8 +159,10 @@ def test_stream_full_batch_equals_transduce_bitwise():
     for a, b in zip(t_preds, s_preds):
         assert a.label == b.label and a.cluster == b.cluster
         assert np.array_equal(a.probs, b.probs)
-    assert np.array_equal(t_state.text_shifts, s_state.calib.text_shifts)
-    assert np.array_equal(t_state.global_mean, s_state.calib.global_mean)
+    assert np.array_equal(t_state.calib.text_shifts, s_state.calib.text_shifts)
+    assert np.array_equal(t_state.calib.global_mean, s_state.calib.global_mean)
+    assert np.array_equal(t_state.model.centroids, s_state.model.centroids)
+    assert np.array_equal(t_state.model.counts, s_state.model.counts)
 
 
 def test_memory_prototypes_equal_stored_means():
@@ -156,7 +174,7 @@ def test_memory_prototypes_equal_stored_means():
     assigned = np.array([p.cluster for p in preds])
     for m in range(cfg.clusters):
         members = x[assigned == m]
-        assert state.running_counts[m] == members.shape[0]
+        assert state.model.counts[m] == members.shape[0]
         if members.shape[0]:
             assert np.allclose(
                 state.model.centroids[m], members.mean(axis=0), rtol=0, atol=1e-9
@@ -258,10 +276,10 @@ def test_bootstrap_completing_batch_splits():
     assert st.model is not None and st.bootstrap_buffer is None
     assert st.samples_seen == 4 and st.batches_seen == 2
     # memory invariant: every prototype with members equals its running mean
-    nz = st.running_counts > 0
+    nz = st.model.counts > 0
     assert np.allclose(
         st.model.centroids[nz],
-        st.running_sums[nz] / st.running_counts[nz, None],
+        st.running_sums[nz] / st.model.counts[nz, None],
         rtol=0,
         atol=1e-12,
     )

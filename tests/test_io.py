@@ -220,11 +220,11 @@ def test_name_list_errors(tmp_path):
 # snapshots
 
 
-def _fit_state():
+def _fit_state(mode="memory"):
     ds = umfc.generate_benchmark(
         umfc.SynthSpec(n_classes=4, n_domains=2, dim=8, samples_per_cell=15, seed=3)
     )
-    cfg = umfc.EngineConfig(clusters=2, batch_size=17)
+    cfg = umfc.EngineConfig(clusters=2, batch_size=17, mode=mode)
     state = StreamState()
     for start in range(0, 40, 17):
         _, state = umfc.stream_step(state, ds.images.data[start : start + 17], ds.text_bank, cfg)
@@ -235,11 +235,9 @@ def _state_fields(s):
     return [
         None if s.model is None else s.model.centroids,
         None if s.model is None else s.model.counts,
-        None if s.calib is None else s.calib.cluster_means,
         None if s.calib is None else s.calib.global_mean,
         None if s.calib is None else s.calib.text_shifts,
         s.running_sums,
-        s.running_counts,
         s.global_sum,
         s.bootstrap_buffer,
     ]
@@ -309,6 +307,86 @@ def _minimal_manifest(**config_overrides):
     }
     config.update(config_overrides)
     return {"config": config, "samples_seen": 0, "batches_seen": 0, "arrays": []}
+
+
+def _old_format_bytes(state, cfg, **copies):
+    """A snapshot as it was written before running_counts and
+    calib_cluster_means (copies of counts and centroids, unless given
+    here) and the max_iters and tol config keys were dropped."""
+    model, calib = state.model, state.calib
+    copies = {"running_counts": None if state.running_sums is None else model.counts,
+              "calib_cluster_means": model.centroids, **copies}
+    arrays = [("centroids", model.centroids, "<f8"), ("counts", model.counts, "<i8"),
+              ("running_sums", state.running_sums, "<f8"),
+              ("running_counts", copies["running_counts"], "<i8"),
+              ("global_sum", state.global_sum, "<f8"),
+              ("calib_cluster_means", copies["calib_cluster_means"], "<f8"),
+              ("calib_global_mean", calib.global_mean, "<f8"),
+              ("calib_text_shifts", calib.text_shifts, "<f8"),
+              ("bootstrap_buffer", state.bootstrap_buffer, "<f8")]
+    manifest = {
+        "config": dict(dataclasses.asdict(cfg), max_iters=100, tol=1e-4),
+        "samples_seen": state.samples_seen,
+        "batches_seen": state.batches_seen,
+        "arrays": [[n, None, None] if a is None else [n, d, list(a.shape)] for n, a, d in arrays],
+    }
+    blobs = b"".join(a.astype(d).tobytes() for _, a, d in arrays if a is not None)
+    return _snapshot_bytes(manifest, blobs)
+
+
+@pytest.mark.parametrize("mode", ["memory", "ema"])
+def test_old_format_snapshot_restores_like_the_new_one(tmp_path, mode):
+    ds, cfg, state = _fit_state(mode)
+    old, new = tmp_path / "old.state", tmp_path / "new.state"
+    old.write_bytes(_old_format_bytes(state, cfg))
+    umfc.snapshot_state(state, cfg, new)
+    assert len(new.read_bytes()) < len(old.read_bytes())
+    (a, cfg_a), (b, cfg_b) = umfc.restore_state(old), umfc.restore_state(new)
+    assert cfg_a == cfg_b == cfg
+    _assert_states_equal(a, b)
+    x = ds.images.data[40:80]
+    (step_a, next_a), (step_b, next_b) = (umfc.stream_step(s, x, ds.text_bank, cfg) for s in (a, b))
+    for pa, pb in [(umfc.predict(a, x, ds.text_bank, cfg), umfc.predict(b, x, ds.text_bank, cfg)),
+                   (step_a, step_b)]:
+        assert np.array_equal(pa.probs, pb.probs)
+        assert np.array_equal(pa.clusters, pb.clusters)
+    _assert_states_equal(next_a, next_b)
+
+
+@pytest.mark.parametrize("name", ["running_counts", "calib_cluster_means"])
+def test_old_format_snapshot_with_a_changed_copy_is_refused(tmp_path, name):
+    _, cfg, state = _fit_state()
+    twin = state.model.counts if name == "running_counts" else state.model.centroids
+    p = tmp_path / "old.state"
+    p.write_bytes(_old_format_bytes(state, cfg, **{name: twin + 1}))
+    with pytest.raises(umfc.FormatError, match=name):
+        umfc.restore_state(p)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("arrays", [["global_sum", "<f8"]]),
+    ("arrays", ["global_sum"]),
+    ("arrays", [[2, "<f8", [2]]]),
+    ("arrays", [["global_sum", "<f8", [-2]]]),
+    ("arrays", [["global_sum", "<f8", "2"]]),
+    ("arrays", [["global_sum", "<f8", [2.0]]]),
+    ("arrays", 5),
+    ("samples_seen", "abc"),
+    ("batches_seen", -1),
+    ("arrays", [["counts", "<i8", [2, 1]]]),
+], ids=["pair", "name-only", "int-name", "negative-shape", "string-shape", "float-shape",
+        "arrays-int", "samples-seen-string", "batches-seen-negative", "counts-2d"])
+def test_malformed_snapshot_manifest_is_format_error(tmp_path, field, value):
+    # every case is a plain FormatError (exit 2), not a raw TypeError or
+    # ValueError (exit 1) nor a cut-short payload; the payload holds 16
+    # bytes, the size of a well-formed array of two float64 or int64
+    m = _minimal_manifest()
+    m[field] = value
+    p = tmp_path / "s.state"
+    p.write_bytes(_snapshot_bytes(m, b"\x00" * 16))
+    with pytest.raises(umfc.FormatError) as info:
+        umfc.restore_state(p)
+    assert type(info.value) is umfc.FormatError
 
 
 @pytest.mark.parametrize("switch", ["ema_additive", "normalize_shifts"])
@@ -407,11 +485,10 @@ def test_memory_stream_from_fit_state_names_missing_accumulators(tmp_path):
     # a fit state (as `umfc fit` writes it) keeps no running accumulators,
     # so it cannot continue as a memory-mode stream
     ds, cfg, _ = _fit_state()
-    calib, model, _ = umfc.fit_unsupervised(ds.images, ds.text_bank, cfg)
     p = tmp_path / "fit.state"
-    umfc.snapshot_state(StreamState(model=model, calib=calib, samples_seen=60, batches_seen=1), cfg, p)
+    umfc.snapshot_state(umfc.fit_unsupervised(ds.images, ds.text_bank, cfg), cfg, p)
     back, back_cfg = umfc.restore_state(p)
-    with pytest.raises(umfc.FormatError, match="running_sums, running_counts, global_sum"):
+    with pytest.raises(umfc.FormatError, match="running_sums, global_sum"):
         umfc.stream_step(back, ds.images.data[:10], ds.text_bank, back_cfg)
     # ema mode keeps no accumulators and continues from the same state
     ema = umfc.EngineConfig(clusters=cfg.clusters, mode="ema")
