@@ -34,8 +34,7 @@ from .engine import (
     StreamState,
     fit_unsupervised,
     predict,
-    stream_init,
-    stream_step,
+    run_stream,
     transduce,
 )
 from .errors import (
@@ -179,19 +178,6 @@ def _predict_loaded(
     return predict(state, test, bank, cfg, keep_probs=False)
 
 
-def _stream_top1(test: EmbeddingMatrix, bank: TextBank, cfg: EngineConfig, on_batch=None):
-    """engine.run_stream keeping only each batch's top-1 columns, so no
-    N x K matrix is held; on_batch(batches_done, state) runs after each batch."""
-    state = stream_init(cfg)
-    parts = [Predictions.empty(bank.k)]
-    for start in range(0, test.n, cfg.batch_size):
-        batch_preds, state = stream_step(state, test.data[start : start + cfg.batch_size], bank, cfg)
-        parts.append(replace(batch_preds, probs=None))
-        if on_batch is not None:
-            on_batch(len(parts) - 1, state)
-    return Predictions.concat(parts), state
-
-
 def _write_predictions(path, preds: Predictions, ids, names) -> None:
     top = preds.top.tolist()
     # the flags column spells each distinct bitmask once, from its first row
@@ -331,10 +317,10 @@ def cmd_stream(argv) -> int:
     bank = uio.read_text_bank(args.bank, args.names)
 
     def snapshot(batches_done, state):
-        if batches_done % args.snapshot_every == 0:
+        if args.snapshot_every and batches_done % args.snapshot_every == 0:
             uio.snapshot_state(state, cfg, f"{args.out_state}.batch{batches_done:05d}")
 
-    preds, state = _stream_top1(test, bank, cfg, snapshot if args.snapshot_every else None)
+    preds, state = run_stream(test, bank, cfg, keep_probs=False, on_batch=snapshot)
     _write_predictions(args.out, preds, test.ids, bank.names)
     if args.out_state:
         uio.snapshot_state(state, cfg, args.out_state)
@@ -528,10 +514,10 @@ def cmd_sweep(argv) -> int:
         try:
             if args.param == "clusters":
                 preds, _ = transduce(test, bank, replace(base, clusters=val), keep_probs=False)
-            elif args.param == "batch-size":
-                preds, _ = _stream_top1(test, bank, replace(base, batch_size=val, mode="memory"))
             else:
-                preds, _ = _stream_top1(test, bank, replace(base, eta=val, mode="ema"))
+                cfg = (replace(base, batch_size=val, mode="memory") if args.param == "batch-size"
+                       else replace(base, eta=val, mode="ema"))
+                preds, _ = run_stream(test, bank, cfg, keep_probs=False)
         except ValueError as e:
             raise UsageError(f"--values: {val!r}: {e}") from None
         table = per_domain_accuracy(preds, test.class_labels, test.domain_labels)

@@ -12,20 +12,24 @@ Three ways to use the same math:
   moving average ("ema" mode), recalibrating the text bank after every
   batch.
 
-Every regime returns its rows as one columnar Predictions and its
-fitted state as one StreamState, which predict applies and
-snapshot_state writes.
+Every regime accumulates through one update (_update), which folds rows
+and their cluster labels into the counts, accumulators, cluster means,
+global mean and text shifts.  A fit is k-means followed by that update
+of an empty state under k-means' own labels, and a later stream batch is
+assign_batch followed by it, so a fitted state continues as a memory
+stream bit for bit.  Every regime returns its rows as one columnar
+Predictions and its fitted state as one StreamState, which predict
+applies and snapshot_state writes.
 """
 
 from dataclasses import dataclass, replace
-from typing import Optional, Tuple, Union
+from typing import Callable, Optional, Tuple, Union
 
 import numpy as np
 
 from . import core
 from .calib import CalibrationState, calibrate_bank, classify_batch
 from .clustering import (
-    Assignment,
     ClusterModel,
     assign_batch,
     kmeans_fit,
@@ -38,7 +42,6 @@ from .core import (
     TextBank,
     _check_tau,
     l2_normalize_rows,
-    mean_rows,
     row_blocks,
 )
 from .errors import DimensionMismatch, FormatError
@@ -76,12 +79,20 @@ class EngineConfig:
     normalize_input: bool = True
 
     def __post_init__(self):
+        for name in ("clusters", "batch_size", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+        if not isinstance(self.normalize_input, bool):
+            raise ValueError(f"normalize_input must be a bool, got {self.normalize_input!r}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.clusters < 1:
             raise ValueError(f"clusters must be >= 1, got {self.clusters}")
         _check_tau(self.tau)
         if not (0.0 < self.eta <= 1.0):
             raise ValueError(f"eta must be in (0, 1], got {self.eta}")
-        if self.mode not in MODES:
+        if not isinstance(self.mode, str) or self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
         if self.batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
@@ -90,16 +101,16 @@ class EngineConfig:
 @dataclass(frozen=True)
 class StreamState:
     """The fitted state of every regime: a stream between batches, or
-    what fit_unsupervised and transduce estimate (one batch, no
-    accumulators).
+    what fit_unsupervised and transduce estimate (a memory stream after
+    one batch).
 
     model holds the cluster means and counts, calib the global mean and
     text shifts; before enough samples have arrived to place the cluster
     means, both are None and bootstrap_buffer holds what has been seen.
-    In memory mode running_sums / global_sum are the exact accumulators
-    behind the prototypes; ema mode allocates none of them.  Invariant
-    (memory mode): every prototype row m with model.counts[m] > 0
-    equals running_sums[m] / model.counts[m].
+    In memory mode and in every fit running_sums / global_sum are the
+    exact accumulators behind the prototypes; ema mode allocates none of
+    them.  Invariant (accumulators kept): every prototype row m with
+    model.counts[m] > 0 equals running_sums[m] / model.counts[m].
     """
 
     model: Optional[ClusterModel] = None
@@ -176,10 +187,72 @@ def _predict_rows(
     return Predictions(probs=probs, labels=labels, clusters=clusters, flags=flags, top=top)
 
 
-def _fit(x: np.ndarray, cfg: EngineConfig) -> Tuple[StreamState, Assignment]:
+def _update(
+    state: StreamState, x: np.ndarray, labels: np.ndarray, eta: Optional[float] = None
+) -> StreamState:
+    """Fold rows and their cluster labels into a state's statistics.
+
+    With eta None the update is exact: the rows join the accumulators,
+    every cluster mean with members is its running sum over its count,
+    and the global mean is the running sum of every row seen over their
+    number.  Otherwise each cluster present in the rows moves its mean
+    eta of the way to the rows' mean, the global mean is the mean of the
+    cluster means, and no accumulators are kept.  Shift rows refresh
+    only for clusters present in the rows; the others keep the value
+    from their last appearance (zero before any).
+    """
+    m = state.model.m
+    batch_sums, batch_counts = _cluster_sums(x, labels, m)
+    present = batch_counts > 0
+    counts = state.model.counts + batch_counts
+    prototypes = state.model.centroids.copy()
+    samples_seen = state.samples_seen + x.shape[0]
+
+    if eta is None:
+        running_sums = state.running_sums + batch_sums
+        nonzero = counts > 0
+        prototypes[nonzero] = running_sums[nonzero] / counts[nonzero, None]
+        global_sum = state.global_sum + np.sum(x, axis=0)
+        mu_avg = global_sum / samples_seen
+    else:
+        running_sums = global_sum = None
+        # the division batch_cluster_means makes, so the two agree bit for bit
+        batch_means = batch_sums[present] / batch_counts[present, None]
+        prototypes[present] = (1.0 - eta) * prototypes[present] + eta * batch_means
+        mu_avg = np.sum(prototypes, axis=0) / m
+
+    shifts = np.zeros_like(prototypes) if state.calib is None else state.calib.text_shifts.copy()
+    shifts[present] = prototypes[present] - mu_avg
+    return StreamState(
+        model=ClusterModel(centroids=prototypes, counts=counts),
+        calib=CalibrationState(global_mean=mu_avg, text_shifts=shifts),
+        running_sums=running_sums, global_sum=global_sum,
+        samples_seen=samples_seen, batches_seen=state.batches_seen + 1,
+    )
+
+
+def _empty(centroids: np.ndarray, accumulators: bool) -> StreamState:
+    """A state with these cluster means and nothing folded into them."""
+    m, d = centroids.shape
+    return StreamState(
+        model=ClusterModel(centroids=centroids, counts=np.zeros(m, dtype=np.int64)),
+        running_sums=np.zeros((m, d)) if accumulators else None,
+        global_sum=np.zeros(d) if accumulators else None,
+    )
+
+
+def _kmeans_state(x: np.ndarray, cfg: EngineConfig, eta: Optional[float] = None):
+    """Cluster rows with k-means, then fold them into an empty state
+    under k-means' own labels; return (state, labels)."""
     model, asg = kmeans_fit(x, cfg.clusters, cfg.seed)
-    calib = CalibrationState.from_means(model.centroids, mean_rows(x))
-    return StreamState(model=model, calib=calib, samples_seen=x.shape[0], batches_seen=1), asg
+    return _update(_empty(model.centroids, eta is None), x, asg.labels, eta), asg.labels
+
+
+def _score(state: StreamState, x: np.ndarray, labels: np.ndarray, bank: TextBank, tau: float,
+           keep_probs: bool = True) -> Predictions:
+    """Predictions of rows with their cluster labels against a fitted state."""
+    cal_bank = calibrate_bank(bank, state.calib.text_shifts)
+    return _predict_rows(x, labels, state.model.centroids, cal_bank.data, tau, keep_probs)
 
 
 def fit_unsupervised(
@@ -189,7 +262,9 @@ def fit_unsupervised(
 
     The global mean is taken over every training row (not over the
     cluster means), so unequal cluster sizes weigh in proportionally.
-    The bank is only checked against the rows' dimension; predict
+    The update is the exact one whatever cfg.mode says, and the state
+    keeps its accumulators, so it continues as a memory stream bit for
+    bit.  The bank is only checked against the rows' dimension; predict
     calibrates it.
     """
     x = _as_rows(train)
@@ -197,7 +272,7 @@ def fit_unsupervised(
         raise DimensionMismatch(f"rows of dim {x.shape[1]} against a bank of dim {bank.dim}")
     if cfg.normalize_input:
         x = l2_normalize_rows(x)
-    return _fit(x, cfg)[0]
+    return _kmeans_state(x, cfg)[0]
 
 
 def predict(
@@ -230,9 +305,7 @@ def predict(
         raise DimensionMismatch(f"rows of dim {x.shape[1]} against a state of dim {model.dim}")
     if cfg.normalize_input:
         x = l2_normalize_rows(x)
-    cal_bank = calibrate_bank(bank, state.calib.text_shifts)
-    labels = assign_batch(model, x).labels
-    return _predict_rows(x, labels, model.centroids, cal_bank.data, cfg.tau, keep_probs)
+    return _score(state, x, assign_batch(model, x).labels, bank, cfg.tau, keep_probs)
 
 
 def transduce(
@@ -246,17 +319,15 @@ def transduce(
     return the predictions and the fitted state, which predict can apply
     to further rows.
 
-    With keep_probs=False the predictions hold no N x K matrix: probs is
-    None and labels, top, clusters and flags have the bits of the
-    default call.
+    The fit is fit_unsupervised's.  With keep_probs=False the
+    predictions hold no N x K matrix: probs is None and labels, top,
+    clusters and flags have the bits of the default call.
     """
     x = _as_rows(test)
     if cfg.normalize_input:
         x = l2_normalize_rows(x)
-    state, asg = _fit(x, cfg)
-    cal_bank = calibrate_bank(bank, state.calib.text_shifts)
-    preds = _predict_rows(x, asg.labels, state.model.centroids, cal_bank.data, cfg.tau, keep_probs)
-    return preds, state
+    state, labels = _kmeans_state(x, cfg)
+    return _score(state, x, labels, bank, cfg.tau, keep_probs), state
 
 
 def stream_init(cfg: EngineConfig) -> StreamState:
@@ -264,158 +335,95 @@ def stream_init(cfg: EngineConfig) -> StreamState:
     return StreamState()
 
 
-def _seeded_state(seeds: np.ndarray, cfg: EngineConfig, batches_seen: int) -> StreamState:
-    """Stand up a model from the first `clusters` samples of a slow stream.
-
-    Each seed sample becomes its own cluster (and, in memory mode, is
-    absorbed into the accumulators as that cluster's first member).  The
-    calibration state treats the seeding as a batch where every cluster
-    appeared once.
-    """
-    m = cfg.clusters
-    total = np.sum(seeds, axis=0)
-    memory = cfg.mode == "memory"
-    return StreamState(
-        model=ClusterModel(centroids=seeds, counts=np.ones(m, dtype=np.int64)),
-        calib=CalibrationState.from_means(seeds, total / m),
-        running_sums=seeds.copy() if memory else None,
-        global_sum=total if memory else None,
-        samples_seen=m,
-        batches_seen=batches_seen,
-    )
-
-
-def _advance(
-    state: StreamState, x: np.ndarray, bank: TextBank, cfg: EngineConfig
-) -> Tuple[Predictions, StreamState]:
-    """One post-bootstrap batch: assign, update statistics, recalibrate, predict."""
-    m = cfg.clusters
-    labels = assign_batch(state.model, x).labels
-    batch_sums, batch_counts = _cluster_sums(x, labels, m)
-    present = batch_counts > 0
-    counts = state.model.counts + batch_counts
-    prototypes = state.model.centroids.copy()
-    samples_seen = state.samples_seen + x.shape[0]
-
-    if cfg.mode == "memory":
-        running_sums = state.running_sums + batch_sums
-        nonzero = counts > 0
-        prototypes[nonzero] = running_sums[nonzero] / counts[nonzero, None]
-        global_sum = state.global_sum + np.sum(x, axis=0)
-        mu_avg = global_sum / samples_seen
-    else:
-        running_sums = global_sum = None
-        # the division batch_cluster_means makes, so the two agree bit for bit
-        batch_means = batch_sums[present] / batch_counts[present, None]
-        prototypes[present] = (1.0 - cfg.eta) * prototypes[present] + cfg.eta * batch_means
-        mu_avg = np.sum(prototypes, axis=0) / m
-
-    # shift rows refresh only for clusters that appeared in this batch;
-    # the others keep the value from their last appearance
-    if state.calib is not None:
-        shifts = state.calib.text_shifts.copy()
-    else:
-        shifts = np.zeros_like(prototypes)
-    shifts[present] = prototypes[present] - mu_avg
-
-    cal_bank = calibrate_bank(bank, shifts)
-    preds = _predict_rows(x, labels, prototypes, cal_bank.data, cfg.tau)
-    new_state = replace(
-        state,
-        model=ClusterModel(centroids=prototypes, counts=counts),
-        calib=CalibrationState(global_mean=mu_avg, text_shifts=shifts),
-        running_sums=running_sums,
-        global_sum=global_sum,
-        samples_seen=samples_seen,
-        batches_seen=state.batches_seen + 1,
-        bootstrap_buffer=None,
-    )
-    return preds, new_state
-
-
 def stream_step(
     state: StreamState,
     batch: Union[EmbeddingMatrix, np.ndarray],
     bank: TextBank,
     cfg: EngineConfig,
+    *,
+    keep_probs: bool = True,
 ) -> Tuple[Predictions, StreamState]:
     """Consume one batch and return its predictions plus the next state.
 
     Until a model exists: a first batch with at least `clusters` samples
-    is clustered directly; smaller batches are buffered and answered
-    with plain zero-shot predictions flagged UNCALIBRATED.  The first
-    `clusters` samples overall become the initial cluster means, and any
+    is fitted and predicted as transduce does (in ema mode its cluster
+    means are blended in at rate eta); smaller batches are buffered and
+    answered with plain zero-shot predictions flagged UNCALIBRATED.  The
+    first `clusters` samples overall then seed one cluster each, and any
     remainder of the completing batch is processed normally.  Buffered
     samples are never re-predicted.  An empty batch returns an empty
     Predictions and the state as it was.  In memory mode a state with a
-    model but no accumulators (a fit state) raises FormatError.
+    model but no accumulators (a fit snapshot from before fits kept
+    them) raises FormatError.  keep_probs=False works as in transduce.
     """
     x = _as_rows(batch)
     if not x.shape[0]:
         return Predictions.empty(bank.k), state
     if cfg.normalize_input:
         x = l2_normalize_rows(x)
+    eta = cfg.eta if cfg.mode == "ema" else None
 
-    if state.model is not None:
-        if cfg.mode == "memory":
-            accumulators = ("running_sums", "global_sum")
-            missing = [name for name in accumulators if getattr(state, name) is None]
-            if missing:
-                raise FormatError(
-                    f"a memory-mode stream needs its accumulators, and this state has no "
-                    f"{', '.join(missing)} (a fit state cannot be resumed as a memory stream)"
-                )
-        return _advance(state, x, bank, cfg)
+    if state.model is None and state.bootstrap_buffer is None and x.shape[0] >= cfg.clusters:
+        state, labels = _kmeans_state(x, cfg, eta)
+        return _score(state, x, labels, bank, cfg.tau, keep_probs), state
 
-    # bootstrap path
-    if state.bootstrap_buffer is None and x.shape[0] >= cfg.clusters:
-        model, _ = kmeans_fit(x, cfg.clusters, cfg.seed)
-        base = replace(state, model=ClusterModel(model.centroids, np.zeros(cfg.clusters, dtype=np.int64)))
-        if cfg.mode == "memory":
-            d = x.shape[1]
-            base = replace(base, running_sums=np.zeros((cfg.clusters, d)), global_sum=np.zeros(d))
-        return _advance(base, x, bank, cfg)
-
-    buffered = state.bootstrap_buffer
-    have = 0 if buffered is None else buffered.shape[0]
-    need = cfg.clusters - have
-    if x.shape[0] < need:
-        # still short: buffer and answer zero-shot
-        buf = x.copy() if buffered is None else np.vstack([buffered, x])
-        preds = _predict_rows(x, None, None, bank.data, cfg.tau)
-        new_state = replace(
-            state,
-            bootstrap_buffer=buf,
-            samples_seen=state.samples_seen + x.shape[0],
-            batches_seen=state.batches_seen + 1,
+    zero_shot = None
+    if state.model is None:
+        buffered = state.bootstrap_buffer
+        need = cfg.clusters - (0 if buffered is None else buffered.shape[0])
+        zero_shot = _predict_rows(x[:need], None, None, bank.data, cfg.tau, keep_probs)
+        seeds = x[:need].copy() if buffered is None else np.vstack([buffered, x[:need]])
+        if x.shape[0] < need:
+            # still short: buffer and answer zero-shot
+            seen = state.samples_seen + x.shape[0]
+            return zero_shot, replace(
+                state, bootstrap_buffer=seeds, samples_seen=seen, batches_seen=state.batches_seen + 1
+            )
+        # this batch completes the bootstrap: each seed is its own cluster
+        # (exactly, in either mode), and the seeds and the rest of the
+        # batch count as one batch
+        seeded_state = _update(_empty(seeds, True), seeds, np.arange(cfg.clusters))
+        state = replace(seeded_state, batches_seen=state.batches_seen)
+        if eta is not None:
+            state = replace(state, running_sums=None, global_sum=None)
+        x = x[need:]
+        if not x.shape[0]:
+            return zero_shot, replace(state, batches_seen=state.batches_seen + 1)
+    elif eta is None and (state.running_sums is None or state.global_sum is None):
+        missing = [name for name in ("running_sums", "global_sum") if getattr(state, name) is None]
+        raise FormatError(
+            f"a memory-mode stream needs its accumulators, and this state has no "
+            f"{', '.join(missing)} (a fit snapshot written before fits kept them)"
         )
-        return preds, new_state
 
-    # this batch completes the bootstrap
-    seed_part = x[:need]
-    seeds = seed_part if buffered is None else np.vstack([buffered, seed_part])
-    preds = _predict_rows(seed_part, None, None, bank.data, cfg.tau)
-    seeded = _seeded_state(seeds, cfg, state.batches_seen)
-    rest = x[need:]
-    if rest.shape[0]:
-        rest_preds, new_state = _advance(seeded, rest, bank, cfg)
-        # _advance counted the batch; seeding itself does not add one
-        preds = Predictions.concat([preds, rest_preds])
-    else:
-        new_state = replace(seeded, batches_seen=seeded.batches_seen + 1)
-    return preds, new_state
+    labels = assign_batch(state.model, x).labels
+    state = _update(state, x, labels, eta)
+    preds = _score(state, x, labels, bank, cfg.tau, keep_probs)
+    return (preds if zero_shot is None else Predictions.concat([zero_shot, preds])), state
 
 
 def run_stream(
     test: Union[EmbeddingMatrix, np.ndarray],
     bank: TextBank,
     cfg: EngineConfig,
+    *,
+    keep_probs: bool = True,
+    on_batch: Optional[Callable[[int, StreamState], None]] = None,
 ) -> Tuple[Predictions, StreamState]:
-    """Feed a matrix through stream_step in batch_size slices, in order."""
+    """Feed a matrix through stream_step in batch_size slices, in order.
+
+    on_batch(batches_done, state), when given, runs after every batch.
+    With keep_probs=False no batch keeps an N x K matrix: probs is None
+    and labels, top, clusters and flags have the bits of the default
+    call.
+    """
     x = _as_rows(test)
     state = stream_init(cfg)
     parts = [Predictions.empty(bank.k)]
     for start in range(0, x.shape[0], cfg.batch_size):
-        batch_preds, state = stream_step(state, x[start : start + cfg.batch_size], bank, cfg)
+        batch = x[start : start + cfg.batch_size]
+        batch_preds, state = stream_step(state, batch, bank, cfg, keep_probs=keep_probs)
         parts.append(batch_preds)
+        if on_batch is not None:
+            on_batch(len(parts) - 1, state)
     return Predictions.concat(parts), state

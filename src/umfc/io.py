@@ -281,7 +281,8 @@ def _manifest_arrays(state: StreamState):
 _PER_CLUSTER = ("centroids", "counts", "running_sums", "calib_text_shifts")
 
 # the ndim of every snapshot array; the last axis of each but counts is
-# the feature dimension
+# the feature dimension.  These names and those of _TWINS are the only
+# ones a snapshot may carry.
 _NDIM = {"centroids": 2, "counts": 1, "running_sums": 2, "global_sum": 1,
          "calib_global_mean": 1, "calib_text_shifts": 2, "bootstrap_buffer": 2}
 
@@ -360,6 +361,8 @@ def restore_state(path) -> Tuple[StreamState, EngineConfig]:
         if not (isinstance(entry, list) and len(entry) == 3 and isinstance(entry[0], str)):
             raise FormatError(f"{path}: array entry {entry!r} is not a [name, dtype, shape] triple")
         name, dtype, shape = entry
+        if name not in _NDIM and name not in _TWINS:
+            raise FormatError(f"{path}: unknown array {name!r}")
         if dtype is None:
             arrays[name] = None
             continue
@@ -401,8 +404,10 @@ def restore_state(path) -> Tuple[StreamState, EngineConfig]:
     try:
         model = None
         if arrays.get("centroids") is not None:
-            if arrays.get("counts") is None:
-                raise FormatError(f"{path}: snapshot has centroids but no counts")
+            needed = ("counts", "calib_global_mean", "calib_text_shifts")
+            missing = [name for name in needed if arrays.get(name) is None]
+            if missing:
+                raise FormatError(f"{path}: snapshot has centroids but no {', '.join(missing)}")
             model = ClusterModel(centroids=arrays["centroids"], counts=arrays["counts"])
         calib = None
         if arrays.get("calib_text_shifts") is not None:

@@ -224,6 +224,18 @@ def test_predict_top1_bit_identical_to_full_probs(monkeypatch):
     _assert_top1_bit_identical(top1, full)
 
 
+@pytest.mark.parametrize("batch_size", [1, 7])
+def test_run_stream_top1_bit_identical_to_full_probs(batch_size):
+    # batch size 1 answers the first rows zero-shot, 7 clusters them at once
+    x, bank, cfg = _outlier_images()
+    cfg = dataclasses.replace(cfg, batch_size=batch_size)
+    full, _ = umfc.run_stream(x, bank, cfg)
+    top1, _ = umfc.run_stream(x, bank, cfg, keep_probs=False)
+    assert top1.probs is None
+    for name in ("labels", "top", "clusters", "flags"):
+        assert getattr(top1, name).tobytes() == getattr(full, name).tobytes(), name
+
+
 @pytest.fixture(scope="module")
 def peak_files(tmp_path_factory):
     """20,000 x 64 rows, 50 classes, and a 4-cluster fit state of them."""
@@ -245,9 +257,10 @@ def peak_files(tmp_path_factory):
     ["predict", "--state", "{d}/s.state"],
     ["sweep", "--param", "clusters", "--values", "4"],
     ["sweep", "--param", "batch-size", "--values", "100"],
+    ["sweep", "--param", "batch-size", "--values", "20000"],
     ["sweep", "--param", "eta", "--values", "0.5"],
     ["diagnose", "--which", "hist"],
-], ids=["transduce", "predict", "sweep", "sweep-batch-size", "sweep-eta", "hist"])
+], ids=["transduce", "predict", "sweep", "sweep-batch-size", "sweep-one-batch", "sweep-eta", "hist"])
 def test_cli_top1_traced_peak_within_input_plus_probs(peak_files, command):
     d, files = peak_files
     n, dim, k = 20_000, 64, 50

@@ -541,6 +541,14 @@ def test_bool_flag_values(small, tmp_path):
     assert run(*base, "--normalize-input", "maybe") == 1
 
 
+def test_negative_seed_is_usage_error_naming_seed(small, tmp_path, capsys):
+    assert run("transduce", "--test", f"{small}_images.bin", "--bank", f"{small}_bank.bin",
+               "--names", f"{small}_names.txt", "--out", str(tmp_path / "p.tsv"),
+               "--seed", "-1") == 1
+    assert "usage error: seed must be >= 0" in capsys.readouterr().err
+    assert not (tmp_path / "p.tsv").exists()
+
+
 def test_removed_normalize_shifts_flag_is_usage_error(small, tmp_path):
     assert run("transduce", "--test", f"{small}_images.bin", "--bank", f"{small}_bank.bin",
                "--names", f"{small}_names.txt", "--out", str(tmp_path / "p.tsv"),

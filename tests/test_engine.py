@@ -24,6 +24,14 @@ def cfg2(**kw):
     return umfc.EngineConfig(**base)
 
 
+def _assert_memory_invariant(state):
+    """Every cluster mean with members is its running sum over its count."""
+    nz = state.model.counts > 0
+    assert np.array_equal(
+        state.model.centroids[nz], state.running_sums[nz] / state.model.counts[nz, None]
+    )
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         umfc.EngineConfig(clusters=0)
@@ -54,7 +62,9 @@ def test_fit_statistics():
     assert np.allclose(calib.global_mean, x.mean(axis=0), rtol=0, atol=1e-14)
     assert np.array_equal(calib.text_shifts, state.model.centroids - calib.global_mean)
     assert (state.samples_seen, state.batches_seen) == (ds.images.n, 1)
-    assert state.running_sums is None and state.global_sum is None
+    # a fit keeps the exact accumulators behind its cluster means
+    assert np.array_equal(state.global_sum, np.sum(x, axis=0))
+    _assert_memory_invariant(state)
 
 
 def test_fit_rejects_small_train():
@@ -150,19 +160,50 @@ def test_transduce_cluster_field_matches_assignment():
     assert np.array_equal([p.cluster for p in preds], asg.labels)
 
 
-def test_stream_full_batch_equals_transduce_bitwise():
-    ds = small_benchmark()
-    cfg = cfg2(batch_size=ds.images.n)
+def _state_arrays(s):
+    return [s.model.centroids, s.model.counts, s.calib.global_mean, s.calib.text_shifts,
+            s.running_sums, s.global_sum]
+
+
+def _assert_same_states(a, b):
+    for x, y in zip(_state_arrays(a), _state_arrays(b)):
+        assert x.tobytes() == y.tobytes()
+    assert (a.samples_seen, a.batches_seen) == (b.samples_seen, b.batches_seen)
+
+
+@pytest.mark.parametrize("spec", [{}, {"n_domains": 5, "noise_sigma": 1.0}],
+                         ids=["default", "5-domains-noise-1"])
+@pytest.mark.parametrize("clusters", [3, 6])
+@pytest.mark.parametrize("seed", [7, 8, 9])
+def test_stream_full_batch_equals_transduce_bitwise(spec, clusters, seed):
+    ds = umfc.generate_benchmark(umfc.SynthSpec(seed=seed, **spec))
+    cfg = umfc.EngineConfig(clusters=clusters, batch_size=ds.images.n)
     t_preds, t_state = umfc.transduce(ds.images, ds.text_bank, cfg)
     s_preds, s_state = umfc.run_stream(ds.images, ds.text_bank, cfg)
-    assert len(t_preds) == len(s_preds)
-    for a, b in zip(t_preds, s_preds):
-        assert a.label == b.label and a.cluster == b.cluster
-        assert np.array_equal(a.probs, b.probs)
-    assert np.array_equal(t_state.calib.text_shifts, s_state.calib.text_shifts)
-    assert np.array_equal(t_state.calib.global_mean, s_state.calib.global_mean)
-    assert np.array_equal(t_state.model.centroids, s_state.model.centroids)
-    assert np.array_equal(t_state.model.counts, s_state.model.counts)
+    for name in ("probs", "labels", "clusters", "flags", "top"):
+        assert getattr(t_preds, name).tobytes() == getattr(s_preds, name).tobytes()
+    _assert_same_states(t_state, s_state)
+    _assert_memory_invariant(t_state)
+    fit = umfc.fit_unsupervised(ds.images, ds.text_bank, cfg)
+    _assert_same_states(fit, t_state)
+
+
+@pytest.mark.parametrize("mode", ["memory", "ema"])
+def test_fit_then_memory_stream_equals_stream_from_the_start(mode):
+    # a fit state continues as a memory stream bit for bit, whatever mode
+    # the fit was configured with
+    ds = small_benchmark()
+    cfg, a = cfg2(clusters=3), 70
+    x = ds.images.data
+    fit = umfc.fit_unsupervised(x[:a], ds.text_bank, dataclasses.replace(cfg, mode=mode))
+    _, first = umfc.stream_step(umfc.stream_init(cfg), x[:a], ds.text_bank, cfg)
+    _assert_same_states(fit, first)
+    p_fit, s_fit = umfc.stream_step(fit, x[a:], ds.text_bank, cfg)
+    p_str, s_str = umfc.stream_step(first, x[a:], ds.text_bank, cfg)
+    for name in ("probs", "labels", "clusters", "flags", "top"):
+        assert getattr(p_fit, name).tobytes() == getattr(p_str, name).tobytes()
+    _assert_same_states(s_fit, s_str)
+    _assert_memory_invariant(s_fit)
 
 
 def test_memory_prototypes_equal_stored_means():

@@ -481,19 +481,62 @@ def test_format_property_sweep(tmp_path):
     check_format_roundtrip(120, tmpdir=tmp_path, seed=77)
 
 
-def test_memory_stream_from_fit_state_names_missing_accumulators(tmp_path):
-    # a fit state (as `umfc fit` writes it) keeps no running accumulators,
-    # so it cannot continue as a memory-mode stream
+def test_fit_state_resumes_as_memory_stream_and_older_ones_name_missing_accumulators(tmp_path):
+    # a fit snapshot keeps the accumulators and continues as a memory
+    # stream exactly like the state it was written from
     ds, cfg, _ = _fit_state()
+    fit = umfc.fit_unsupervised(ds.images.data[:40], ds.text_bank, cfg)
     p = tmp_path / "fit.state"
-    umfc.snapshot_state(umfc.fit_unsupervised(ds.images, ds.text_bank, cfg), cfg, p)
+    umfc.snapshot_state(fit, cfg, p)
+    back, back_cfg = umfc.restore_state(p)
+    _assert_states_equal(fit, back)
+    x = ds.images.data[40:60]
+    (pa, sa), (pb, sb) = (umfc.stream_step(s, x, ds.text_bank, back_cfg) for s in (fit, back))
+    assert np.array_equal(pa.probs, pb.probs)
+    _assert_states_equal(sa, sb)
+    # fit snapshots written before fits kept accumulators carry [name, null,
+    # null] for them: refused as a memory stream, naming what is missing
+    old = dataclasses.replace(fit, running_sums=None, global_sum=None)
+    umfc.snapshot_state(old, cfg, p)
     back, back_cfg = umfc.restore_state(p)
     with pytest.raises(umfc.FormatError, match="running_sums, global_sum"):
-        umfc.stream_step(back, ds.images.data[:10], ds.text_bank, back_cfg)
+        umfc.stream_step(back, x, ds.text_bank, back_cfg)
     # ema mode keeps no accumulators and continues from the same state
     ema = umfc.EngineConfig(clusters=cfg.clusters, mode="ema")
-    preds, _ = umfc.stream_step(back, ds.images.data[:10], ds.text_bank, ema)
-    assert len(preds) == 10
+    preds, _ = umfc.stream_step(back, x, ds.text_bank, ema)
+    assert len(preds) == 20
+
+
+@pytest.mark.parametrize("key, value", [
+    ("clusters", 3.0), ("clusters", True), ("batch_size", 2.5), ("seed", -1), ("seed", 1.5),
+    ("normalize_input", "no"), ("normalize_input", 1), ("mode", 1),
+])
+def test_snapshot_config_of_a_wrong_type_is_format_error(tmp_path, key, value):
+    p = tmp_path / "s.state"
+    p.write_bytes(_snapshot_bytes(_minimal_manifest(**{key: value}), b""))
+    with pytest.raises(umfc.FormatError, match=key):
+        umfc.restore_state(p)
+
+
+def test_snapshot_with_an_unknown_array_name_is_refused(tmp_path):
+    _, cfg, state = _fit_state()
+    p = tmp_path / "s.state"
+    umfc.snapshot_state(state, cfg, p)
+    raw = p.read_bytes()
+    (head_len,) = struct.unpack_from("<I", raw, HEADER.size)
+    manifest = json.loads(raw[HEADER.size + 4 : HEADER.size + 4 + head_len])
+    manifest["arrays"][0][0] = "centroidz"
+    p.write_bytes(_snapshot_bytes(manifest, raw[HEADER.size + 4 + head_len :]))
+    with pytest.raises(umfc.FormatError, match="unknown array 'centroidz'"):
+        umfc.restore_state(p)
+
+
+def test_snapshot_with_a_model_but_no_calibration_is_refused(tmp_path):
+    _, cfg, state = _fit_state()
+    p = tmp_path / "s.state"
+    umfc.snapshot_state(dataclasses.replace(state, calib=None), cfg, p)
+    with pytest.raises(umfc.FormatError, match="calib_global_mean, calib_text_shifts"):
+        umfc.restore_state(p)
 
 
 def test_snapshot_cluster_count_must_match_config(tmp_path):
