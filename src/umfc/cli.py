@@ -31,7 +31,6 @@ from .diagnostics import (
 )
 from .engine import (
     EngineConfig,
-    StreamState,
     fit_unsupervised,
     predict,
     run_stream,
@@ -114,15 +113,16 @@ class Flags:
         return out
 
 
-def _engine_flags(parser, clusters=6, tau=0.01, eta=0.1, mode="memory", batch_size=100, seed=0):
+def _engine_flags(parser):
     f = Flags(parser)
-    f.add("--clusters", int, clusters, "number of cluster means")
-    f.add("--tau", float, tau, "softmax temperature")
-    f.add("--eta", float, eta, "moving-average rate (ema mode)")
-    f.add("--mode", str, mode, "streaming statistics: memory or ema")
-    f.add("--batch-size", int, batch_size, "streaming batch size")
-    f.add("--seed", int, seed, "PRNG seed for clustering")
-    f.add("--normalize-input", bool, True, "L2-normalize feature rows at ingestion")
+    d = EngineConfig()
+    f.add("--clusters", int, d.clusters, "number of cluster means")
+    f.add("--tau", float, d.tau, "softmax temperature")
+    f.add("--eta", float, d.eta, "moving-average rate (ema mode)")
+    f.add("--mode", str, d.mode, "streaming statistics: memory or ema")
+    f.add("--batch-size", int, d.batch_size, "streaming batch size")
+    f.add("--seed", int, d.seed, "PRNG seed for clustering")
+    f.add("--normalize-input", bool, d.normalize_input, "L2-normalize feature rows at ingestion")
     return f
 
 
@@ -131,16 +131,6 @@ def _config_from(vals: dict) -> EngineConfig:
         return EngineConfig(**{f.name: vals[f.name] for f in fields(EngineConfig)})
     except ValueError as e:
         raise UsageError(str(e)) from None
-
-
-def _with_tau(cfg: EngineConfig, tau) -> EngineConfig:
-    """cfg with a --tau override applied, when one was given."""
-    if tau is None:
-        return cfg
-    try:
-        return replace(cfg, tau=tau)
-    except ValueError:
-        raise UsageError(f"--tau: must be finite and > 0, got {tau}") from None
 
 
 def _load_matrix(path) -> EmbeddingMatrix:
@@ -162,16 +152,20 @@ def _normalize_loaded(matrix: EmbeddingMatrix, cfg: EngineConfig) -> EngineConfi
     return replace(cfg, normalize_input=False)
 
 
-def _predict_loaded(
-    state: StreamState, test: EmbeddingMatrix, bank: TextBank, cfg: EngineConfig
-) -> Predictions:
-    """Top-1 predictions of a matrix this command loaded against a fitted
-    state, its rows normalized in place.
-
-    The row dimension is checked before the rows are normalized, so a
-    row of the wrong dimension is a data error even when it is also
-    degenerate.
+def _predict_loaded(state_path, tau, test: EmbeddingMatrix, bank: TextBank) -> Predictions:
+    """Top-1 predictions of a matrix this command loaded against the
+    state in state_path, under its stored tau unless tau is given.  The
+    rows are normalized in place after the dimension check, so a row of
+    the wrong dimension is a data error even when it is also degenerate.
     """
+    state, cfg = uio.restore_state(state_path)
+    if state.model is None:
+        raise FormatError(f"{state_path}: state has no fitted model to predict with")
+    if tau is not None:
+        try:
+            cfg = replace(cfg, tau=tau)
+        except ValueError:
+            raise UsageError(f"--tau: must be finite and > 0, got {tau}") from None
     if test.n and test.dim != state.model.dim:
         raise DimensionMismatch(f"rows of dim {test.dim} against a state of dim {state.model.dim}")
     cfg = _normalize_loaded(test, cfg)
@@ -245,13 +239,9 @@ def cmd_predict(argv) -> int:
     args = parser.parse_args(argv)
     vals = f.resolve(args)
 
-    state, cfg = uio.restore_state(args.state)
-    if state.model is None or state.calib is None:
-        raise FormatError(f"{args.state}: state has no fitted model to predict with")
-    cfg = _with_tau(cfg, vals["tau"])
     test = _load_matrix(args.test)
     bank = uio.read_text_bank(args.bank, args.names)
-    preds = _predict_loaded(state, test, bank, cfg)
+    preds = _predict_loaded(args.state, vals["tau"], test, bank)
     _write_predictions(args.out, preds, test.ids, bank.names)
     _note(f"predict: {test.n} rows -> {args.out}")
     return EXIT_OK
@@ -316,11 +306,13 @@ def cmd_stream(argv) -> int:
     test = _load_matrix(args.test)
     bank = uio.read_text_bank(args.bank, args.names)
 
+    # the snapshots keep cfg as given, so a resumed stream normalizes its rows
     def snapshot(batches_done, state):
         if args.snapshot_every and batches_done % args.snapshot_every == 0:
             uio.snapshot_state(state, cfg, f"{args.out_state}.batch{batches_done:05d}")
 
-    preds, state = run_stream(test, bank, cfg, keep_probs=False, on_batch=snapshot)
+    preds, state = run_stream(test, bank, _normalize_loaded(test, cfg), keep_probs=False,
+                              on_batch=snapshot)
     _write_predictions(args.out, preds, test.ids, bank.names)
     if args.out_state:
         uio.snapshot_state(state, cfg, args.out_state)
@@ -418,12 +410,9 @@ def cmd_diagnose(argv) -> int:
     if args.which == "hist":
         test = _load_matrix(need("--test", args.test))
         bank = uio.read_text_bank(need("--bank", args.bank), need("--names", args.names))
-        tau = 0.01 if v["tau"] is None else v["tau"]
+        tau = EngineConfig().tau if v["tau"] is None else v["tau"]
         if args.state is not None:
-            state, cfg = uio.restore_state(args.state)
-            if state.model is None or state.calib is None:
-                raise FormatError(f"{args.state}: state has no fitted model")
-            labels = _predict_loaded(state, test, bank, _with_tau(cfg, tau)).labels
+            labels = _predict_loaded(args.state, tau, test, bank).labels
         else:
             # one row block at a time, keeping only its argmax; 0 rows still
             # score one empty block, so tau and the dimension are checked

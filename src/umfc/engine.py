@@ -23,6 +23,7 @@ applies and snapshot_state writes.
 """
 
 from dataclasses import dataclass, replace
+from numbers import Integral, Real
 from typing import Callable, Optional, Tuple, Union
 
 import numpy as np
@@ -79,10 +80,11 @@ class EngineConfig:
     normalize_input: bool = True
 
     def __post_init__(self):
-        for name in ("clusters", "batch_size", "seed"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
+        for name in ("clusters", "batch_size", "seed", "tau", "eta"):
+            value, real = getattr(self, name), name in ("tau", "eta")
+            if isinstance(value, bool) or not isinstance(value, Real if real else Integral):
+                what = "a real number" if real else "an integer"
+                raise ValueError(f"{name} must be {what}, got {value!r}")
         if not isinstance(self.normalize_input, bool):
             raise ValueError(f"normalize_input must be a bool, got {self.normalize_input!r}")
         if self.seed < 0:
@@ -122,12 +124,62 @@ class StreamState:
     bootstrap_buffer: Optional[np.ndarray] = None
 
 
-def _as_rows(data: Union[EmbeddingMatrix, np.ndarray]) -> np.ndarray:
-    if isinstance(data, EmbeddingMatrix):
-        return data.data
-    out = np.asarray(data, dtype=np.float64)
+# The arrays of a StreamState in snapshot order: (snapshot name, the
+# state's model or calib holding it, or None for the state itself, its
+# attribute there, dtype, ndim, one row per cluster).  The last axis of
+# every array but counts is the feature dimension.
+_STATE_ARRAYS = (
+    ("centroids", "model", "centroids", "<f8", 2, True),
+    ("counts", "model", "counts", "<i8", 1, True),
+    ("running_sums", None, "running_sums", "<f8", 2, True),
+    ("global_sum", None, "global_sum", "<f8", 1, False),
+    ("calib_global_mean", "calib", "global_mean", "<f8", 1, False),
+    ("calib_text_shifts", "calib", "text_shifts", "<f8", 2, True),
+    ("bootstrap_buffer", None, "bootstrap_buffer", "<f8", 2, False),
+)
+_FITTED = tuple(name for name, part, *_ in _STATE_ARRAYS if part is not None)
+
+
+def _state_array(state: StreamState, part: Optional[str], attr: str) -> Optional[np.ndarray]:
+    holder = state if part is None else getattr(state, part)
+    return None if holder is None else getattr(holder, attr)
+
+
+def _check_state(state: StreamState, cfg: EngineConfig) -> Optional[int]:
+    """Raise FormatError unless a state is well-formed under cfg: every
+    array of _STATE_ARRAYS of cfg.clusters rows if it has one per cluster,
+    of its ndim and of one feature dimension, and model and calib both
+    present or both absent.  Return that dimension (None with no array)."""
+    shapes, dims, ndim_ok = {}, set(), True
+    for name, part, attr, _, ndim, per_cluster in _STATE_ARRAYS:
+        arr = _state_array(state, part, attr)
+        if arr is None:
+            continue
+        shape = shapes[name] = arr.shape
+        if per_cluster and shape[:1] != (cfg.clusters,):
+            raise FormatError(f"array {name} has shape {shape}, "
+                              f"but the snapshot config has {cfg.clusters} clusters")
+        ndim_ok = ndim_ok and len(shape) == ndim
+        if name != "counts" and shape:
+            dims.add(shape[-1])
+    if not ndim_ok or len(dims) > 1:
+        listed = ", ".join(f"{name} {shape}" for name, shape in shapes.items())
+        raise FormatError(f"snapshot arrays need their ndim and one feature dimension: {listed}")
+    have = [name for name in _FITTED if name in shapes]
+    if have and len(have) < len(_FITTED):
+        lack = ", ".join(name for name in _FITTED if name not in shapes)
+        raise FormatError(f"the state has {', '.join(have)} but no {lack}")
+    return dims.pop() if dims else None
+
+
+def _as_rows(data: Union[EmbeddingMatrix, np.ndarray], dim: Optional[int] = None) -> np.ndarray:
+    """data as a 2-d array; rows of another dimension than a given dim
+    raise DimensionMismatch."""
+    out = data.data if isinstance(data, EmbeddingMatrix) else np.asarray(data, dtype=np.float64)
     if out.ndim != 2:
         raise ValueError(f"expected a 2-d array, got shape {out.shape}")
+    if dim is not None and out.shape[0] and out.shape[1] != dim:
+        raise DimensionMismatch(f"rows of dim {out.shape[1]} against a state of dim {dim}")
     return out
 
 
@@ -286,26 +338,25 @@ def predict(
     """Calibrate and classify rows against a fitted state.
 
     bank is the raw text bank; it is calibrated here from
-    state.calib.text_shifts.  A state with no model yet (a stream still
-    bootstrapping) raises FormatError.  Each row is assigned to its
-    nearest cluster mean and re-expressed as the unit direction from it;
-    a row that sits on its mean falls back to plain normalization and is
-    flagged DEGENERATE.  Zero rows give an empty Predictions; rows whose
-    dimension differs from the state raise DimensionMismatch.  With
-    keep_probs=False the result holds no N x K matrix: probs is None and
-    labels, top, clusters and flags have the bits of the default call.
+    state.calib.text_shifts.  A state that restore_state would refuse
+    under cfg, or with no model yet (a stream still bootstrapping),
+    raises FormatError.  Each row is assigned to its nearest cluster
+    mean and re-expressed as the unit direction from it; a row on its
+    mean falls back to plain normalization and is flagged DEGENERATE.
+    Zero rows give an empty Predictions; rows whose dimension differs
+    from the state raise DimensionMismatch.  With keep_probs=False the
+    result holds no N x K matrix: probs is None and labels, top,
+    clusters and flags have the bits of the default call.
     """
-    model = state.model
-    if model is None or state.calib is None:
+    dim = _check_state(state, cfg)
+    if state.model is None:
         raise FormatError("the state has no fitted model to predict with yet")
-    x = _as_rows(x)
+    x = _as_rows(x, dim)
     if not x.shape[0]:
         return Predictions.empty(bank.k)
-    if x.shape[1] != model.dim:
-        raise DimensionMismatch(f"rows of dim {x.shape[1]} against a state of dim {model.dim}")
     if cfg.normalize_input:
         x = l2_normalize_rows(x)
-    return _score(state, x, assign_batch(model, x).labels, bank, cfg.tau, keep_probs)
+    return _score(state, x, assign_batch(state.model, x).labels, bank, cfg.tau, keep_probs)
 
 
 def transduce(
@@ -352,11 +403,13 @@ def stream_step(
     first `clusters` samples overall then seed one cluster each, and any
     remainder of the completing batch is processed normally.  Buffered
     samples are never re-predicted.  An empty batch returns an empty
-    Predictions and the state as it was.  In memory mode a state with a
-    model but no accumulators (a fit snapshot from before fits kept
-    them) raises FormatError.  keep_probs=False works as in transduce.
+    Predictions and the state as it was.  A state that restore_state
+    would refuse under cfg, or in memory mode one with a model but no
+    accumulators (a fit snapshot from before fits kept them), raises
+    FormatError; a batch of another dimension than the state raises
+    DimensionMismatch.  keep_probs=False works as in transduce.
     """
-    x = _as_rows(batch)
+    x = _as_rows(batch, _check_state(state, cfg))
     if not x.shape[0]:
         return Predictions.empty(bank.k), state
     if cfg.normalize_input:

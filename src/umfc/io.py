@@ -31,7 +31,7 @@ import numpy as np
 from .calib import CalibrationState
 from .clustering import ClusterModel
 from .core import EmbeddingMatrix, TextBank, row_blocks
-from .engine import EngineConfig, StreamState
+from .engine import EngineConfig, StreamState, _STATE_ARRAYS, _check_state, _state_array
 from .errors import (
     BadMagic,
     DuplicateName,
@@ -258,35 +258,10 @@ def read_text_bank(path, names_path) -> TextBank:
 # ---------------------------------------------------------------------------
 # engine state snapshots
 
-_F8 = "<f8"
-_I8 = "<i8"
-
-
-def _manifest_arrays(state: StreamState):
-    """(name, array-or-None, dtype) in serialization order."""
-    model = state.model
-    calib = state.calib
-    return [
-        ("centroids", None if model is None else model.centroids, _F8),
-        ("counts", None if model is None else model.counts, _I8),
-        ("running_sums", state.running_sums, _F8),
-        ("global_sum", state.global_sum, _F8),
-        ("calib_global_mean", None if calib is None else calib.global_mean, _F8),
-        ("calib_text_shifts", None if calib is None else calib.text_shifts, _F8),
-        ("bootstrap_buffer", state.bootstrap_buffer, _F8),
-    ]
-
-
-# snapshot arrays with one row per cluster of the config
-_PER_CLUSTER = ("centroids", "counts", "running_sums", "calib_text_shifts")
-
-# the ndim of every snapshot array; the last axis of each but counts is
-# the feature dimension.  These names and those of _TWINS are the only
-# ones a snapshot may carry.
-_NDIM = {"centroids": 2, "counts": 1, "running_sums": 2, "global_sum": 1,
-         "calib_global_mean": 1, "calib_text_shifts": 2, "bootstrap_buffer": 2}
-
-# arrays that older snapshots carry as exact copies: name -> the original
+# the arrays a snapshot may carry: those of engine._STATE_ARRAYS, and the
+# exact copies older snapshots carry of two of them (name -> the original)
+_NAMES = {name for name, *_ in _STATE_ARRAYS}
+_DTYPES = {dtype for _, _, _, dtype, _, _ in _STATE_ARRAYS}
 _TWINS = {"running_counts": "counts", "calib_cluster_means": "centroids"}
 
 
@@ -298,9 +273,11 @@ def _count(value) -> bool:
 def snapshot_state(state: StreamState, cfg: EngineConfig, path) -> None:
     """Persist a fitted state plus its config; restoring continues bit-for-bit.
 
-    Cluster inertia history is a fit-time diagnostic and is not carried
-    across a snapshot.
+    A state that is not well-formed under cfg (see restore_state) raises
+    FormatError and nothing is written.  Cluster inertia history is a
+    fit-time diagnostic and is not carried across a snapshot.
     """
+    _check_state(state, cfg)
     manifest = {
         "config": asdict(cfg),
         "samples_seen": state.samples_seen,
@@ -308,11 +285,11 @@ def snapshot_state(state: StreamState, cfg: EngineConfig, path) -> None:
         "arrays": [],
     }
     blobs = []
-    for name, arr, dtype in _manifest_arrays(state):
+    for name, part, attr, dtype, _, _ in _STATE_ARRAYS:
+        arr = _state_array(state, part, attr)
         if arr is None:
             manifest["arrays"].append([name, None, None])
         else:
-            arr = np.asarray(arr)
             manifest["arrays"].append([name, dtype, list(arr.shape)])
             blobs.append(arr.astype(dtype).tobytes())
     head = json.dumps(manifest, sort_keys=True).encode("utf-8")
@@ -321,6 +298,8 @@ def snapshot_state(state: StreamState, cfg: EngineConfig, path) -> None:
 
 
 def restore_state(path) -> Tuple[StreamState, EngineConfig]:
+    """Read a snapshot back as its state and config.  A malformed one,
+    also one holding a state that predict would refuse, is a FormatError."""
     raw = Path(path).read_bytes()
     count, _, kind = _read_header(raw, path)
     if kind != KIND_STATE:
@@ -361,12 +340,12 @@ def restore_state(path) -> Tuple[StreamState, EngineConfig]:
         if not (isinstance(entry, list) and len(entry) == 3 and isinstance(entry[0], str)):
             raise FormatError(f"{path}: array entry {entry!r} is not a [name, dtype, shape] triple")
         name, dtype, shape = entry
-        if name not in _NDIM and name not in _TWINS:
+        if name not in _NAMES and name not in _TWINS:
             raise FormatError(f"{path}: unknown array {name!r}")
         if dtype is None:
             arrays[name] = None
             continue
-        if dtype not in (_F8, _I8):
+        if dtype not in _DTYPES:
             raise FormatError(f"{path}: unknown array dtype {dtype!r}")
         if not (isinstance(shape, list) and all(map(_count, shape))):
             raise FormatError(f"{path}: array {name} has a bad shape {shape!r}")
@@ -375,53 +354,29 @@ def restore_state(path) -> Tuple[StreamState, EngineConfig]:
         if len(chunk) != nbytes:
             raise TruncatedPayload(f"{path}: array {name} cut short")
         arr = np.frombuffer(chunk, dtype=dtype).reshape(shape).copy()
-        if dtype == _F8 and not np.isfinite(arr).all():
+        if arr.dtype.kind == "f" and not np.isfinite(arr).all():
             raise NonFinitePayload(f"{path}: array {name} contains NaN or infinity")
         arrays[name] = arr
         offset += nbytes
     if offset != len(body):
         raise TruncatedPayload(f"{path}: {len(body) - offset} unexpected trailing bytes")
-    for name in _PER_CLUSTER:
-        arr = arrays.get(name)
-        if arr is not None and arr.shape[:1] != (cfg.clusters,):
-            raise FormatError(
-                f"{path}: array {name} has shape {arr.shape}, "
-                f"but the snapshot config has {cfg.clusters} clusters"
-            )
-    shapes = {name: arrays[name].shape for name in _NDIM if arrays.get(name) is not None}
-    if any(len(shape) != _NDIM[name] for name, shape in shapes.items()) or (
-        len({shape[-1] for name, shape in shapes.items() if name != "counts"}) > 1
-    ):
-        raise FormatError(
-            f"{path}: snapshot arrays need their ndim and one feature dimension: "
-            + ", ".join(f"{name} {shape}" for name, shape in shapes.items())
-        )
     for name, twin in _TWINS.items():
         old, new = arrays.get(name), arrays.get(twin)
         if old is not None and (new is None or not np.array_equal(old, new)):
             raise FormatError(f"{path}: array {name} differs from {twin}, of which it is a copy")
 
+    fields = {None: {}, "model": {}, "calib": {}}
+    for name, part, attr, _, _, _ in _STATE_ARRAYS:
+        fields[part][attr] = arrays.get(name)
     try:
-        model = None
-        if arrays.get("centroids") is not None:
-            needed = ("counts", "calib_global_mean", "calib_text_shifts")
-            missing = [name for name in needed if arrays.get(name) is None]
-            if missing:
-                raise FormatError(f"{path}: snapshot has centroids but no {', '.join(missing)}")
-            model = ClusterModel(centroids=arrays["centroids"], counts=arrays["counts"])
-        calib = None
-        if arrays.get("calib_text_shifts") is not None:
-            calib = CalibrationState(
-                global_mean=arrays.get("calib_global_mean"), text_shifts=arrays["calib_text_shifts"]
-            )
+        parts = {
+            part: cls(**fields[part]) if any(a is not None for a in fields[part].values()) else None
+            for part, cls in (("model", ClusterModel), ("calib", CalibrationState))
+        }
+        state = StreamState(**parts, **fields[None], **seen)
+        _check_state(state, cfg)
+    except FormatError as e:
+        raise FormatError(f"{path}: {e}") from None
     except (ValueError, TypeError) as e:
         raise FormatError(f"{path}: inconsistent snapshot arrays: {e}") from None
-    state = StreamState(
-        model=model,
-        calib=calib,
-        running_sums=arrays.get("running_sums"),
-        global_sum=arrays.get("global_sum"),
-        bootstrap_buffer=arrays.get("bootstrap_buffer"),
-        **seen,
-    )
     return state, cfg

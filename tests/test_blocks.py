@@ -260,7 +260,9 @@ def peak_files(tmp_path_factory):
     ["sweep", "--param", "batch-size", "--values", "20000"],
     ["sweep", "--param", "eta", "--values", "0.5"],
     ["diagnose", "--which", "hist"],
-], ids=["transduce", "predict", "sweep", "sweep-batch-size", "sweep-one-batch", "sweep-eta", "hist"])
+    ["stream", "--batch-size", "20000", "--clusters", "4"],
+], ids=["transduce", "predict", "sweep", "sweep-batch-size", "sweep-one-batch", "sweep-eta", "hist",
+        "stream"])
 def test_cli_top1_traced_peak_within_input_plus_probs(peak_files, command):
     d, files = peak_files
     n, dim, k = 20_000, 64, 50

@@ -603,3 +603,18 @@ def test_transduce_zero_row_is_degeneracy(tmp_path, capsys):
                "--names", str(tmp_path / "n.txt"), "--out", str(tmp_path / "p.tsv"),
                "--clusters", "2") == 3
     assert "row 4 has norm" in capsys.readouterr().err
+
+
+def test_stream_zero_row_is_degeneracy_before_any_snapshot(tmp_path, capsys):
+    # the command normalizes every row it read before the first batch, so
+    # a zero row in the last batch leaves no snapshot and no predictions
+    images = umfc.EmbeddingMatrix(data=np.vstack([np.eye(4), np.zeros((1, 4))]))
+    umfc.write_embeddings(images, tmp_path / "i.bin")
+    bank = umfc.TextBank(names=["a", "b"], data=np.eye(4)[:2])
+    umfc.write_text_bank(bank, tmp_path / "b.bin", tmp_path / "n.txt")
+    assert run("stream", "--test", str(tmp_path / "i.bin"), "--bank", str(tmp_path / "b.bin"),
+               "--names", str(tmp_path / "n.txt"), "--out", str(tmp_path / "p.tsv"),
+               "--clusters", "2", "--batch-size", "2", "--snapshot-every", "1",
+               "--out-state", str(tmp_path / "s.state")) == 3
+    assert "row 4 has norm" in capsys.readouterr().err
+    assert sorted(f.name for f in tmp_path.iterdir()) == ["b.bin", "i.bin", "n.txt"]

@@ -115,6 +115,79 @@ def test_predict_without_a_model_is_format_error():
         umfc.predict(umfc.stream_init(cfg), ds.images, ds.text_bank, cfg)
 
 
+def _replace_model(state, **kw):
+    return dataclasses.replace(state, model=dataclasses.replace(state.model, **kw))
+
+
+def _replace_calib(state, **kw):
+    calib = state.calib
+    return dataclasses.replace(state, calib=umfc.CalibrationState(
+        **{"global_mean": calib.global_mean, "text_shifts": calib.text_shifts, **kw}))
+
+
+@pytest.mark.parametrize("case", [
+    "short-counts", "extra-shift-row", "other-cluster-count", "narrow-running-sums",
+    "wrong-width-buffer", "calib-without-model",
+])
+def test_malformed_in_memory_state_is_format_error(tmp_path, case):
+    # the rules restore_state applies to a snapshot hold for a state built
+    # in memory: each is refused by name, never by a raw numpy error, and
+    # the library does not write a snapshot that it would refuse to read
+    ds = umfc.default_benchmark()
+    cfg = umfc.EngineConfig(clusters=3)
+    state = umfc.fit_unsupervised(ds.images, ds.text_bank, cfg)
+    x = ds.images.data[:10]
+    if case == "short-counts":
+        state = _replace_model(state, counts=state.model.counts[:2])
+    elif case == "extra-shift-row":
+        state = _replace_calib(state, text_shifts=np.vstack([state.calib.text_shifts, x[:1]]))
+    elif case == "other-cluster-count":
+        cfg = umfc.EngineConfig(clusters=4)
+    elif case == "narrow-running-sums":
+        state = dataclasses.replace(state, running_sums=state.running_sums[:, :5])
+    elif case == "wrong-width-buffer":
+        state = dataclasses.replace(state, bootstrap_buffer=x[:2, :7])
+    else:
+        state = dataclasses.replace(state, model=None)
+    p = tmp_path / "s.state"
+    for mode in ("memory", "ema"):
+        cfg = dataclasses.replace(cfg, mode=mode)
+        with pytest.raises(umfc.FormatError):
+            umfc.predict(state, x, ds.text_bank, cfg)
+        with pytest.raises(umfc.FormatError):
+            umfc.stream_step(state, x, ds.text_bank, cfg)
+        with pytest.raises(umfc.FormatError):
+            umfc.snapshot_state(state, cfg, p)
+    assert not p.exists()
+
+
+@pytest.mark.parametrize("mode", ["memory", "ema"])
+def test_stream_batch_of_another_width_is_dimension_mismatch(mode):
+    # against a model and against a bootstrap buffer, before any numpy
+    # product sees the batch
+    ds = small_benchmark()
+    cfg = cfg2(clusters=3, mode=mode)
+    fit = umfc.fit_unsupervised(ds.images, ds.text_bank, cfg)
+    _, buffering = umfc.stream_step(umfc.stream_init(cfg), ds.images.data[:1], ds.text_bank, cfg)
+    assert buffering.model is None and buffering.bootstrap_buffer.shape == (1, 8)
+    for state in (fit, buffering):
+        with pytest.raises(umfc.DimensionMismatch, match="rows of dim 7 against a state of dim 8"):
+            umfc.stream_step(state, ds.images.data[:5, :7], ds.text_bank, cfg)
+
+
+@pytest.mark.parametrize("field", ["tau", "eta"])
+@pytest.mark.parametrize("value", [True, "0.5", None, 1j])
+def test_config_refuses_a_non_real_tau_or_eta(field, value):
+    with pytest.raises(ValueError, match=field):
+        umfc.EngineConfig(**{field: value})
+
+
+@pytest.mark.parametrize("field", ["tau", "eta"])
+def test_config_takes_ints_and_numpy_scalars_for_tau_and_eta(field):
+    for value in (1, np.float32(0.5), np.float64(0.25), np.int64(1)):
+        assert getattr(umfc.EngineConfig(**{field: value}), field) == value
+
+
 def test_predictions_rows_and_concat():
     preds = umfc.Predictions(
         probs=np.array([[0.9, 0.1], [0.2, 0.8], [0.5, 0.5]]),

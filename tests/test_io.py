@@ -334,6 +334,27 @@ def _old_format_bytes(state, cfg, **copies):
     return _snapshot_bytes(manifest, blobs)
 
 
+def _unchecked_bytes(state, cfg):
+    """The bytes snapshot_state writes for a state, also for a malformed
+    one that it refuses to write."""
+    model, calib = state.model, state.calib
+    arrays = [("centroids", getattr(model, "centroids", None), "<f8"),
+              ("counts", getattr(model, "counts", None), "<i8"),
+              ("running_sums", state.running_sums, "<f8"),
+              ("global_sum", state.global_sum, "<f8"),
+              ("calib_global_mean", getattr(calib, "global_mean", None), "<f8"),
+              ("calib_text_shifts", getattr(calib, "text_shifts", None), "<f8"),
+              ("bootstrap_buffer", state.bootstrap_buffer, "<f8")]
+    manifest = {
+        "config": dataclasses.asdict(cfg),
+        "samples_seen": state.samples_seen,
+        "batches_seen": state.batches_seen,
+        "arrays": [[n, None, None] if a is None else [n, d, list(a.shape)] for n, a, d in arrays],
+    }
+    blobs = b"".join(a.astype(d).tobytes() for _, a, d in arrays if a is not None)
+    return _snapshot_bytes(manifest, blobs)
+
+
 @pytest.mark.parametrize("mode", ["memory", "ema"])
 def test_old_format_snapshot_restores_like_the_new_one(tmp_path, mode):
     ds, cfg, state = _fit_state(mode)
@@ -510,6 +531,7 @@ def test_fit_state_resumes_as_memory_stream_and_older_ones_name_missing_accumula
 @pytest.mark.parametrize("key, value", [
     ("clusters", 3.0), ("clusters", True), ("batch_size", 2.5), ("seed", -1), ("seed", 1.5),
     ("normalize_input", "no"), ("normalize_input", 1), ("mode", 1),
+    ("eta", True), ("eta", "0.5"), ("tau", "0.5"),
 ])
 def test_snapshot_config_of_a_wrong_type_is_format_error(tmp_path, key, value):
     p = tmp_path / "s.state"
@@ -533,8 +555,11 @@ def test_snapshot_with_an_unknown_array_name_is_refused(tmp_path):
 
 def test_snapshot_with_a_model_but_no_calibration_is_refused(tmp_path):
     _, cfg, state = _fit_state()
+    state = dataclasses.replace(state, calib=None)
     p = tmp_path / "s.state"
-    umfc.snapshot_state(dataclasses.replace(state, calib=None), cfg, p)
+    with pytest.raises(umfc.FormatError, match="calib_global_mean, calib_text_shifts"):
+        umfc.snapshot_state(state, cfg, p)
+    p.write_bytes(_unchecked_bytes(state, cfg))
     with pytest.raises(umfc.FormatError, match="calib_global_mean, calib_text_shifts"):
         umfc.restore_state(p)
 
@@ -542,7 +567,12 @@ def test_snapshot_with_a_model_but_no_calibration_is_refused(tmp_path):
 def test_snapshot_cluster_count_must_match_config(tmp_path):
     ds, cfg, state = _fit_state()
     p = tmp_path / "s.state"
-    umfc.snapshot_state(state, umfc.EngineConfig(clusters=cfg.clusters + 1), p)
+    umfc.snapshot_state(state, cfg, p)
+    assert p.read_bytes() == _unchecked_bytes(state, cfg)
+    more = umfc.EngineConfig(clusters=cfg.clusters + 1)
+    with pytest.raises(umfc.FormatError, match="centroids has shape"):
+        umfc.snapshot_state(state, more, p)
+    p.write_bytes(_unchecked_bytes(state, more))
     with pytest.raises(umfc.FormatError, match="centroids has shape"):
         umfc.restore_state(p)
 
@@ -560,6 +590,8 @@ def test_snapshot_arrays_must_share_the_feature_dimension(tmp_path, field):
     else:
         state = dataclasses.replace(state, **{field: getattr(state, field)[..., :6]})
     p = tmp_path / "s.state"
-    umfc.snapshot_state(state, cfg, p)
+    with pytest.raises(umfc.FormatError, match="feature dimension"):
+        umfc.snapshot_state(state, cfg, p)
+    p.write_bytes(_unchecked_bytes(state, cfg))
     with pytest.raises(umfc.FormatError, match="feature dimension"):
         umfc.restore_state(p)
