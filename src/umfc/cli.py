@@ -2,9 +2,12 @@
 
 Subcommands: fit, predict, transduce, stream, synth, diagnose, sweep.
 Every tunable flag can also be set through an environment variable named
-UMFC_<FLAG> (dashes become underscores, e.g. UMFC_BATCH_SIZE); an
-explicit flag always wins over the environment.  Progress and reports go
-to stderr; data goes to the files named by flags, never anywhere else.
+UMFC_<FLAG> (dashes become underscores, e.g. UMFC_BATCH_SIZE): when set,
+its value is the flag's argparse default, which argparse converts with
+the flag's type only when the flag is not given.  So an explicit flag
+always wins, even over a malformed variable, and a malformed value is a
+usage error naming the flag.  Progress and reports go to stderr; data
+goes to the files named by flags, never anywhere else.
 
 Exit codes: 0 success, 1 usage error, 2 unreadable/invalid data,
 3 numerical degeneracy.
@@ -41,11 +44,8 @@ from .errors import (
     DegenerateVector,
     DimensionMismatch,
     DimensionTooSmall,
-    EmptyDomain,
     FormatError,
     MissingLabels,
-    NonFiniteInput,
-    TooFewSamples,
     UmfcError,
 )
 from .synth import SynthSpec, generate_benchmark, pairwise_directions
@@ -61,6 +61,9 @@ class UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, **kwargs):
+        super().__init__(formatter_class=argparse.ArgumentDefaultsHelpFormatter, **kwargs)
+
     def error(self, message):
         raise UsageError(message)
 
@@ -75,62 +78,34 @@ def _parse_bool(raw: str) -> bool:
         return True
     if low in ("0", "false", "no", "off"):
         return False
-    raise ValueError(f"expected a boolean (0/1), got {raw!r}")
+    raise argparse.ArgumentTypeError(f"expected a boolean (0/1), got {raw!r}")
 
 
-class Flags:
-    """Declared tunables for one subcommand, resolved flag > env > default."""
-
-    def __init__(self, parser: argparse.ArgumentParser):
-        self.parser = parser
-        self.specs = []
-
-    def add(self, flag: str, type_, default, help_):
-        env = _env_name(flag)
-        self.parser.add_argument(
-            flag,
-            dest=flag.lstrip("-").replace("-", "_"),
-            type=str,
-            default=None,
-            help=f"{help_} (default: {default}; env: {env})",
-        )
-        self.specs.append((flag, type_, default))
-
-    def resolve(self, args) -> dict:
-        out = {}
-        for flag, type_, default in self.specs:
-            dest = flag.lstrip("-").replace("-", "_")
-            raw = getattr(args, dest)
-            if raw is None:
-                raw = os.environ.get(_env_name(flag))
-            if raw is None:
-                out[dest] = default
-                continue
-            try:
-                out[dest] = _parse_bool(raw) if type_ is bool else type_(raw)
-            except ValueError as e:
-                raise UsageError(f"{flag}: {e}") from None
-        return out
+def _tunable(parser, flag: str, type_, default, help_) -> None:
+    """Declare a flag whose default is its UMFC_<FLAG> variable when set."""
+    env = _env_name(flag)
+    parser.add_argument(
+        flag,
+        type=type_,
+        default=os.environ.get(env, default),
+        help=f"{help_} (default: %(default)s; env: {env})",
+    )
 
 
-def _engine_flags(parser):
-    f = Flags(parser)
+def _engine_flags(parser) -> None:
     d = EngineConfig()
-    f.add("--clusters", int, d.clusters, "number of cluster means")
-    f.add("--tau", float, d.tau, "softmax temperature")
-    f.add("--eta", float, d.eta, "moving-average rate (ema mode)")
-    f.add("--mode", str, d.mode, "streaming statistics: memory or ema")
-    f.add("--batch-size", int, d.batch_size, "streaming batch size")
-    f.add("--seed", int, d.seed, "PRNG seed for clustering")
-    f.add("--normalize-input", bool, d.normalize_input, "L2-normalize feature rows at ingestion")
-    return f
+    _tunable(parser, "--clusters", int, d.clusters, "number of cluster means")
+    _tunable(parser, "--tau", float, d.tau, "softmax temperature")
+    _tunable(parser, "--eta", float, d.eta, "moving-average rate (ema mode)")
+    _tunable(parser, "--mode", str, d.mode, "streaming statistics: memory or ema")
+    _tunable(parser, "--batch-size", int, d.batch_size, "streaming batch size")
+    _tunable(parser, "--seed", int, d.seed, "PRNG seed for clustering")
+    _tunable(parser, "--normalize-input", _parse_bool, d.normalize_input,
+             "L2-normalize feature rows at ingestion")
 
 
-def _config_from(vals: dict) -> EngineConfig:
-    try:
-        return EngineConfig(**{f.name: vals[f.name] for f in fields(EngineConfig)})
-    except ValueError as e:
-        raise UsageError(str(e)) from None
+def _config_from(args) -> EngineConfig:
+    return EngineConfig(**{f.name: getattr(args, f.name) for f in fields(EngineConfig)})
 
 
 def _load_matrix(path) -> EmbeddingMatrix:
@@ -199,15 +174,14 @@ def cmd_fit(argv) -> int:
     parser = _Parser(
         prog="umfc fit",
         description="Estimate calibration statistics from an unlabeled training matrix.",
-        formatter_class=argparse.ArgumentDefaultsHelpFormatter,
     )
     parser.add_argument("--train", required=True, help="embedding file to fit on")
     parser.add_argument("--bank", required=True, help="text bank embedding file")
     parser.add_argument("--names", required=True, help="class names, one per line")
     parser.add_argument("--out-state", required=True, help="where to write the fitted state")
-    flags = _engine_flags(parser)
+    _engine_flags(parser)
     args = parser.parse_args(argv)
-    cfg = _config_from(flags.resolve(args))
+    cfg = _config_from(args)
 
     train = _load_matrix(args.train)
     bank = uio.read_text_bank(args.bank, args.names)
@@ -227,21 +201,18 @@ def cmd_predict(argv) -> int:
         prog="umfc predict",
         description="Apply a fitted state to a test matrix.  Output rows: "
         "id, predicted class, probability, cluster, flags (tab-separated).",
-        formatter_class=argparse.ArgumentDefaultsHelpFormatter,
     )
     parser.add_argument("--state", required=True, help="state file from fit or stream")
     parser.add_argument("--test", required=True, help="embedding file to predict")
     parser.add_argument("--bank", required=True, help="text bank embedding file")
     parser.add_argument("--names", required=True, help="class names, one per line")
     parser.add_argument("--out", required=True, help="predictions TSV path")
-    f = Flags(parser)
-    f.add("--tau", float, None, "override the stored softmax temperature")
+    _tunable(parser, "--tau", float, None, "override the stored softmax temperature")
     args = parser.parse_args(argv)
-    vals = f.resolve(args)
 
     test = _load_matrix(args.test)
     bank = uio.read_text_bank(args.bank, args.names)
-    preds = _predict_loaded(args.state, vals["tau"], test, bank)
+    preds = _predict_loaded(args.state, args.tau, test, bank)
     _write_predictions(args.out, preds, test.ids, bank.names)
     _note(f"predict: {test.n} rows -> {args.out}")
     return EXIT_OK
@@ -251,18 +222,17 @@ def cmd_transduce(argv) -> int:
     parser = _Parser(
         prog="umfc transduce",
         description="Fit on the test matrix itself and predict it in one pass.",
-        formatter_class=argparse.ArgumentDefaultsHelpFormatter,
     )
     parser.add_argument("--test", required=True, help="embedding file to calibrate and predict")
     parser.add_argument("--bank", required=True, help="text bank embedding file")
     parser.add_argument("--names", required=True, help="class names, one per line")
     parser.add_argument("--out", required=True, help="predictions TSV path")
     parser.add_argument("--report", default=None, help="also write a per-domain accuracy TSV here")
-    flags = _engine_flags(parser)
-    flags.add("--micro", bool, False, "report micro instead of macro overall accuracy")
+    _engine_flags(parser)
+    _tunable(parser, "--micro", _parse_bool, False,
+             "report micro instead of macro overall accuracy")
     args = parser.parse_args(argv)
-    vals = flags.resolve(args)
-    cfg = _config_from(vals)
+    cfg = _config_from(args)
 
     test = _load_matrix(args.test)
     bank = uio.read_text_bank(args.bank, args.names)
@@ -273,8 +243,8 @@ def cmd_transduce(argv) -> int:
     _note(f"transduce: {test.n} rows -> {args.out}")
     if args.report is not None:
         table = per_domain_accuracy(preds, test.class_labels, test.domain_labels)
-        uio._atomic_write(args.report, table.to_tsv(micro=vals["micro"]).encode("utf-8"))
-        _note(f"report: overall {table.overall(micro=vals['micro']):.4f} -> {args.report}")
+        uio._atomic_write(args.report, table.to_tsv(micro=args.micro).encode("utf-8"))
+        _note(f"report: overall {table.overall(micro=args.micro):.4f} -> {args.report}")
     return EXIT_OK
 
 
@@ -282,7 +252,6 @@ def cmd_stream(argv) -> int:
     parser = _Parser(
         prog="umfc stream",
         description="Consume the test matrix in batches, adapting as it goes.",
-        formatter_class=argparse.ArgumentDefaultsHelpFormatter,
     )
     parser.add_argument("--test", required=True, help="embedding file to stream")
     parser.add_argument("--bank", required=True, help="text bank embedding file")
@@ -295,9 +264,9 @@ def cmd_stream(argv) -> int:
         default=0,
         help="also snapshot every N batches to <out-state>.batchNNNNN (0 = never)",
     )
-    flags = _engine_flags(parser)
+    _engine_flags(parser)
     args = parser.parse_args(argv)
-    cfg = _config_from(flags.resolve(args))
+    cfg = _config_from(args)
     if args.snapshot_every < 0:
         raise UsageError("--snapshot-every: must be >= 0")
     if args.snapshot_every and not args.out_state:
@@ -322,11 +291,24 @@ def cmd_stream(argv) -> int:
     return EXIT_OK
 
 
+# umfc synth's flags: (flag, the SynthSpec field it sets, help)
+_SYNTH_FLAGS = (
+    ("--classes", "n_classes", "number of classes"),
+    ("--domains", "n_domains", "number of domains"),
+    ("--dim", "dim", "embedding dimension (>= classes + domains)"),
+    ("--class-sep", "class_sep", "norm of the class anchor component"),
+    ("--domain-offset", "domain_offset_norm", "norm of the domain offset component"),
+    ("--noise", "noise_sigma", "feature noise sigma"),
+    ("--per-cell", "samples_per_cell", "samples per (class, domain) cell"),
+    ("--text-bias", "text_domain_bias", "text lean toward each class's home domain"),
+    ("--seed", "seed", "generator seed"),
+)
+
+
 def cmd_synth(argv) -> int:
     parser = _Parser(
         prog="umfc synth",
         description="Generate the synthetic benchmark files.",
-        formatter_class=argparse.ArgumentDefaultsHelpFormatter,
     )
     parser.add_argument("--out-prefix", required=True, help="prefix for the written files")
     parser.add_argument(
@@ -334,33 +316,14 @@ def cmd_synth(argv) -> int:
         action="store_true",
         help="also write the domain anchor texts (for the bias probe)",
     )
-    f = Flags(parser)
-    f.add("--classes", int, 10, "number of classes")
-    f.add("--domains", int, 3, "number of domains")
-    f.add("--dim", int, 32, "embedding dimension (>= classes + domains)")
-    f.add("--class-sep", float, 1.0, "norm of the class anchor component")
-    f.add("--domain-offset", float, 2.0, "norm of the domain offset component")
-    f.add("--noise", float, 0.05, "feature noise sigma")
-    f.add("--per-cell", int, 50, "samples per (class, domain) cell")
-    f.add("--text-bias", float, 0.75, "text lean toward each class's home domain")
-    f.add("--seed", int, 7, "generator seed")
+    d = SynthSpec()
+    for flag, field, help_ in _SYNTH_FLAGS:
+        default = getattr(d, field)
+        _tunable(parser, flag, type(default), default, help_)
     args = parser.parse_args(argv)
-    v = f.resolve(args)
-
-    try:
-        spec = SynthSpec(
-            n_classes=v["classes"],
-            n_domains=v["domains"],
-            dim=v["dim"],
-            class_sep=v["class_sep"],
-            domain_offset_norm=v["domain_offset"],
-            noise_sigma=v["noise"],
-            samples_per_cell=v["per_cell"],
-            seed=v["seed"],
-            text_domain_bias=v["text_bias"],
-        )
-    except (ValueError, DimensionTooSmall) as e:
-        raise UsageError(str(e)) from None
+    # SynthSpec refuses bad values with ValueError or DimensionTooSmall: usage errors
+    spec = SynthSpec(**{field: getattr(args, flag[2:].replace("-", "_"))
+                        for flag, field, _ in _SYNTH_FLAGS})
 
     ds = generate_benchmark(spec)
     prefix = args.out_prefix
@@ -386,7 +349,6 @@ def cmd_diagnose(argv) -> int:
         prog="umfc diagnose",
         description="Reports: prediction histogram, domain-bias probe, "
         "transition-direction check, balanced subsample.",
-        formatter_class=argparse.ArgumentDefaultsHelpFormatter,
     )
     parser.add_argument("--which", required=True, choices=["hist", "probe", "direction", "balance"])
     parser.add_argument("--test", default=None, help="embedding file (hist, direction, balance)")
@@ -395,12 +357,11 @@ def cmd_diagnose(argv) -> int:
     parser.add_argument("--domain-bank", default=None, help="domain anchor embeddings (probe, direction)")
     parser.add_argument("--state", default=None, help="calibrated state to apply first (hist, probe)")
     parser.add_argument("--out", required=True, help="output table path")
-    f = Flags(parser)
-    f.add("--tau", float, None, "temperature (hist: classification; probe: softmax over domains)")
-    f.add("--per-cell", int, 50, "balance: rows per (class, domain) cell")
-    f.add("--seed", int, 0, "balance: sampling seed")
+    _tunable(parser, "--tau", float, None,
+             "temperature (hist: classification; probe: softmax over domains)")
+    _tunable(parser, "--per-cell", int, 50, "balance: rows per (class, domain) cell")
+    _tunable(parser, "--seed", int, 0, "balance: sampling seed")
     args = parser.parse_args(argv)
-    v = f.resolve(args)
 
     def need(flag, value):
         if value is None:
@@ -410,7 +371,7 @@ def cmd_diagnose(argv) -> int:
     if args.which == "hist":
         test = _load_matrix(need("--test", args.test))
         bank = uio.read_text_bank(need("--bank", args.bank), need("--names", args.names))
-        tau = EngineConfig().tau if v["tau"] is None else v["tau"]
+        tau = EngineConfig().tau if args.tau is None else args.tau
         if args.state is not None:
             labels = _predict_loaded(args.state, tau, test, bank).labels
         else:
@@ -420,10 +381,7 @@ def cmd_diagnose(argv) -> int:
             for sl in row_blocks(max(test.n, 1)):
                 labels[sl] = classify_batch(test.data[sl], bank.data, tau).argmax(axis=1)
         hist = prediction_histogram(labels, bank.k)
-        lines = ["class\tcount"]
-        for c, n in hist.top():
-            lines.append(f"{bank.names[c]}\t{n}")
-        uio._atomic_write(args.out, ("\n".join(lines) + "\n").encode("utf-8"))
+        uio._atomic_write(args.out, hist.to_tsv(bank.names).encode("utf-8"))
         _note(f"histogram of {test.n} predictions -> {args.out}")
         return EXIT_OK
 
@@ -436,7 +394,7 @@ def cmd_diagnose(argv) -> int:
             if state.calib is None:
                 raise FormatError(f"{args.state}: state has no calibration")
             probed = calibrate_bank(bank, state.calib.text_shifts)
-        tau = 1.0 if v["tau"] is None else v["tau"]
+        tau = 1.0 if args.tau is None else args.tau
         result = domain_bias_probe(probed, anchors.data, tau=tau)
         uio._atomic_write(args.out, result.to_csv().encode("utf-8"))
         _note(f"probe: KL(aggregate || uniform) = {kl_to_uniform(result.aggregate):.6e} -> {args.out}")
@@ -453,7 +411,7 @@ def cmd_diagnose(argv) -> int:
 
     # balance
     test = _load_matrix(need("--test", args.test))
-    idx, shortfalls = balanced_subsample(test, v["per_cell"], v["seed"])
+    idx, shortfalls = balanced_subsample(test, args.per_cell, args.seed)
     cls = test.class_labels
     dom = test.domain_labels
     lines = [f"{test.ids[i]}\t{int(cls[i])}\t{int(dom[i])}" for i in idx]
@@ -469,7 +427,6 @@ def cmd_sweep(argv) -> int:
         prog="umfc sweep",
         description="Run the pipeline across one parameter's values and "
         "tabulate accuracy (labels required).",
-        formatter_class=argparse.ArgumentDefaultsHelpFormatter,
     )
     parser.add_argument("--param", required=True, help="clusters | batch-size | eta")
     parser.add_argument("--values", required=True, help="comma-separated parameter values")
@@ -477,9 +434,9 @@ def cmd_sweep(argv) -> int:
     parser.add_argument("--bank", required=True, help="text bank embedding file")
     parser.add_argument("--names", required=True, help="class names, one per line")
     parser.add_argument("--out", required=True, help="accuracy table TSV path")
-    flags = _engine_flags(parser)
+    _engine_flags(parser)
     args = parser.parse_args(argv)
-    base = _config_from(flags.resolve(args))
+    base = _config_from(args)
 
     if args.param not in ("clusters", "batch-size", "eta"):
         raise UsageError(f"--param: unknown parameter {args.param!r}")
@@ -534,6 +491,17 @@ _COMMANDS = {
 }
 
 
+# how main reports a failure: (exception types, exit code, stderr label);
+# the first entry that matches wins, so UmfcError's subclasses come before
+# it and UnicodeDecodeError and DimensionMismatch before ValueError
+_FAILURES = (
+    ((UsageError, DimensionTooSmall), EXIT_USAGE, "usage error"),
+    ((DegenerateVector, AllShiftsDegenerate), EXIT_DEGENERATE, "numerical degeneracy"),
+    ((UmfcError, OSError, UnicodeDecodeError), EXIT_DATA, "data error"),
+    ((ValueError,), EXIT_USAGE, "usage error"),
+)
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     if not argv or argv[0] in ("-h", "--help"):
@@ -556,33 +524,10 @@ def main(argv: Optional[List[str]] = None) -> int:
         return EXIT_USAGE
     try:
         return _COMMANDS[cmd](rest)
-    except UsageError as e:
-        print(f"usage error: {e}", file=sys.stderr)
-        return EXIT_USAGE
-    except (DegenerateVector, AllShiftsDegenerate) as e:
-        print(f"numerical degeneracy: {e}", file=sys.stderr)
-        return EXIT_DEGENERATE
-    except (
-        FormatError,
-        DimensionMismatch,
-        TooFewSamples,
-        MissingLabels,
-        EmptyDomain,
-        NonFiniteInput,
-        OSError,
-        UnicodeDecodeError,
-    ) as e:
-        print(f"data error: {e}", file=sys.stderr)
-        return EXIT_DATA
-    except DimensionTooSmall as e:
-        print(f"usage error: {e}", file=sys.stderr)
-        return EXIT_USAGE
-    except UmfcError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_DATA
-    except ValueError as e:
-        print(f"usage error: {e}", file=sys.stderr)
-        return EXIT_USAGE
+    except tuple(t for types, _, _ in _FAILURES for t in types) as e:
+        code, label = next((c, lab) for types, c, lab in _FAILURES if isinstance(e, types))
+        print(f"{label}: {e}", file=sys.stderr)
+        return code
 
 
 def _entry() -> None:

@@ -24,6 +24,11 @@ __all__ = [
     "inertia",
 ]
 
+# Lloyd's loop stops after MAX_ITERS updates, or once no centroid moves
+# by TOL or more
+MAX_ITERS = 100
+TOL = 1e-4
+
 
 @dataclass
 class ClusterModel:
@@ -164,13 +169,7 @@ def _repair_empty(
     return labels
 
 
-def kmeans_fit(
-    m: np.ndarray,
-    n_clusters: int,
-    seed: int,
-    max_iters: int = 100,
-    tol: float = 1e-4,
-) -> Tuple[ClusterModel, Assignment]:
+def kmeans_fit(m: np.ndarray, n_clusters: int, seed: int) -> Tuple[ClusterModel, Assignment]:
     """Fit n_clusters centroids to the rows of m.
 
     Returns the model and the assignment of every input row against the
@@ -178,7 +177,7 @@ def kmeans_fit(
     the returned labels exactly.  Iteration stops when the assignment
     stops changing (an exact fixed point: each centroid is then the mean
     of its members) or when the largest centroid movement drops below
-    tol, or after max_iters updates.
+    TOL, or after MAX_ITERS updates.
 
     Raises TooFewSamples when m has fewer rows than n_clusters.
     """
@@ -189,8 +188,6 @@ def kmeans_fit(
         raise ValueError(f"n_clusters must be >= 1, got {n_clusters}")
     if x.shape[0] < n_clusters:
         raise TooFewSamples(f"{x.shape[0]} samples for {n_clusters} clusters")
-    if max_iters < 1:
-        raise ValueError(f"max_iters must be >= 1, got {max_iters}")
 
     rng = np.random.default_rng(seed)
     x2 = np.einsum("ij,ij->i", x, x)
@@ -199,7 +196,7 @@ def kmeans_fit(
     labels = _repair_empty(x, pure_labels, d2, n_clusters)
     history = []
 
-    for _ in range(max_iters):
+    for _ in range(MAX_ITERS):
         # labels is post-repair here so every cluster has members
         sums, counts = _cluster_sums(x, labels, n_clusters)
         new_centroids = sums / counts[:, None]
@@ -208,7 +205,7 @@ def kmeans_fit(
         centroids = new_centroids
         pure_labels, d2 = _assign_dense(x, centroids, x2)
         repaired = _repair_empty(x, pure_labels, d2, n_clusters)
-        if np.array_equal(repaired, labels) or shift < tol:
+        if np.array_equal(repaired, labels) or shift < TOL:
             break
         labels = repaired
 

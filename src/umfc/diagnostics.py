@@ -93,10 +93,12 @@ class Histogram:
             order = order[:k]
         return [(c, int(self.counts[c])) for c in order]
 
-    def to_tsv(self) -> str:
+    def to_tsv(self, names: Optional[Sequence[str]] = None) -> str:
+        """class<TAB>count rows in top() order; a class is its index, or
+        its entry of names when given."""
         lines = ["class\tcount"]
         for c, n in self.top():
-            lines.append(f"{c}\t{n}")
+            lines.append(f"{c if names is None else names[c]}\t{n}")
         return "\n".join(lines) + "\n"
 
 

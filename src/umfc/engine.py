@@ -148,8 +148,9 @@ def _state_array(state: StreamState, part: Optional[str], attr: str) -> Optional
 def _check_state(state: StreamState, cfg: EngineConfig) -> Optional[int]:
     """Raise FormatError unless a state is well-formed under cfg: every
     array of _STATE_ARRAYS of cfg.clusters rows if it has one per cluster,
-    of its ndim and of one feature dimension, and model and calib both
-    present or both absent.  Return that dimension (None with no array)."""
+    of its ndim and of one feature dimension, a bootstrap buffer of at
+    most cfg.clusters rows, and model and calib both present or both
+    absent.  Return that dimension (None with no array)."""
     shapes, dims, ndim_ok = {}, set(), True
     for name, part, attr, _, ndim, per_cluster in _STATE_ARRAYS:
         arr = _state_array(state, part, attr)
@@ -165,6 +166,10 @@ def _check_state(state: StreamState, cfg: EngineConfig) -> Optional[int]:
     if not ndim_ok or len(dims) > 1:
         listed = ", ".join(f"{name} {shape}" for name, shape in shapes.items())
         raise FormatError(f"snapshot arrays need their ndim and one feature dimension: {listed}")
+    buffered = shapes.get("bootstrap_buffer", (0,))[0]
+    if buffered > cfg.clusters:
+        raise FormatError(f"a bootstrap buffer of {buffered} rows, "
+                          f"but the snapshot config has {cfg.clusters} clusters")
     have = [name for name in _FITTED if name in shapes]
     if have and len(have) < len(_FITTED):
         lack = ", ".join(name for name in _FITTED if name not in shapes)

@@ -1,7 +1,10 @@
 """End-to-end command line checks, run in-process via cli.main."""
 
 import ast
+import dataclasses
 import json
+import os
+import re
 import struct
 from pathlib import Path
 
@@ -100,6 +103,40 @@ def test_subcommand_help_documents_defaults(cmd, capsys):
     out = capsys.readouterr().out
     assert "default" in out
     assert "UMFC_" in out  # every tunable names its env override
+
+
+def _tunable_defaults(cmd):
+    """The tunable flags of a subcommand and the default each must show."""
+    engine = {"--" + f.name.replace("_", "-"): getattr(umfc.EngineConfig(), f.name)
+              for f in dataclasses.fields(umfc.EngineConfig)}
+    spec = umfc.SynthSpec()
+    return {
+        "fit": engine,
+        "predict": {"--tau": None},
+        "transduce": {**engine, "--micro": False},
+        "stream": engine,
+        "synth": {flag: getattr(spec, field) for flag, field, _ in cli._SYNTH_FLAGS},
+        "diagnose": {"--tau": None, "--per-cell": 50, "--seed": 0},
+        "sweep": engine,
+    }[cmd]
+
+
+@pytest.mark.parametrize("cmd", sorted(cli._COMMANDS))
+def test_help_shows_each_tunable_default_once(cmd, capsys, monkeypatch):
+    for name in [k for k in os.environ if k.startswith("UMFC_")]:
+        monkeypatch.delenv(name)
+    with pytest.raises(SystemExit):
+        run(cmd, "--help")
+    # one entry per option, its wrapped lines joined
+    entries = {block.split()[0]: " ".join(block.split())
+               for block in re.split(r"\n(?=  -)", capsys.readouterr().out)
+               if block.startswith("  --")}
+    tunables = {flag: text for flag, text in entries.items() if "env: UMFC_" in text}
+    defaults = _tunable_defaults(cmd)
+    assert sorted(tunables) == sorted(defaults)
+    for flag, text in tunables.items():
+        assert text.count("default:") == 1, text
+        assert f"(default: {defaults[flag]}; env: {cli._env_name(flag)})" in text, text
 
 
 # ---------------------------------------------------------------------------
@@ -528,17 +565,34 @@ def test_env_supplies_default_flag_wins(small, tmp_path, capsys, monkeypatch):
     assert "-> 3 clusters" in capsys.readouterr().err
 
 
-def test_env_bad_value_is_usage_error(small, tmp_path, monkeypatch):
-    monkeypatch.setenv("UMFC_CLUSTERS", "lots")
-    assert run("fit", "--train", f"{small}_images.bin", "--bank", f"{small}_bank.bin",
-               "--names", f"{small}_names.txt", "--out-state", str(tmp_path / "x.state")) == 1
+def test_env_bad_value_is_usage_error(small, tmp_path, capsys, monkeypatch):
+    args = ["fit", "--train", f"{small}_images.bin", "--bank", f"{small}_bank.bin",
+            "--names", f"{small}_names.txt", "--out-state"]
+    for env, value, flag in [("UMFC_CLUSTERS", "lots", "--clusters"),
+                             ("UMFC_NORMALIZE_INPUT", "maybe", "--normalize-input"),
+                             ("UMFC_TAU", "hot", "--tau")]:
+        monkeypatch.setenv(env, value)
+        assert run(*args, str(tmp_path / "x.state")) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: ") and flag in err and repr(value) in err
+        assert not (tmp_path / "x.state").exists()
+        # argparse converts the variable only when the flag is not given
+        ok = str(tmp_path / f"{env}.state")
+        assert run(*args, ok, flag, "3" if flag == "--clusters" else "1") == 0
+        capsys.readouterr()
+        monkeypatch.delenv(env)
 
 
-def test_bool_flag_values(small, tmp_path):
+def test_bool_flag_values(small, tmp_path, monkeypatch):
     base = ["transduce", "--test", f"{small}_images.bin", "--bank", f"{small}_bank.bin",
-            "--names", f"{small}_names.txt", "--out", str(tmp_path / "p.tsv"), "--clusters", "2"]
-    assert run(*base, "--normalize-input", "off") == 0
-    assert run(*base, "--normalize-input", "maybe") == 1
+            "--names", f"{small}_names.txt", "--clusters", "2", "--out"]
+    assert run(*base, str(tmp_path / "p.tsv"), "--normalize-input", "off") == 0
+    assert run(*base, str(tmp_path / "p.tsv"), "--normalize-input", "maybe") == 1
+    # the environment takes the same spellings
+    assert run(*base, str(tmp_path / "flag.tsv"), "--normalize-input", "0") == 0
+    monkeypatch.setenv("UMFC_NORMALIZE_INPUT", "off")
+    assert run(*base, str(tmp_path / "env.tsv")) == 0
+    assert (tmp_path / "env.tsv").read_bytes() == (tmp_path / "flag.tsv").read_bytes()
 
 
 def test_negative_seed_is_usage_error_naming_seed(small, tmp_path, capsys):

@@ -73,6 +73,12 @@ def test_prediction_histogram():
     assert hist.to_tsv().startswith("class\tcount\n")
 
 
+def test_histogram_tsv_names_its_classes_when_given_names():
+    hist = umfc.prediction_histogram(_preds([0, 2, 2]), 3)
+    assert hist.to_tsv() == "class\tcount\n2\t2\n0\t1\n1\t0\n"
+    assert hist.to_tsv(["a", "b", "c"]) == "class\tcount\nc\t2\na\t1\nb\t0\n"
+
+
 def test_histogram_rejects_out_of_range():
     with pytest.raises(ValueError):
         umfc.prediction_histogram(_preds([0, 3]), 2)

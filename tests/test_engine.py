@@ -161,6 +161,31 @@ def test_malformed_in_memory_state_is_format_error(tmp_path, case):
     assert not p.exists()
 
 
+def test_bootstrap_buffer_of_more_rows_than_clusters_is_format_error(tmp_path):
+    # two rows buffered under 3 clusters, then read under 1: the buffer
+    # cannot seed that many clusters, so it is refused by name rather
+    # than failing inside stream_step with an IndexError
+    ds = umfc.default_benchmark()
+    x = ds.images.data
+    _, state = umfc.stream_step(umfc.stream_init(umfc.EngineConfig(clusters=3)), x[:2],
+                                ds.text_bank, umfc.EngineConfig(clusters=3))
+    assert state.bootstrap_buffer.shape == (2, ds.images.dim)
+    p = tmp_path / "s.state"
+    for mode in ("memory", "ema"):
+        cfg = umfc.EngineConfig(clusters=1, mode=mode)
+        with pytest.raises(umfc.FormatError, match="bootstrap buffer of 2 rows"):
+            umfc.stream_step(state, x[2:7], ds.text_bank, cfg)
+        with pytest.raises(umfc.FormatError, match="bootstrap buffer of 2 rows"):
+            umfc.predict(state, x[2:7], ds.text_bank, cfg)
+        with pytest.raises(umfc.FormatError, match="bootstrap buffer of 2 rows"):
+            umfc.snapshot_state(state, cfg, p)
+        assert not p.exists()
+        # a buffer of exactly `clusters` rows seeds one cluster each
+        cfg = umfc.EngineConfig(clusters=2, mode=mode)
+        preds, seeded = umfc.stream_step(state, x[2:7], ds.text_bank, cfg)
+        assert len(preds) == 5 and seeded.model.counts.sum() == 7
+
+
 @pytest.mark.parametrize("mode", ["memory", "ema"])
 def test_stream_batch_of_another_width_is_dimension_mismatch(mode):
     # against a model and against a bootstrap buffer, before any numpy

@@ -595,3 +595,47 @@ def test_snapshot_arrays_must_share_the_feature_dimension(tmp_path, field):
     p.write_bytes(_unchecked_bytes(state, cfg))
     with pytest.raises(umfc.FormatError, match="feature dimension"):
         umfc.restore_state(p)
+
+
+def test_snapshot_with_a_bootstrap_buffer_of_more_rows_than_clusters_is_refused(tmp_path):
+    ds = umfc.default_benchmark()
+    _, state = umfc.stream_step(StreamState(), ds.images.data[:2], ds.text_bank,
+                                umfc.EngineConfig(clusters=3))
+    p = tmp_path / "s.state"
+    p.write_bytes(_unchecked_bytes(state, umfc.EngineConfig(clusters=1)))
+    with pytest.raises(umfc.FormatError, match="bootstrap buffer of 2 rows"):
+        umfc.restore_state(p)
+    p.write_bytes(_unchecked_bytes(state, umfc.EngineConfig(clusters=2)))
+    back, _ = umfc.restore_state(p)
+    _assert_states_equal(state, back)
+
+
+def test_restore_of_a_snapshot_with_flipped_bytes_raises_only_umfc_errors(tmp_path):
+    # 1-3 seeded byte flips per trial anywhere in a memory-stream snapshot:
+    # restore_state either refuses the file with an UmfcError or returns a
+    # state on which predict and stream_step raise nothing but UmfcError
+    ds = umfc.default_benchmark()
+    x = ds.images.data
+    cfg = umfc.EngineConfig(clusters=3)
+    _, state = umfc.run_stream(x[:300], ds.text_bank, cfg)
+    p = tmp_path / "s.state"
+    umfc.snapshot_state(state, cfg, p)
+    clean = p.read_bytes()
+    rng = np.random.default_rng(0)
+    restored = 0
+    for _ in range(500):
+        raw = bytearray(clean)
+        for at in rng.choice(len(raw), size=int(rng.integers(1, 4)), replace=False):
+            raw[at] ^= int(rng.integers(1, 256))
+        p.write_bytes(bytes(raw))
+        try:
+            back, back_cfg = umfc.restore_state(p)
+        except umfc.UmfcError:
+            continue
+        restored += 1
+        for step in (umfc.predict, umfc.stream_step):
+            try:
+                step(back, x[300:320], ds.text_bank, back_cfg)
+            except umfc.UmfcError:
+                pass
+    assert 0 < restored < 500
