@@ -36,7 +36,7 @@ def main():
     gain = table.overall() - zs_table.overall()
     print(f"macro gain from calibration: {gain:+.4f}")
     print(f"text shift norms per cluster: "
-          f"{np.round(np.linalg.norm(state.calib.text_shifts, axis=1), 4)}")
+          f"{np.round(np.linalg.norm(state.calib_text_shifts, axis=1), 4)}")
 
 
 if __name__ == "__main__":

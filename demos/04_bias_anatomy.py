@@ -33,7 +33,7 @@ def main():
           f"KL to uniform {umfc.kl_to_uniform(raw.aggregate):.3e}")
 
     preds, state = umfc.transduce(ds.images, ds.text_bank, umfc.EngineConfig(clusters=3))
-    shifted = umfc.calibrate_bank(ds.text_bank, state.calib.text_shifts)
+    shifted = umfc.calibrate_bank(ds.text_bank, state.calib_text_shifts)
     cal = umfc.domain_bias_probe(shifted, ds.domain_anchor_texts)
     print(f"after text calibration:                 "
           f"{np.round(cal.aggregate, 4)}  "

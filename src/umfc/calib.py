@@ -12,13 +12,12 @@ expansion cannot resolve send their row to the exact per-shift loop.
 """
 
 import warnings
-from dataclasses import dataclass
 from typing import Optional, Tuple
 
 import numpy as np
 
 from .core import DEGENERACY_EPS, TextBank, _check_tau
-from .errors import AllShiftsDegenerate, DegenerateVector, DimensionMismatch, NonFiniteInput
+from .errors import AllShiftsDegenerate, DegenerateVector, DimensionMismatch
 
 # a text-minus-shift term whose expanded squared distance is below this
 # fraction of |t|^2 + |s|^2 goes to the exact norm (see _calibrate_rows);
@@ -29,44 +28,9 @@ _NEAR_FACTOR = 1e-2
 _BLOCK_ROWS = 64
 
 __all__ = [
-    "CalibrationState",
     "calibrate_bank",
     "classify_batch",
 ]
-
-
-@dataclass(frozen=True)
-class CalibrationState:
-    """The text side of a fitted state: the global mean and one shift
-    row per cluster (the cluster means are the state's model.centroids).
-
-    For states produced by a one-shot fit, text_shifts is exactly the
-    cluster means - global_mean row for row (from_means).  Streaming
-    states refresh a shift row only on batches where that cluster
-    appears, so rows there reflect the global mean as of the cluster's
-    last appearance.
-    """
-
-    global_mean: np.ndarray
-    text_shifts: np.ndarray
-
-    def __post_init__(self):
-        gm = np.asarray(self.global_mean, dtype=np.float64)
-        ts = np.asarray(self.text_shifts, dtype=np.float64)
-        if ts.ndim != 2:
-            raise ValueError(f"text_shifts must be 2-d, got shape {ts.shape}")
-        if gm.shape != (ts.shape[1],):
-            raise ValueError(f"global_mean shape {gm.shape} does not match dim {ts.shape[1]}")
-        for name, a in (("global_mean", gm), ("text_shifts", ts)):
-            if not np.isfinite(a).all():
-                raise NonFiniteInput(f"{name} contains NaN or infinity")
-        object.__setattr__(self, "global_mean", gm)
-        object.__setattr__(self, "text_shifts", ts)
-
-    @classmethod
-    def from_means(cls, cluster_means: np.ndarray, global_mean: np.ndarray) -> "CalibrationState":
-        gm = np.asarray(global_mean, dtype=np.float64)
-        return cls(global_mean=gm, text_shifts=np.asarray(cluster_means, dtype=np.float64) - gm)
 
 
 def _lex_order(a: np.ndarray) -> np.ndarray:

@@ -134,15 +134,16 @@ def _predict_loaded(state_path, tau, test: EmbeddingMatrix, bank: TextBank) -> P
     the wrong dimension is a data error even when it is also degenerate.
     """
     state, cfg = uio.restore_state(state_path)
-    if state.model is None:
+    if state.centroids is None:
         raise FormatError(f"{state_path}: state has no fitted model to predict with")
     if tau is not None:
         try:
             cfg = replace(cfg, tau=tau)
         except ValueError:
             raise UsageError(f"--tau: must be finite and > 0, got {tau}") from None
-    if test.n and test.dim != state.model.dim:
-        raise DimensionMismatch(f"rows of dim {test.dim} against a state of dim {state.model.dim}")
+    dim = state.centroids.shape[1]
+    if test.n and test.dim != dim:
+        raise DimensionMismatch(f"rows of dim {test.dim} against a state of dim {dim}")
     cfg = _normalize_loaded(test, cfg)
     return predict(state, test, bank, cfg, keep_probs=False)
 
@@ -189,9 +190,9 @@ def cmd_fit(argv) -> int:
     state = fit_unsupervised(train, bank, _normalize_loaded(train, cfg))
     uio.snapshot_state(state, cfg, args.out_state)
     _note(f"fit: {train.n} samples -> {cfg.clusters} clusters")
-    shift_norms = np.linalg.norm(state.calib.text_shifts, axis=1)
+    shift_norms = np.linalg.norm(state.calib_text_shifts, axis=1)
     for m in range(cfg.clusters):
-        _note(f"  cluster {m}: size {int(state.model.counts[m])}, shift norm {shift_norms[m]:.6f}")
+        _note(f"  cluster {m}: size {int(state.counts[m])}, shift norm {shift_norms[m]:.6f}")
     _note(f"state written to {args.out_state}")
     return EXIT_OK
 
@@ -391,9 +392,9 @@ def cmd_diagnose(argv) -> int:
         probed = bank
         if args.state is not None:
             state, _ = uio.restore_state(args.state)
-            if state.calib is None:
+            if state.calib_text_shifts is None:
                 raise FormatError(f"{args.state}: state has no calibration")
-            probed = calibrate_bank(bank, state.calib.text_shifts)
+            probed = calibrate_bank(bank, state.calib_text_shifts)
         tau = 1.0 if args.tau is None else args.tau
         result = domain_bias_probe(probed, anchors.data, tau=tau)
         uio._atomic_write(args.out, result.to_csv().encode("utf-8"))

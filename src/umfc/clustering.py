@@ -17,7 +17,6 @@ from .errors import TooFewSamples
 
 __all__ = [
     "ClusterModel",
-    "Assignment",
     "kmeans_fit",
     "assign_batch",
     "batch_cluster_means",
@@ -32,7 +31,8 @@ TOL = 1e-4
 
 @dataclass
 class ClusterModel:
-    """Fitted centroids with the member count behind each one.
+    """What kmeans_fit fits: the centroids with the member count behind
+    each one.
 
     inertia_history is a diagnostic: the objective recorded after each
     Lloyd update, non-increasing from start to convergence.
@@ -41,22 +41,6 @@ class ClusterModel:
     centroids: np.ndarray
     counts: np.ndarray
     inertia_history: Optional[list] = None
-
-    @property
-    def m(self) -> int:
-        return self.centroids.shape[0]
-
-    @property
-    def dim(self) -> int:
-        return self.centroids.shape[1]
-
-
-@dataclass
-class Assignment:
-    """Cluster label and Euclidean distance to that centroid, per row."""
-
-    labels: np.ndarray
-    distances: np.ndarray
 
 
 def _assign_dense(
@@ -102,9 +86,11 @@ def _cluster_sums(x: np.ndarray, labels: np.ndarray, m: int) -> Tuple[np.ndarray
     return sums, counts
 
 
-def _inertia(x: np.ndarray, centroids: np.ndarray, labels: np.ndarray) -> float:
-    """Sum of squared distances to the assigned centroids, summed per row
-    block; within one block the bits are those of a single np.sum."""
+def inertia(x: np.ndarray, centroids: np.ndarray, labels: np.ndarray) -> float:
+    """Sum of squared Euclidean distances to each row's assigned centroid,
+    summed per row block; within one block the bits are those of a single
+    np.sum."""
+    x = np.asarray(x, dtype=np.float64)
     total = 0.0
     for sl in row_blocks(x.shape[0]):
         diff = x[sl] - centroids[labels[sl]]
@@ -169,15 +155,15 @@ def _repair_empty(
     return labels
 
 
-def kmeans_fit(m: np.ndarray, n_clusters: int, seed: int) -> Tuple[ClusterModel, Assignment]:
+def kmeans_fit(m: np.ndarray, n_clusters: int, seed: int) -> Tuple[ClusterModel, np.ndarray]:
     """Fit n_clusters centroids to the rows of m.
 
-    Returns the model and the assignment of every input row against the
-    final centroids, so re-running assign_batch on the rows reproduces
-    the returned labels exactly.  Iteration stops when the assignment
-    stops changing (an exact fixed point: each centroid is then the mean
-    of its members) or when the largest centroid movement drops below
-    TOL, or after MAX_ITERS updates.
+    Returns the model and the int64 cluster label of every input row
+    against the final centroids, so re-running assign_batch on the rows
+    reproduces the returned labels exactly.  Iteration stops when the
+    assignment stops changing (an exact fixed point: each centroid is
+    then the mean of its members) or when the largest centroid movement
+    drops below TOL, or after MAX_ITERS updates.
 
     Raises TooFewSamples when m has fewer rows than n_clusters.
     """
@@ -200,7 +186,7 @@ def kmeans_fit(m: np.ndarray, n_clusters: int, seed: int) -> Tuple[ClusterModel,
         # labels is post-repair here so every cluster has members
         sums, counts = _cluster_sums(x, labels, n_clusters)
         new_centroids = sums / counts[:, None]
-        history.append(_inertia(x, new_centroids, labels))
+        history.append(inertia(x, new_centroids, labels))
         shift = float(np.max(np.linalg.norm(new_centroids - centroids, axis=1)))
         centroids = new_centroids
         pure_labels, d2 = _assign_dense(x, centroids, x2)
@@ -209,20 +195,15 @@ def kmeans_fit(m: np.ndarray, n_clusters: int, seed: int) -> Tuple[ClusterModel,
             break
         labels = repaired
 
-    # the returned assignment is the plain argmin against the final
-    # centroids, so assign_batch reproduces it row for row
+    # the returned labels are the plain argmin against the final
+    # centroids, so assign_batch reproduces them row for row
     counts = np.bincount(pure_labels, minlength=n_clusters).astype(np.int64)
-    model = ClusterModel(centroids=centroids, counts=counts, inertia_history=history)
-    # d2 already measures against the final centroids, through the same
-    # expansion assign_batch uses, so the two agree bit for bit
-    return model, Assignment(labels=pure_labels, distances=np.sqrt(d2))
+    return ClusterModel(centroids=centroids, counts=counts, inertia_history=history), pure_labels
 
 
-def assign_batch(model: ClusterModel, m: np.ndarray) -> Assignment:
-    """Nearest-centroid assignment for every row of m."""
-    x = np.asarray(m, dtype=np.float64)
-    labels, d2 = _assign_dense(x, model.centroids)
-    return Assignment(labels=labels, distances=np.sqrt(d2))
+def assign_batch(centroids: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """The int64 label of the nearest centroid for every row of m."""
+    return _assign_dense(np.asarray(m, dtype=np.float64), centroids)[0]
 
 
 def batch_cluster_means(
@@ -243,9 +224,3 @@ def batch_cluster_means(
     present = counts > 0
     means[present] = sums[present] / counts[present, None]
     return means, counts
-
-
-def inertia(m: np.ndarray, model: ClusterModel, assignment: Assignment) -> float:
-    """Sum of squared Euclidean distances to each row's assigned centroid."""
-    x = np.asarray(m, dtype=np.float64)
-    return _inertia(x, model.centroids, assignment.labels)

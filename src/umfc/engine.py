@@ -18,8 +18,9 @@ global mean and text shifts.  A fit is k-means followed by that update
 of an empty state under k-means' own labels, and a later stream batch is
 assign_batch followed by it, so a fitted state continues as a memory
 stream bit for bit.  Every regime returns its rows as one columnar
-Predictions and its fitted state as one StreamState, which predict
-applies and snapshot_state writes.
+Predictions and its fitted state as one StreamState, a flat record of
+the arrays a snapshot holds, which predict applies and snapshot_state
+writes.
 """
 
 from dataclasses import dataclass, replace
@@ -29,13 +30,8 @@ from typing import Callable, Optional, Tuple, Union
 import numpy as np
 
 from . import core
-from .calib import CalibrationState, calibrate_bank, classify_batch
-from .clustering import (
-    ClusterModel,
-    assign_batch,
-    kmeans_fit,
-    _cluster_sums,
-)
+from .calib import calibrate_bank, classify_batch
+from .clustering import assign_batch, kmeans_fit, _cluster_sums
 from .core import (
     DEGENERACY_EPS,
     EmbeddingMatrix,
@@ -45,7 +41,7 @@ from .core import (
     l2_normalize_rows,
     row_blocks,
 )
-from .errors import DimensionMismatch, FormatError
+from .errors import DimensionMismatch, FormatError, NonFiniteInput
 
 __all__ = [
     "EngineConfig",
@@ -104,56 +100,55 @@ class EngineConfig:
 class StreamState:
     """The fitted state of every regime: a stream between batches, or
     what fit_unsupervised and transduce estimate (a memory stream after
-    one batch).
+    one batch).  Each array is named as in a snapshot.
 
-    model holds the cluster means and counts, calib the global mean and
-    text shifts; before enough samples have arrived to place the cluster
-    means, both are None and bootstrap_buffer holds what has been seen.
-    In memory mode and in every fit running_sums / global_sum are the
-    exact accumulators behind the prototypes; ema mode allocates none of
-    them.  Invariant (accumulators kept): every prototype row m with
-    model.counts[m] > 0 equals running_sums[m] / model.counts[m].
+    The fitted arrays are the cluster means (centroids) with their
+    member counts, the global mean and one text shift row per cluster;
+    before enough samples have arrived to place the cluster means, all
+    four are None and bootstrap_buffer holds what has been seen.  In
+    memory mode and in every fit running_sums / global_sum are the exact
+    accumulators behind the means; ema mode allocates none of them.
+    Invariant (accumulators kept): every row m with counts[m] > 0 of
+    centroids equals running_sums[m] / counts[m], and calib_global_mean
+    equals global_sum / samples_seen.
     """
 
-    model: Optional[ClusterModel] = None
-    calib: Optional[CalibrationState] = None
+    centroids: Optional[np.ndarray] = None
+    counts: Optional[np.ndarray] = None
     running_sums: Optional[np.ndarray] = None
     global_sum: Optional[np.ndarray] = None
+    calib_global_mean: Optional[np.ndarray] = None
+    calib_text_shifts: Optional[np.ndarray] = None
+    bootstrap_buffer: Optional[np.ndarray] = None
     samples_seen: int = 0
     batches_seen: int = 0
-    bootstrap_buffer: Optional[np.ndarray] = None
 
 
-# The arrays of a StreamState in snapshot order: (snapshot name, the
-# state's model or calib holding it, or None for the state itself, its
-# attribute there, dtype, ndim, one row per cluster).  The last axis of
-# every array but counts is the feature dimension.
+# The arrays of a StreamState in snapshot order: (name, dtype, ndim, one
+# row per cluster).  The last axis of every array but counts is the
+# feature dimension.
 _STATE_ARRAYS = (
-    ("centroids", "model", "centroids", "<f8", 2, True),
-    ("counts", "model", "counts", "<i8", 1, True),
-    ("running_sums", None, "running_sums", "<f8", 2, True),
-    ("global_sum", None, "global_sum", "<f8", 1, False),
-    ("calib_global_mean", "calib", "global_mean", "<f8", 1, False),
-    ("calib_text_shifts", "calib", "text_shifts", "<f8", 2, True),
-    ("bootstrap_buffer", None, "bootstrap_buffer", "<f8", 2, False),
+    ("centroids", "<f8", 2, True),
+    ("counts", "<i8", 1, True),
+    ("running_sums", "<f8", 2, True),
+    ("global_sum", "<f8", 1, False),
+    ("calib_global_mean", "<f8", 1, False),
+    ("calib_text_shifts", "<f8", 2, True),
+    ("bootstrap_buffer", "<f8", 2, False),
 )
-_FITTED = tuple(name for name, part, *_ in _STATE_ARRAYS if part is not None)
-
-
-def _state_array(state: StreamState, part: Optional[str], attr: str) -> Optional[np.ndarray]:
-    holder = state if part is None else getattr(state, part)
-    return None if holder is None else getattr(holder, attr)
+# a fitted state has all of these, a bootstrapping one none
+_FITTED = ("centroids", "counts", "calib_global_mean", "calib_text_shifts")
 
 
 def _check_state(state: StreamState, cfg: EngineConfig) -> Optional[int]:
     """Raise FormatError unless a state is well-formed under cfg: every
     array of _STATE_ARRAYS of cfg.clusters rows if it has one per cluster,
     of its ndim and of one feature dimension, a bootstrap buffer of at
-    most cfg.clusters rows, and model and calib both present or both
+    most cfg.clusters rows, and the fitted arrays all present or all
     absent.  Return that dimension (None with no array)."""
     shapes, dims, ndim_ok = {}, set(), True
-    for name, part, attr, _, ndim, per_cluster in _STATE_ARRAYS:
-        arr = _state_array(state, part, attr)
+    for name, _, ndim, per_cluster in _STATE_ARRAYS:
+        arr = getattr(state, name)
         if arr is None:
             continue
         shape = shapes[name] = arr.shape
@@ -179,10 +174,14 @@ def _check_state(state: StreamState, cfg: EngineConfig) -> Optional[int]:
 
 def _as_rows(data: Union[EmbeddingMatrix, np.ndarray], dim: Optional[int] = None) -> np.ndarray:
     """data as a 2-d array; rows of another dimension than a given dim
-    raise DimensionMismatch."""
-    out = data.data if isinstance(data, EmbeddingMatrix) else np.asarray(data, dtype=np.float64)
+    raise DimensionMismatch, and a raw array with a NaN or infinity
+    raises NonFiniteInput (an EmbeddingMatrix has checked its own)."""
+    raw = not isinstance(data, EmbeddingMatrix)
+    out = np.asarray(data, dtype=np.float64) if raw else data.data
     if out.ndim != 2:
         raise ValueError(f"expected a 2-d array, got shape {out.shape}")
+    if raw and not all(np.isfinite(out[sl]).all() for sl in row_blocks(out.shape[0])):
+        raise NonFiniteInput("rows contain NaN or infinity")
     if dim is not None and out.shape[0] and out.shape[1] != dim:
         raise DimensionMismatch(f"rows of dim {out.shape[1]} against a state of dim {dim}")
     return out
@@ -256,13 +255,14 @@ def _update(
     eta of the way to the rows' mean, the global mean is the mean of the
     cluster means, and no accumulators are kept.  Shift rows refresh
     only for clusters present in the rows; the others keep the value
-    from their last appearance (zero before any).
+    from their last appearance (zero before any).  A global mean or a
+    shift row that is not finite raises NonFiniteInput.
     """
-    m = state.model.m
+    m = state.centroids.shape[0]
     batch_sums, batch_counts = _cluster_sums(x, labels, m)
     present = batch_counts > 0
-    counts = state.model.counts + batch_counts
-    prototypes = state.model.centroids.copy()
+    counts = state.counts + batch_counts
+    prototypes = state.centroids.copy()
     samples_seen = state.samples_seen + x.shape[0]
 
     if eta is None:
@@ -278,12 +278,15 @@ def _update(
         prototypes[present] = (1.0 - eta) * prototypes[present] + eta * batch_means
         mu_avg = np.sum(prototypes, axis=0) / m
 
-    shifts = np.zeros_like(prototypes) if state.calib is None else state.calib.text_shifts.copy()
+    old = state.calib_text_shifts
+    shifts = np.zeros_like(prototypes) if old is None else old.copy()
     shifts[present] = prototypes[present] - mu_avg
+    for name, a in (("calib_global_mean", mu_avg), ("calib_text_shifts", shifts)):
+        if not np.isfinite(a).all():
+            raise NonFiniteInput(f"{name} contains NaN or infinity")
     return StreamState(
-        model=ClusterModel(centroids=prototypes, counts=counts),
-        calib=CalibrationState(global_mean=mu_avg, text_shifts=shifts),
-        running_sums=running_sums, global_sum=global_sum,
+        centroids=prototypes, counts=counts, running_sums=running_sums, global_sum=global_sum,
+        calib_global_mean=mu_avg, calib_text_shifts=shifts,
         samples_seen=samples_seen, batches_seen=state.batches_seen + 1,
     )
 
@@ -292,7 +295,7 @@ def _empty(centroids: np.ndarray, accumulators: bool) -> StreamState:
     """A state with these cluster means and nothing folded into them."""
     m, d = centroids.shape
     return StreamState(
-        model=ClusterModel(centroids=centroids, counts=np.zeros(m, dtype=np.int64)),
+        centroids=centroids, counts=np.zeros(m, dtype=np.int64),
         running_sums=np.zeros((m, d)) if accumulators else None,
         global_sum=np.zeros(d) if accumulators else None,
     )
@@ -301,15 +304,15 @@ def _empty(centroids: np.ndarray, accumulators: bool) -> StreamState:
 def _kmeans_state(x: np.ndarray, cfg: EngineConfig, eta: Optional[float] = None):
     """Cluster rows with k-means, then fold them into an empty state
     under k-means' own labels; return (state, labels)."""
-    model, asg = kmeans_fit(x, cfg.clusters, cfg.seed)
-    return _update(_empty(model.centroids, eta is None), x, asg.labels, eta), asg.labels
+    model, labels = kmeans_fit(x, cfg.clusters, cfg.seed)
+    return _update(_empty(model.centroids, eta is None), x, labels, eta), labels
 
 
 def _score(state: StreamState, x: np.ndarray, labels: np.ndarray, bank: TextBank, tau: float,
            keep_probs: bool = True) -> Predictions:
     """Predictions of rows with their cluster labels against a fitted state."""
-    cal_bank = calibrate_bank(bank, state.calib.text_shifts)
-    return _predict_rows(x, labels, state.model.centroids, cal_bank.data, tau, keep_probs)
+    cal_bank = calibrate_bank(bank, state.calib_text_shifts)
+    return _predict_rows(x, labels, state.centroids, cal_bank.data, tau, keep_probs)
 
 
 def fit_unsupervised(
@@ -343,25 +346,27 @@ def predict(
     """Calibrate and classify rows against a fitted state.
 
     bank is the raw text bank; it is calibrated here from
-    state.calib.text_shifts.  A state that restore_state would refuse
-    under cfg, or with no model yet (a stream still bootstrapping),
-    raises FormatError.  Each row is assigned to its nearest cluster
-    mean and re-expressed as the unit direction from it; a row on its
-    mean falls back to plain normalization and is flagged DEGENERATE.
+    state.calib_text_shifts.  A state that restore_state would refuse
+    under cfg, or with no cluster means yet (a stream still
+    bootstrapping), raises FormatError.  Each row is assigned to its
+    nearest cluster mean and re-expressed as the unit direction from it;
+    a row on its mean falls back to plain normalization and is flagged
+    DEGENERATE.
     Zero rows give an empty Predictions; rows whose dimension differs
-    from the state raise DimensionMismatch.  With keep_probs=False the
+    from the state raise DimensionMismatch, and a raw array with a NaN
+    or infinity raises NonFiniteInput.  With keep_probs=False the
     result holds no N x K matrix: probs is None and labels, top,
     clusters and flags have the bits of the default call.
     """
     dim = _check_state(state, cfg)
-    if state.model is None:
+    if state.centroids is None:
         raise FormatError("the state has no fitted model to predict with yet")
     x = _as_rows(x, dim)
     if not x.shape[0]:
         return Predictions.empty(bank.k)
     if cfg.normalize_input:
         x = l2_normalize_rows(x)
-    return _score(state, x, assign_batch(state.model, x).labels, bank, cfg.tau, keep_probs)
+    return _score(state, x, assign_batch(state.centroids, x), bank, cfg.tau, keep_probs)
 
 
 def transduce(
@@ -412,7 +417,8 @@ def stream_step(
     would refuse under cfg, or in memory mode one with a model but no
     accumulators (a fit snapshot from before fits kept them), raises
     FormatError; a batch of another dimension than the state raises
-    DimensionMismatch.  keep_probs=False works as in transduce.
+    DimensionMismatch, and a raw batch with a NaN or infinity
+    NonFiniteInput.  keep_probs=False works as in transduce.
     """
     x = _as_rows(batch, _check_state(state, cfg))
     if not x.shape[0]:
@@ -421,12 +427,12 @@ def stream_step(
         x = l2_normalize_rows(x)
     eta = cfg.eta if cfg.mode == "ema" else None
 
-    if state.model is None and state.bootstrap_buffer is None and x.shape[0] >= cfg.clusters:
+    if state.centroids is None and state.bootstrap_buffer is None and x.shape[0] >= cfg.clusters:
         state, labels = _kmeans_state(x, cfg, eta)
         return _score(state, x, labels, bank, cfg.tau, keep_probs), state
 
     zero_shot = None
-    if state.model is None:
+    if state.centroids is None:
         buffered = state.bootstrap_buffer
         need = cfg.clusters - (0 if buffered is None else buffered.shape[0])
         zero_shot = _predict_rows(x[:need], None, None, bank.data, cfg.tau, keep_probs)
@@ -454,7 +460,7 @@ def stream_step(
             f"{', '.join(missing)} (a fit snapshot written before fits kept them)"
         )
 
-    labels = assign_batch(state.model, x).labels
+    labels = assign_batch(state.centroids, x)
     state = _update(state, x, labels, eta)
     preds = _score(state, x, labels, bank, cfg.tau, keep_probs)
     return (preds if zero_shot is None else Predictions.concat([zero_shot, preds])), state

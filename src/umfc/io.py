@@ -28,10 +28,8 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .calib import CalibrationState
-from .clustering import ClusterModel
 from .core import EmbeddingMatrix, TextBank, row_blocks
-from .engine import EngineConfig, StreamState, _STATE_ARRAYS, _check_state, _state_array
+from .engine import EngineConfig, StreamState, _STATE_ARRAYS, _check_state
 from .errors import (
     BadMagic,
     DuplicateName,
@@ -261,13 +259,32 @@ def read_text_bank(path, names_path) -> TextBank:
 # the arrays a snapshot may carry: those of engine._STATE_ARRAYS, and the
 # exact copies older snapshots carry of two of them (name -> the original)
 _NAMES = {name for name, *_ in _STATE_ARRAYS}
-_DTYPES = {dtype for _, _, _, dtype, _, _ in _STATE_ARRAYS}
+_DTYPES = {dtype for _, dtype, _, _ in _STATE_ARRAYS}
 _TWINS = {"running_counts": "counts", "calib_cluster_means": "centroids"}
 
 
 def _count(value) -> bool:
-    """value is a non-negative JSON integer."""
-    return isinstance(value, int) and not isinstance(value, bool) and value >= 0
+    """value is a JSON integer in [0, 2**63), the range of an int64."""
+    return isinstance(value, int) and not isinstance(value, bool) and 0 <= value < 2**63
+
+
+def _check_accumulators(state: StreamState) -> None:
+    """Raise FormatError unless the accumulators a fitted state carries
+    give its cluster means and global mean bit for bit, as the update
+    that wrote them divides: each member row of centroids is its row of
+    running_sums over its count (a row with no members sums to zero),
+    and calib_global_mean is global_sum over samples_seen > 0."""
+    if state.centroids is None:
+        return
+    sums, counts, seen = state.running_sums, state.counts, state.samples_seen
+    if sums is not None:
+        nz = counts > 0
+        if sums[~nz].any() or not np.array_equal(state.centroids[nz], sums[nz] / counts[nz, None]):
+            raise FormatError("array running_sums does not give centroids over counts")
+    if state.global_sum is not None and not (
+        seen and np.array_equal(state.calib_global_mean, state.global_sum / seen)
+    ):
+        raise FormatError("array global_sum does not give calib_global_mean over samples_seen")
 
 
 def snapshot_state(state: StreamState, cfg: EngineConfig, path) -> None:
@@ -285,8 +302,8 @@ def snapshot_state(state: StreamState, cfg: EngineConfig, path) -> None:
         "arrays": [],
     }
     blobs = []
-    for name, part, attr, dtype, _, _ in _STATE_ARRAYS:
-        arr = _state_array(state, part, attr)
+    for name, dtype, _, _ in _STATE_ARRAYS:
+        arr = getattr(state, name)
         if arr is None:
             manifest["arrays"].append([name, None, None])
         else:
@@ -299,7 +316,9 @@ def snapshot_state(state: StreamState, cfg: EngineConfig, path) -> None:
 
 def restore_state(path) -> Tuple[StreamState, EngineConfig]:
     """Read a snapshot back as its state and config.  A malformed one,
-    also one holding a state that predict would refuse, is a FormatError."""
+    one holding a state that predict would refuse, and one whose
+    accumulators disagree with the cluster means or the global mean they
+    were divided into are each a FormatError."""
     raw = Path(path).read_bytes()
     count, _, kind = _read_header(raw, path)
     if kind != KIND_STATE:
@@ -332,7 +351,7 @@ def restore_state(path) -> Tuple[StreamState, EngineConfig]:
     entries = manifest.get("arrays", [])
     seen = {key: manifest.get(key, 0) for key in ("samples_seen", "batches_seen")}
     if not isinstance(entries, list) or not all(map(_count, seen.values())):
-        raise FormatError(f"{path}: snapshot manifest needs an arrays list and counters >= 0")
+        raise FormatError(f"{path}: snapshot manifest needs an arrays list and int64 counters >= 0")
 
     offset = 4 + head_len
     arrays = {}
@@ -361,22 +380,14 @@ def restore_state(path) -> Tuple[StreamState, EngineConfig]:
     if offset != len(body):
         raise TruncatedPayload(f"{path}: {len(body) - offset} unexpected trailing bytes")
     for name, twin in _TWINS.items():
-        old, new = arrays.get(name), arrays.get(twin)
+        old, new = arrays.pop(name, None), arrays.get(twin)
         if old is not None and (new is None or not np.array_equal(old, new)):
             raise FormatError(f"{path}: array {name} differs from {twin}, of which it is a copy")
 
-    fields = {None: {}, "model": {}, "calib": {}}
-    for name, part, attr, _, _, _ in _STATE_ARRAYS:
-        fields[part][attr] = arrays.get(name)
+    state = StreamState(**arrays, **seen)
     try:
-        parts = {
-            part: cls(**fields[part]) if any(a is not None for a in fields[part].values()) else None
-            for part, cls in (("model", ClusterModel), ("calib", CalibrationState))
-        }
-        state = StreamState(**parts, **fields[None], **seen)
         _check_state(state, cfg)
+        _check_accumulators(state)
     except FormatError as e:
         raise FormatError(f"{path}: {e}") from None
-    except (ValueError, TypeError) as e:
-        raise FormatError(f"{path}: inconsistent snapshot arrays: {e}") from None
     return state, cfg

@@ -18,8 +18,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .calib import CalibrationState
-from .clustering import ClusterModel, kmeans_fit
+from .clustering import kmeans_fit
 from .core import (
     DEGENERACY_EPS,
     EmbeddingMatrix,
@@ -294,8 +293,7 @@ def oracle_transduce(
 
     shifts = mu - mu_avg
     state = StreamState(
-        model=ClusterModel(centroids=mu, counts=counts),
-        calib=CalibrationState(global_mean=mu_avg, text_shifts=shifts),
+        centroids=mu, counts=counts, calib_global_mean=mu_avg, calib_text_shifts=shifts,
         samples_seen=n,
         batches_seen=1,
     )

@@ -56,14 +56,14 @@ def check_lloyd_monotone(cases: int, seed: int = 303) -> None:
         dim = int(rng.integers(2, 6))
         k = int(rng.integers(2, min(5, n)))
         x = rng.standard_normal((n, dim))
-        model, asg = umfc.kmeans_fit(x, k, seed=int(rng.integers(2**31)))
+        model, labels = umfc.kmeans_fit(x, k, seed=int(rng.integers(2**31)))
         hist = model.inertia_history
         assert hist is not None and len(hist) >= 1
         for a, b in zip(hist, hist[1:]):
             assert b <= a + 1e-9 * max(1.0, abs(a)), f"case {i}: inertia rose {a} -> {b}"
-        # the returned assignment must be reproducible from the final model
-        again = umfc.assign_batch(model, x)
-        assert np.array_equal(again.labels, asg.labels), f"case {i}: assignment drifted"
+        # the returned labels must be reproducible from the final centroids
+        again = umfc.assign_batch(model.centroids, x)
+        assert np.array_equal(again, labels), f"case {i}: assignment drifted"
 
 
 def check_relabel_invariance(cases: int, seed: int = 404) -> None:
@@ -102,18 +102,18 @@ def _random_state(rng) -> tuple:
     dim = int(rng.integers(3, 8))
     k = int(rng.integers(2, 5))
     counts = rng.integers(1, 50, size=m)
-    centroids = rng.standard_normal((m, dim))
-    sums = centroids * counts[:, None]
-    calib = umfc.CalibrationState(
-        global_mean=rng.standard_normal(dim),
-        text_shifts=rng.standard_normal((m, dim)),
-    )
+    seen = int(counts.sum())
+    # the means are divided from the accumulators, as the update divides them
+    sums = rng.standard_normal((m, dim)) * counts[:, None]
+    global_sum = rng.standard_normal(dim) * seen
     state = umfc.StreamState(
-        model=umfc.ClusterModel(centroids=centroids, counts=counts),
-        calib=calib,
+        centroids=sums / counts[:, None],
+        counts=counts,
         running_sums=sums,
-        global_sum=rng.standard_normal(dim),
-        samples_seen=int(counts.sum()),
+        global_sum=global_sum,
+        calib_global_mean=global_sum / seen,
+        calib_text_shifts=rng.standard_normal((m, dim)),
+        samples_seen=seen,
         batches_seen=int(rng.integers(1, 9)),
     )
     cfg = umfc.EngineConfig(
@@ -140,12 +140,12 @@ def check_snapshot_roundtrip(cases: int, seed: int = 505, tmpdir=None) -> None:
             umfc.snapshot_state(state, cfg, path)
             back, cfg2 = umfc.restore_state(path)
             assert cfg2 == cfg, f"case {i}: config changed"
-            assert np.array_equal(back.model.centroids, state.model.centroids)
-            assert np.array_equal(back.model.counts, state.model.counts)
+            assert np.array_equal(back.centroids, state.centroids)
+            assert np.array_equal(back.counts, state.counts)
             assert np.array_equal(back.running_sums, state.running_sums)
             assert np.array_equal(back.global_sum, state.global_sum)
-            assert np.array_equal(back.calib.global_mean, state.calib.global_mean)
-            assert np.array_equal(back.calib.text_shifts, state.calib.text_shifts)
+            assert np.array_equal(back.calib_global_mean, state.calib_global_mean)
+            assert np.array_equal(back.calib_text_shifts, state.calib_text_shifts)
             assert back.samples_seen == state.samples_seen
             assert back.batches_seen == state.batches_seen
 
@@ -160,7 +160,7 @@ def check_snapshot_roundtrip(cases: int, seed: int = 505, tmpdir=None) -> None:
                     f"case {i}: continuation diverged"
                 )
             assert np.array_equal(
-                s_direct.calib.text_shifts, s_resumed.calib.text_shifts
+                s_direct.calib_text_shifts, s_resumed.calib_text_shifts
             ), f"case {i}: continued state diverged"
     finally:
         if own:

@@ -64,10 +64,8 @@ def test_transduce_same_across_block_sizes(monkeypatch):
     small = _at_block_size(monkeypatch, SMALL_BLOCK, lambda: umfc.transduce(ds.images, ds.text_bank, cfg))
     whole = _at_block_size(monkeypatch, ONE_BLOCK, lambda: umfc.transduce(ds.images, ds.text_bank, cfg))
     _assert_same_predictions(small[0], whole[0])
-    for name in ("global_mean", "text_shifts"):
-        assert np.array_equal(getattr(small[1].calib, name), getattr(whole[1].calib, name))
-    for name in ("centroids", "counts"):
-        assert np.array_equal(getattr(small[1].model, name), getattr(whole[1].model, name))
+    for name in ("calib_global_mean", "calib_text_shifts", "centroids", "counts"):
+        assert np.array_equal(getattr(small[1], name), getattr(whole[1], name))
 
 
 def test_predict_same_across_block_sizes_with_degenerate_row(monkeypatch):
@@ -76,12 +74,10 @@ def test_predict_same_across_block_sizes_with_degenerate_row(monkeypatch):
     state = umfc.fit_unsupervised(ds.images, ds.text_bank, cfg)
     # put cluster 0's mean on row 9 (in the second block), so that row
     # calibrates to a zero residual
-    means = state.model.centroids.copy()
+    means = state.centroids.copy()
     means[0] = umfc.l2_normalize(ds.images.data[9])
     state = dataclasses.replace(
-        state,
-        model=umfc.ClusterModel(centroids=means, counts=state.model.counts),
-        calib=umfc.CalibrationState.from_means(means, state.calib.global_mean),
+        state, centroids=means, calib_text_shifts=means - state.calib_global_mean
     )
 
     def run():

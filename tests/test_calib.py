@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import umfc
-from umfc.engine import _predict_rows
+from umfc.engine import StreamState, _empty, _predict_rows, _update
 
 from properties import calibrate_row
 
@@ -37,10 +37,12 @@ def test_ifc_degenerate():
 
 
 def test_compute_text_shifts_hand():
-    means = np.array([[1.0, 0.0], [0.0, 2.0]])
-    global_mean = np.array([0.5, 1.0])
-    shifts = umfc.CalibrationState.from_means(means, global_mean).text_shifts
-    assert np.array_equal(shifts, [[0.5, -1.0], [-0.5, 1.0]])
+    # one row per cluster: the means are the rows, the global mean is
+    # (0.5, 1.0), and each shift is its mean minus the global mean
+    rows = np.array([[1.0, 0.0], [0.0, 2.0]])
+    state = _update(_empty(np.zeros((2, 2)), True), rows, np.array([0, 1]))
+    assert np.array_equal(state.calib_global_mean, [0.5, 1.0])
+    assert np.array_equal(state.calib_text_shifts, [[0.5, -1.0], [-0.5, 1.0]])
 
 
 def test_tfc_hand_value():
@@ -293,15 +295,21 @@ def test_classify_batch_dimension_mismatch():
         umfc.classify_batch(np.ones((2, 3)), np.eye(2), tau=1.0)
 
 
-def test_calibration_state_from_means():
-    means = np.array([[1.0, 0.0], [0.0, 1.0]])
-    g = np.array([0.25, 0.25])
-    state = umfc.CalibrationState.from_means(means, g)
-    assert np.array_equal(state.text_shifts, means - g)
-    with pytest.raises(ValueError):
-        umfc.CalibrationState(global_mean=np.zeros(3), text_shifts=means)
-    with pytest.raises(umfc.NonFiniteInput):
-        umfc.CalibrationState.from_means(np.array([[np.inf, 0.0]]), np.zeros(2))
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("name", ["calib_global_mean", "calib_text_shifts"])
+def test_update_refuses_a_non_finite_statistic(name):
+    big = np.finfo(np.float64).max
+    if name == "calib_global_mean":
+        # two finite rows whose exact running sum overflows
+        state = _empty(np.zeros((1, 2)), True)
+        rows, labels, eta = np.full((2, 2), big), [0, 0], None
+    else:
+        # eta 1 replaces the means by the rows: their mean, -big / 3, is
+        # finite, but the first shift, big + big / 3, is not
+        state = StreamState(centroids=np.zeros((3, 2)), counts=np.zeros(3, dtype=np.int64))
+        rows, labels, eta = np.array([[big, 0.0], [-big, 0.0], [-big, 0.0]]), [0, 1, 2], 1.0
+    with pytest.raises(umfc.NonFiniteInput, match=name):
+        _update(state, rows, np.array(labels), eta)
 
 
 def test_classify_batch_into_out_is_bit_identical():

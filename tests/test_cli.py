@@ -374,11 +374,11 @@ def test_stream_snapshots_and_ema_replacement(small, tmp_path):
         prev, _ = umfc.restore_state(snaps[n - 2])
         cur, _ = umfc.restore_state(snaps[n - 1])
         xb = x_all[(n - 1) * 40 : n * 40]
-        labels = assign_batch(prev.model, xb).labels
+        labels = assign_batch(prev.centroids, xb)
         means, counts = batch_cluster_means(xb, labels, 2)
         present = counts > 0
-        assert np.array_equal(cur.model.centroids[present], means[present])
-        assert np.array_equal(cur.model.centroids[~present], prev.model.centroids[~present])
+        assert np.array_equal(cur.centroids[present], means[present])
+        assert np.array_equal(cur.centroids[~present], prev.centroids[~present])
 
 
 @pytest.mark.parametrize("batch_size", ["1", "100"])

@@ -114,7 +114,7 @@ def test_probe_kl_decreases_after_text_calibration():
     raw = umfc.domain_bias_probe(ds.text_bank, ds.domain_anchor_texts)
     _, state = umfc.transduce(ds.images, ds.text_bank, umfc.EngineConfig(clusters=3))
     cal = umfc.domain_bias_probe(
-        umfc.calibrate_bank(ds.text_bank, state.calib.text_shifts), ds.domain_anchor_texts
+        umfc.calibrate_bank(ds.text_bank, state.calib_text_shifts), ds.domain_anchor_texts
     )
     assert umfc.kl_to_uniform(cal.aggregate) < umfc.kl_to_uniform(raw.aggregate)
 

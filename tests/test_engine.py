@@ -26,9 +26,9 @@ def cfg2(**kw):
 
 def _assert_memory_invariant(state):
     """Every cluster mean with members is its running sum over its count."""
-    nz = state.model.counts > 0
+    nz = state.counts > 0
     assert np.array_equal(
-        state.model.centroids[nz], state.running_sums[nz] / state.model.counts[nz, None]
+        state.centroids[nz], state.running_sums[nz] / state.counts[nz, None]
     )
 
 
@@ -55,12 +55,11 @@ def test_fit_statistics():
     cfg = cfg2()
     state = umfc.fit_unsupervised(ds.images, ds.text_bank, cfg)
     x = umfc.l2_normalize_rows(ds.images.data)
-    ref_model, asg = umfc.kmeans_fit(x, 2, seed=1)
-    assert np.array_equal(state.model.centroids, ref_model.centroids)
-    assert np.array_equal(state.model.counts, np.bincount(asg.labels, minlength=2))
-    calib = state.calib
-    assert np.allclose(calib.global_mean, x.mean(axis=0), rtol=0, atol=1e-14)
-    assert np.array_equal(calib.text_shifts, state.model.centroids - calib.global_mean)
+    ref_model, labels = umfc.kmeans_fit(x, 2, seed=1)
+    assert np.array_equal(state.centroids, ref_model.centroids)
+    assert np.array_equal(state.counts, np.bincount(labels, minlength=2))
+    assert np.allclose(state.calib_global_mean, x.mean(axis=0), rtol=0, atol=1e-14)
+    assert np.array_equal(state.calib_text_shifts, state.centroids - state.calib_global_mean)
     assert (state.samples_seen, state.batches_seen) == (ds.images.n, 1)
     # a fit keeps the exact accumulators behind its cluster means
     assert np.array_equal(state.global_sum, np.sum(x, axis=0))
@@ -115,16 +114,6 @@ def test_predict_without_a_model_is_format_error():
         umfc.predict(umfc.stream_init(cfg), ds.images, ds.text_bank, cfg)
 
 
-def _replace_model(state, **kw):
-    return dataclasses.replace(state, model=dataclasses.replace(state.model, **kw))
-
-
-def _replace_calib(state, **kw):
-    calib = state.calib
-    return dataclasses.replace(state, calib=umfc.CalibrationState(
-        **{"global_mean": calib.global_mean, "text_shifts": calib.text_shifts, **kw}))
-
-
 @pytest.mark.parametrize("case", [
     "short-counts", "extra-shift-row", "other-cluster-count", "narrow-running-sums",
     "wrong-width-buffer", "calib-without-model",
@@ -138,9 +127,11 @@ def test_malformed_in_memory_state_is_format_error(tmp_path, case):
     state = umfc.fit_unsupervised(ds.images, ds.text_bank, cfg)
     x = ds.images.data[:10]
     if case == "short-counts":
-        state = _replace_model(state, counts=state.model.counts[:2])
+        state = dataclasses.replace(state, counts=state.counts[:2])
     elif case == "extra-shift-row":
-        state = _replace_calib(state, text_shifts=np.vstack([state.calib.text_shifts, x[:1]]))
+        state = dataclasses.replace(
+            state, calib_text_shifts=np.vstack([state.calib_text_shifts, x[:1]])
+        )
     elif case == "other-cluster-count":
         cfg = umfc.EngineConfig(clusters=4)
     elif case == "narrow-running-sums":
@@ -148,7 +139,7 @@ def test_malformed_in_memory_state_is_format_error(tmp_path, case):
     elif case == "wrong-width-buffer":
         state = dataclasses.replace(state, bootstrap_buffer=x[:2, :7])
     else:
-        state = dataclasses.replace(state, model=None)
+        state = dataclasses.replace(state, centroids=None, counts=None)
     p = tmp_path / "s.state"
     for mode in ("memory", "ema"):
         cfg = dataclasses.replace(cfg, mode=mode)
@@ -183,7 +174,7 @@ def test_bootstrap_buffer_of_more_rows_than_clusters_is_format_error(tmp_path):
         # a buffer of exactly `clusters` rows seeds one cluster each
         cfg = umfc.EngineConfig(clusters=2, mode=mode)
         preds, seeded = umfc.stream_step(state, x[2:7], ds.text_bank, cfg)
-        assert len(preds) == 5 and seeded.model.counts.sum() == 7
+        assert len(preds) == 5 and seeded.counts.sum() == 7
 
 
 @pytest.mark.parametrize("mode", ["memory", "ema"])
@@ -194,10 +185,29 @@ def test_stream_batch_of_another_width_is_dimension_mismatch(mode):
     cfg = cfg2(clusters=3, mode=mode)
     fit = umfc.fit_unsupervised(ds.images, ds.text_bank, cfg)
     _, buffering = umfc.stream_step(umfc.stream_init(cfg), ds.images.data[:1], ds.text_bank, cfg)
-    assert buffering.model is None and buffering.bootstrap_buffer.shape == (1, 8)
+    assert buffering.centroids is None and buffering.bootstrap_buffer.shape == (1, 8)
     for state in (fit, buffering):
         with pytest.raises(umfc.DimensionMismatch, match="rows of dim 7 against a state of dim 8"):
             umfc.stream_step(state, ds.images.data[:5, :7], ds.text_bank, cfg)
+
+
+@pytest.mark.parametrize("call", [
+    "predict", "transduce", "fit_unsupervised", "stream_step-memory", "stream_step-ema",
+])
+def test_raw_rows_with_a_nan_or_infinity_are_non_finite_input(call):
+    # an EmbeddingMatrix checks its own rows; a raw array is checked on
+    # entry, before a row is clustered, scored or folded into a statistic
+    ds = small_benchmark()
+    name, _, mode = call.partition("-")
+    cfg = cfg2(mode=mode or "memory")
+    fit = umfc.fit_unsupervised(ds.images, ds.text_bank, cfg)
+    states = {"predict": [(fit,)], "stream_step": [(fit,), (umfc.stream_init(cfg),)]}
+    for args in states.get(name, [()]):
+        for bad in (np.nan, np.inf, -np.inf):
+            x = ds.images.data[:10].copy()
+            x[3, 2] = bad
+            with pytest.raises(umfc.NonFiniteInput, match="rows contain NaN or infinity"):
+                getattr(umfc, name)(*args, x, ds.text_bank, cfg)
 
 
 @pytest.mark.parametrize("field", ["tau", "eta"])
@@ -253,13 +263,13 @@ def test_transduce_cluster_field_matches_assignment():
     cfg = cfg2()
     preds, _ = umfc.transduce(ds.images, ds.text_bank, cfg)
     x = umfc.l2_normalize_rows(ds.images.data)
-    model, asg = umfc.kmeans_fit(x, 2, seed=1)
+    model, labels = umfc.kmeans_fit(x, 2, seed=1)
     assert np.array_equal([p.label >= 0 for p in preds], [True] * ds.images.n)
-    assert np.array_equal([p.cluster for p in preds], asg.labels)
+    assert np.array_equal([p.cluster for p in preds], labels)
 
 
 def _state_arrays(s):
-    return [s.model.centroids, s.model.counts, s.calib.global_mean, s.calib.text_shifts,
+    return [s.centroids, s.counts, s.calib_global_mean, s.calib_text_shifts,
             s.running_sums, s.global_sum]
 
 
@@ -313,10 +323,10 @@ def test_memory_prototypes_equal_stored_means():
     assigned = np.array([p.cluster for p in preds])
     for m in range(cfg.clusters):
         members = x[assigned == m]
-        assert state.model.counts[m] == members.shape[0]
+        assert state.counts[m] == members.shape[0]
         if members.shape[0]:
             assert np.allclose(
-                state.model.centroids[m], members.mean(axis=0), rtol=0, atol=1e-9
+                state.centroids[m], members.mean(axis=0), rtol=0, atol=1e-9
             )
     assert np.allclose(state.global_sum, x.sum(axis=0), rtol=0, atol=1e-9)
     assert state.samples_seen == ds.images.n
@@ -333,18 +343,18 @@ def test_ema_closed_form():
 
     st = umfc.stream_init(cfg)
     _, st1 = umfc.stream_step(st, b1, bank, cfg)
-    c1 = st1.model.centroids.copy()
+    c1 = st1.centroids.copy()
     _, st2 = umfc.stream_step(st1, b2, bank, cfg)
 
-    labels = umfc.assign_batch(st1.model, b2).labels
+    labels = umfc.assign_batch(st1.centroids, b2)
     bm, bc = batch_cluster_means(b2, labels, 2)
     expect = c1.copy()
     present = bc > 0
     expect[present] = 0.7 * c1[present] + 0.3 * bm[present]
-    assert np.allclose(st2.model.centroids, expect, rtol=0, atol=1e-12)
+    assert np.allclose(st2.centroids, expect, rtol=0, atol=1e-12)
     # convex blend with both clusters present: mu_avg is the prototype mean
     assert np.allclose(
-        st2.calib.global_mean, st2.model.centroids.mean(axis=0), rtol=0, atol=1e-12
+        st2.calib_global_mean, st2.centroids.mean(axis=0), rtol=0, atol=1e-12
     )
     assert st2.running_sums is None and st2.global_sum is None
 
@@ -358,10 +368,10 @@ def test_ema_eta_one_replaces():
                             normalize_input=False)
     st = umfc.stream_init(cfg)
     _, st1 = umfc.stream_step(st, b1, bank, cfg)
-    labels = umfc.assign_batch(st1.model, b2).labels
+    labels = umfc.assign_batch(st1.centroids, b2)
     bm, bc = batch_cluster_means(b2, labels, 2)
     _, st2 = umfc.stream_step(st1, b2, bank, cfg)
-    assert np.allclose(st2.model.centroids[bc > 0], bm[bc > 0], rtol=0, atol=1e-12)
+    assert np.allclose(st2.centroids[bc > 0], bm[bc > 0], rtol=0, atol=1e-12)
 
 
 def test_absent_cluster_keeps_prototype_and_shift():
@@ -373,13 +383,13 @@ def test_absent_cluster_keeps_prototype_and_shift():
                             normalize_input=False)
     st = umfc.stream_init(cfg)
     _, st1 = umfc.stream_step(st, b1, bank, cfg)
-    absent = 0 if st1.model.centroids[0, 0] < 0 else 1
+    absent = 0 if st1.centroids[0, 0] < 0 else 1
     _, st2 = umfc.stream_step(st1, b2, bank, cfg)
-    assert np.array_equal(st2.model.centroids[absent], st1.model.centroids[absent])
-    assert np.array_equal(st2.calib.text_shifts[absent], st1.calib.text_shifts[absent])
+    assert np.array_equal(st2.centroids[absent], st1.centroids[absent])
+    assert np.array_equal(st2.calib_text_shifts[absent], st1.calib_text_shifts[absent])
     # the present cluster's shift did refresh
     other = 1 - absent
-    assert not np.array_equal(st2.calib.text_shifts[other], st1.calib.text_shifts[other])
+    assert not np.array_equal(st2.calib_text_shifts[other], st1.calib_text_shifts[other])
 
 
 def test_bootstrap_batch_size_one():
@@ -406,19 +416,19 @@ def test_bootstrap_completing_batch_splits():
     st = umfc.stream_init(cfg)
     p1, st = umfc.stream_step(st, ds.images.data[:2], ds.text_bank, cfg)
     assert [p.flags for p in p1] == [("uncalibrated",), ("uncalibrated",)]
-    assert st.model is None and st.bootstrap_buffer.shape == (2, 8)
+    assert st.centroids is None and st.bootstrap_buffer.shape == (2, 8)
     p2, st = umfc.stream_step(st, ds.images.data[2:4], ds.text_bank, cfg)
     # row 2 completed the seed set (still uncalibrated), row 3 went through
     # the fitted path
     assert p2[0].flags == ("uncalibrated",) and p2[0].cluster == -1
     assert p2[1].flags == () and p2[1].cluster >= 0
-    assert st.model is not None and st.bootstrap_buffer is None
+    assert st.centroids is not None and st.bootstrap_buffer is None
     assert st.samples_seen == 4 and st.batches_seen == 2
     # memory invariant: every prototype with members equals its running mean
-    nz = st.model.counts > 0
+    nz = st.counts > 0
     assert np.allclose(
-        st.model.centroids[nz],
-        st.running_sums[nz] / st.model.counts[nz, None],
+        st.centroids[nz],
+        st.running_sums[nz] / st.counts[nz, None],
         rtol=0,
         atol=1e-12,
     )
@@ -435,7 +445,7 @@ def test_bootstrap_first_batch_exactly_m():
     assert all(p.flags == ("degenerate",) for p in p1)
     assert all(p.cluster >= 0 for p in p1)
     assert all(np.isfinite(p.probs).all() for p in p1)
-    assert st1.model is not None
+    assert st1.centroids is not None
     assert st1.samples_seen == 4 and st1.batches_seen == 1
     # the next batch proceeds normally
     p2, st2 = umfc.stream_step(st1, ds.images.data[4:8], ds.text_bank, cfg)
@@ -453,7 +463,7 @@ def test_empty_batch_leaves_state_untouched():
     after, st_after = umfc.stream_step(st, batch, ds.text_bank, cfg)
     fresh, st_fresh = umfc.stream_step(umfc.stream_init(cfg), batch, ds.text_bank, cfg)
     assert not (after.flags & umfc.Predictions.UNCALIBRATED).any()
-    assert np.array_equal(st_after.model.centroids, st_fresh.model.centroids)
+    assert np.array_equal(st_after.centroids, st_fresh.centroids)
     for name in ("probs", "labels", "clusters", "flags"):
         assert np.array_equal(getattr(after, name), getattr(fresh, name))
     # past the bootstrap an empty batch changes nothing either
@@ -468,7 +478,7 @@ def test_degenerate_row_flagged_not_fatal():
     cfg = umfc.EngineConfig(clusters=2, batch_size=12, seed=0, normalize_input=False)
     _, st = umfc.run_stream(base, bank, cfg)
     # a sample exactly on a prototype has no direction left after centering
-    probe = st.model.centroids[0:1].copy()
+    probe = st.centroids[0:1].copy()
     preds, _ = umfc.stream_step(st, probe, bank, cfg)
     assert preds[0].flags == ("degenerate",)
     assert np.isfinite(preds[0].probs).all()

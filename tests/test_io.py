@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import umfc
-from umfc.engine import StreamState
+from umfc.engine import _STATE_ARRAYS, StreamState
 
 from properties import check_format_roundtrip
 
@@ -232,15 +232,7 @@ def _fit_state(mode="memory"):
 
 
 def _state_fields(s):
-    return [
-        None if s.model is None else s.model.centroids,
-        None if s.model is None else s.model.counts,
-        None if s.calib is None else s.calib.global_mean,
-        None if s.calib is None else s.calib.text_shifts,
-        s.running_sums,
-        s.global_sum,
-        s.bootstrap_buffer,
-    ]
+    return [getattr(s, name) for name, *_ in _STATE_ARRAYS]
 
 
 def _assert_states_equal(a, b):
@@ -275,7 +267,7 @@ def test_snapshot_fresh_state(tmp_path):
     umfc.snapshot_state(StreamState(), cfg, p)
     back, back_cfg = umfc.restore_state(p)
     assert back_cfg == cfg
-    assert back.model is None and back.calib is None
+    assert all(a is None for a in _state_fields(back))
     assert back.samples_seen == 0 and back.batches_seen == 0
     assert back.bootstrap_buffer is None
 
@@ -313,16 +305,15 @@ def _old_format_bytes(state, cfg, **copies):
     """A snapshot as it was written before running_counts and
     calib_cluster_means (copies of counts and centroids, unless given
     here) and the max_iters and tol config keys were dropped."""
-    model, calib = state.model, state.calib
-    copies = {"running_counts": None if state.running_sums is None else model.counts,
-              "calib_cluster_means": model.centroids, **copies}
-    arrays = [("centroids", model.centroids, "<f8"), ("counts", model.counts, "<i8"),
+    copies = {"running_counts": None if state.running_sums is None else state.counts,
+              "calib_cluster_means": state.centroids, **copies}
+    arrays = [("centroids", state.centroids, "<f8"), ("counts", state.counts, "<i8"),
               ("running_sums", state.running_sums, "<f8"),
               ("running_counts", copies["running_counts"], "<i8"),
               ("global_sum", state.global_sum, "<f8"),
               ("calib_cluster_means", copies["calib_cluster_means"], "<f8"),
-              ("calib_global_mean", calib.global_mean, "<f8"),
-              ("calib_text_shifts", calib.text_shifts, "<f8"),
+              ("calib_global_mean", state.calib_global_mean, "<f8"),
+              ("calib_text_shifts", state.calib_text_shifts, "<f8"),
               ("bootstrap_buffer", state.bootstrap_buffer, "<f8")]
     manifest = {
         "config": dict(dataclasses.asdict(cfg), max_iters=100, tol=1e-4),
@@ -337,14 +328,7 @@ def _old_format_bytes(state, cfg, **copies):
 def _unchecked_bytes(state, cfg):
     """The bytes snapshot_state writes for a state, also for a malformed
     one that it refuses to write."""
-    model, calib = state.model, state.calib
-    arrays = [("centroids", getattr(model, "centroids", None), "<f8"),
-              ("counts", getattr(model, "counts", None), "<i8"),
-              ("running_sums", state.running_sums, "<f8"),
-              ("global_sum", state.global_sum, "<f8"),
-              ("calib_global_mean", getattr(calib, "global_mean", None), "<f8"),
-              ("calib_text_shifts", getattr(calib, "text_shifts", None), "<f8"),
-              ("bootstrap_buffer", state.bootstrap_buffer, "<f8")]
+    arrays = [(name, getattr(state, name), dtype) for name, dtype, *_ in _STATE_ARRAYS]
     manifest = {
         "config": dataclasses.asdict(cfg),
         "samples_seen": state.samples_seen,
@@ -377,7 +361,7 @@ def test_old_format_snapshot_restores_like_the_new_one(tmp_path, mode):
 @pytest.mark.parametrize("name", ["running_counts", "calib_cluster_means"])
 def test_old_format_snapshot_with_a_changed_copy_is_refused(tmp_path, name):
     _, cfg, state = _fit_state()
-    twin = state.model.counts if name == "running_counts" else state.model.centroids
+    twin = state.counts if name == "running_counts" else state.centroids
     p = tmp_path / "old.state"
     p.write_bytes(_old_format_bytes(state, cfg, **{name: twin + 1}))
     with pytest.raises(umfc.FormatError, match=name):
@@ -395,8 +379,10 @@ def test_old_format_snapshot_with_a_changed_copy_is_refused(tmp_path, name):
     ("samples_seen", "abc"),
     ("batches_seen", -1),
     ("arrays", [["counts", "<i8", [2, 1]]]),
+    ("samples_seen", 10**400),
 ], ids=["pair", "name-only", "int-name", "negative-shape", "string-shape", "float-shape",
-        "arrays-int", "samples-seen-string", "batches-seen-negative", "counts-2d"])
+        "arrays-int", "samples-seen-string", "batches-seen-negative", "counts-2d",
+        "samples-seen-beyond-int64"])
 def test_malformed_snapshot_manifest_is_format_error(tmp_path, field, value):
     # every case is a plain FormatError (exit 2), not a raw TypeError or
     # ValueError (exit 1) nor a cut-short payload; the payload holds 16
@@ -555,7 +541,7 @@ def test_snapshot_with_an_unknown_array_name_is_refused(tmp_path):
 
 def test_snapshot_with_a_model_but_no_calibration_is_refused(tmp_path):
     _, cfg, state = _fit_state()
-    state = dataclasses.replace(state, calib=None)
+    state = dataclasses.replace(state, calib_global_mean=None, calib_text_shifts=None)
     p = tmp_path / "s.state"
     with pytest.raises(umfc.FormatError, match="calib_global_mean, calib_text_shifts"):
         umfc.snapshot_state(state, cfg, p)
@@ -582,10 +568,7 @@ def test_snapshot_arrays_must_share_the_feature_dimension(tmp_path, field):
     # one array cut from 8 to 6 columns: refused at restore, not left to
     # fail later inside a matrix product
     ds, cfg, state = _fit_state()
-    if field == "centroids":
-        model = umfc.ClusterModel(centroids=state.model.centroids[:, :6], counts=state.model.counts)
-        state = dataclasses.replace(state, model=model)
-    elif field == "bootstrap_buffer":
+    if field == "bootstrap_buffer":
         state = dataclasses.replace(state, bootstrap_buffer=ds.images.data[:3, :6])
     else:
         state = dataclasses.replace(state, **{field: getattr(state, field)[..., :6]})
@@ -610,6 +593,51 @@ def test_snapshot_with_a_bootstrap_buffer_of_more_rows_than_clusters_is_refused(
     _assert_states_equal(state, back)
 
 
+def _array_offset(raw: bytes, name: str) -> int:
+    """Where the bytes of the named array start in a snapshot file."""
+    (head_len,) = struct.unpack_from("<I", raw, HEADER.size)
+    entries = json.loads(raw[HEADER.size + 4 : HEADER.size + 4 + head_len])["arrays"]
+    offset = HEADER.size + 4 + head_len
+    for entry_name, dtype, shape in entries:
+        if entry_name == name:
+            return offset
+        offset += 8 * int(np.prod(shape)) if dtype else 0
+    raise KeyError(name)
+
+
+@pytest.mark.parametrize("name", ["running_sums", "global_sum"])
+def test_snapshot_whose_accumulator_has_a_flipped_exponent_is_refused(tmp_path, name):
+    # the first element's top byte holds its sign and high exponent bits:
+    # flipping the top exponent bit leaves it finite but scaled by about
+    # 2**1024 or 2**-1024 (here to about -2e-309 in running_sums and 1.8e308
+    # in global_sum), a value the next memory step would divide into a mean
+    _, cfg, state = _fit_state()
+    p = tmp_path / "s.state"
+    umfc.snapshot_state(state, cfg, p)
+    raw = bytearray(p.read_bytes())
+    raw[_array_offset(raw, name) + 7] ^= 0x40
+    p.write_bytes(bytes(raw))
+    with pytest.raises(umfc.FormatError, match=f"array {name} does not give"):
+        umfc.restore_state(p)
+
+
+@pytest.mark.parametrize("case", ["no-samples", "one-more-sample", "sum-without-members"])
+def test_snapshot_whose_accumulators_disagree_with_its_means_is_refused(tmp_path, case):
+    _, cfg, state = _fit_state()
+    if case == "sum-without-members":
+        counts = state.counts.copy()
+        counts[0] = 0
+        state, name = dataclasses.replace(state, counts=counts), "running_sums"
+    else:
+        seen = 0 if case == "no-samples" else state.samples_seen + 1
+        state, name = dataclasses.replace(state, samples_seen=seen), "global_sum"
+    p = tmp_path / "s.state"
+    p.write_bytes(_unchecked_bytes(state, cfg))
+    with pytest.raises(umfc.FormatError, match=f"array {name} does not give"):
+        umfc.restore_state(p)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_restore_of_a_snapshot_with_flipped_bytes_raises_only_umfc_errors(tmp_path):
     # 1-3 seeded byte flips per trial anywhere in a memory-stream snapshot:
     # restore_state either refuses the file with an UmfcError or returns a

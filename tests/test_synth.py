@@ -132,8 +132,8 @@ def test_oracle_transduce_m1_reduces_to_centered_zero_shot():
     preds, state = umfc.oracle_transduce(ds, cfg)
     x = umfc.l2_normalize_rows(ds.images.data)
     mu = x.mean(axis=0)
-    assert np.allclose(state.model.centroids[0], mu, rtol=0, atol=1e-12)
-    assert np.allclose(state.calib.text_shifts, 0.0, rtol=0, atol=1e-12)
+    assert np.allclose(state.centroids[0], mu, rtol=0, atol=1e-12)
+    assert np.allclose(state.calib_text_shifts, 0.0, rtol=0, atol=1e-12)
     f = umfc.l2_normalize_rows(x - mu)
     ref = umfc.classify_batch(f, ds.text_bank.data, cfg.tau)
     assert np.array_equal(preds.labels, np.argmax(ref, axis=1))
