@@ -174,7 +174,8 @@ def classify_batch(
     The probabilities are written to out (float64, N x K) when given and
     to a new array otherwise; either way that array is returned.  Every
     step after the matrix product works in that array, with the bits of
-    core.softmax_temp.
+    core.softmax_temp.  The bias probe calls it with the domain anchors
+    as the bank (diagnostics.domain_bias_probe).
     """
     tau = _check_tau(tau)
     feats = np.asarray(feats, dtype=np.float64)

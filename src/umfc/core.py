@@ -11,12 +11,7 @@ from typing import ClassVar, Optional, Sequence
 
 import numpy as np
 
-from .errors import (
-    DegenerateVector,
-    DimensionMismatch,
-    EmptySelection,
-    NonFiniteInput,
-)
+from .errors import DegenerateVector, DimensionMismatch, NonFiniteInput
 
 __all__ = [
     "EmbeddingMatrix",
@@ -26,7 +21,6 @@ __all__ = [
     "l2_normalize",
     "l2_normalize_rows",
     "cosine_sim",
-    "mean_rows",
     "softmax_temp",
     "DEGENERACY_EPS",
 ]
@@ -276,33 +270,6 @@ def cosine_sim(a: np.ndarray, b: np.ndarray) -> float:
     if na < DEGENERACY_EPS or nb < DEGENERACY_EPS:
         raise DegenerateVector("cosine similarity of a zero-norm vector is undefined")
     return float(np.clip(np.dot(a, b) / (na * nb), -1.0, 1.0))
-
-
-def mean_rows(m: np.ndarray, selector: Optional[np.ndarray] = None) -> np.ndarray:
-    """Mean of the selected rows of a matrix.
-
-    The selector may be an index array or a boolean mask; indices are
-    deduplicated and sorted before the reduction so any permutation of
-    the same selection sums in one canonical order and reproduces the
-    same bits.  Raises EmptySelection for an empty selection.
-    """
-    m = np.asarray(m, dtype=np.float64)
-    if m.ndim != 2:
-        raise ValueError(f"expected a 2-d array, got shape {m.shape}")
-    if selector is None:
-        if m.shape[0] == 0:
-            raise EmptySelection("mean over an empty row selection")
-        # full selection is already in canonical ascending order
-        return np.sum(m, axis=0) / m.shape[0]
-    selector = np.asarray(selector)
-    if selector.dtype == bool:
-        idx = np.flatnonzero(selector)
-    else:
-        idx = np.unique(selector.astype(np.int64))
-    if idx.size == 0:
-        raise EmptySelection("mean over an empty row selection")
-    rows = m[idx]
-    return np.sum(rows, axis=0) / idx.size
 
 
 def softmax_temp(logits: np.ndarray, tau: float) -> np.ndarray:

@@ -10,7 +10,8 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .core import EmbeddingMatrix, TextBank, cosine_sim, mean_rows, softmax_temp
+from .calib import classify_batch
+from .core import EmbeddingMatrix, TextBank, cosine_sim
 from .errors import EmptyDomain, MissingLabels
 
 __all__ = [
@@ -72,13 +73,9 @@ def per_domain_accuracy(
         raise ValueError("predictions and labels have mismatched lengths")
     if (truth < 0).any() or (dom < 0).any():
         raise MissingLabels("some rows are missing a class or domain label")
-    domains = np.unique(dom)
-    correct = np.zeros(domains.size, dtype=np.int64)
-    totals = np.zeros(domains.size, dtype=np.int64)
-    for i, z in enumerate(domains):
-        sel = dom == z
-        totals[i] = int(sel.sum())
-        correct[i] = int(np.sum(pred[sel] == truth[sel]))
+    domains, which = np.unique(dom, return_inverse=True)
+    totals = np.bincount(which, minlength=domains.size).astype(np.int64)
+    correct = np.bincount(which[pred == truth], minlength=domains.size).astype(np.int64)
     return DomainAccuracyTable(domains=domains, correct=correct, totals=totals)
 
 
@@ -135,20 +132,16 @@ def domain_bias_probe(
 ) -> ProbeResult:
     """Which domain does each class vector lean toward?
 
-    Each bank row is scored by cosine similarity against every domain
-    anchor and softmaxed; the aggregate is the mean of the rows, i.e.
-    how the bank as a whole distributes its affinity over domains.
+    Zero-shot classification of the class texts against the domain
+    anchors: each bank row gets the softmax of its cosine similarities to
+    every anchor.  The aggregate is the mean of the rows, i.e. how the
+    bank as a whole distributes its affinity over domains.
     """
     anchors = np.asarray(domain_anchors, dtype=np.float64)
     if anchors.ndim != 2:
         raise ValueError(f"domain anchors must be 2-d, got shape {anchors.shape}")
-    k = bank.data.shape[0]
-    sims = np.empty((k, anchors.shape[0]))
-    for ci in range(k):
-        for zi in range(anchors.shape[0]):
-            sims[ci, zi] = cosine_sim(bank.data[ci], anchors[zi])
-    rows = softmax_temp(sims, tau)
-    aggregate = np.sum(rows, axis=0) / k
+    rows = classify_batch(bank.data, anchors, tau)
+    aggregate = np.sum(rows, axis=0) / rows.shape[0]
     return ProbeResult(rows=rows, aggregate=aggregate, class_names=list(bank.names))
 
 
@@ -171,9 +164,7 @@ class DirectionTable:
     cosines: np.ndarray  # square, NaN on the diagonal
 
     def min_off_diagonal(self) -> float:
-        z = self.cosines.shape[0]
-        vals = [self.cosines[i, j] for i in range(z) for j in range(z) if i != j]
-        return float(np.min(vals))
+        return float(np.nanmin(self.cosines))
 
     def to_tsv(self) -> str:
         lines = ["from_domain\tto_domain\tcosine"]
@@ -208,10 +199,10 @@ def transition_direction_check(
     dom = images.domain_labels
     means = []
     for zi in range(z):
-        sel = dom == zi
-        if not sel.any():
+        rows = images.data[dom == zi]
+        if rows.shape[0] == 0:
             raise EmptyDomain(f"domain {zi} has no samples")
-        means.append(mean_rows(images.data, sel))
+        means.append(np.sum(rows, axis=0) / rows.shape[0])
     cos = np.full((z, z), np.nan)
     for i in range(z):
         for j in range(z):

@@ -9,7 +9,6 @@ __all__ = [
     "UmfcError",
     "DegenerateVector",
     "AllShiftsDegenerate",
-    "EmptySelection",
     "NonFiniteInput",
     "TooFewSamples",
     "MissingLabels",
@@ -37,10 +36,6 @@ class DegenerateVector(UmfcError):
 
 class AllShiftsDegenerate(UmfcError):
     """Every calibration term for a text vector collapsed to zero norm."""
-
-
-class EmptySelection(UmfcError):
-    """A row selection that matched nothing."""
 
 
 class NonFiniteInput(UmfcError):

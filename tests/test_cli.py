@@ -328,6 +328,17 @@ def test_transduce_deterministic_output(small, tmp_path):
     assert outs[0] == outs[1]
 
 
+def test_transduce_csv_input_matches_binary(small, tmp_path):
+    umfc.write_embeddings_csv(umfc.read_embeddings(f"{small}_images.bin"), tmp_path / "i.csv")
+    outs = []
+    for test in (f"{small}_images.bin", str(tmp_path / "i.csv")):
+        out = tmp_path / f"{len(outs)}.tsv"
+        assert run("transduce", "--test", test, "--bank", f"{small}_bank.bin",
+                   "--names", f"{small}_names.txt", "--out", str(out), "--clusters", "2") == 0
+        outs.append(out.read_bytes())
+    assert outs[0] == outs[1]
+
+
 # ---------------------------------------------------------------------------
 # stream
 
@@ -403,6 +414,39 @@ def test_stream_snapshot_every_requires_out_state(small, tmp_path):
     assert run("stream", "--test", f"{small}_images.bin", "--bank", f"{small}_bank.bin",
                "--names", f"{small}_names.txt", "--out", str(tmp_path / "p.tsv"),
                "--snapshot-every", "2") == 1
+
+
+def test_stream_negative_snapshot_every_is_usage_error(small, tmp_path, capsys):
+    assert run("stream", "--test", f"{small}_images.bin", "--bank", f"{small}_bank.bin",
+               "--names", f"{small}_names.txt", "--out", str(tmp_path / "p.tsv"),
+               "--out-state", str(tmp_path / "s.state"), "--snapshot-every", "-1") == 1
+    assert "usage error: --snapshot-every" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.fixture(scope="module")
+def bootstrap_snapshot(small, tmp_path_factory):
+    """The snapshot after one row of a 3-cluster stream: still bootstrapping."""
+    out = tmp_path_factory.mktemp("cli_bootstrap")
+    assert run("stream", "--test", f"{small}_images.bin", "--bank", f"{small}_bank.bin",
+               "--names", f"{small}_names.txt", "--out", str(out / "p.tsv"),
+               "--out-state", str(out / "s.state"), "--batch-size", "1", "--clusters", "3",
+               "--snapshot-every", "1") == 0
+    return str(out / "s.state.batch00001")
+
+
+@pytest.mark.parametrize("command, message", [
+    (["predict", "--test", "{small}_images.bin"], "state has no fitted model"),
+    (["diagnose", "--which", "probe", "--domain-bank", "{small}_domains.bin"],
+     "state has no calibration"),
+], ids=["predict", "probe"])
+def test_bootstrapping_snapshot_is_data_error(small, bootstrap_snapshot, tmp_path, capsys,
+                                              command, message):
+    args = [a.format(small=small) for a in command]
+    assert run(*args, "--state", bootstrap_snapshot, "--bank", f"{small}_bank.bin",
+               "--names", f"{small}_names.txt", "--out", str(tmp_path / "x")) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("data error: ") and message in err
 
 
 # ---------------------------------------------------------------------------
@@ -548,6 +592,17 @@ def test_sweep_needs_labels(small, tmp_path):
     assert run("sweep", "--param", "clusters", "--values", "2",
                "--test", str(bare), "--bank", f"{small}_bank.bin",
                "--names", f"{small}_names.txt", "--out", str(tmp_path / "s.tsv")) == 2
+
+
+@pytest.mark.parametrize("param, values", [
+    ("clusters", "a,b"), ("clusters", ","), ("clusters", "0"), ("eta", "1.5"),
+])
+def test_sweep_bad_values_are_usage_errors(small, tmp_path, capsys, param, values):
+    assert run("sweep", "--param", param, "--values", values,
+               "--test", f"{small}_images.bin", "--bank", f"{small}_bank.bin",
+               "--names", f"{small}_names.txt", "--out", str(tmp_path / "s.tsv")) == 1
+    assert capsys.readouterr().err.startswith("usage error: --values: ")
+    assert not (tmp_path / "s.tsv").exists()
 
 
 # ---------------------------------------------------------------------------

@@ -62,7 +62,7 @@ def test_kmeans_seed_changes_init():
     runs = {umfc.kmeans_fit(x, 3, seed=s)[0].centroids.tobytes() for s in range(8)}
     # different seeds may land in the same optimum, but the code must not
     # ignore the seed entirely on a multi-modal dataset
-    assert len(runs) >= 1  # smoke: all runs completed deterministically
+    assert len(runs) >= 2
 
 
 def test_converged_centroids_are_member_means():

@@ -55,32 +55,6 @@ def test_cosine_sim_clamped():
     assert umfc.cosine_sim(v, v * 3.0) <= 1.0
 
 
-def test_mean_rows_full_and_masked():
-    rng = np.random.default_rng(1)
-    m = rng.standard_normal((9, 4))
-    assert np.allclose(umfc.mean_rows(m), m.mean(axis=0), rtol=0, atol=1e-15)
-    mask = np.array([True, False] * 4 + [True])
-    assert np.allclose(umfc.mean_rows(m, mask), m[mask].mean(axis=0), rtol=0, atol=1e-14)
-    idx = np.array([2, 5, 7])
-    assert np.allclose(umfc.mean_rows(m, idx), m[idx].mean(axis=0), rtol=0, atol=1e-14)
-
-
-def test_mean_rows_selector_order_canonical():
-    # scrambled index order must not change the summation order
-    rng = np.random.default_rng(2)
-    m = rng.standard_normal((50, 3))
-    idx = np.arange(0, 50, 3)
-    scrambled = idx[rng.permutation(idx.size)]
-    assert np.array_equal(umfc.mean_rows(m, idx), umfc.mean_rows(m, scrambled))
-
-
-def test_mean_rows_empty_selection():
-    with pytest.raises(umfc.EmptySelection):
-        umfc.mean_rows(np.ones((4, 2)), np.zeros(4, dtype=bool))
-    with pytest.raises(umfc.EmptySelection):
-        umfc.mean_rows(np.empty((0, 3)))
-
-
 def test_softmax_hand_value():
     # two logits 1 and 0 at tau=0.5: p0 = 1/(1+e^-2) = 0.8807970779778823
     probs = umfc.softmax_temp(np.array([1.0, 0.0]), 0.5)

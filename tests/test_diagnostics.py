@@ -119,6 +119,28 @@ def test_probe_kl_decreases_after_text_calibration():
     assert umfc.kl_to_uniform(cal.aggregate) < umfc.kl_to_uniform(raw.aggregate)
 
 
+def _probe_rows_cell_by_cell(bank, anchors, tau):
+    """The probe written out: one cosine per (class, anchor) cell, then a
+    softmax over each class's row."""
+    sims = np.array([[umfc.cosine_sim(t, a) for a in anchors] for t in bank.data])
+    return umfc.softmax_temp(sims, tau)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [umfc.SynthSpec(), umfc.SynthSpec(n_classes=345, n_domains=5, dim=512, samples_per_cell=1)],
+    ids=["default", "345x5x512"],
+)
+@pytest.mark.parametrize("tau", [1.0, 0.01])
+def test_domain_bias_probe_matches_cell_by_cell_reference(spec, tau):
+    ds = umfc.generate_benchmark(spec)
+    want = _probe_rows_cell_by_cell(ds.text_bank, ds.domain_anchor_texts, tau)
+    got = umfc.domain_bias_probe(ds.text_bank, ds.domain_anchor_texts, tau=tau)
+    assert got.rows.shape == want.shape
+    assert np.allclose(got.rows, want, rtol=0, atol=1e-15)
+    assert np.allclose(got.aggregate, want.sum(axis=0) / want.shape[0], rtol=0, atol=1e-15)
+
+
 def test_kl_to_uniform_hand_values():
     assert umfc.kl_to_uniform(np.array([0.5, 0.5])) == 0.0
     # all mass on one of two bins: KL = ln 2
