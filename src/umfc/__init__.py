@@ -8,155 +8,21 @@ regimes over the same statistics: fit once and apply, calibrate the test
 set on itself, or adapt batch by batch as data streams in.
 """
 
-from .calib import calibrate_bank, classify_batch
-from .clustering import (
-    ClusterModel,
-    assign_batch,
-    batch_cluster_means,
-    inertia,
-    kmeans_fit,
-)
-from .core import (
-    DEGENERACY_EPS,
-    EmbeddingMatrix,
-    Prediction,
-    Predictions,
-    TextBank,
-    cosine_sim,
-    l2_normalize,
-    l2_normalize_rows,
-    softmax_temp,
-)
-from .diagnostics import (
-    DirectionTable,
-    DomainAccuracyTable,
-    Histogram,
-    ProbeResult,
-    balanced_subsample,
-    domain_bias_probe,
-    kl_to_uniform,
-    per_domain_accuracy,
-    prediction_histogram,
-    transition_direction_check,
-)
-from .engine import (
-    EngineConfig,
-    StreamState,
-    fit_unsupervised,
-    predict,
-    run_stream,
-    stream_init,
-    stream_step,
-    transduce,
-)
-from .errors import (
-    AllShiftsDegenerate,
-    BadMagic,
-    DegenerateVector,
-    DimensionMismatch,
-    DimensionTooSmall,
-    DuplicateName,
-    EmptyDomain,
-    FormatError,
-    LabelCountMismatch,
-    MissingLabels,
-    NameCountMismatch,
-    NonFiniteInput,
-    NonFinitePayload,
-    TooFewSamples,
-    TruncatedPayload,
-    UmfcError,
-    UnsupportedVersion,
-)
-from .io import (
-    read_embeddings,
-    read_embeddings_csv,
-    read_names,
-    read_text_bank,
-    restore_state,
-    snapshot_state,
-    write_embeddings,
-    write_embeddings_csv,
-    write_text_bank,
-)
-from .synth import (
-    SyntheticDataset,
-    SynthSpec,
-    default_benchmark,
-    generate_benchmark,
-    oracle_transduce,
-    oracle_zero_shot,
-    pairwise_directions,
-)
+from . import calib, clustering, core, diagnostics, engine, errors, io, synth
+from .calib import *
+from .clustering import *
+from .core import *
+from .diagnostics import *
+from .engine import *
+from .errors import *
+from .io import *
+from .synth import *
 
 __version__ = "0.1.0"
 
+# each public name is declared once, in its module's __all__
 __all__ = [
-    "AllShiftsDegenerate",
-    "BadMagic",
-    "ClusterModel",
-    "DEGENERACY_EPS",
-    "DegenerateVector",
-    "DimensionMismatch",
-    "DimensionTooSmall",
-    "DirectionTable",
-    "DomainAccuracyTable",
-    "DuplicateName",
-    "EmbeddingMatrix",
-    "EmptyDomain",
-    "EngineConfig",
-    "FormatError",
-    "Histogram",
-    "LabelCountMismatch",
-    "MissingLabels",
-    "NameCountMismatch",
-    "NonFiniteInput",
-    "NonFinitePayload",
-    "Prediction",
-    "Predictions",
-    "ProbeResult",
-    "StreamState",
-    "SynthSpec",
-    "SyntheticDataset",
-    "TextBank",
-    "TooFewSamples",
-    "TruncatedPayload",
-    "UmfcError",
-    "UnsupportedVersion",
-    "assign_batch",
-    "balanced_subsample",
-    "batch_cluster_means",
-    "calibrate_bank",
-    "classify_batch",
-    "cosine_sim",
-    "default_benchmark",
-    "domain_bias_probe",
-    "fit_unsupervised",
-    "generate_benchmark",
-    "inertia",
-    "kl_to_uniform",
-    "kmeans_fit",
-    "l2_normalize",
-    "l2_normalize_rows",
-    "oracle_transduce",
-    "oracle_zero_shot",
-    "pairwise_directions",
-    "per_domain_accuracy",
-    "predict",
-    "prediction_histogram",
-    "read_embeddings",
-    "read_embeddings_csv",
-    "read_names",
-    "read_text_bank",
-    "restore_state",
-    "run_stream",
-    "snapshot_state",
-    "softmax_temp",
-    "stream_init",
-    "stream_step",
-    "transduce",
-    "transition_direction_check",
-    "write_embeddings",
-    "write_embeddings_csv",
-    "write_text_bank",
+    name
+    for module in (calib, clustering, core, diagnostics, engine, errors, io, synth)
+    for name in module.__all__
 ]

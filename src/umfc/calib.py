@@ -173,9 +173,11 @@ def classify_batch(
 
     The probabilities are written to out (float64, N x K) when given and
     to a new array otherwise; either way that array is returned.  Every
-    step after the matrix product works in that array, with the bits of
-    core.softmax_temp.  The bias probe calls it with the domain anchors
-    as the bank (diagnostics.domain_bias_probe).
+    step after the matrix product works in that array: the cosines are
+    clipped to [-1, 1], and the max-subtracted softmax at temperature tau
+    has the bits of the oracle's per-row softmax on the same cosines
+    (synth._softmax_temp).  The bias probe calls it with the domain
+    anchors as the bank (diagnostics.domain_bias_probe).
     """
     tau = _check_tau(tau)
     feats = np.asarray(feats, dtype=np.float64)

@@ -11,17 +11,14 @@ from typing import ClassVar, Optional, Sequence
 
 import numpy as np
 
-from .errors import DegenerateVector, DimensionMismatch, NonFiniteInput
+from .errors import DegenerateVector, NonFiniteInput
 
 __all__ = [
     "EmbeddingMatrix",
     "TextBank",
     "Prediction",
     "Predictions",
-    "l2_normalize",
     "l2_normalize_rows",
-    "cosine_sim",
-    "softmax_temp",
     "DEGENERACY_EPS",
 ]
 
@@ -215,22 +212,6 @@ class Predictions:
 _FLAG_NAMES = ((Predictions.UNCALIBRATED, "uncalibrated"), (Predictions.DEGENERATE, "degenerate"))
 
 
-def l2_normalize(v: np.ndarray) -> np.ndarray:
-    """Scale a vector to unit Euclidean norm.
-
-    Raises DegenerateVector when the norm is below 1e-12; normalizing has
-    no meaningful direction to preserve there.
-    """
-    v = np.asarray(v, dtype=np.float64)
-    # add.reduce instead of linalg.norm: the same pairwise summation runs
-    # whether a row arrives alone or inside a batch, so the two call
-    # shapes stay bit-identical
-    norm = float(np.sqrt(np.add.reduce(v * v)))
-    if norm < DEGENERACY_EPS:
-        raise DegenerateVector(f"cannot normalize a vector with norm {norm:.3e}")
-    return v / norm
-
-
 def l2_normalize_rows(m: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
     """Row-wise unit normalization of a matrix; rejects (near-)zero rows.
 
@@ -255,32 +236,3 @@ def l2_normalize_rows(m: np.ndarray, out: Optional[np.ndarray] = None) -> np.nda
         np.divide(block, norms[:, None], out=out[sl])
     return out
 
-
-def cosine_sim(a: np.ndarray, b: np.ndarray) -> float:
-    """Cosine similarity, clamped to [-1, 1] against rounding drift.
-
-    Vectors of different shapes raise DimensionMismatch.
-    """
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.shape != b.shape:
-        raise DimensionMismatch(f"cosine similarity of shapes {a.shape} and {b.shape}")
-    na = float(np.linalg.norm(a))
-    nb = float(np.linalg.norm(b))
-    if na < DEGENERACY_EPS or nb < DEGENERACY_EPS:
-        raise DegenerateVector("cosine similarity of a zero-norm vector is undefined")
-    return float(np.clip(np.dot(a, b) / (na * nb), -1.0, 1.0))
-
-
-def softmax_temp(logits: np.ndarray, tau: float) -> np.ndarray:
-    """Temperature-scaled softmax with max subtraction for stability.
-
-    exp((x - max(x)) / tau) normalized to sum to one.  Subtracting the max
-    keeps the largest exponent at zero, so even tau as sharp as 0.01 with
-    logits near 1 stays inside float range.
-    """
-    tau = _check_tau(tau)
-    logits = np.asarray(logits, dtype=np.float64)
-    shifted = (logits - np.max(logits, axis=-1, keepdims=True)) / tau
-    e = np.exp(shifted)
-    return e / np.sum(e, axis=-1, keepdims=True)

@@ -11,8 +11,8 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from .calib import classify_batch
-from .core import EmbeddingMatrix, TextBank, cosine_sim
-from .errors import EmptyDomain, MissingLabels
+from .core import DEGENERACY_EPS, EmbeddingMatrix, TextBank
+from .errors import DegenerateVector, DimensionMismatch, EmptyDomain, MissingLabels
 
 __all__ = [
     "DomainAccuracyTable",
@@ -185,12 +185,18 @@ def transition_direction_check(
     expected unit direction from domain j's mean to domain i's; entry
     [i, j] of the result is the cosine between mean_i - mean_j and that
     reference.  Same-domain entries are skipped (NaN).  Raises
-    EmptyDomain when any of the Z domain ids has no samples and
-    MissingLabels when the matrix carries no domain labels.
+    EmptyDomain when any of the Z domain ids has no samples,
+    MissingLabels when the matrix carries no domain labels,
+    DimensionMismatch when D is not the images' dimension and
+    DegenerateVector when a compared pair has a zero-norm vector.
     """
     refs = np.asarray(reference_directions, dtype=np.float64)
     if refs.ndim != 3 or refs.shape[0] != refs.shape[1]:
         raise ValueError(f"expected a Z x Z x D reference table, got shape {refs.shape}")
+    if refs.shape[2] != images.dim:
+        raise DimensionMismatch(
+            f"reference directions of dim {refs.shape[2]} against images of dim {images.dim}"
+        )
     z = refs.shape[0]
     if z < 2:
         raise ValueError("need at least 2 domains to compare directions")
@@ -203,11 +209,17 @@ def transition_direction_check(
         if rows.shape[0] == 0:
             raise EmptyDomain(f"domain {zi} has no samples")
         means.append(np.sum(rows, axis=0) / rows.shape[0])
+    # every off-diagonal pair at once, in row-major (i, j) order
+    off = ~np.eye(z, dtype=bool)
+    means = np.stack(means)
+    diffs = (means[:, None, :] - means[None, :, :])[off]
+    ref = refs[off]
+    dn = np.linalg.norm(diffs, axis=1)
+    rn = np.linalg.norm(ref, axis=1)
+    if bool(np.any(dn < DEGENERACY_EPS)) or bool(np.any(rn < DEGENERACY_EPS)):
+        raise DegenerateVector("cosine similarity of a zero-norm vector is undefined")
     cos = np.full((z, z), np.nan)
-    for i in range(z):
-        for j in range(z):
-            if i != j:
-                cos[i, j] = cosine_sim(means[i] - means[j], refs[i, j])
+    cos[off] = np.clip(np.einsum("pd,pd->p", diffs, ref) / (dn * rn), -1.0, 1.0)
     return DirectionTable(domains=np.arange(z), cosines=cos)
 
 
@@ -219,25 +231,34 @@ def balanced_subsample(
     Returns sorted row indices plus a shortfall report: one
     (class, domain, available, requested) entry for every cell that
     could not supply the full quota.  Short cells contribute what they
-    have; nothing is padded or duplicated.
+    have; nothing is padded or duplicated.  Cells are visited class by
+    class, domains in order within a class; every (class, domain) pair of
+    the labels present is a cell, so a pair with no rows is a shortfall.
+    Raises MissingLabels when a row's class or domain is absent (-1).
     """
     if images.class_labels is None or images.domain_labels is None:
         raise MissingLabels("balanced subsampling needs class and domain labels")
+    cls = images.class_labels
+    dom = images.domain_labels
+    if (cls < 0).any() or (dom < 0).any():
+        raise MissingLabels("some rows are missing a class or domain label")
     if per_cell < 1:
         raise ValueError(f"per_cell must be >= 1, got {per_cell}")
     rng = np.random.default_rng(seed)
-    cls = images.class_labels
-    dom = images.domain_labels
+    classes, ci = np.unique(cls, return_inverse=True)
+    domains, zi = np.unique(dom, return_inverse=True)
+    # one stable sort groups the rows of every cell, each in ascending order
+    cell = ci * domains.size + zi
+    sizes = np.bincount(cell, minlength=classes.size * domains.size)
+    groups = np.split(np.argsort(cell, kind="stable"), np.cumsum(sizes)[:-1])
     chosen = []
     shortfalls = []
-    for c in np.unique(cls):
-        for z in np.unique(dom):
-            members = np.flatnonzero((cls == c) & (dom == z))
-            if members.size < per_cell:
-                shortfalls.append((int(c), int(z), int(members.size), per_cell))
-                chosen.append(members)
-            else:
-                pick = rng.choice(members, size=per_cell, replace=False)
-                chosen.append(pick)
+    cells = ((c, z) for c in classes for z in domains)
+    for (c, z), members in zip(cells, groups):
+        if members.size < per_cell:
+            shortfalls.append((int(c), int(z), int(members.size), per_cell))
+            chosen.append(members)
+        else:
+            chosen.append(rng.choice(members, size=per_cell, replace=False))
     idx = np.sort(np.concatenate(chosen)) if chosen else np.empty(0, dtype=np.int64)
     return idx.astype(np.int64), shortfalls

@@ -42,11 +42,6 @@ from .errors import (
 )
 
 __all__ = [
-    "MAGIC",
-    "VERSION",
-    "KIND_IMAGE",
-    "KIND_TEXT",
-    "KIND_STATE",
     "write_embeddings",
     "read_embeddings",
     "read_embeddings_csv",

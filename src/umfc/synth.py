@@ -24,12 +24,11 @@ from .core import (
     EmbeddingMatrix,
     Predictions,
     TextBank,
-    cosine_sim,
-    l2_normalize,
-    softmax_temp,
+    _check_tau,
+    l2_normalize_rows,
 )
 from .engine import EngineConfig, StreamState
-from .errors import DimensionTooSmall
+from .errors import DegenerateVector, DimensionMismatch, DimensionTooSmall
 
 __all__ = [
     "SynthSpec",
@@ -218,17 +217,66 @@ def pairwise_directions(axes: np.ndarray) -> np.ndarray:
     from domain j to domain i (rows i == j are zero)."""
     axes = np.asarray(axes, dtype=np.float64)
     z, d = axes.shape
+    off = ~np.eye(z, dtype=bool)
     out = np.zeros((z, z, d))
-    for i in range(z):
-        for j in range(z):
-            if i != j:
-                out[i, j] = l2_normalize(axes[i] - axes[j])
+    out[off] = l2_normalize_rows((axes[:, None, :] - axes[None, :, :])[off])
     return out
+
+
+# The oracles' own per-row helpers: scalar forms of core.l2_normalize_rows
+# and calib.classify_batch, kept apart from those kernels so the oracles
+# stay an independent yardstick for them.
+
+
+def _l2_normalize(v: np.ndarray) -> np.ndarray:
+    """Scale a vector to unit Euclidean norm.
+
+    Raises DegenerateVector when the norm is below 1e-12; normalizing has
+    no meaningful direction to preserve there.
+    """
+    v = np.asarray(v, dtype=np.float64)
+    # add.reduce instead of linalg.norm: the same pairwise summation runs
+    # whether a row arrives alone or inside a batch, so the two call
+    # shapes stay bit-identical
+    norm = float(np.sqrt(np.add.reduce(v * v)))
+    if norm < DEGENERACY_EPS:
+        raise DegenerateVector(f"cannot normalize a vector with norm {norm:.3e}")
+    return v / norm
+
+
+def _cosine_sim(a: np.ndarray, b: np.ndarray) -> float:
+    """Cosine similarity, clamped to [-1, 1] against rounding drift.
+
+    Vectors of different shapes raise DimensionMismatch.
+    """
+    a = np.asarray(a, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+    if a.shape != b.shape:
+        raise DimensionMismatch(f"cosine similarity of shapes {a.shape} and {b.shape}")
+    na = float(np.linalg.norm(a))
+    nb = float(np.linalg.norm(b))
+    if na < DEGENERACY_EPS or nb < DEGENERACY_EPS:
+        raise DegenerateVector("cosine similarity of a zero-norm vector is undefined")
+    return float(np.clip(np.dot(a, b) / (na * nb), -1.0, 1.0))
+
+
+def _softmax_temp(logits: np.ndarray, tau: float) -> np.ndarray:
+    """Temperature-scaled softmax with max subtraction for stability.
+
+    exp((x - max(x)) / tau) normalized to sum to one.  Subtracting the max
+    keeps the largest exponent at zero, so even tau as sharp as 0.01 with
+    logits near 1 stays inside float range.
+    """
+    tau = _check_tau(tau)
+    logits = np.asarray(logits, dtype=np.float64)
+    shifted = (logits - np.max(logits, axis=-1, keepdims=True)) / tau
+    e = np.exp(shifted)
+    return e / np.sum(e, axis=-1, keepdims=True)
 
 
 def _oracle_scores(f: np.ndarray, bank_rows: np.ndarray, tau: float) -> np.ndarray:
     """Softmax over the cosines between one feature and each bank row, one at a time."""
-    return softmax_temp(np.array([cosine_sim(f, t) for t in bank_rows]), tau)
+    return _softmax_temp(np.array([_cosine_sim(f, t) for t in bank_rows]), tau)
 
 
 def _oracle_predictions(probs: list, clusters: list) -> Predictions:
@@ -266,7 +314,7 @@ def oracle_transduce(
     x = np.array(dataset.images.data, dtype=np.float64)
     n = x.shape[0]
     if cfg.normalize_input:
-        x = np.stack([l2_normalize(row) for row in x])
+        x = np.stack([_l2_normalize(row) for row in x])
 
     model, _ = kmeans_fit(x, cfg.clusters, cfg.seed)
 
@@ -299,7 +347,7 @@ def oracle_transduce(
     )
     cal_rows = []
     for t in dataset.text_bank.data:
-        terms = [l2_normalize(t - s) for s in shifts if np.linalg.norm(t - s) >= DEGENERACY_EPS]
+        terms = [_l2_normalize(t - s) for s in shifts if np.linalg.norm(t - s) >= DEGENERACY_EPS]
         cal_rows.append(np.mean(terms, axis=0))
 
     probs = []

@@ -22,19 +22,23 @@ def calibrate_row(t: np.ndarray, shifts: np.ndarray) -> np.ndarray:
 
 
 def check_normalize_idempotent(cases: int, seed: int = 101) -> None:
-    """Normalizing an already normalized vector changes nothing measurable."""
+    """Normalizing an already normalized row changes nothing measurable."""
     rng = np.random.default_rng(seed)
     for i in range(cases):
         dim = int(rng.integers(1, 40))
-        v = rng.standard_normal(dim) * float(10.0 ** rng.integers(-3, 4))
-        u = umfc.l2_normalize(v)
-        again = umfc.l2_normalize(u)
+        v = rng.standard_normal((1, dim)) * float(10.0 ** rng.integers(-3, 4))
+        u = umfc.l2_normalize_rows(v)
+        again = umfc.l2_normalize_rows(u)
         assert abs(np.linalg.norm(u) - 1.0) < 1e-12, f"case {i}: norm {np.linalg.norm(u)}"
         assert np.allclose(u, again, rtol=0, atol=1e-12), f"case {i}: not idempotent"
 
 
 def check_softmax_argmax_tau_invariant(cases: int, seed: int = 202) -> None:
-    """Temperature reshapes probabilities but never moves the argmax."""
+    """Temperature reshapes probabilities but never moves the argmax.
+
+    Against the unit axes as the bank, a feature's cosines are its
+    entries over its norm, so the feature sets the logits' order.
+    """
     rng = np.random.default_rng(seed)
     for i in range(cases):
         k = int(rng.integers(2, 30))
@@ -43,7 +47,7 @@ def check_softmax_argmax_tau_invariant(cases: int, seed: int = 202) -> None:
         logits[rng.integers(k)] += 1.0
         ref = int(np.argmax(logits))
         for tau in (0.01, 0.37, 1.0, 55.0):
-            probs = umfc.softmax_temp(logits, tau)
+            probs = umfc.classify_batch(logits[None, :], np.eye(k), tau)[0]
             assert abs(probs.sum() - 1.0) < 1e-9, f"case {i}: sum {probs.sum()}"
             assert int(np.argmax(probs)) == ref, f"case {i}: argmax moved at tau={tau}"
 

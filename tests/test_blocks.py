@@ -75,7 +75,7 @@ def test_predict_same_across_block_sizes_with_degenerate_row(monkeypatch):
     # put cluster 0's mean on row 9 (in the second block), so that row
     # calibrates to a zero residual
     means = state.centroids.copy()
-    means[0] = umfc.l2_normalize(ds.images.data[9])
+    means[0] = umfc.l2_normalize_rows(ds.images.data[9:10])[0]
     state = dataclasses.replace(
         state, centroids=means, calib_text_shifts=means - state.calib_global_mean
     )
@@ -191,7 +191,7 @@ def _outlier_images():
     # its residual is zero and it is flagged DEGENERATE
     ds = umfc.generate_benchmark(_spec())
     x = umfc.l2_normalize_rows(ds.images.data)
-    x[9] = -umfc.l2_normalize(x.mean(axis=0))
+    x[9] = -umfc.l2_normalize_rows(x.mean(axis=0)[None, :])[0]
     return x, ds.text_bank, umfc.EngineConfig(clusters=6)
 
 

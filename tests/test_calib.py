@@ -7,6 +7,7 @@ import pytest
 
 import umfc
 from umfc.engine import StreamState, _empty, _predict_rows, _update
+from umfc.synth import _cosine_sim, _l2_normalize, _softmax_temp
 
 from properties import calibrate_row
 
@@ -116,7 +117,7 @@ def test_calibrate_bank_bit_invariant_under_shift_permutation_and_duplicates():
             assert np.array_equal(base, umfc.calibrate_bank(bank, shifts[perm]).data)
         # and the batched sum stays the mean of the unit terms
         for j in range(k):
-            terms = [umfc.l2_normalize(bank.data[j] - s) for s in shifts]
+            terms = [_l2_normalize(bank.data[j] - s) for s in shifts]
             assert np.allclose(base[j], np.mean(terms, axis=0), rtol=0, atol=1e-14)
 
 
@@ -277,8 +278,8 @@ def test_classify_batch_matches_scalar_within_float():
     feats = rng.standard_normal((40, 8))
     probs = umfc.classify_batch(feats, bank_data, tau=0.05)
     for i in range(40):
-        sims = np.array([umfc.cosine_sim(feats[i], t) for t in bank_data])
-        single = umfc.softmax_temp(sims, 0.05)
+        sims = np.array([_cosine_sim(feats[i], t) for t in bank_data])
+        single = _softmax_temp(sims, 0.05)
         assert np.allclose(probs[i], single, rtol=0, atol=1e-12)
         assert int(np.argmax(probs[i])) == int(np.argmax(single))
 
@@ -321,7 +322,7 @@ def test_classify_batch_into_out_is_bit_identical():
     fn = np.linalg.norm(feats, axis=1)
     bn = np.linalg.norm(bank_data, axis=1)
     sims = np.clip((feats @ bank_data.T) / np.outer(fn, bn), -1.0, 1.0)
-    assert fresh.tobytes() == umfc.softmax_temp(sims, 0.05).tobytes()
+    assert fresh.tobytes() == _softmax_temp(sims, 0.05).tobytes()
     # into rows of a larger result, as _predict_rows scores a block
     buf = np.full((40, 7), np.nan)
     out = umfc.classify_batch(feats, bank_data, tau=0.05, out=buf[5:35])

@@ -510,6 +510,17 @@ def test_diagnose_balance_shortfall_still_succeeds(small, tmp_path, capsys):
     assert len(out.read_text().splitlines()) == 120  # every row selected
 
 
+def test_diagnose_balance_refuses_absent_labels(small, tmp_path):
+    # -1 marks a row without a class; it is not a class of its own
+    test = umfc.read_embeddings(f"{small}_images.bin")
+    test.class_labels[::50] = -1
+    holes = tmp_path / "holes.bin"
+    umfc.write_embeddings(test, holes)
+    assert run("diagnose", "--which", "balance", "--test", str(holes),
+               "--out", str(tmp_path / "b.tsv"), "--per-cell", "10") == 2
+    assert not (tmp_path / "b.tsv").exists()
+
+
 def test_diagnose_hist_counts_sum(small, small_state, tmp_path):
     out = tmp_path / "h.tsv"
     base = ["diagnose", "--which", "hist", "--test", f"{small}_images.bin",

@@ -5,21 +5,22 @@ import pytest
 
 import umfc
 from umfc.core import _check_tau
+from umfc.synth import _cosine_sim, _softmax_temp
 
 from properties import check_normalize_idempotent, check_softmax_argmax_tau_invariant
 
 
 def test_l2_normalize_hand_value():
     # 3-4-5 triangle: (3,4)/5
-    out = umfc.l2_normalize(np.array([3.0, 4.0]))
-    assert np.allclose(out, [0.6, 0.8], rtol=0, atol=1e-15)
+    out = umfc.l2_normalize_rows(np.array([[3.0, 4.0]]))
+    assert np.allclose(out, [[0.6, 0.8]], rtol=0, atol=1e-15)
 
 
 def test_l2_normalize_rejects_zero():
     with pytest.raises(umfc.DegenerateVector):
-        umfc.l2_normalize(np.zeros(4))
+        umfc.l2_normalize_rows(np.zeros((1, 4)))
     with pytest.raises(umfc.DegenerateVector):
-        umfc.l2_normalize(np.full(3, 1e-13))
+        umfc.l2_normalize_rows(np.full((1, 3), 1e-13))
 
 
 def test_l2_normalize_rows_matches_per_row():
@@ -27,52 +28,44 @@ def test_l2_normalize_rows_matches_per_row():
     m = rng.standard_normal((20, 7))
     rows = umfc.l2_normalize_rows(m)
     for i in range(20):
-        assert np.array_equal(rows[i], umfc.l2_normalize(m[i]))
+        assert np.array_equal(rows[i : i + 1], umfc.l2_normalize_rows(m[i : i + 1]))
 
 
 def test_l2_normalize_rows_flags_zero_row():
     m = np.ones((3, 4))
     m[1] = 0.0
-    with pytest.raises(umfc.DegenerateVector):
+    with pytest.raises(umfc.DegenerateVector, match="row 1"):
         umfc.l2_normalize_rows(m)
-
-
-def test_cosine_sim_hand_values():
-    assert umfc.cosine_sim(np.array([1.0, 0.0]), np.array([0.0, 2.0])) == 0.0
-    assert umfc.cosine_sim(np.array([2.0, 0.0]), np.array([5.0, 0.0])) == 1.0
-    anti = umfc.cosine_sim(np.array([1.0, 1.0]), np.array([-1.0, -1.0]))
-    assert np.isclose(anti, -1.0, rtol=0, atol=1e-15)
+    m[1] = 1e-13
+    with pytest.raises(umfc.DegenerateVector, match="row 1"):
+        umfc.l2_normalize_rows(m)
 
 
 def test_cosine_sim_dimension_mismatch():
     with pytest.raises(umfc.DimensionMismatch):
-        umfc.cosine_sim(np.ones(3), np.ones(4))
+        _cosine_sim(np.ones(3), np.ones(4))
 
 
 def test_cosine_sim_clamped():
     # parallel vectors with rounding noise cannot exceed the [-1, 1] range
     v = np.full(64, 0.1230000000000001)
-    assert umfc.cosine_sim(v, v * 3.0) <= 1.0
-
-
-def test_softmax_hand_value():
-    # two logits 1 and 0 at tau=0.5: p0 = 1/(1+e^-2) = 0.8807970779778823
-    probs = umfc.softmax_temp(np.array([1.0, 0.0]), 0.5)
-    assert np.allclose(probs, [0.8807970779778823, 0.11920292202211755], rtol=0, atol=1e-15)
+    assert _cosine_sim(v, v * 3.0) <= 1.0
 
 
 def test_softmax_extreme_logits_stable():
-    probs = umfc.softmax_temp(np.array([1000.0, -1000.0]), 0.01)
+    # cosines 1 and -1 at tau 1e-3 are logits 1000 and -1000: without the
+    # max subtraction exp would overflow
+    probs = umfc.classify_batch(np.array([[1.0, 0.0]]), np.array([[2.0, 0.0], [-1.0, 0.0]]), 1e-3)
     assert np.isfinite(probs).all()
-    assert probs[0] == 1.0
+    assert probs[0, 0] == 1.0
 
 
 def test_softmax_batched_rows():
     rng = np.random.default_rng(3)
     logits = rng.standard_normal((6, 5))
-    batch = umfc.softmax_temp(logits, 0.3)
+    batch = _softmax_temp(logits, 0.3)
     for i in range(6):
-        assert np.array_equal(batch[i], umfc.softmax_temp(logits[i], 0.3))
+        assert np.array_equal(batch[i], _softmax_temp(logits[i], 0.3))
 
 
 def test_temperature_validation():
@@ -82,9 +75,16 @@ def test_temperature_validation():
         with pytest.raises(ValueError):
             _check_tau(bad)
         with pytest.raises(ValueError):
-            umfc.softmax_temp(np.array([1.0, 0.0]), bad)
+            _softmax_temp(np.array([1.0, 0.0]), bad)
         with pytest.raises(ValueError):
             umfc.classify_batch(np.eye(2), np.eye(2), bad)
+
+
+def test_public_names_are_unique_and_resolve():
+    names = umfc.__all__
+    assert len(names) == len(set(names))
+    for name in names:
+        assert hasattr(umfc, name), name
 
 
 def test_embedding_matrix_validation():

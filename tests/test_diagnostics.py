@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import umfc
+from umfc.synth import _cosine_sim, _softmax_temp
 
 
 def _preds(labels):
@@ -97,7 +98,7 @@ def test_domain_bias_probe_flat_when_unbiased():
 def test_domain_bias_probe_detects_lean():
     d0 = np.array([0.0, 0.0, 1.0, 0.0])
     d1 = np.array([0.0, 0.0, 0.0, 1.0])
-    lean = umfc.l2_normalize(np.array([1.0, 0.0, 0.6, 0.0]))
+    lean = umfc.l2_normalize_rows(np.array([[1.0, 0.0, 0.6, 0.0]]))[0]
     neutral = np.array([0.0, 1.0, 0.0, 0.0])
     bank = umfc.TextBank(names=["a", "b"], data=np.stack([lean, neutral]))
     result = umfc.domain_bias_probe(bank, np.stack([d0, d1]), tau=1.0)
@@ -122,8 +123,8 @@ def test_probe_kl_decreases_after_text_calibration():
 def _probe_rows_cell_by_cell(bank, anchors, tau):
     """The probe written out: one cosine per (class, anchor) cell, then a
     softmax over each class's row."""
-    sims = np.array([[umfc.cosine_sim(t, a) for a in anchors] for t in bank.data])
-    return umfc.softmax_temp(sims, tau)
+    sims = np.array([[_cosine_sim(t, a) for a in anchors] for t in bank.data])
+    return _softmax_temp(sims, tau)
 
 
 @pytest.mark.parametrize(
@@ -158,8 +159,9 @@ def test_transition_direction_check_exact():
     assert np.all(table.cosines[off] >= 1.0 - 1e-9)
     assert np.isnan(table.cosines[np.eye(3, dtype=bool)]).all()
     assert table.min_off_diagonal() >= 1.0 - 1e-9
-    tsv = table.to_tsv()
-    assert tsv.startswith("from\\to") or "\t" in tsv
+    lines = table.to_tsv().splitlines()
+    assert lines[0] == "from_domain\tto_domain\tcosine"
+    assert len(lines) == 1 + 3 * 2  # one row per ordered pair of distinct domains
 
 
 def test_transition_direction_check_errors():
@@ -169,9 +171,56 @@ def test_transition_direction_check_errors():
     with pytest.raises(umfc.MissingLabels):
         umfc.transition_direction_check(unlabeled, refs)
     # a domain named by the reference table but absent from the data
-    refs3 = umfc.pairwise_directions(np.eye(3)[:, :8] if False else np.random.default_rng(0).standard_normal((3, 8)))
+    refs3 = umfc.pairwise_directions(np.random.default_rng(0).standard_normal((3, 8)))
     with pytest.raises(umfc.EmptyDomain):
         umfc.transition_direction_check(ds.images, refs3)
+    # references of another dimension than the images
+    wide = umfc.pairwise_directions(np.random.default_rng(0).standard_normal((2, 9)))
+    with pytest.raises(umfc.DimensionMismatch, match="dim 9"):
+        umfc.transition_direction_check(ds.images, wide)
+    # two domains with equal means: their difference has no direction
+    same = ds.images.data.copy()
+    same[ds.images.domain_labels == 1] = same[ds.images.domain_labels == 0]
+    flat = umfc.EmbeddingMatrix(data=same, domain_labels=ds.images.domain_labels)
+    with pytest.raises(umfc.DegenerateVector):
+        umfc.transition_direction_check(flat, refs)
+    # a zero-norm reference entry
+    refs_zero = refs.copy()
+    refs_zero[0, 1] = 0.0
+    with pytest.raises(umfc.DegenerateVector):
+        umfc.transition_direction_check(ds.images, refs_zero)
+
+
+def _direction_cosines_pair_by_pair(images, refs):
+    """The direction check written out: one cosine per ordered pair."""
+    z = refs.shape[0]
+    means = []
+    for zi in range(z):
+        rows = images.data[images.domain_labels == zi]
+        means.append(np.sum(rows, axis=0) / rows.shape[0])
+    cos = np.full((z, z), np.nan)
+    for i in range(z):
+        for j in range(z):
+            if i != j:
+                cos[i, j] = _cosine_sim(means[i] - means[j], refs[i, j])
+    return cos
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [umfc.SynthSpec(), umfc.SynthSpec(n_classes=345, n_domains=5, dim=512, samples_per_cell=1)],
+    ids=["default", "345x5x512"],
+)
+def test_transition_direction_check_matches_pair_by_pair_reference(spec):
+    ds = umfc.generate_benchmark(spec)
+    for axes in (ds.true_transition_directions, ds.domain_anchor_texts):
+        refs = umfc.pairwise_directions(axes)
+        want = _direction_cosines_pair_by_pair(ds.images, refs)
+        got = umfc.transition_direction_check(ds.images, refs)
+        off = ~np.eye(spec.n_domains, dtype=bool)
+        assert np.isnan(got.cosines[~off]).all()
+        assert np.allclose(got.cosines[off], want[off], rtol=0, atol=1e-15)
+        assert got.to_tsv() == umfc.DirectionTable(got.domains, want).to_tsv()
 
 
 def test_balanced_subsample_exact_cells():
@@ -206,3 +255,49 @@ def test_balanced_subsample_missing_labels():
     m = umfc.EmbeddingMatrix(data=np.ones((4, 2)))
     with pytest.raises(umfc.MissingLabels):
         umfc.balanced_subsample(m, per_cell=1, seed=0)
+
+
+def test_balanced_subsample_refuses_absent_labels():
+    # -1 is "absent", not a class or domain of its own
+    ds = umfc.generate_benchmark(umfc.SynthSpec(n_classes=3, n_domains=2, dim=8, samples_per_cell=5))
+    for name in ("class_labels", "domain_labels"):
+        labels = {n: getattr(ds.images, n).copy() for n in ("class_labels", "domain_labels")}
+        labels[name][::7] = -1
+        m = umfc.EmbeddingMatrix(data=ds.images.data, **labels)
+        with pytest.raises(umfc.MissingLabels):
+            umfc.balanced_subsample(m, per_cell=1, seed=0)
+
+
+def _balanced_subsample_cell_by_cell(images, per_cell, seed):
+    """The subsample written out: one scan of the rows per cell."""
+    rng = np.random.default_rng(seed)
+    cls, dom = images.class_labels, images.domain_labels
+    chosen, shortfalls = [], []
+    for c in np.unique(cls):
+        for z in np.unique(dom):
+            members = np.flatnonzero((cls == c) & (dom == z))
+            if members.size < per_cell:
+                shortfalls.append((int(c), int(z), int(members.size), per_cell))
+                chosen.append(members)
+            else:
+                chosen.append(rng.choice(members, size=per_cell, replace=False))
+    return np.sort(np.concatenate(chosen)), shortfalls
+
+
+@pytest.mark.parametrize("per_cell", [1, 4, 5])
+def test_balanced_subsample_matches_cell_by_cell_reference(per_cell):
+    # cells of 2 to 8 rows, and cell (class 2, domain 1) emptied
+    spec = umfc.SynthSpec(n_classes=4, n_domains=3, dim=8, samples_per_cell=5, seed=5,
+                          class_imbalance=((1, 2, 3, 4), (4, 3, 2, 1), (1, 1, 1, 1)))
+    ds = umfc.generate_benchmark(spec)
+    keep = ~((ds.images.class_labels == 2) & (ds.images.domain_labels == 1))
+    images = umfc.EmbeddingMatrix(data=ds.images.data[keep],
+                                  class_labels=ds.images.class_labels[keep],
+                                  domain_labels=ds.images.domain_labels[keep])
+    for seed in range(3):
+        want_idx, want_short = _balanced_subsample_cell_by_cell(images, per_cell, seed)
+        idx, shortfalls = umfc.balanced_subsample(images, per_cell, seed)
+        assert idx.dtype == np.int64
+        assert np.array_equal(idx, want_idx)
+        assert shortfalls == want_short
+        assert (2, 1, 0, per_cell) in shortfalls

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import umfc
+from umfc.synth import _l2_normalize
 
 
 def test_determinism_bit_exact():
@@ -160,6 +161,15 @@ def test_pairwise_directions():
             if i != j:
                 assert np.isclose(np.linalg.norm(dirs[i, j]), 1.0, rtol=0, atol=1e-12)
                 assert np.allclose(dirs[i, j], -dirs[j, i], rtol=0, atol=1e-15)
+
+
+def test_pairwise_directions_match_pair_by_pair_normalization():
+    axes = np.random.default_rng(4).standard_normal((5, 12))
+    dirs = umfc.pairwise_directions(axes)
+    for i in range(5):
+        for j in range(5):
+            if i != j:
+                assert np.array_equal(dirs[i, j], _l2_normalize(axes[i] - axes[j]))
 
 
 def test_measured_directions_match_construction():
