@@ -230,8 +230,6 @@ def cmd_transduce(argv) -> int:
     parser.add_argument("--out", required=True, help="predictions TSV path")
     parser.add_argument("--report", default=None, help="also write a per-domain accuracy TSV here")
     _engine_flags(parser)
-    _tunable(parser, "--micro", _parse_bool, False,
-             "report micro instead of macro overall accuracy")
     args = parser.parse_args(argv)
     cfg = _config_from(args)
 
@@ -244,8 +242,8 @@ def cmd_transduce(argv) -> int:
     _note(f"transduce: {test.n} rows -> {args.out}")
     if args.report is not None:
         table = per_domain_accuracy(preds, test.class_labels, test.domain_labels)
-        uio._atomic_write(args.report, table.to_tsv(micro=args.micro).encode("utf-8"))
-        _note(f"report: overall {table.overall(micro=args.micro):.4f} -> {args.report}")
+        uio._atomic_write(args.report, table.to_tsv().encode("utf-8"))
+        _note(f"report: overall {table.overall():.4f} -> {args.report}")
     return EXIT_OK
 
 

@@ -20,7 +20,6 @@ __all__ = [
     "kmeans_fit",
     "assign_batch",
     "batch_cluster_means",
-    "inertia",
 ]
 
 # Lloyd's loop stops after MAX_ITERS updates, or once no centroid moves
@@ -34,8 +33,11 @@ class ClusterModel:
     """What kmeans_fit fits: the centroids with the member count behind
     each one.
 
-    inertia_history is a diagnostic: the objective recorded after each
-    Lloyd update, non-increasing from start to convergence.
+    inertia_history is a diagnostic: after each Lloyd update, the sum of
+    squared distances from every row to the nearest updated centroid.
+    It is read off the assignment pass the update needs anyway, so it
+    costs no pass of its own; it is non-increasing, and its last entry
+    is the objective of the returned centroids and labels.
     """
 
     centroids: np.ndarray
@@ -86,18 +88,6 @@ def _cluster_sums(x: np.ndarray, labels: np.ndarray, m: int) -> Tuple[np.ndarray
     return sums, counts
 
 
-def inertia(x: np.ndarray, centroids: np.ndarray, labels: np.ndarray) -> float:
-    """Sum of squared Euclidean distances to each row's assigned centroid,
-    summed per row block; within one block the bits are those of a single
-    np.sum."""
-    x = np.asarray(x, dtype=np.float64)
-    total = 0.0
-    for sl in row_blocks(x.shape[0]):
-        diff = x[sl] - centroids[labels[sl]]
-        total += float(np.sum(np.square(diff, out=diff)))
-    return total
-
-
 def _kmeanspp_init(
     x: np.ndarray, x2: np.ndarray, m: int, rng: np.random.Generator
 ) -> np.ndarray:
@@ -109,11 +99,16 @@ def _kmeanspp_init(
     local seedings while staying fully seeded and deterministic).
     """
     n = x.shape[0]
+
+    def dist2(i: int) -> np.ndarray:
+        """Squared distances of every row to row i, clamped at 0."""
+        d2 = x2 - 2.0 * (x @ x[i]) + x2[i]
+        return np.maximum(d2, 0.0, out=d2)
+
     centers = np.empty((m, x.shape[1]), dtype=np.float64)
     first = int(rng.integers(n))
     centers[0] = x[first]
-    d2 = x2 - 2.0 * (x @ centers[0]) + x2[first]
-    np.maximum(d2, 0.0, out=d2)
+    d2 = dist2(first)
     n_candidates = 2 + int(np.log(m)) if m > 1 else 1
     for j in range(1, m):
         total = float(d2.sum())
@@ -127,9 +122,7 @@ def _kmeanspp_init(
         best = int(cand[0])
         for ci in cand:
             ci = int(ci)
-            cd2 = x2 - 2.0 * (x @ x[ci]) + x2[ci]
-            np.maximum(cd2, 0.0, out=cd2)
-            nd2 = np.minimum(d2, cd2)
+            nd2 = np.minimum(d2, dist2(ci))
             pot = float(nd2.sum())
             if pot < best_pot:
                 best_pot, best, best_d2 = pot, ci, nd2
@@ -138,9 +131,7 @@ def _kmeanspp_init(
     return centers
 
 
-def _repair_empty(
-    x: np.ndarray, labels: np.ndarray, d2: np.ndarray, m: int
-) -> np.ndarray:
+def _repair_empty(labels: np.ndarray, d2: np.ndarray, m: int) -> np.ndarray:
     """Give every empty cluster the point currently farthest from its centroid."""
     counts = np.bincount(labels, minlength=m)
     empties = np.flatnonzero(counts == 0)
@@ -179,18 +170,19 @@ def kmeans_fit(m: np.ndarray, n_clusters: int, seed: int) -> Tuple[ClusterModel,
     x2 = np.einsum("ij,ij->i", x, x)
     centroids = _kmeanspp_init(x, x2, n_clusters, rng)
     pure_labels, d2 = _assign_dense(x, centroids, x2)
-    labels = _repair_empty(x, pure_labels, d2, n_clusters)
+    labels = _repair_empty(pure_labels, d2, n_clusters)
     history = []
 
     for _ in range(MAX_ITERS):
         # labels is post-repair here so every cluster has members
         sums, counts = _cluster_sums(x, labels, n_clusters)
         new_centroids = sums / counts[:, None]
-        history.append(inertia(x, new_centroids, labels))
         shift = float(np.max(np.linalg.norm(new_centroids - centroids, axis=1)))
         centroids = new_centroids
         pure_labels, d2 = _assign_dense(x, centroids, x2)
-        repaired = _repair_empty(x, pure_labels, d2, n_clusters)
+        # the objective of the new centroids under the labels they assign
+        history.append(float(d2.sum()))
+        repaired = _repair_empty(pure_labels, d2, n_clusters)
         if np.array_equal(repaired, labels) or shift < TOL:
             break
         labels = repaired

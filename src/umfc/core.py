@@ -26,7 +26,7 @@ __all__ = [
 DEGENERACY_EPS = 1e-12
 
 # Rows per block in every pass over the rows of a matrix (reading a
-# container, normalizing, k-means inertia, scoring): a pass holds
+# container, normalizing, k-means cluster sums, scoring): a pass holds
 # temporaries for one block, not for the whole matrix.
 CHUNK_ROWS = 4096
 

@@ -11,8 +11,9 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from .calib import classify_batch
+from .clustering import batch_cluster_means
 from .core import DEGENERACY_EPS, EmbeddingMatrix, TextBank
-from .errors import DegenerateVector, DimensionMismatch, EmptyDomain, MissingLabels
+from .errors import DegenerateVector, DimensionMismatch, EmptyDomain, MissingLabels, TooFewSamples
 
 __all__ = [
     "DomainAccuracyTable",
@@ -43,18 +44,15 @@ class DomainAccuracyTable:
     def accuracies(self) -> np.ndarray:
         return self.correct / self.totals
 
-    def overall(self, micro: bool = False) -> float:
-        """Macro (mean of per-domain accuracies) unless micro is requested."""
-        if micro:
-            return float(self.correct.sum() / self.totals.sum())
+    def overall(self) -> float:
+        """Macro accuracy: the mean of the per-domain accuracies."""
         return float(np.mean(self.accuracies))
 
-    def to_tsv(self, micro: bool = False) -> str:
+    def to_tsv(self) -> str:
         lines = ["domain\tcorrect\ttotal\taccuracy"]
         for z, c, t, a in zip(self.domains, self.correct, self.totals, self.accuracies):
             lines.append(f"{z}\t{c}\t{t}\t{a:.6f}")
-        tag = "micro" if micro else "macro"
-        lines.append(f"overall_{tag}\t{self.correct.sum()}\t{self.totals.sum()}\t{self.overall(micro):.6f}")
+        lines.append(f"overall_macro\t{self.correct.sum()}\t{self.totals.sum()}\t{self.overall():.6f}")
         return "\n".join(lines) + "\n"
 
 
@@ -184,8 +182,10 @@ def transition_direction_check(
     reference_directions is a Z x Z x D table whose [i, j] row is the
     expected unit direction from domain j's mean to domain i's; entry
     [i, j] of the result is the cosine between mean_i - mean_j and that
-    reference.  Same-domain entries are skipped (NaN).  Raises
-    EmptyDomain when any of the Z domain ids has no samples,
+    reference.  Same-domain entries are skipped (NaN), and rows whose
+    domain id is not one of 0..Z-1 (-1 marks an unlabeled row) are
+    ignored.  Raises TooFewSamples when Z < 2, EmptyDomain when any of
+    the Z domain ids has no samples,
     MissingLabels when the matrix carries no domain labels,
     DimensionMismatch when D is not the images' dimension and
     DegenerateVector when a compared pair has a zero-norm vector.
@@ -199,19 +199,18 @@ def transition_direction_check(
         )
     z = refs.shape[0]
     if z < 2:
-        raise ValueError("need at least 2 domains to compare directions")
+        raise TooFewSamples(f"{z} domain(s) in the reference table; directions need at least 2")
     if images.domain_labels is None:
         raise MissingLabels("transition check needs domain labels")
+    # rows outside the Z domains (unlabeled -1, or >= Z) go to a spare group
     dom = images.domain_labels
-    means = []
-    for zi in range(z):
-        rows = images.data[dom == zi]
-        if rows.shape[0] == 0:
-            raise EmptyDomain(f"domain {zi} has no samples")
-        means.append(np.sum(rows, axis=0) / rows.shape[0])
+    groups = np.where((dom >= 0) & (dom < z), dom, z)
+    means, counts = batch_cluster_means(images.data, groups, z + 1)
+    if not counts[:z].all():
+        raise EmptyDomain(f"domain {int(np.argmin(counts[:z]))} has no samples")
+    means = means[:z]
     # every off-diagonal pair at once, in row-major (i, j) order
     off = ~np.eye(z, dtype=bool)
-    means = np.stack(means)
     diffs = (means[:, None, :] - means[None, :, :])[off]
     ref = refs[off]
     dn = np.linalg.norm(diffs, axis=1)

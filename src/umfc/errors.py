@@ -43,7 +43,8 @@ class NonFiniteInput(UmfcError):
 
 
 class TooFewSamples(UmfcError):
-    """Fewer samples than clusters requested."""
+    """Fewer samples than an operation needs: rows for the clusters
+    requested, or domains for a direction comparison."""
 
 
 class MissingLabels(UmfcError):

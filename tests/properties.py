@@ -53,7 +53,8 @@ def check_softmax_argmax_tau_invariant(cases: int, seed: int = 202) -> None:
 
 
 def check_lloyd_monotone(cases: int, seed: int = 303) -> None:
-    """Recorded within-cluster squared error never increases across iterations."""
+    """Recorded within-cluster squared error never increases across
+    iterations and ends at the objective of the returned model."""
     rng = np.random.default_rng(seed)
     for i in range(cases):
         n = int(rng.integers(8, 40))
@@ -65,6 +66,9 @@ def check_lloyd_monotone(cases: int, seed: int = 303) -> None:
         assert hist is not None and len(hist) >= 1
         for a, b in zip(hist, hist[1:]):
             assert b <= a + 1e-9 * max(1.0, abs(a)), f"case {i}: inertia rose {a} -> {b}"
+        # the last entry is the returned model's objective
+        objective = float(np.sum((x - model.centroids[labels]) ** 2))
+        assert abs(hist[-1] - objective) <= 1e-9 * objective, f"case {i}: {hist[-1]} != {objective}"
         # the returned labels must be reproducible from the final centroids
         again = umfc.assign_batch(model.centroids, x)
         assert np.array_equal(again, labels), f"case {i}: assignment drifted"

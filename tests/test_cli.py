@@ -113,7 +113,7 @@ def _tunable_defaults(cmd):
     return {
         "fit": engine,
         "predict": {"--tau": None},
-        "transduce": {**engine, "--micro": False},
+        "transduce": engine,
         "stream": engine,
         "synth": {flag: getattr(spec, field) for flag, field, _ in cli._SYNTH_FLAGS},
         "diagnose": {"--tau": None, "--per-cell": 50, "--seed": 0},
@@ -488,6 +488,16 @@ def test_diagnose_direction_noiseless_matches_storage_precision(tmp_path, capsys
     assert min(cells) >= 1.0 - 1e-4
 
 
+def test_diagnose_direction_with_one_domain_is_data_error(tmp_path, capsys):
+    # a domain bank of one anchor has no pair of domains to compare
+    prefix = str(tmp_path / "one")
+    assert run("synth", "--out-prefix", prefix, "--domains", "1", "--emit-domain-bank") == 0
+    assert run("diagnose", "--which", "direction", "--test", f"{prefix}_images.bin",
+               "--domain-bank", f"{prefix}_domains.bin", "--out", str(tmp_path / "d.tsv")) == 2
+    assert "data error" in capsys.readouterr().err
+    assert not (tmp_path / "d.tsv").exists()
+
+
 @pytest.mark.parametrize("which", ["probe", "direction"])
 def test_diagnose_anchor_dimension_mismatch_is_data_error(small, narrow, tmp_path, capsys, which):
     # one dim-8 anchor per domain of the dim-16 bank (probe) and test matrix (direction)
@@ -676,7 +686,7 @@ def test_removed_normalize_shifts_flag_is_usage_error(small, tmp_path):
     assert not (tmp_path / "p.tsv").exists()
 
 
-@pytest.mark.parametrize("flag", ["--max-iters", "--tol"])
+@pytest.mark.parametrize("flag", ["--max-iters", "--tol", "--micro"])
 def test_removed_clustering_limit_flags_are_usage_errors(small, tmp_path, monkeypatch, flag):
     # the flags are gone; their environment variables are ignored
     args = ["transduce", "--test", f"{small}_images.bin", "--bank", f"{small}_bank.bin",

@@ -43,10 +43,11 @@ def test_macro_vs_micro_unbalanced():
     d = np.array([0, 1, 1, 1])
     table = umfc.per_domain_accuracy(_preds([0, 0, 0, 0]), y, d)
     assert table.overall() == 0.5
-    assert table.overall(micro=True) == 0.25
     tsv = table.to_tsv()
     assert "overall_macro" in tsv and tsv.endswith("\n")
-    assert "overall_micro" in table.to_tsv(micro=True)
+    # micro accuracy is the ratio of the summed columns the overall row carries
+    assert table.correct.sum() / table.totals.sum() == 0.25
+    assert tsv.splitlines()[-1] == "overall_macro\t1\t4\t0.500000"
 
 
 def test_per_domain_accuracy_accepts_label_array():
@@ -174,6 +175,10 @@ def test_transition_direction_check_errors():
     refs3 = umfc.pairwise_directions(np.random.default_rng(0).standard_normal((3, 8)))
     with pytest.raises(umfc.EmptyDomain):
         umfc.transition_direction_check(ds.images, refs3)
+    # one domain: no pair to compare
+    refs1 = np.zeros((1, 1, 8))
+    with pytest.raises(umfc.TooFewSamples, match="at least 2"):
+        umfc.transition_direction_check(ds.images, refs1)
     # references of another dimension than the images
     wide = umfc.pairwise_directions(np.random.default_rng(0).standard_normal((2, 9)))
     with pytest.raises(umfc.DimensionMismatch, match="dim 9"):
@@ -213,10 +218,16 @@ def _direction_cosines_pair_by_pair(images, refs):
 )
 def test_transition_direction_check_matches_pair_by_pair_reference(spec):
     ds = umfc.generate_benchmark(spec)
+    # rows labelled -1 (unlabeled) and Z (no such domain) count for neither side
+    stray = np.random.default_rng(1).standard_normal((4, spec.dim))
+    dom = np.concatenate([ds.images.domain_labels[:7], [-1, spec.n_domains],
+                          ds.images.domain_labels[7:], [spec.n_domains, -1]])
+    data = np.concatenate([ds.images.data[:7], stray[:2], ds.images.data[7:], stray[2:]])
+    images = umfc.EmbeddingMatrix(data=data, domain_labels=dom)
     for axes in (ds.true_transition_directions, ds.domain_anchor_texts):
         refs = umfc.pairwise_directions(axes)
-        want = _direction_cosines_pair_by_pair(ds.images, refs)
-        got = umfc.transition_direction_check(ds.images, refs)
+        want = _direction_cosines_pair_by_pair(images, refs)
+        got = umfc.transition_direction_check(images, refs)
         off = ~np.eye(spec.n_domains, dtype=bool)
         assert np.isnan(got.cosines[~off]).all()
         assert np.allclose(got.cosines[off], want[off], rtol=0, atol=1e-15)
