@@ -463,6 +463,8 @@ def cmd_sweep(argv) -> int:
                 cfg = (replace(base, batch_size=val, mode="memory") if args.param == "batch-size"
                        else replace(base, eta=val, mode="ema"))
                 preds, _ = run_stream(test, bank, cfg, keep_probs=False)
+        except UmfcError:
+            raise  # main's failure table maps it, as for any other command
         except ValueError as e:
             raise UsageError(f"--values: {val!r}: {e}") from None
         table = per_domain_accuracy(preds, test.class_labels, test.domain_labels)

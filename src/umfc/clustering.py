@@ -51,17 +51,24 @@ def _assign_dense(
     """Labels and squared distances to the assigned centroid.
 
     Uses the expansion |x-c|^2 = |x|^2 - 2 x.c + |c|^2 so the heavy part
-    is one matrix product; negatives from cancellation are clamped to 0.
+    is a matrix product; negatives from cancellation are clamped to 0.
     Ties take the lowest centroid index (argmin keeps the first hit).
-    x2, the squared row norms of x, is computed here unless given.
+    x2, the squared row norms of x, is computed here unless given.  The
+    product runs over row_blocks, so a call holds CHUNK_ROWS x M scratch
+    (and the BLAS buffer of one block's product) besides its two
+    length-N outputs.
     """
     if x2 is None:
         x2 = np.einsum("ij,ij->i", x, x)
     c2 = np.einsum("ij,ij->i", centroids, centroids)
-    d2 = x2[:, None] - 2.0 * (x @ centroids.T) + c2[None, :]
-    np.maximum(d2, 0.0, out=d2)
-    labels = np.argmin(d2, axis=1).astype(np.int64)
-    return labels, d2[np.arange(x.shape[0]), labels]
+    labels = np.empty(x.shape[0], dtype=np.int64)
+    dist = np.empty(x.shape[0], dtype=np.float64)
+    for sl in row_blocks(x.shape[0]):
+        d2 = x2[sl, None] - 2.0 * (x[sl] @ centroids.T) + c2[None, :]
+        np.maximum(d2, 0.0, out=d2)
+        labels[sl] = np.argmin(d2, axis=1)
+        dist[sl] = d2[np.arange(d2.shape[0]), labels[sl]]
+    return labels, dist
 
 
 def _cluster_sums(x: np.ndarray, labels: np.ndarray, m: int) -> Tuple[np.ndarray, np.ndarray]:

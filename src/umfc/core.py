@@ -26,9 +26,9 @@ __all__ = [
 DEGENERACY_EPS = 1e-12
 
 # Rows per block in every pass over the rows of a matrix (reading a
-# container, normalizing, k-means cluster sums, scoring): a pass holds
-# temporaries for one block, not for the whole matrix.
-CHUNK_ROWS = 4096
+# container, normalizing, k-means assignment and cluster sums, scoring):
+# a pass holds temporaries for one block, not for the whole matrix.
+CHUNK_ROWS = 1024
 
 
 def row_blocks(n: int):

@@ -626,6 +626,15 @@ def test_sweep_bad_values_are_usage_errors(small, tmp_path, capsys, param, value
     assert not (tmp_path / "s.tsv").exists()
 
 
+@pytest.mark.parametrize("param, values", [("clusters", "2"), ("batch-size", "7"), ("eta", "0.5")])
+def test_sweep_bank_dimension_mismatch_is_data_error(small, narrow, tmp_path, capsys, param, values):
+    assert run("sweep", "--param", param, "--values", values,
+               "--test", f"{small}_images.bin", "--bank", f"{narrow}_bank.bin",
+               "--names", f"{narrow}_names.txt", "--out", str(tmp_path / "s.tsv")) == 2
+    assert capsys.readouterr().err.startswith("data error: ")
+    assert not (tmp_path / "s.tsv").exists()
+
+
 # ---------------------------------------------------------------------------
 # flag resolution
 
