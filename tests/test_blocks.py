@@ -147,7 +147,8 @@ def _per_cluster_sums(x, labels, m):
     return sums
 
 
-@pytest.mark.parametrize("rows", [SMALL_BLOCK, DEFAULT_BLOCK])
+# 4096, the block size before 1024, holds all 3,077 rows in one block
+@pytest.mark.parametrize("rows", [SMALL_BLOCK, DEFAULT_BLOCK, 4096])
 def test_cluster_sums_bit_identical_to_one_sum_per_cluster(monkeypatch, rows):
     monkeypatch.setattr(core, "CHUNK_ROWS", rows)
     rng = np.random.default_rng(6)
