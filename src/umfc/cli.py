@@ -1,13 +1,14 @@
 """Command line driver.
 
-Subcommands: fit, predict, transduce, stream, synth, diagnose, sweep.
-Every tunable flag can also be set through an environment variable named
-UMFC_<FLAG> (dashes become underscores, e.g. UMFC_BATCH_SIZE): when set,
-its value is the flag's argparse default, which argparse converts with
-the flag's type only when the flag is not given.  So an explicit flag
-always wins, even over a malformed variable, and a malformed value is a
-usage error naming the flag.  Progress and reports go to stderr; data
-goes to the files named by flags, never anywhere else.
+Subcommands: fit, predict, transduce, stream, synth, diagnose, sweep;
+`umfc` alone (or `umfc --help`) lists them.  Every tunable flag can
+also be set through an environment variable named UMFC_<FLAG> (dashes
+become underscores, e.g. UMFC_BATCH_SIZE): when set, its value is the
+flag's argparse default, which argparse converts with the flag's type
+only when the flag is not given.  So an explicit flag always wins, even
+over a malformed variable, and a malformed value is a usage error naming
+the flag.  Progress and reports go to stderr; data goes to the files
+named by flags, never anywhere else.
 
 Exit codes: 0 success, 1 usage error, 2 unreadable/invalid data,
 3 numerical degeneracy.
@@ -149,18 +150,19 @@ def _predict_loaded(state_path, tau, test: EmbeddingMatrix, bank: TextBank) -> P
 
 
 def _write_predictions(path, preds: Predictions, ids, names) -> None:
-    top = preds.top.tolist()
     # the flags column spells each distinct bitmask once, from its first row
     codes, first = np.unique(preds.flags, return_index=True)
     flag_text = {c: ",".join(preds[i].flags) or "-" for c, i in zip(codes.tolist(), first.tolist())}
-    lines = [
+    # the columns are turned into Python values one row block at a time
+    lines = (
         f"{pid}\t{names[label]}\t{prob:.9f}\t{cluster}\t{flag_text[code]}"
+        for sl in row_blocks(len(preds))
         for pid, label, prob, cluster, code in zip(
-            ids, preds.labels.tolist(), top, preds.clusters.tolist(), preds.flags.tolist()
+            ids[sl], preds.labels[sl].tolist(), preds.top[sl].tolist(),
+            preds.clusters[sl].tolist(), preds.flags[sl].tolist(),
         )
-    ]
-    body = ("\n".join(lines) + "\n") if lines else ""
-    uio._atomic_write(path, body.encode("utf-8"))
+    )
+    uio._write_lines(path, lines)
 
 
 def _note(msg: str) -> None:
@@ -171,19 +173,8 @@ def _note(msg: str) -> None:
 # subcommands
 
 
-def cmd_fit(argv) -> int:
-    parser = _Parser(
-        prog="umfc fit",
-        description="Estimate calibration statistics from an unlabeled training matrix.",
-    )
-    parser.add_argument("--train", required=True, help="embedding file to fit on")
-    parser.add_argument("--bank", required=True, help="text bank embedding file")
-    parser.add_argument("--names", required=True, help="class names, one per line")
-    parser.add_argument("--out-state", required=True, help="where to write the fitted state")
-    _engine_flags(parser)
-    args = parser.parse_args(argv)
+def cmd_fit(args) -> None:
     cfg = _config_from(args)
-
     train = _load_matrix(args.train)
     bank = uio.read_text_bank(args.bank, args.names)
     # the snapshot keeps cfg as given, so predict --state normalizes its rows
@@ -194,45 +185,18 @@ def cmd_fit(argv) -> int:
     for m in range(cfg.clusters):
         _note(f"  cluster {m}: size {int(state.counts[m])}, shift norm {shift_norms[m]:.6f}")
     _note(f"state written to {args.out_state}")
-    return EXIT_OK
 
 
-def cmd_predict(argv) -> int:
-    parser = _Parser(
-        prog="umfc predict",
-        description="Apply a fitted state to a test matrix.  Output rows: "
-        "id, predicted class, probability, cluster, flags (tab-separated).",
-    )
-    parser.add_argument("--state", required=True, help="state file from fit or stream")
-    parser.add_argument("--test", required=True, help="embedding file to predict")
-    parser.add_argument("--bank", required=True, help="text bank embedding file")
-    parser.add_argument("--names", required=True, help="class names, one per line")
-    parser.add_argument("--out", required=True, help="predictions TSV path")
-    _tunable(parser, "--tau", float, None, "override the stored softmax temperature")
-    args = parser.parse_args(argv)
-
+def cmd_predict(args) -> None:
     test = _load_matrix(args.test)
     bank = uio.read_text_bank(args.bank, args.names)
     preds = _predict_loaded(args.state, args.tau, test, bank)
     _write_predictions(args.out, preds, test.ids, bank.names)
     _note(f"predict: {test.n} rows -> {args.out}")
-    return EXIT_OK
 
 
-def cmd_transduce(argv) -> int:
-    parser = _Parser(
-        prog="umfc transduce",
-        description="Fit on the test matrix itself and predict it in one pass.",
-    )
-    parser.add_argument("--test", required=True, help="embedding file to calibrate and predict")
-    parser.add_argument("--bank", required=True, help="text bank embedding file")
-    parser.add_argument("--names", required=True, help="class names, one per line")
-    parser.add_argument("--out", required=True, help="predictions TSV path")
-    parser.add_argument("--report", default=None, help="also write a per-domain accuracy TSV here")
-    _engine_flags(parser)
-    args = parser.parse_args(argv)
+def cmd_transduce(args) -> None:
     cfg = _config_from(args)
-
     test = _load_matrix(args.test)
     bank = uio.read_text_bank(args.bank, args.names)
     if args.report is not None and (test.class_labels is None or test.domain_labels is None):
@@ -242,29 +206,11 @@ def cmd_transduce(argv) -> int:
     _note(f"transduce: {test.n} rows -> {args.out}")
     if args.report is not None:
         table = per_domain_accuracy(preds, test.class_labels, test.domain_labels)
-        uio._atomic_write(args.report, table.to_tsv().encode("utf-8"))
+        uio._atomic_write(args.report, [table.to_tsv().encode("utf-8")])
         _note(f"report: overall {table.overall():.4f} -> {args.report}")
-    return EXIT_OK
 
 
-def cmd_stream(argv) -> int:
-    parser = _Parser(
-        prog="umfc stream",
-        description="Consume the test matrix in batches, adapting as it goes.",
-    )
-    parser.add_argument("--test", required=True, help="embedding file to stream")
-    parser.add_argument("--bank", required=True, help="text bank embedding file")
-    parser.add_argument("--names", required=True, help="class names, one per line")
-    parser.add_argument("--out", required=True, help="predictions TSV path")
-    parser.add_argument("--out-state", default=None, help="write the final state here")
-    parser.add_argument(
-        "--snapshot-every",
-        type=int,
-        default=0,
-        help="also snapshot every N batches to <out-state>.batchNNNNN (0 = never)",
-    )
-    _engine_flags(parser)
-    args = parser.parse_args(argv)
+def cmd_stream(args) -> None:
     cfg = _config_from(args)
     if args.snapshot_every < 0:
         raise UsageError("--snapshot-every: must be >= 0")
@@ -287,7 +233,6 @@ def cmd_stream(argv) -> int:
         _note(f"final state -> {args.out_state}")
     n_batches = -(-test.n // cfg.batch_size)
     _note(f"stream: {test.n} rows in {n_batches} batches ({cfg.mode} mode) -> {args.out}")
-    return EXIT_OK
 
 
 # umfc synth's flags: (flag, the SynthSpec field it sets, help)
@@ -304,22 +249,7 @@ _SYNTH_FLAGS = (
 )
 
 
-def cmd_synth(argv) -> int:
-    parser = _Parser(
-        prog="umfc synth",
-        description="Generate the synthetic benchmark files.",
-    )
-    parser.add_argument("--out-prefix", required=True, help="prefix for the written files")
-    parser.add_argument(
-        "--emit-domain-bank",
-        action="store_true",
-        help="also write the domain anchor texts (for the bias probe)",
-    )
-    d = SynthSpec()
-    for flag, field, help_ in _SYNTH_FLAGS:
-        default = getattr(d, field)
-        _tunable(parser, flag, type(default), default, help_)
-    args = parser.parse_args(argv)
+def cmd_synth(args) -> None:
     # SynthSpec refuses bad values with ValueError or DimensionTooSmall: usage errors
     spec = SynthSpec(**{field: getattr(args, flag[2:].replace("-", "_"))
                         for flag, field, _ in _SYNTH_FLAGS})
@@ -335,33 +265,12 @@ def cmd_synth(argv) -> int:
     if args.emit_domain_bank:
         anchors = EmbeddingMatrix(data=ds.domain_anchor_texts)
         uio.write_embeddings(anchors, f"{prefix}_domains.bin", kind=uio.KIND_TEXT)
-        uio._atomic_write(
-            f"{prefix}_domain_names.txt",
-            ("\n".join(f"domain_{z}" for z in range(spec.n_domains)) + "\n").encode("utf-8"),
-        )
+        uio._write_lines(f"{prefix}_domain_names.txt",
+                         (f"domain_{z}" for z in range(spec.n_domains)))
         _note(f"domain anchors -> {prefix}_domains.bin")
-    return EXIT_OK
 
 
-def cmd_diagnose(argv) -> int:
-    parser = _Parser(
-        prog="umfc diagnose",
-        description="Reports: prediction histogram, domain-bias probe, "
-        "transition-direction check, balanced subsample.",
-    )
-    parser.add_argument("--which", required=True, choices=["hist", "probe", "direction", "balance"])
-    parser.add_argument("--test", default=None, help="embedding file (hist, direction, balance)")
-    parser.add_argument("--bank", default=None, help="text bank (hist, probe)")
-    parser.add_argument("--names", default=None, help="class names (hist, probe)")
-    parser.add_argument("--domain-bank", default=None, help="domain anchor embeddings (probe, direction)")
-    parser.add_argument("--state", default=None, help="calibrated state to apply first (hist, probe)")
-    parser.add_argument("--out", required=True, help="output table path")
-    _tunable(parser, "--tau", float, None,
-             "temperature (hist: classification; probe: softmax over domains)")
-    _tunable(parser, "--per-cell", int, 50, "balance: rows per (class, domain) cell")
-    _tunable(parser, "--seed", int, 0, "balance: sampling seed")
-    args = parser.parse_args(argv)
-
+def cmd_diagnose(args) -> None:
     def need(flag, value):
         if value is None:
             raise UsageError(f"--which {args.which} requires {flag}")
@@ -380,11 +289,10 @@ def cmd_diagnose(argv) -> int:
             for sl in row_blocks(max(test.n, 1)):
                 labels[sl] = classify_batch(test.data[sl], bank.data, tau).argmax(axis=1)
         hist = prediction_histogram(labels, bank.k)
-        uio._atomic_write(args.out, hist.to_tsv(bank.names).encode("utf-8"))
+        uio._atomic_write(args.out, [hist.to_tsv(bank.names).encode("utf-8")])
         _note(f"histogram of {test.n} predictions -> {args.out}")
-        return EXIT_OK
 
-    if args.which == "probe":
+    elif args.which == "probe":
         bank = uio.read_text_bank(need("--bank", args.bank), need("--names", args.names))
         anchors = _load_matrix(need("--domain-bank", args.domain_bank))
         probed = bank
@@ -395,50 +303,36 @@ def cmd_diagnose(argv) -> int:
             probed = calibrate_bank(bank, state.calib_text_shifts)
         tau = 1.0 if args.tau is None else args.tau
         result = domain_bias_probe(probed, anchors.data, tau=tau)
-        uio._atomic_write(args.out, result.to_csv().encode("utf-8"))
+        uio._atomic_write(args.out, [result.to_csv().encode("utf-8")])
         _note(f"probe: KL(aggregate || uniform) = {kl_to_uniform(result.aggregate):.6e} -> {args.out}")
-        return EXIT_OK
 
-    if args.which == "direction":
+    elif args.which == "direction":
         test = _load_matrix(need("--test", args.test))
         anchors = _load_matrix(need("--domain-bank", args.domain_bank))
         refs = pairwise_directions(anchors.data)
         table = transition_direction_check(test, refs)
-        uio._atomic_write(args.out, table.to_tsv().encode("utf-8"))
+        uio._atomic_write(args.out, [table.to_tsv().encode("utf-8")])
         _note(f"direction: min off-diagonal cosine {table.min_off_diagonal():.6f} -> {args.out}")
-        return EXIT_OK
 
-    # balance
-    test = _load_matrix(need("--test", args.test))
-    idx, shortfalls = balanced_subsample(test, args.per_cell, args.seed)
-    cls = test.class_labels
-    dom = test.domain_labels
-    lines = [f"{test.ids[i]}\t{int(cls[i])}\t{int(dom[i])}" for i in idx]
-    uio._atomic_write(args.out, (("\n".join(lines) + "\n") if lines else "").encode("utf-8"))
-    for c, z, have, want in shortfalls:
-        _note(f"short cell: class {c} domain {z} has {have} of {want}")
-    _note(f"balance: {idx.size} rows selected -> {args.out}")
-    return EXIT_OK
+    else:  # balance
+        test = _load_matrix(need("--test", args.test))
+        idx, shortfalls = balanced_subsample(test, args.per_cell, args.seed)
+        cls = test.class_labels
+        dom = test.domain_labels
+        uio._write_lines(args.out, (f"{test.ids[i]}\t{int(cls[i])}\t{int(dom[i])}" for i in idx))
+        for c, z, have, want in shortfalls:
+            _note(f"short cell: class {c} domain {z} has {have} of {want}")
+        _note(f"balance: {idx.size} rows selected -> {args.out}")
 
 
-def cmd_sweep(argv) -> int:
-    parser = _Parser(
-        prog="umfc sweep",
-        description="Run the pipeline across one parameter's values and "
-        "tabulate accuracy (labels required).",
-    )
-    parser.add_argument("--param", required=True, help="clusters | batch-size | eta")
-    parser.add_argument("--values", required=True, help="comma-separated parameter values")
-    parser.add_argument("--test", required=True, help="labeled embedding file")
-    parser.add_argument("--bank", required=True, help="text bank embedding file")
-    parser.add_argument("--names", required=True, help="class names, one per line")
-    parser.add_argument("--out", required=True, help="accuracy table TSV path")
-    _engine_flags(parser)
-    args = parser.parse_args(argv)
+# umfc sweep's parameters: what each value's config sets besides the
+# parameter's own field (clusters are swept over transductions, the
+# others over streams)
+_SWEPT = {"clusters": {}, "batch-size": {"mode": "memory"}, "eta": {"mode": "ema"}}
+
+
+def cmd_sweep(args) -> None:
     base = _config_from(args)
-
-    if args.param not in ("clusters", "batch-size", "eta"):
-        raise UsageError(f"--param: unknown parameter {args.param!r}")
     caster = float if args.param == "eta" else int
     try:
         values = [caster(tok) for tok in args.values.split(",") if tok != ""]
@@ -446,50 +340,132 @@ def cmd_sweep(argv) -> int:
         raise UsageError(f"--values: {e}") from None
     if not values:
         raise UsageError("--values: empty list")
+    # every value is checked before any file is read; the rows are
+    # normalized once, in place, so each run takes them as they are
+    field = args.param.replace("-", "_")
+    configs = []
+    for val in values:
+        try:
+            configs.append(replace(base, normalize_input=False, **_SWEPT[args.param],
+                                   **{field: val}))
+        except ValueError as e:
+            raise UsageError(f"--values: {val!r}: {e}") from None
 
     test = _load_matrix(args.test)
     bank = uio.read_text_bank(args.bank, args.names)
     if test.class_labels is None or test.domain_labels is None:
         raise MissingLabels("sweep needs class and domain labels on --test")
-    base = _normalize_loaded(test, base)
+    _normalize_loaded(test, base)
 
-    rows = []
+    run = transduce if args.param == "clusters" else run_stream
     domains = np.unique(test.domain_labels)
-    for val in values:
-        try:
-            if args.param == "clusters":
-                preds, _ = transduce(test, bank, replace(base, clusters=val), keep_probs=False)
-            else:
-                cfg = (replace(base, batch_size=val, mode="memory") if args.param == "batch-size"
-                       else replace(base, eta=val, mode="ema"))
-                preds, _ = run_stream(test, bank, cfg, keep_probs=False)
-        except UmfcError:
-            raise  # main's failure table maps it, as for any other command
-        except ValueError as e:
-            raise UsageError(f"--values: {val!r}: {e}") from None
+    lines = ["param\tvalue\toverall_macro\t" + "\t".join(f"domain_{z}" for z in domains)]
+    for val, cfg in zip(values, configs):
+        preds, _ = run(test, bank, cfg, keep_probs=False)
         table = per_domain_accuracy(preds, test.class_labels, test.domain_labels)
-        rows.append((val, table))
         _note(f"sweep {args.param}={val}: overall {table.overall():.4f}")
-
-    header = "param\tvalue\toverall_macro\t" + "\t".join(f"domain_{z}" for z in domains)
-    lines = [header]
-    for val, table in rows:
         accs = "\t".join(f"{a:.6f}" for a in table.accuracies)
         lines.append(f"{args.param}\t{val}\t{table.overall():.6f}\t{accs}")
-    uio._atomic_write(args.out, ("\n".join(lines) + "\n").encode("utf-8"))
+    uio._write_lines(args.out, lines)
     _note(f"sweep table -> {args.out}")
-    return EXIT_OK
 
 
-_COMMANDS = {
-    "fit": cmd_fit,
-    "predict": cmd_predict,
-    "transduce": cmd_transduce,
-    "stream": cmd_stream,
-    "synth": cmd_synth,
-    "diagnose": cmd_diagnose,
-    "sweep": cmd_sweep,
-}
+def _command_tree() -> _Parser:
+    """The umfc parser with one subparser per command, whose run default
+    is that command's cmd_ function.  Tunable defaults are read from the
+    environment here, so main builds the tree on every call."""
+    parser = _Parser(
+        prog="umfc",
+        description="Training-free removal of domain bias from precomputed "
+        "vision-language embeddings.",
+        epilog="umfc <command> --help shows that command's flags and defaults.",
+    )
+    sub = parser.add_subparsers(title="commands", dest="command", required=True)
+
+    p = sub.add_parser("fit", help="estimate calibration statistics from unlabeled data",
+                       description="Estimate calibration statistics from an unlabeled "
+                       "training matrix.")
+    p.set_defaults(run=cmd_fit)
+    p.add_argument("--train", required=True, help="embedding file to fit on")
+    p.add_argument("--bank", required=True, help="text bank embedding file")
+    p.add_argument("--names", required=True, help="class names, one per line")
+    p.add_argument("--out-state", required=True, help="where to write the fitted state")
+    _engine_flags(p)
+
+    p = sub.add_parser("predict", help="apply a fitted state to new data",
+                       description="Apply a fitted state to a test matrix.  Output rows: "
+                       "id, predicted class, probability, cluster, flags (tab-separated).")
+    p.set_defaults(run=cmd_predict)
+    p.add_argument("--state", required=True, help="state file from fit or stream")
+    p.add_argument("--test", required=True, help="embedding file to predict")
+    p.add_argument("--bank", required=True, help="text bank embedding file")
+    p.add_argument("--names", required=True, help="class names, one per line")
+    p.add_argument("--out", required=True, help="predictions TSV path")
+    _tunable(p, "--tau", float, None, "override the stored softmax temperature")
+
+    p = sub.add_parser("transduce", help="fit on the test set itself and predict it",
+                       description="Fit on the test matrix itself and predict it in one pass.")
+    p.set_defaults(run=cmd_transduce)
+    p.add_argument("--test", required=True, help="embedding file to calibrate and predict")
+    p.add_argument("--bank", required=True, help="text bank embedding file")
+    p.add_argument("--names", required=True, help="class names, one per line")
+    p.add_argument("--out", required=True, help="predictions TSV path")
+    p.add_argument("--report", default=None, help="also write a per-domain accuracy TSV here")
+    _engine_flags(p)
+
+    p = sub.add_parser("stream", help="adapt over batches as they arrive",
+                       description="Consume the test matrix in batches, adapting as it goes.")
+    p.set_defaults(run=cmd_stream)
+    p.add_argument("--test", required=True, help="embedding file to stream")
+    p.add_argument("--bank", required=True, help="text bank embedding file")
+    p.add_argument("--names", required=True, help="class names, one per line")
+    p.add_argument("--out", required=True, help="predictions TSV path")
+    p.add_argument("--out-state", default=None, help="write the final state here")
+    p.add_argument("--snapshot-every", type=int, default=0,
+                   help="also snapshot every N batches to <out-state>.batchNNNNN (0 = never)")
+    _engine_flags(p)
+
+    p = sub.add_parser("synth", help="generate the synthetic benchmark",
+                       description="Generate the synthetic benchmark files.")
+    p.set_defaults(run=cmd_synth)
+    p.add_argument("--out-prefix", required=True, help="prefix for the written files")
+    p.add_argument("--emit-domain-bank", action="store_true",
+                   help="also write the domain anchor texts (for the bias probe)")
+    d = SynthSpec()
+    for flag, field, help_ in _SYNTH_FLAGS:
+        default = getattr(d, field)
+        _tunable(p, flag, type(default), default, help_)
+
+    p = sub.add_parser("diagnose", help="bias and sanity reports",
+                       description="Reports: prediction histogram, domain-bias probe, "
+                       "transition-direction check, balanced subsample.")
+    p.set_defaults(run=cmd_diagnose)
+    p.add_argument("--which", required=True, choices=["hist", "probe", "direction", "balance"])
+    p.add_argument("--test", default=None, help="embedding file (hist, direction, balance)")
+    p.add_argument("--bank", default=None, help="text bank (hist, probe)")
+    p.add_argument("--names", default=None, help="class names (hist, probe)")
+    p.add_argument("--domain-bank", default=None,
+                   help="domain anchor embeddings (probe, direction)")
+    p.add_argument("--state", default=None, help="calibrated state to apply first (hist, probe)")
+    p.add_argument("--out", required=True, help="output table path")
+    _tunable(p, "--tau", float, None,
+             "temperature (hist: classification; probe: softmax over domains)")
+    _tunable(p, "--per-cell", int, 50, "balance: rows per (class, domain) cell")
+    _tunable(p, "--seed", int, 0, "balance: sampling seed")
+
+    p = sub.add_parser("sweep", help="accuracy across one parameter's values",
+                       description="Run the pipeline across one parameter's values and "
+                       "tabulate accuracy (labels required).")
+    p.set_defaults(run=cmd_sweep)
+    p.add_argument("--param", required=True, choices=list(_SWEPT), metavar="PARAM",
+                   help="clusters | batch-size | eta")
+    p.add_argument("--values", required=True, help="comma-separated parameter values")
+    p.add_argument("--test", required=True, help="labeled embedding file")
+    p.add_argument("--bank", required=True, help="text bank embedding file")
+    p.add_argument("--names", required=True, help="class names, one per line")
+    p.add_argument("--out", required=True, help="accuracy table TSV path")
+    _engine_flags(p)
+    return parser
 
 
 # how main reports a failure: (exception types, exit code, stderr label);
@@ -505,26 +481,14 @@ _FAILURES = (
 
 def main(argv: Optional[List[str]] = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    if not argv or argv[0] in ("-h", "--help"):
-        print(
-            "usage: umfc <command> [flags]\n\n"
-            "commands:\n"
-            "  fit        estimate calibration statistics from unlabeled data\n"
-            "  predict    apply a fitted state to new data\n"
-            "  transduce  fit on the test set itself and predict it\n"
-            "  stream     adapt over batches as they arrive\n"
-            "  synth      generate the synthetic benchmark\n"
-            "  diagnose   bias and sanity reports\n"
-            "  sweep      accuracy across one parameter's values\n\n"
-            "umfc <command> --help shows that command's flags and defaults."
-        )
+    parser = _command_tree()
+    if not argv:
+        parser.print_help()
         return EXIT_OK
-    cmd, rest = argv[0], argv[1:]
-    if cmd not in _COMMANDS:
-        print(f"unknown command {cmd!r}; run `umfc --help`", file=sys.stderr)
-        return EXIT_USAGE
     try:
-        return _COMMANDS[cmd](rest)
+        args = parser.parse_args(argv)
+        args.run(args)
+        return EXIT_OK
     except tuple(t for types, _, _ in _FAILURES for t in types) as e:
         code, label = next((c, lab) for types, c, lab in _FAILURES if isinstance(e, types))
         print(f"{label}: {e}", file=sys.stderr)

@@ -23,12 +23,13 @@ import os
 import struct
 import tempfile
 from dataclasses import asdict
+from itertools import chain, islice, repeat
 from pathlib import Path
-from typing import List, Optional, Tuple
+from typing import Iterable, List, Optional, Tuple
 
 import numpy as np
 
-from .core import EmbeddingMatrix, TextBank, row_blocks
+from .core import CHUNK_ROWS, EmbeddingMatrix, TextBank, row_blocks
 from .engine import EngineConfig, StreamState, _STATE_ARRAYS, _check_state
 from .errors import (
     BadMagic,
@@ -61,12 +62,15 @@ KIND_STATE = 2
 _HEADER = struct.Struct("<4sIIII")
 
 
-def _atomic_write(path, data: bytes) -> None:
+def _atomic_write(path, chunks: Iterable[bytes]) -> None:
+    """Write the bytes chunks one after another to path, through a temp
+    file renamed into place.  chunks is a list or an iterator of bytes; a
+    bare bytes object would be iterated as ints."""
     path = Path(path)
     fd, tmp = tempfile.mkstemp(dir=str(path.parent) or ".", prefix=path.name + ".", suffix=".tmp")
     try:
         with os.fdopen(fd, "wb") as fh:
-            fh.write(data)
+            fh.writelines(chunks)
         os.replace(tmp, path)
     except BaseException:
         try:
@@ -74,6 +78,14 @@ def _atomic_write(path, data: bytes) -> None:
         except OSError:
             pass
         raise
+
+
+def _write_lines(path, lines: Iterable[str]) -> None:
+    """Write each string of lines and a newline after it, as UTF-8,
+    encoding CHUNK_ROWS lines at a time."""
+    it = iter(lines)
+    blocks = iter(lambda: list(islice(it, CHUNK_ROWS)), [])
+    _atomic_write(path, ("".join(f"{l}\n" for l in block).encode("utf-8") for block in blocks))
 
 
 def _pack_header(count: int, dim: int, kind: int) -> bytes:
@@ -95,17 +107,14 @@ def write_embeddings(matrix: EmbeddingMatrix, path, kind: int = KIND_IMAGE) -> N
     """Write rows as float32 plus, when labels exist, an id/label sidecar."""
     if kind not in (KIND_IMAGE, KIND_TEXT):
         raise ValueError(f"embedding payload kind must be 0 or 1, got {kind}")
-    payload = matrix.data.astype("<f4").tobytes()
-    _atomic_write(path, _pack_header(matrix.n, matrix.dim, kind) + payload)
+    header = _pack_header(matrix.n, matrix.dim, kind)
+    blocks = (matrix.data[sl].astype("<f4").tobytes() for sl in row_blocks(matrix.n))
+    _atomic_write(path, chain([header], blocks))
     if matrix.class_labels is not None or matrix.domain_labels is not None:
-        cls = matrix.class_labels
-        dom = matrix.domain_labels
-        lines = []
-        for i in range(matrix.n):
-            c = -1 if cls is None else int(cls[i])
-            z = -1 if dom is None else int(dom[i])
-            lines.append(f"{matrix.ids[i]}\t{c}\t{z}")
-        _atomic_write(str(path) + ".labels", ("\n".join(lines) + "\n").encode("utf-8"))
+        cls, dom = (repeat(-1) if lab is None else lab.tolist()
+                    for lab in (matrix.class_labels, matrix.domain_labels))
+        _write_lines(str(path) + ".labels",
+                     (f"{pid}\t{c}\t{z}" for pid, c, z in zip(matrix.ids, cls, dom)))
 
 
 def _parse_labels(path, n: int):
@@ -207,16 +216,13 @@ def read_embeddings_csv(path) -> EmbeddingMatrix:
 
 
 def write_embeddings_csv(matrix: EmbeddingMatrix, path) -> None:
-    cls = matrix.class_labels
-    dom = matrix.domain_labels
-    f4 = matrix.data.astype(np.float32)
-    lines = []
-    for i in range(matrix.n):
-        c = -1 if cls is None else int(cls[i])
-        z = -1 if dom is None else int(dom[i])
-        vals = ",".join(np.format_float_positional(v, unique=True) for v in f4[i])
-        lines.append(f"{matrix.ids[i]},{c},{z},{vals}")
-    _atomic_write(path, ("\n".join(lines) + "\n").encode("utf-8"))
+    cls, dom = (repeat(-1) if lab is None else lab.tolist()
+                for lab in (matrix.class_labels, matrix.domain_labels))
+    _write_lines(path, (
+        f"{pid},{c},{z}," + ",".join(np.format_float_positional(v, unique=True)
+                                     for v in row.astype(np.float32))
+        for pid, c, z, row in zip(matrix.ids, cls, dom, matrix.data)
+    ))
 
 
 def read_names(path, expected: Optional[int] = None) -> List[str]:
@@ -237,7 +243,7 @@ def read_names(path, expected: Optional[int] = None) -> List[str]:
 def write_text_bank(bank: TextBank, path, names_path) -> None:
     mat = EmbeddingMatrix(data=bank.data)
     write_embeddings(mat, path, kind=KIND_TEXT)
-    _atomic_write(names_path, ("\n".join(bank.names) + "\n").encode("utf-8"))
+    _write_lines(names_path, bank.names)
 
 
 def read_text_bank(path, names_path) -> TextBank:
@@ -305,8 +311,8 @@ def snapshot_state(state: StreamState, cfg: EngineConfig, path) -> None:
             manifest["arrays"].append([name, dtype, list(arr.shape)])
             blobs.append(arr.astype(dtype).tobytes())
     head = json.dumps(manifest, sort_keys=True).encode("utf-8")
-    payload = struct.pack("<I", len(head)) + head + b"".join(blobs)
-    _atomic_write(path, _pack_header(len(payload), 1, KIND_STATE) + payload)
+    payload = [struct.pack("<I", len(head)), head, *blobs]
+    _atomic_write(path, [_pack_header(sum(map(len, payload)), 1, KIND_STATE), *payload])
 
 
 def restore_state(path) -> Tuple[StreamState, EngineConfig]:

@@ -201,6 +201,25 @@ def test_kmeans_traced_peak_within_n_by_m():
     assert peak <= n * m * 8
 
 
+def test_write_predictions_traced_peak_within_one_megabyte(tmp_path):
+    n, k = 20_000, 50
+    rng = np.random.default_rng(6)
+    preds = umfc.Predictions(probs=None, labels=rng.integers(0, k, n), clusters=rng.integers(0, 4, n),
+                             flags=rng.integers(0, 4, n).astype(np.uint8), top=rng.random(n))
+    ids = [str(i) for i in range(n)]
+    names = [f"class_{c:03d}" for c in range(k)]
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        cli._write_predictions(tmp_path / "p.tsv", preds, ids, names)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # one row block's lines at a time; the whole 0.84 MB file as a list of
+    # lines, a joined str and its encoding holds several times that
+    assert peak <= 1 << 20
+
+
 def test_cli_transduce_traced_peak_within_input_plus_probs(tmp_path):
     ds = umfc.generate_benchmark(
         umfc.SynthSpec(n_classes=50, n_domains=4, dim=64, samples_per_cell=100)

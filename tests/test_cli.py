@@ -1,5 +1,6 @@
 """End-to-end command line checks, run in-process via cli.main."""
 
+import argparse
 import ast
 import dataclasses
 import json
@@ -84,18 +85,31 @@ def test_cli_imports_no_private_names():
 # dispatch and help
 
 
+def _commands():
+    """The command names of the umfc parser tree."""
+    tree = cli._command_tree()
+    sub = next(a for a in tree._actions if isinstance(a, argparse._SubParsersAction))
+    return sorted(sub.choices)
+
+
 def test_no_args_prints_command_list(capsys):
     assert run() == 0
     out = capsys.readouterr().out
-    for cmd in cli._COMMANDS:
+    for cmd in _commands():
         assert cmd in out
+    with pytest.raises(SystemExit) as ex:
+        run("--help")
+    assert ex.value.code == 0
+    assert capsys.readouterr().out == out
 
 
-def test_unknown_command():
+def test_unknown_command(capsys):
     assert run("frobnicate") == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage error:") and "'frobnicate'" in err
 
 
-@pytest.mark.parametrize("cmd", sorted(cli._COMMANDS))
+@pytest.mark.parametrize("cmd", _commands())
 def test_subcommand_help_documents_defaults(cmd, capsys):
     with pytest.raises(SystemExit) as ex:
         run(cmd, "--help")
@@ -121,7 +135,7 @@ def _tunable_defaults(cmd):
     }[cmd]
 
 
-@pytest.mark.parametrize("cmd", sorted(cli._COMMANDS))
+@pytest.mark.parametrize("cmd", _commands())
 def test_help_shows_each_tunable_default_once(cmd, capsys, monkeypatch):
     for name in [k for k in os.environ if k.startswith("UMFC_")]:
         monkeypatch.delenv(name)
@@ -624,6 +638,13 @@ def test_sweep_bad_values_are_usage_errors(small, tmp_path, capsys, param, value
                "--names", f"{small}_names.txt", "--out", str(tmp_path / "s.tsv")) == 1
     assert capsys.readouterr().err.startswith("usage error: --values: ")
     assert not (tmp_path / "s.tsv").exists()
+
+
+def test_sweep_checks_values_before_reading_files(tmp_path, capsys):
+    missing = str(tmp_path / "missing.bin")
+    assert run("sweep", "--param", "clusters", "--values", "0", "--test", missing,
+               "--bank", missing, "--names", missing, "--out", str(tmp_path / "s.tsv")) == 1
+    assert capsys.readouterr().err.startswith("usage error: --values: 0: ")
 
 
 @pytest.mark.parametrize("param, values", [("clusters", "2"), ("batch-size", "7"), ("eta", "0.5")])

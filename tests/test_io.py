@@ -49,11 +49,21 @@ def test_label_sidecar_round_trip(tmp_path):
     )
     p = tmp_path / "m.bin"
     umfc.write_embeddings(m, p)
-    assert (tmp_path / "m.bin.labels").exists()
+    assert (tmp_path / "m.bin.labels").read_bytes() == b"a\t4\t1\nb\t0\t1\nc\t4\t0\n"
     back = umfc.read_embeddings(p)
     assert back.ids == ["a", "b", "c"]
     assert np.array_equal(back.class_labels, m.class_labels)
     assert np.array_equal(back.domain_labels, m.domain_labels)
+
+
+def test_zero_row_labelled_matrix_round_trips(tmp_path):
+    none = np.empty(0, dtype=np.int64)
+    m = umfc.EmbeddingMatrix(data=np.empty((0, 4)), class_labels=none, domain_labels=none)
+    p = tmp_path / "m.bin"
+    umfc.write_embeddings(m, p)
+    assert (tmp_path / "m.bin.labels").read_bytes() == b""
+    back = umfc.read_embeddings(p)
+    assert back.data.shape == (0, 4) and back.ids == []
 
 
 def test_sidecar_with_class_only(tmp_path):
