@@ -16,7 +16,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .core import DEGENERACY_EPS, TextBank, _check_tau
+from .core import DEGENERACY_EPS, SUB_ROWS, TextBank, _check_tau, _row_norms
 from .errors import AllShiftsDegenerate, DegenerateVector, DimensionMismatch
 
 # a text-minus-shift term whose expanded squared distance is below this
@@ -167,12 +167,16 @@ def classify_batch(
     bank_data: np.ndarray,
     tau: float,
     out: Optional[np.ndarray] = None,
+    *,
+    bank_norms: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """Softmax over the cosine similarities between each feature row and
     every bank row; one probability row per feature.
 
     The probabilities are written to out (float64, N x K) when given and
-    to a new array otherwise; either way that array is returned.  Every
+    to a new array otherwise; either way that array is returned.
+    bank_norms, when given, must be the row norms of bank_data:
+    a caller scoring many blocks against one bank takes them once.  Every
     step after the matrix product works in that array: the cosines are
     clipped to [-1, 1], and the max-subtracted softmax at temperature tau
     has the bits of the oracle's per-row softmax on the same cosines
@@ -185,15 +189,19 @@ def classify_batch(
         raise DimensionMismatch(
             f"features of dim {feats.shape[1]} against a bank of dim {bank_data.shape[1]}"
         )
-    fn = np.linalg.norm(feats, axis=1)
-    bn = np.linalg.norm(bank_data, axis=1)
+    fn = _row_norms(feats)
+    bn = _row_norms(bank_data) if bank_norms is None else bank_norms
     if bool(np.any(fn < DEGENERACY_EPS)) or bool(np.any(bn < DEGENERACY_EPS)):
         raise DegenerateVector("cosine similarity of a zero-norm vector is undefined")
     probs = np.matmul(feats, bank_data.T, out=out)
-    probs /= np.outer(fn, bn)
-    np.clip(probs, -1.0, 1.0, out=probs)
-    probs -= np.max(probs, axis=-1, keepdims=True)
-    probs /= tau
-    np.exp(probs, out=probs)
-    probs /= np.sum(probs, axis=-1, keepdims=True)
+    # row by row from here, so SUB_ROWS rows at a time give the same bits
+    for start in range(0, probs.shape[0], SUB_ROWS):
+        rows = slice(start, start + SUB_ROWS)
+        part = probs[rows]
+        part /= np.outer(fn[rows], bn)
+        np.clip(part, -1.0, 1.0, out=part)
+        part -= np.max(part, axis=-1, keepdims=True)
+        part /= tau
+        np.exp(part, out=part)
+        part /= np.sum(part, axis=-1, keepdims=True)
     return probs

@@ -12,7 +12,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .core import row_blocks
+from .core import _for_blocks, row_blocks
 from .errors import TooFewSamples
 
 __all__ = [
@@ -54,44 +54,54 @@ def _assign_dense(
     is a matrix product; negatives from cancellation are clamped to 0.
     Ties take the lowest centroid index (argmin keeps the first hit).
     x2, the squared row norms of x, is computed here unless given.  The
-    product runs over row_blocks, so a call holds CHUNK_ROWS x M scratch
-    (and the BLAS buffer of one block's product) besides its two
-    length-N outputs.
+    product runs over row_blocks (core._for_blocks), so each worker holds
+    CHUNK_ROWS x M scratch (and the BLAS buffer of one block's product)
+    besides the two length-N outputs.
     """
     if x2 is None:
         x2 = np.einsum("ij,ij->i", x, x)
     c2 = np.einsum("ij,ij->i", centroids, centroids)
     labels = np.empty(x.shape[0], dtype=np.int64)
     dist = np.empty(x.shape[0], dtype=np.float64)
-    for sl in row_blocks(x.shape[0]):
+
+    def assign(sl):
         d2 = x2[sl, None] - 2.0 * (x[sl] @ centroids.T) + c2[None, :]
         np.maximum(d2, 0.0, out=d2)
         labels[sl] = np.argmin(d2, axis=1)
         dist[sl] = d2[np.arange(d2.shape[0]), labels[sl]]
+
+    _for_blocks(assign, x.shape[0])
     return labels, dist
 
 
 def _cluster_sums(x: np.ndarray, labels: np.ndarray, m: int) -> Tuple[np.ndarray, np.ndarray]:
     """Per-cluster row sums and counts, rows taken in ascending index order.
 
-    Works through row_blocks, copying one block's rows of a cluster at a
-    time.  numpy reduces axis 0 of C-contiguous rows one row after
-    another, so carrying a cluster's sum in as the first row of its next
-    block's reduction gives the bits of one np.sum over all its rows.  A
-    sum starts from its first block's own reduction, not from a zero
-    row, so signed zeros come out as np.sum gives them.
+    The clusters are shared out among the workers of a pass
+    (core._for_blocks); each walks row_blocks, copying one block's rows
+    of its cluster at a time.  numpy reduces axis 0 of C-contiguous rows
+    one row after another, so carrying a cluster's sum in as the first
+    row of its next block's reduction gives the bits of one np.sum over
+    all its rows.  A sum starts from its first block's own reduction,
+    not from a zero row, so signed zeros come out as np.sum gives them.
     """
     sums = np.zeros((m, x.shape[1]), dtype=np.float64)
-    counts = np.zeros(m, dtype=np.int64)
-    for sl in row_blocks(x.shape[0]):
-        block, block_labels = x[sl], labels[sl]
-        block_counts = np.bincount(block_labels, minlength=m)
-        for j in np.flatnonzero(block_counts):
-            rows = block[block_labels == j]
-            if counts[j]:
+    counts = np.bincount(labels, minlength=m).astype(np.int64, copy=False)
+    if counts.shape[0] != m:
+        raise ValueError(f"cluster labels must be below {m}, got {int(labels.max())}")
+
+    def cluster_sum(j):
+        started = False
+        for sl in row_blocks(x.shape[0]):
+            rows = x[sl][labels[sl] == j]
+            if not rows.shape[0]:
+                continue
+            if started:
                 rows = np.concatenate((sums[j : j + 1], rows))
             sums[j] = np.add.reduce(rows, axis=0)
-        counts += block_counts
+            started = True
+
+    _for_blocks(cluster_sum, x.shape[0], tasks=np.flatnonzero(counts))
     return sums, counts
 
 

@@ -6,8 +6,11 @@ in float64 regardless of how the data was stored on disk; reductions walk
 rows in sorted index order so repeated runs produce bit-identical output.
 """
 
+import ctypes
+import os
+import threading
 from dataclasses import dataclass, fields
-from typing import ClassVar, Optional, Sequence
+from typing import Callable, ClassVar, Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -27,14 +30,153 @@ DEGENERACY_EPS = 1e-12
 
 # Rows per block in every pass over the rows of a matrix (reading a
 # container, normalizing, k-means assignment and cluster sums, scoring):
-# a pass holds temporaries for one block, not for the whole matrix.
+# each worker of a pass (_for_blocks) holds temporaries for one block,
+# not for the whole matrix.
 CHUNK_ROWS = 1024
+
+
+# Rows that a temporary of a block's width covers at a time inside a
+# block (row norms, softmax), so it stays cache-sized.
+SUB_ROWS = 128
+
+
+def _row_norms(m: np.ndarray) -> np.ndarray:
+    """np.linalg.norm(m, axis=1) bit for bit, squaring SUB_ROWS rows at
+    a time instead of all of m at once."""
+    out = np.empty(m.shape[0])
+    for start in range(0, m.shape[0], SUB_ROWS):
+        part = m[start : start + SUB_ROWS]
+        np.sqrt(np.add.reduce(part * part, axis=1), out=out[start : start + SUB_ROWS])
+    return out
 
 
 def row_blocks(n: int):
     """Consecutive slices of at most CHUNK_ROWS rows that cover range(n)."""
     step = CHUNK_ROWS
     return (slice(start, min(start + step, n)) for start in range(0, n, step))
+
+
+def _worker_count() -> int:
+    """CPUs this process may run on; a pooled pass has a worker on each."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _find_blas():
+    """(get, set) of the thread count of the OpenBLAS this process has
+    loaded, or None where there is none or it cannot be told which."""
+    try:
+        with open("/proc/self/maps") as fh:
+            paths = {line.split()[-1] for line in fh if "openblas" in line.lower() and ".so" in line}
+    except OSError:
+        return None
+    for path in sorted(paths):
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for prefix, suffix in (("openblas", ""), ("openblas", "64_"),
+                               ("scipy_openblas", "64_"), ("scipy_openblas", "")):
+            get = getattr(lib, f"{prefix}_get_num_threads{suffix}", None)
+            put = getattr(lib, f"{prefix}_set_num_threads{suffix}", None)
+            if get is not None and put is not None:
+                get.argtypes, get.restype = [], ctypes.c_int
+                put.argtypes, put.restype = [ctypes.c_int], None
+                return get, put
+    return None
+
+
+_blas = ()  # _find_blas() once it has run
+_pool = None  # (threads, ThreadPoolExecutor), made by the first pooled pass
+_pass_lock = threading.Lock()  # held by the pooled pass in progress
+
+
+def _forget_pool() -> None:
+    """In a forked child the pool's threads do not exist: start afresh."""
+    global _pool, _pass_lock
+    _pool, _pass_lock = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_pool)
+
+
+def _for_blocks(fn: Callable, n: int, tasks: Optional[Iterable] = None) -> None:
+    """Call fn(sl) for every slice sl of row_blocks(n), or fn(t) for every
+    t of tasks when given (work that walks the n rows itself).
+
+    Calls run on one worker per usable CPU, the calling thread and a
+    pool of one thread per further CPU, with the loaded OpenBLAS pinned
+    to one thread while they run and then set back to the count it had.
+    They run inline, one after another, when n fits in one block, when
+    there is one call or one usable CPU, when the BLAS thread count
+    cannot be set, or inside another pooled pass.  Callers write
+    disjoint rows, so the bits do not depend on which of these happens.
+    An exception is re-raised from the lowest call that raised one;
+    calls after it may not have run.
+    """
+    global _blas, _pool
+    items = list(row_blocks(n) if tasks is None else tasks)
+    workers = min(_worker_count(), len(items)) if n > CHUNK_ROWS else 1
+    if workers > 1 and _pass_lock.acquire(blocking=False):
+        try:
+            if _blas == ():
+                _blas = _find_blas()
+            if _blas is not None:
+                if _pool is None or _pool[0] < workers - 1:
+                    # imported on first use: it adds about 7 ms to `import umfc`
+                    from concurrent.futures import ThreadPoolExecutor
+
+                    if _pool is not None:
+                        _pool[1].shutdown(wait=False)
+                    _pool = (workers - 1, ThreadPoolExecutor(workers - 1, thread_name_prefix="umfc"))
+                _run_pooled(fn, items, workers, _pool[1], *_blas)
+                return
+        finally:
+            _pass_lock.release()
+    for item in items:
+        fn(item)
+
+
+def _run_pooled(fn, items, workers, pool, get_threads, set_threads) -> None:
+    """The pooled branch of _for_blocks: the calling thread and workers-1
+    pool threads take items in order, so when one raises, every item
+    before it has been taken and runs to its end; no worker takes
+    another after that."""
+    queue = iter(enumerate(items))
+    lock = threading.Lock()
+    stop = threading.Event()
+    raised = {}  # item index -> exception
+
+    def work():
+        while not stop.is_set():
+            with lock:
+                i, item = next(queue, (-1, None))
+            if i < 0:
+                return
+            try:
+                fn(item)
+            except Exception as e:  # handed to the caller below
+                raised[i] = e
+                stop.set()
+
+    from concurrent.futures import wait
+
+    found = get_threads()
+    set_threads(1)
+    futures = []
+    try:
+        futures = [pool.submit(work) for _ in range(workers - 1)]
+        work()
+    finally:
+        stop.set()  # an interrupted caller leaves no worker taking items
+        wait(futures)
+        set_threads(found)
+    for future in futures:
+        future.result()  # what a pool thread raised that work() let through
+    if raised:
+        raise raised[min(raised)]
 
 
 def _check_tau(tau: float) -> float:
@@ -77,6 +219,17 @@ class EmbeddingMatrix:
                 if lab.shape != (n,):
                     raise ValueError(f"{name} has shape {lab.shape}, expected ({n},)")
                 setattr(self, name, lab)
+
+    @classmethod
+    def _unchecked(cls, data: np.ndarray, ids=None, class_labels=None,
+                   domain_labels=None) -> "EmbeddingMatrix":
+        """A matrix of float64 rows already checked finite, with ids (a
+        list of str) and int64 labels already checked against the row
+        count, left unchecked."""
+        matrix = cls.__new__(cls)
+        matrix.data, matrix.class_labels, matrix.domain_labels = data, class_labels, domain_labels
+        matrix.ids = [str(i) for i in range(data.shape[0])] if ids is None else ids
+        return matrix
 
     @property
     def n(self) -> int:
@@ -215,24 +368,28 @@ _FLAG_NAMES = ((Predictions.UNCALIBRATED, "uncalibrated"), (Predictions.DEGENERA
 def l2_normalize_rows(m: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
     """Row-wise unit normalization of a matrix; rejects (near-)zero rows.
 
-    Works through row_blocks, so besides the result it holds one block
-    of temporaries; every row gets the same bits as in a single pass.
-    The result goes to out (a float64 array of m's shape) when given;
-    out=m normalizes m in place with the same bits, since a block's
-    norms are taken before its rows are divided.  A DegenerateVector
-    raised then leaves the rows of earlier blocks already overwritten.
+    Works through row_blocks (_for_blocks), so besides the result each
+    worker holds one block of temporaries; every row gets the same bits
+    as in a single pass.  The result goes to out (a float64 array of m's
+    shape) when given; out=m normalizes m in place with the same bits,
+    since a block's norms are taken before its rows are divided.  A
+    DegenerateVector names the lowest bad row; rows of other blocks may
+    already be overwritten then.
     """
     m = np.asarray(m, dtype=np.float64)
     if out is None:
         out = np.empty(m.shape)
     elif out.dtype != np.float64 or out.shape != m.shape:
         raise ValueError(f"out is {out.dtype} {out.shape}, expected float64 {m.shape}")
-    for sl in row_blocks(m.shape[0]):
+
+    def normalize(sl):
         block = m[sl]
-        norms = np.sqrt(np.add.reduce(block * block, axis=1))
+        norms = _row_norms(block)
         bad = np.flatnonzero(norms < DEGENERACY_EPS)
         if bad.size:
             raise DegenerateVector(f"row {sl.start + bad[0]} has norm {norms[bad[0]]:.3e}")
         np.divide(block, norms[:, None], out=out[sl])
+
+    _for_blocks(normalize, m.shape[0])
     return out
 

@@ -191,8 +191,9 @@ def _calibrate_block(
     feats: np.ndarray, clusters: np.ndarray, cluster_means: np.ndarray
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Unit residuals of rows from their cluster means, and their flags."""
-    cal = feats - cluster_means[clusters]
-    norms = np.sqrt(np.add.reduce(cal * cal, axis=1))
+    cal = cluster_means[clusters]
+    np.subtract(feats, cal, out=cal)
+    norms = core._row_norms(cal)
     ok = norms >= DEGENERACY_EPS
     norms[~ok] = 1.0
     cal /= norms[:, None]
@@ -215,10 +216,11 @@ def _predict_rows(
     to the plain normalized feature and are flagged DEGENERATE.  With no
     cluster model (clusters and cluster_means None) the rows are scored
     as given, zero-shot: cluster -1, flagged UNCALIBRATED.  Rows are
-    calibrated and scored one row block at a time, and each block's
-    labels and top probabilities are read from the block just scored.
-    The scores go straight into the N x K probs, or, without keep_probs,
-    into one reused block of scratch, and probs is None.
+    calibrated and scored one row block at a time (core._for_blocks),
+    and each block's labels and top probabilities are read from the
+    block just scored.  The scores go straight into the N x K probs, or,
+    without keep_probs, into one block of scratch per worker, and probs
+    is None.  The bank's row norms are taken once for all blocks.
     """
     n = feats.shape[0]
     k = bank_data.shape[0]
@@ -228,18 +230,21 @@ def _predict_rows(
     else:
         flags = np.empty(n, dtype=np.uint8)
     probs = np.empty((n, k)) if keep_probs else None
-    scratch = None if keep_probs else np.empty((min(n, core.CHUNK_ROWS), k))
     labels = np.empty(n, dtype=np.int64)
     top = np.empty(n)
-    for sl in row_blocks(n):
+    bank_norms = core._row_norms(bank_data)
+
+    def score(sl):
         cal = feats[sl]
         if cluster_means is not None:
             cal, flags[sl] = _calibrate_block(cal, clusters[sl], cluster_means)
-        out = probs[sl] if keep_probs else scratch[: sl.stop - sl.start]
-        classify_batch(cal, bank_data, tau, out=out)
+        out = probs[sl] if keep_probs else np.empty((sl.stop - sl.start, k))
+        classify_batch(cal, bank_data, tau, out=out, bank_norms=bank_norms)
         best = np.argmax(out, axis=1)
         labels[sl] = best
         top[sl] = out[np.arange(best.size), best]
+
+    core._for_blocks(score, n)
     return Predictions(probs=probs, labels=labels, clusters=clusters, flags=flags, top=top)
 
 

@@ -22,6 +22,7 @@ import math
 import os
 import struct
 import tempfile
+import threading
 from dataclasses import asdict
 from itertools import chain, islice, repeat
 from pathlib import Path
@@ -29,7 +30,7 @@ from typing import Iterable, List, Optional, Tuple
 
 import numpy as np
 
-from .core import CHUNK_ROWS, EmbeddingMatrix, TextBank, row_blocks
+from .core import CHUNK_ROWS, EmbeddingMatrix, TextBank, _for_blocks, row_blocks
 from .engine import EngineConfig, StreamState, _STATE_ARRAYS, _check_state
 from .errors import (
     BadMagic,
@@ -69,6 +70,10 @@ def _atomic_write(path, chunks: Iterable[bytes]) -> None:
     path = Path(path)
     fd, tmp = tempfile.mkstemp(dir=str(path.parent) or ".", prefix=path.name + ".", suffix=".tmp")
     try:
+        # mkstemp makes the file 0600; give it the mode open() would
+        mask = os.umask(0o077)  # the strictest mask while the umask is read
+        os.umask(mask)
+        os.chmod(tmp, 0o666 & ~mask)
         with os.fdopen(fd, "wb") as fh:
             fh.writelines(chunks)
         os.replace(tmp, path)
@@ -144,8 +149,10 @@ def read_embeddings(path) -> EmbeddingMatrix:
     """Read an embedding container (and its label sidecar if present).
 
     The payload size is checked against the header before anything is
-    allocated; rows are then read block by block (core.row_blocks)
-    through one float32 buffer into the float64 result.
+    allocated; rows are then read block by block (core.row_blocks), one
+    read at a time, while each worker of the pass (core._for_blocks)
+    checks its float32 block and widens it into the float64 result.  A
+    NaN or infinity raises NonFinitePayload naming the lowest such row.
     """
     with open(path, "rb") as fh:
         count, dim, kind = _read_header(fh.read(_HEADER.size), path)
@@ -156,21 +163,27 @@ def read_embeddings(path) -> EmbeddingMatrix:
         if size != expected:
             raise TruncatedPayload(f"{path}: payload is {size} bytes, header promises {expected}")
         data = np.empty((count, dim))
-        buf = None
-        for sl in row_blocks(count):
-            if buf is None:  # the first block is the largest
-                buf = np.empty((sl.stop - sl.start, dim), dtype="<f4")
-            block = buf[: sl.stop - sl.start]
-            if fh.readinto(block) != block.nbytes:
+        read_lock = threading.Lock()
+
+        def widen(sl):
+            block = np.empty((sl.stop - sl.start, dim), dtype="<f4")
+            with read_lock:
+                fh.seek(_HEADER.size + sl.start * dim * 4)
+                got = fh.readinto(block)
+            if got != block.nbytes:
                 raise TruncatedPayload(f"{path}: payload cut short while reading")
-            if not np.isfinite(block).all():
-                raise NonFinitePayload(f"{path}: payload contains NaN or infinity")
+            finite = np.isfinite(block)
+            if not finite.all():
+                row = sl.start + int(np.flatnonzero(~finite.all(axis=1))[0])
+                raise NonFinitePayload(f"{path}: payload row {row} contains NaN or infinity")
             data[sl] = block
+
+        _for_blocks(widen, count)
     ids = cls = dom = None
     sidecar = Path(str(path) + ".labels")
     if sidecar.exists():
         ids, cls, dom = _parse_labels(sidecar, count)
-    return EmbeddingMatrix(data=data, ids=ids, class_labels=cls, domain_labels=dom)
+    return EmbeddingMatrix._unchecked(data, ids, cls, dom)
 
 
 def read_embeddings_csv(path) -> EmbeddingMatrix:
@@ -207,11 +220,8 @@ def read_embeddings_csv(path) -> EmbeddingMatrix:
         raise NonFinitePayload(f"{path}: payload contains NaN or infinity")
     cls = np.asarray(cls, dtype=np.int64)
     dom = np.asarray(dom, dtype=np.int64)
-    return EmbeddingMatrix(
-        data=data,
-        ids=ids,
-        class_labels=None if (cls == -1).all() else cls,
-        domain_labels=None if (dom == -1).all() else dom,
+    return EmbeddingMatrix._unchecked(
+        data, ids, None if (cls == -1).all() else cls, None if (dom == -1).all() else dom
     )
 
 

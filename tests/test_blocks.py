@@ -1,6 +1,8 @@
 """Row-block passes: the block size changes no result and bounds memory."""
 
 import dataclasses
+import sys
+import time
 import tracemalloc
 
 import numpy as np
@@ -349,3 +351,168 @@ def test_cli_fit_then_predict_matches_transduce_across_blocks(monkeypatch, tmp_p
     assert cli.main(["predict", "--state", str(tmp_path / "s.state"), "--test", images, *files,
                      "--out", str(tmp_path / "p.tsv")]) == 0
     assert (tmp_path / "p.tsv").read_bytes() == (tmp_path / "t.tsv").read_bytes()
+
+
+# --- the block executor (core._for_blocks) --------------------------------
+
+
+@pytest.fixture
+def workers(monkeypatch):
+    """workers(w): run pooled passes on w workers.  Where no OpenBLAS
+    thread count can be set, a stand-in lets the pooled path run anyway."""
+    if core._find_blas() is None:
+        count = [1]
+        monkeypatch.setattr(core, "_blas", (lambda: count[0], lambda w: count.__setitem__(0, w)))
+
+    def use(w):
+        monkeypatch.setattr(core, "_worker_count", lambda: w)
+
+    return use
+
+
+def _by_workers(workers, fn):
+    """fn() on one worker and then on two; both results."""
+    out = []
+    for w in (1, 2):
+        workers(w)
+        out.append(fn())
+    return out
+
+
+def _assert_bytes_equal(a, b, names):
+    for name in names:
+        x, y = getattr(a, name), getattr(b, name)
+        assert (x is None and y is None) or x.tobytes() == y.tobytes(), name
+
+
+PRED_COLUMNS = ("probs", "labels", "top", "clusters", "flags")
+STATE_ARRAYS = ("centroids", "counts", "running_sums", "global_sum", "calib_global_mean",
+                "calib_text_shifts")
+
+
+def test_transduce_bit_identical_on_one_and_two_workers(monkeypatch, workers):
+    monkeypatch.setattr(core, "CHUNK_ROWS", SMALL_BLOCK)
+    x, bank, cfg = _outlier_images()
+    (p1, s1), (p2, s2) = _by_workers(workers, lambda: umfc.transduce(x, bank, cfg))
+    assert core._pool is not None  # the second run was pooled
+    _assert_bytes_equal(p1, p2, PRED_COLUMNS)
+    _assert_bytes_equal(s1, s2, STATE_ARRAYS)
+
+
+def test_fit_then_predict_bit_identical_on_one_and_two_workers(monkeypatch, workers):
+    monkeypatch.setattr(core, "CHUNK_ROWS", SMALL_BLOCK)
+    x, bank, cfg = _outlier_images()
+
+    def fit_predict():
+        state = umfc.fit_unsupervised(x, bank, cfg)
+        return state, umfc.predict(state, x, bank, cfg), umfc.predict(state, x, bank, cfg,
+                                                                         keep_probs=False)
+
+    (s1, p1, t1), (s2, p2, t2) = _by_workers(workers, fit_predict)
+    _assert_bytes_equal(s1, s2, STATE_ARRAYS)
+    _assert_bytes_equal(p1, p2, PRED_COLUMNS)
+    _assert_bytes_equal(t1, t2, PRED_COLUMNS)
+
+
+def test_run_stream_bit_identical_on_one_and_two_workers(monkeypatch, workers):
+    # batches of 25 rows are four blocks each
+    monkeypatch.setattr(core, "CHUNK_ROWS", SMALL_BLOCK)
+    x, bank, cfg = _outlier_images()
+    cfg = dataclasses.replace(cfg, batch_size=25)
+    (p1, s1), (p2, s2) = _by_workers(workers, lambda: umfc.run_stream(x, bank, cfg))
+    _assert_bytes_equal(p1, p2, PRED_COLUMNS)
+    _assert_bytes_equal(s1, s2, STATE_ARRAYS)
+
+
+def test_kmeans_and_cluster_sums_bit_identical_on_one_and_two_workers(monkeypatch, workers):
+    monkeypatch.setattr(core, "CHUNK_ROWS", 64)
+    x = _clustered_rows(1000, 8, 9)
+    (m1, l1), (m2, l2) = _by_workers(workers, lambda: umfc.kmeans_fit(x, 6, seed=3))
+    assert len(m1.inertia_history) > 1
+    assert m1.inertia_history == m2.inertia_history
+    assert l1.tobytes() == l2.tobytes()
+    _assert_bytes_equal(m1, m2, ("centroids", "counts"))
+    (sums1, counts1), (sums2, counts2) = _by_workers(workers, lambda: _cluster_sums(x, l1, 7))
+    assert sums1.tobytes() == sums2.tobytes() == _per_cluster_sums(x, l1, 7).tobytes()
+    assert counts1.tobytes() == counts2.tobytes()
+
+
+def test_pooled_pass_raises_from_the_lowest_block(monkeypatch, workers):
+    monkeypatch.setattr(core, "CHUNK_ROWS", SMALL_BLOCK)
+    workers(2)
+
+    def fail_late_blocks(sl):
+        # the first block to fail is slow, so the next one fails first
+        if sl.start == 21:
+            time.sleep(0.05)
+        if sl.start >= 21:
+            raise ValueError(f"block at {sl.start}")
+
+    with pytest.raises(ValueError, match="block at 21$"):
+        core._for_blocks(fail_late_blocks, 70)
+    m = np.ones((60, 3))
+    m[[9, 30, 52]] = 0.0
+    with pytest.raises(umfc.DegenerateVector, match="row 9 "):
+        umfc.l2_normalize_rows(m)
+
+
+def test_pooled_read_names_the_lowest_nonfinite_row(monkeypatch, workers, tmp_path):
+    monkeypatch.setattr(core, "CHUNK_ROWS", SMALL_BLOCK)
+    workers(2)
+    data = np.ones((60, 3), dtype="<f4")
+    data[[11, 40], 1] = np.nan
+    data[55, 0] = np.inf
+    p = tmp_path / "m.bin"
+    umfc.write_embeddings(umfc.EmbeddingMatrix(data=np.ones((60, 3))), p)
+    p.write_bytes(p.read_bytes()[:20] + data.tobytes())
+    with pytest.raises(umfc.NonFinitePayload, match="row 11 "):
+        umfc.read_embeddings(p)
+
+
+def test_every_block_runs_once_on_more_workers_than_cores(monkeypatch, workers):
+    # workers take blocks from one shared queue: a lost update there would
+    # run a block twice or skip one
+    monkeypatch.setattr(core, "CHUNK_ROWS", 1)
+    workers(8)
+    seen = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        t0 = time.monotonic()
+        core._for_blocks(lambda sl: seen.append(sl.start), 3000)
+    finally:
+        sys.setswitchinterval(interval)
+    assert time.monotonic() - t0 < 60
+    assert sorted(seen) == list(range(3000))
+
+
+def test_pass_pins_blas_to_one_thread_and_restores_it(monkeypatch, workers):
+    blas = core._find_blas()
+    if blas is None:
+        pytest.skip("no OpenBLAS thread count to read")
+    get_threads, set_threads = blas
+    monkeypatch.setattr(core, "CHUNK_ROWS", SMALL_BLOCK)
+    workers(2)
+    before = get_threads()
+    set_threads(2)
+    try:
+        seen = []
+        core._for_blocks(lambda sl: seen.append(get_threads()), 70)
+        assert seen == [1] * 10
+        assert get_threads() == 2
+    finally:
+        set_threads(before)
+
+
+def test_one_block_runs_inline_without_a_pool(monkeypatch, workers):
+    # 60 rows fit in one default block: no pass makes a pool or sets BLAS
+    workers(2)
+    monkeypatch.setattr(core, "_pool", None)
+    calls = []  # a pooled pass would read and set the BLAS thread count
+    monkeypatch.setattr(core, "_blas", (lambda: calls.append("get") or 2, calls.append))
+    x, bank, cfg = _outlier_images()
+    state = umfc.fit_unsupervised(x, bank, cfg)
+    umfc.predict(state, x, bank, cfg)
+    umfc.transduce(x, bank, dataclasses.replace(cfg, clusters=3))
+    umfc.run_stream(x, bank, dataclasses.replace(cfg, batch_size=7))
+    assert core._pool is None and calls == []

@@ -2,6 +2,8 @@
 
 import dataclasses
 import json
+import os
+import stat
 import struct
 import tracemalloc
 
@@ -151,6 +153,37 @@ def test_nonfinite_payload_in_last_block(tmp_path, monkeypatch):
     p.write_bytes(_header(20, 3, 0) + data.tobytes())
     with pytest.raises(umfc.NonFinitePayload):
         umfc.read_embeddings(p)
+
+
+def test_written_files_get_the_mode_open_gives(tmp_path):
+    old = os.umask(0o027)
+    try:
+        with open(tmp_path / "sibling", "w"):
+            pass
+        umfc.write_embeddings(umfc.EmbeddingMatrix(data=np.ones((2, 3))), tmp_path / "m.bin")
+    finally:
+        os.umask(old)
+    mode = stat.S_IMODE(os.stat(tmp_path / "m.bin").st_mode)
+    assert mode == stat.S_IMODE(os.stat(tmp_path / "sibling").st_mode) == 0o640
+
+
+def test_readers_build_their_matrix_without_a_second_check(tmp_path, monkeypatch):
+    labels = np.array([3, -1])
+    written = umfc.EmbeddingMatrix(data=np.ones((2, 3)), ids=["a", "b"], class_labels=labels)
+    umfc.write_embeddings(written, tmp_path / "m.bin")
+    umfc.write_embeddings_csv(written, tmp_path / "m.csv")
+
+    def second_check(self):
+        raise AssertionError("the rows were checked when read")
+
+    monkeypatch.setattr(umfc.EmbeddingMatrix, "__post_init__", second_check)
+    for m in (umfc.read_embeddings(tmp_path / "m.bin"), umfc.read_embeddings_csv(tmp_path / "m.csv")):
+        assert m.data.tobytes() == written.data.tobytes() and m.ids == ["a", "b"]
+        assert m.class_labels.tolist() == [3, -1] and m.domain_labels is None
+    monkeypatch.undo()
+    # a matrix built by the library still checks its rows
+    with pytest.raises(umfc.NonFiniteInput):
+        umfc.EmbeddingMatrix(data=np.array([[1.0, np.nan]]))
 
 
 def test_embedding_reader_rejects_state_kind(tmp_path):
