@@ -16,7 +16,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .core import DEGENERACY_EPS, SUB_ROWS, TextBank, _check_tau, _row_norms
+from .core import DEGENERACY_EPS, SUB_ROWS, TextBank, _check_tau, _float_rows, _row_norms
 from .errors import AllShiftsDegenerate, DegenerateVector, DimensionMismatch
 
 # a text-minus-shift term whose expanded squared distance is below this
@@ -173,18 +173,21 @@ def classify_batch(
     """Softmax over the cosine similarities between each feature row and
     every bank row; one probability row per feature.
 
-    The probabilities are written to out (float64, N x K) when given and
-    to a new array otherwise; either way that array is returned.
-    bank_norms, when given, must be the row norms of bank_data:
-    a caller scoring many blocks against one bank takes them once.  Every
-    step after the matrix product works in that array: the cosines are
-    clipped to [-1, 1], and the max-subtracted softmax at temperature tau
-    has the bits of the oracle's per-row softmax on the same cosines
-    (synth._softmax_temp).  The bias probe calls it with the domain
+    The matrix product runs in the dtype of the feature rows (float32 for
+    float32 rows, core._float_rows), with bank_data cast to it; the
+    probabilities are float64 either way, written to out (float64, N x K)
+    when given and to a new array otherwise, and that array is returned.
+    bank_norms, when given, must be the row norms (core._row_norms) of
+    bank_data in that dtype: a caller scoring many blocks against one
+    bank takes them once.  Every step after the product works in that
+    array: the cosines are clipped to [-1, 1], and the max-subtracted
+    softmax at temperature tau has the bits of the oracle's per-row
+    softmax on the same cosines (synth._softmax_temp).  The bias probe calls it with the domain
     anchors as the bank (diagnostics.domain_bias_probe).
     """
     tau = _check_tau(tau)
-    feats = np.asarray(feats, dtype=np.float64)
+    feats = _float_rows(feats)
+    bank_data = bank_data.astype(feats.dtype, copy=False)
     if feats.shape[1] != bank_data.shape[1]:
         raise DimensionMismatch(
             f"features of dim {feats.shape[1]} against a bank of dim {bank_data.shape[1]}"
@@ -193,6 +196,9 @@ def classify_batch(
     bn = _row_norms(bank_data) if bank_norms is None else bank_norms
     if bool(np.any(fn < DEGENERACY_EPS)) or bool(np.any(bn < DEGENERACY_EPS)):
         raise DegenerateVector("cosine similarity of a zero-norm vector is undefined")
+    if out is None:
+        out = np.empty((feats.shape[0], bank_data.shape[0]))
+    # float32 rows: the product runs in float32 and is written as float64
     probs = np.matmul(feats, bank_data.T, out=out)
     # row by row from here, so SUB_ROWS rows at a time give the same bits
     for start in range(0, probs.shape[0], SUB_ROWS):

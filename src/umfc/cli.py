@@ -120,7 +120,8 @@ def _normalize_loaded(matrix: EmbeddingMatrix, cfg: EngineConfig) -> EngineConfi
     return the config for the engine to take them as they are.
 
     The engine would normalize the same rows with the same function into
-    a copy; doing it here keeps one float64 copy of the input alive.
+    a copy; doing it here keeps one copy of the input alive, in the
+    float32 it was stored in.
     """
     if not cfg.normalize_input:
         return cfg

@@ -4,7 +4,9 @@ Lloyd's algorithm with greedy k-means++ seeding.  All randomness flows
 through numpy's PCG64 generator (``np.random.default_rng``), a named
 64-bit PRNG with published reference outputs, so a seed value means the
 same thing on every platform.  Centroid updates reduce rows in ascending
-index order, which keeps refits bit-identical.
+index order, which keeps refits bit-identical.  Float32 rows are
+clustered with their distance products in float32 (core._float_rows);
+squared norms and distances, cluster sums and centroids are float64.
 """
 
 from dataclasses import dataclass
@@ -12,7 +14,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .core import _for_blocks, row_blocks
+from .core import _float_rows, _for_blocks, _sq_norms, row_blocks
 from .errors import TooFewSamples
 
 __all__ = [
@@ -53,19 +55,22 @@ def _assign_dense(
     Uses the expansion |x-c|^2 = |x|^2 - 2 x.c + |c|^2 so the heavy part
     is a matrix product; negatives from cancellation are clamped to 0.
     Ties take the lowest centroid index (argmin keeps the first hit).
-    x2, the squared row norms of x, is computed here unless given.  The
-    product runs over row_blocks (core._for_blocks), so each worker holds
-    CHUNK_ROWS x M scratch (and the BLAS buffer of one block's product)
-    besides the two length-N outputs.
+    x2, the squared row norms of x (core._sq_norms), is computed here
+    unless given.  The product x.c runs in x's dtype, against the
+    centroids cast to it; the distances are float64.  It runs over
+    row_blocks (core._for_blocks), so each worker holds CHUNK_ROWS x M
+    scratch (and the BLAS buffer of one block's product) besides the two
+    length-N outputs.
     """
     if x2 is None:
-        x2 = np.einsum("ij,ij->i", x, x)
+        x2 = _sq_norms(x)
     c2 = np.einsum("ij,ij->i", centroids, centroids)
+    ct = centroids.T.astype(x.dtype, copy=False)
     labels = np.empty(x.shape[0], dtype=np.int64)
     dist = np.empty(x.shape[0], dtype=np.float64)
 
     def assign(sl):
-        d2 = x2[sl, None] - 2.0 * (x[sl] @ centroids.T) + c2[None, :]
+        d2 = x2[sl, None] - 2.0 * (x[sl] @ ct) + c2[None, :]
         np.maximum(d2, 0.0, out=d2)
         labels[sl] = np.argmin(d2, axis=1)
         dist[sl] = d2[np.arange(d2.shape[0]), labels[sl]]
@@ -75,7 +80,8 @@ def _assign_dense(
 
 
 def _cluster_sums(x: np.ndarray, labels: np.ndarray, m: int) -> Tuple[np.ndarray, np.ndarray]:
-    """Per-cluster row sums and counts, rows taken in ascending index order.
+    """Per-cluster float64 row sums and counts, rows taken in ascending
+    index order (float32 rows are summed in float64).
 
     The clusters are shared out among the workers of a pass
     (core._for_blocks); each walks row_blocks, copying one block's rows
@@ -98,7 +104,7 @@ def _cluster_sums(x: np.ndarray, labels: np.ndarray, m: int) -> Tuple[np.ndarray
                 continue
             if started:
                 rows = np.concatenate((sums[j : j + 1], rows))
-            sums[j] = np.add.reduce(rows, axis=0)
+            sums[j] = np.add.reduce(rows, axis=0, dtype=np.float64)
             started = True
 
     _for_blocks(cluster_sum, x.shape[0], tasks=np.flatnonzero(counts))
@@ -109,6 +115,7 @@ def _kmeanspp_init(
     x: np.ndarray, x2: np.ndarray, m: int, rng: np.random.Generator
 ) -> np.ndarray:
     """Greedy k-means++ seeding; x2 holds the squared row norms of x.
+    The products x @ x[i] run in x's dtype; the centers are float64.
 
     Each new center is drawn from the squared-distance distribution; of
     2 + floor(log m) sampled candidates the one that lowers the total
@@ -173,9 +180,11 @@ def kmeans_fit(m: np.ndarray, n_clusters: int, seed: int) -> Tuple[ClusterModel,
     then the mean of its members) or when the largest centroid movement
     drops below TOL, or after MAX_ITERS updates.
 
-    Raises TooFewSamples when m has fewer rows than n_clusters.
+    Float32 rows are clustered in float32 products (see _assign_dense);
+    the centroids are float64 whatever the rows' dtype.  Raises
+    TooFewSamples when m has fewer rows than n_clusters.
     """
-    x = np.asarray(m, dtype=np.float64)
+    x = _float_rows(m)
     if x.ndim != 2:
         raise ValueError(f"expected a 2-d array, got shape {x.shape}")
     if n_clusters < 1:
@@ -184,7 +193,7 @@ def kmeans_fit(m: np.ndarray, n_clusters: int, seed: int) -> Tuple[ClusterModel,
         raise TooFewSamples(f"{x.shape[0]} samples for {n_clusters} clusters")
 
     rng = np.random.default_rng(seed)
-    x2 = np.einsum("ij,ij->i", x, x)
+    x2 = _sq_norms(x)
     centroids = _kmeanspp_init(x, x2, n_clusters, rng)
     pure_labels, d2 = _assign_dense(x, centroids, x2)
     labels = _repair_empty(pure_labels, d2, n_clusters)
@@ -212,7 +221,7 @@ def kmeans_fit(m: np.ndarray, n_clusters: int, seed: int) -> Tuple[ClusterModel,
 
 def assign_batch(centroids: np.ndarray, m: np.ndarray) -> np.ndarray:
     """The int64 label of the nearest centroid for every row of m."""
-    return _assign_dense(np.asarray(m, dtype=np.float64), centroids)[0]
+    return _assign_dense(_float_rows(m), centroids)[0]
 
 
 def batch_cluster_means(
@@ -224,7 +233,7 @@ def batch_cluster_means(
     count 0 and an all-zero means row; callers must treat count == 0 as
     "absent", never as an actual zero mean.
     """
-    x = np.asarray(m, dtype=np.float64)
+    x = _float_rows(m)
     labels = np.asarray(labels, dtype=np.int64)
     if labels.shape != (x.shape[0],):
         raise ValueError(f"labels shape {labels.shape} does not match {x.shape[0]} rows")

@@ -1,9 +1,12 @@
 """Shared vector math and container types.
 
 Everything downstream (clustering, calibration, the streaming engine) is
-built on the handful of operations defined here.  All arithmetic is done
-in float64 regardless of how the data was stored on disk; reductions walk
-rows in sorted index order so repeated runs produce bit-identical output.
+built on the handful of operations defined here.  Rows keep float32 when
+they come as float32 (as every embedding file stores them) and are
+widened to float64 otherwise (_float_rows); the row-wise products then run
+in the rows' dtype, while norms, sums, means and probabilities are
+accumulated and kept in float64.  Reductions walk rows in sorted index
+order so repeated runs produce bit-identical output.
 """
 
 import ctypes
@@ -40,13 +43,30 @@ CHUNK_ROWS = 1024
 SUB_ROWS = 128
 
 
+def _float_rows(a) -> np.ndarray:
+    """a as an array of float32 if it is one, of float64 otherwise: the
+    dtype in which the row-wise products on it run."""
+    a = np.asarray(a)
+    return a if a.dtype == np.float32 else a.astype(np.float64, copy=False)
+
+
 def _row_norms(m: np.ndarray) -> np.ndarray:
-    """np.linalg.norm(m, axis=1) bit for bit, squaring SUB_ROWS rows at
-    a time instead of all of m at once."""
+    """np.linalg.norm(m, axis=1) of m widened to float64, bit for bit,
+    squaring SUB_ROWS rows at a time instead of all of m at once."""
     out = np.empty(m.shape[0])
     for start in range(0, m.shape[0], SUB_ROWS):
-        part = m[start : start + SUB_ROWS]
+        part = m[start : start + SUB_ROWS].astype(np.float64, copy=False)
         np.sqrt(np.add.reduce(part * part, axis=1), out=out[start : start + SUB_ROWS])
+    return out
+
+
+def _sq_norms(m: np.ndarray) -> np.ndarray:
+    """np.einsum("ij,ij->i", m, m) of m widened to float64, bit for bit,
+    SUB_ROWS rows at a time."""
+    out = np.empty(m.shape[0])
+    for start in range(0, m.shape[0], SUB_ROWS):
+        part = m[start : start + SUB_ROWS].astype(np.float64, copy=False)
+        np.einsum("ij,ij->i", part, part, out=out[start : start + SUB_ROWS])
     return out
 
 
@@ -190,8 +210,9 @@ def _check_tau(tau: float) -> float:
 class EmbeddingMatrix:
     """N row vectors with ids and optional integer class/domain labels.
 
-    Rows are stored as float64.  Labels use -1 (or None for the whole
-    array) to mean "absent"; lengths must match the row count.
+    Rows are stored as float32 when given as float32 and as float64
+    otherwise.  Labels use -1 (or None for the whole array) to mean
+    "absent"; lengths must match the row count.
     """
 
     data: np.ndarray
@@ -200,7 +221,7 @@ class EmbeddingMatrix:
     domain_labels: Optional[np.ndarray] = None
 
     def __post_init__(self):
-        self.data = np.asarray(self.data, dtype=np.float64)
+        self.data = _float_rows(self.data)
         if self.data.ndim != 2:
             raise ValueError(f"expected a 2-d array, got shape {self.data.shape}")
         n = self.data.shape[0]
@@ -223,9 +244,9 @@ class EmbeddingMatrix:
     @classmethod
     def _unchecked(cls, data: np.ndarray, ids=None, class_labels=None,
                    domain_labels=None) -> "EmbeddingMatrix":
-        """A matrix of float64 rows already checked finite, with ids (a
-        list of str) and int64 labels already checked against the row
-        count, left unchecked."""
+        """A matrix of float32 or float64 rows already checked finite,
+        with ids (a list of str) and int64 labels already checked against
+        the row count, left unchecked."""
         matrix = cls.__new__(cls)
         matrix.data, matrix.class_labels, matrix.domain_labels = data, class_labels, domain_labels
         matrix.ids = [str(i) for i in range(data.shape[0])] if ids is None else ids
@@ -370,17 +391,18 @@ def l2_normalize_rows(m: np.ndarray, out: Optional[np.ndarray] = None) -> np.nda
 
     Works through row_blocks (_for_blocks), so besides the result each
     worker holds one block of temporaries; every row gets the same bits
-    as in a single pass.  The result goes to out (a float64 array of m's
-    shape) when given; out=m normalizes m in place with the same bits,
-    since a block's norms are taken before its rows are divided.  A
-    DegenerateVector names the lowest bad row; rows of other blocks may
-    already be overwritten then.
+    as in a single pass.  Float32 rows stay float32: their norms are
+    taken in float64 and each quotient is rounded once to float32.  The
+    result goes to out (an array of m's shape and dtype) when given;
+    out=m normalizes m in place with the same bits, since a block's norms
+    are taken before its rows are divided.  A DegenerateVector names the
+    lowest bad row; rows of other blocks may already be overwritten then.
     """
-    m = np.asarray(m, dtype=np.float64)
+    m = _float_rows(m)
     if out is None:
-        out = np.empty(m.shape)
-    elif out.dtype != np.float64 or out.shape != m.shape:
-        raise ValueError(f"out is {out.dtype} {out.shape}, expected float64 {m.shape}")
+        out = np.empty(m.shape, dtype=m.dtype)
+    elif out.dtype != m.dtype or out.shape != m.shape:
+        raise ValueError(f"out is {out.dtype} {out.shape}, expected {m.dtype} {m.shape}")
 
     def normalize(sl):
         block = m[sl]

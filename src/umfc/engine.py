@@ -21,6 +21,30 @@ stream bit for bit.  Every regime returns its rows as one columnar
 Predictions and its fitted state as one StreamState, a flat record of
 the arrays a snapshot holds, which predict applies and snapshot_state
 writes.
+
+Precision.  Float32 rows stay float32 (core._float_rows), and the
+products of normalizing, clustering, calibrating and scoring them run in
+float32; every StreamState array and every probability is float64.  Let
+u = 2**-24, d the dimension and rho the smallest norm of a row's residual
+from its cluster mean, and suppose k-means gives the float32 rows the
+clusters it gives their float64 widening.  Then a calibrated cosine
+moves by at most delta = (d + 8 + 8 / rho) * u: d * u bounds the
+rounding of a float32 dot product of unit vectors (the standard
+gamma_d), and rounding the normalized row, its cluster mean, the bank
+row and the residual adds a few u each, those of the residual before it
+is normalized scaled by 1 / rho.  Two consequences follow, each for one
+row:
+
+* Its label is the argmax of its cosines, so the float32 label can
+  differ from the float64 one only where the float64 margin between the
+  top two cosines is below 2 * delta.
+* Its probabilities are p_k = exp(c_k / tau) / sum_j exp(c_j / tau), so
+  every log p_k moves by at most 2 * delta / tau, and so does the
+  largest: |top32 - top64| <= top64 * (exp(2 * delta / tau) - 1).
+
+On the first 20,000 rows of the benchmark's 100,050 x 512 synth (rho
+about 0.55) delta is 3.2e-5, against measured cosine moves of at most
+4.3e-7 and a smallest top-2 margin of 0.32.
 """
 
 from dataclasses import dataclass, replace
@@ -100,7 +124,8 @@ class EngineConfig:
 class StreamState:
     """The fitted state of every regime: a stream between batches, or
     what fit_unsupervised and transduce estimate (a memory stream after
-    one batch).  Each array is named as in a snapshot.
+    one batch).  Each array is named as in a snapshot, and is float64
+    (counts int64) whatever the dtype of the rows folded into it.
 
     The fitted arrays are the cluster means (centroids) with their
     member counts, the global mean and one text shift row per cluster;
@@ -173,11 +198,13 @@ def _check_state(state: StreamState, cfg: EngineConfig) -> Optional[int]:
 
 
 def _as_rows(data: Union[EmbeddingMatrix, np.ndarray], dim: Optional[int] = None) -> np.ndarray:
-    """data as a 2-d array; rows of another dimension than a given dim
-    raise DimensionMismatch, and a raw array with a NaN or infinity
-    raises NonFiniteInput (an EmbeddingMatrix has checked its own)."""
+    """data as a 2-d array, of float32 if its rows are float32 and of
+    float64 otherwise (core._float_rows); rows of another dimension than
+    a given dim raise DimensionMismatch, and a raw array with a NaN or
+    infinity raises NonFiniteInput (an EmbeddingMatrix has checked its
+    own)."""
     raw = not isinstance(data, EmbeddingMatrix)
-    out = np.asarray(data, dtype=np.float64) if raw else data.data
+    out = core._float_rows(data) if raw else data.data
     if out.ndim != 2:
         raise ValueError(f"expected a 2-d array, got shape {out.shape}")
     if raw and not all(np.isfinite(out[sl]).all() for sl in row_blocks(out.shape[0])):
@@ -190,7 +217,8 @@ def _as_rows(data: Union[EmbeddingMatrix, np.ndarray], dim: Optional[int] = None
 def _calibrate_block(
     feats: np.ndarray, clusters: np.ndarray, cluster_means: np.ndarray
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """Unit residuals of rows from their cluster means, and their flags."""
+    """Unit residuals of rows from their cluster means (both of one dtype,
+    which the residuals keep), and their flags."""
     cal = cluster_means[clusters]
     np.subtract(feats, cal, out=cal)
     norms = core._row_norms(cal)
@@ -220,7 +248,9 @@ def _predict_rows(
     and each block's labels and top probabilities are read from the
     block just scored.  The scores go straight into the N x K probs, or,
     without keep_probs, into one block of scratch per worker, and probs
-    is None.  The bank's row norms are taken once for all blocks.
+    is None.  The cluster means and the bank are cast to the rows' dtype,
+    and the bank's row norms taken, once for all blocks, so float32 rows
+    are calibrated and scored in float32 (the probabilities are float64).
     """
     n = feats.shape[0]
     k = bank_data.shape[0]
@@ -232,14 +262,17 @@ def _predict_rows(
     probs = np.empty((n, k)) if keep_probs else None
     labels = np.empty(n, dtype=np.int64)
     top = np.empty(n)
-    bank_norms = core._row_norms(bank_data)
+    bank = bank_data.astype(feats.dtype, copy=False)
+    bank_norms = core._row_norms(bank)
+    if cluster_means is not None:
+        cluster_means = cluster_means.astype(feats.dtype, copy=False)
 
     def score(sl):
         cal = feats[sl]
         if cluster_means is not None:
             cal, flags[sl] = _calibrate_block(cal, clusters[sl], cluster_means)
         out = probs[sl] if keep_probs else np.empty((sl.stop - sl.start, k))
-        classify_batch(cal, bank_data, tau, out=out, bank_norms=bank_norms)
+        classify_batch(cal, bank, tau, out=out, bank_norms=bank_norms)
         best = np.argmax(out, axis=1)
         labels[sl] = best
         top[sl] = out[np.arange(best.size), best]
@@ -274,7 +307,7 @@ def _update(
         running_sums = state.running_sums + batch_sums
         nonzero = counts > 0
         prototypes[nonzero] = running_sums[nonzero] / counts[nonzero, None]
-        global_sum = state.global_sum + np.sum(x, axis=0)
+        global_sum = state.global_sum + np.sum(x, axis=0, dtype=np.float64)
         mu_avg = global_sum / samples_seen
     else:
         running_sums = global_sum = None
@@ -441,7 +474,9 @@ def stream_step(
         buffered = state.bootstrap_buffer
         need = cfg.clusters - (0 if buffered is None else buffered.shape[0])
         zero_shot = _predict_rows(x[:need], None, None, bank.data, cfg.tau, keep_probs)
-        seeds = x[:need].copy() if buffered is None else np.vstack([buffered, x[:need]])
+        seeds = x[:need].astype(np.float64)  # as every state array is
+        if buffered is not None:
+            seeds = np.vstack([buffered, seeds])
         if x.shape[0] < need:
             # still short: buffer and answer zero-shot
             seen = state.samples_seen + x.shape[0]

@@ -148,11 +148,13 @@ def _parse_labels(path, n: int):
 def read_embeddings(path) -> EmbeddingMatrix:
     """Read an embedding container (and its label sidecar if present).
 
-    The payload size is checked against the header before anything is
-    allocated; rows are then read block by block (core.row_blocks), one
-    read at a time, while each worker of the pass (core._for_blocks)
-    checks its float32 block and widens it into the float64 result.  A
-    NaN or infinity raises NonFinitePayload naming the lowest such row.
+    The rows stay float32, as stored, so every computation on them runs
+    in float32 products (core._float_rows).  The payload size is checked
+    against the header before anything is allocated; rows are then read
+    block by block (core.row_blocks), one read at a time, straight into
+    the result, and each worker of the pass (core._for_blocks) checks the
+    block it read.  A NaN or infinity raises NonFinitePayload naming the
+    lowest such row.
     """
     with open(path, "rb") as fh:
         count, dim, kind = _read_header(fh.read(_HEADER.size), path)
@@ -162,11 +164,11 @@ def read_embeddings(path) -> EmbeddingMatrix:
         size = os.fstat(fh.fileno()).st_size - _HEADER.size
         if size != expected:
             raise TruncatedPayload(f"{path}: payload is {size} bytes, header promises {expected}")
-        data = np.empty((count, dim))
+        data = np.empty((count, dim), dtype="<f4")
         read_lock = threading.Lock()
 
-        def widen(sl):
-            block = np.empty((sl.stop - sl.start, dim), dtype="<f4")
+        def read_block(sl):
+            block = data[sl]
             with read_lock:
                 fh.seek(_HEADER.size + sl.start * dim * 4)
                 got = fh.readinto(block)
@@ -176,9 +178,8 @@ def read_embeddings(path) -> EmbeddingMatrix:
             if not finite.all():
                 row = sl.start + int(np.flatnonzero(~finite.all(axis=1))[0])
                 raise NonFinitePayload(f"{path}: payload row {row} contains NaN or infinity")
-            data[sl] = block
 
-        _for_blocks(widen, count)
+        _for_blocks(read_block, count)
     ids = cls = dom = None
     sidecar = Path(str(path) + ".labels")
     if sidecar.exists():
@@ -189,7 +190,7 @@ def read_embeddings(path) -> EmbeddingMatrix:
 def read_embeddings_csv(path) -> EmbeddingMatrix:
     """Fallback text reader: rows of id,class,domain,v0,...,vD-1.
 
-    Values are parsed at float32 precision so a CSV and a binary file
+    Values are parsed to float32 rows so a CSV and a binary file
     written from the same data decode to identical matrices.
     """
     ids, cls, dom, rows = [], [], [], []
@@ -214,8 +215,8 @@ def read_embeddings_csv(path) -> EmbeddingMatrix:
             except ValueError as e:
                 raise FormatError(f"{path}:{ln + 1}: {e}") from None
     if not rows:
-        return EmbeddingMatrix(data=np.empty((0, 0)))
-    data = np.stack(rows).astype(np.float64)
+        return EmbeddingMatrix(data=np.empty((0, 0), dtype=np.float32))
+    data = np.stack(rows)
     if not np.isfinite(data).all():
         raise NonFinitePayload(f"{path}: payload contains NaN or infinity")
     cls = np.asarray(cls, dtype=np.int64)

@@ -187,6 +187,42 @@ def test_kmeans_same_across_block_sizes(monkeypatch):
         np.testing.assert_allclose(model.inertia_history, whole.inertia_history, rtol=1e-12, atol=0)
 
 
+@pytest.mark.parametrize("rows", [SMALL_BLOCK, DEFAULT_BLOCK, ONE_BLOCK])
+def test_float32_normalize_and_cluster_sums_bit_identical_across_block_sizes(monkeypatch, rows):
+    monkeypatch.setattr(core, "CHUNK_ROWS", rows)
+    rng = np.random.default_rng(6)
+    n = 3 * DEFAULT_BLOCK + 5
+    x = (rng.standard_normal((n, 8)) * 10.0 ** rng.integers(-8, 8, size=(n, 1))).astype(np.float32)
+    labels = rng.integers(0, 4, size=n)
+    wide = x.astype(np.float64)
+    # each row is its float64 quotient rounded once, in place or not
+    normalized = umfc.l2_normalize_rows(x)
+    assert normalized.dtype == np.float32
+    rounded = (wide / np.linalg.norm(wide, axis=1)[:, None]).astype(np.float32)
+    assert normalized.tobytes() == rounded.tobytes()
+    assert umfc.l2_normalize_rows(x.copy(), out=x).tobytes() == normalized.tobytes()
+    # float32 rows sum to the bits of one float64 sum of their widening
+    sums, counts = _cluster_sums(normalized, labels, 5)
+    assert sums.tobytes() == _per_cluster_sums(normalized.astype(np.float64), labels, 5).tobytes()
+    assert np.array_equal(counts, np.bincount(labels, minlength=5))
+
+
+def test_float32_kmeans_same_across_block_sizes(monkeypatch):
+    x = _clustered_rows(3 * DEFAULT_BLOCK + 5, 8, 7).astype(np.float32)
+    fits = {}
+    for rows in (SMALL_BLOCK, DEFAULT_BLOCK, ONE_BLOCK):
+        monkeypatch.setattr(core, "CHUNK_ROWS", rows)
+        model, labels = umfc.kmeans_fit(x, 6, seed=3)
+        fits[rows] = model, labels, umfc.assign_batch(model.centroids, x)
+    whole, whole_labels, _ = fits[ONE_BLOCK]
+    assert len(whole.inertia_history) > 1 and whole.centroids.dtype == np.float64
+    for model, labels, assigned in fits.values():
+        assert labels.tobytes() == whole_labels.tobytes()
+        assert assigned.tobytes() == whole_labels.tobytes()
+        assert model.centroids.tobytes() == whole.centroids.tobytes()
+        np.testing.assert_allclose(model.inertia_history, whole.inertia_history, rtol=1e-12, atol=0)
+
+
 def test_kmeans_traced_peak_within_n_by_m():
     n, d, m = 20_000, 64, 16
     x = _clustered_rows(n, d, 8)
@@ -244,6 +280,30 @@ def test_cli_transduce_traced_peak_within_input_plus_probs(tmp_path):
     # the input, normalized where it was read, and the N x K probabilities;
     # a second float64 copy of the input alone adds 0.56 to the ratio
     assert peak <= 1.0 * (n * d * 8 + n * k * 8)
+
+
+def test_cli_transduce_traced_peak_holds_no_float64_copy_of_the_input(tmp_path):
+    ds = umfc.generate_benchmark(
+        umfc.SynthSpec(n_classes=50, n_domains=4, dim=64, samples_per_cell=100)
+    )
+    n, d = ds.images.data.shape
+    k = ds.text_bank.k
+    assert (n, d, k) == (20_000, 64, 50)
+    umfc.write_embeddings(ds.images, tmp_path / "images.bin")
+    umfc.write_text_bank(ds.text_bank, tmp_path / "bank.bin", tmp_path / "names.txt")
+    argv = ["transduce", "--test", str(tmp_path / "images.bin"), "--bank", str(tmp_path / "bank.bin"),
+            "--names", str(tmp_path / "names.txt"), "--out", str(tmp_path / "preds.tsv"),
+            "--report", str(tmp_path / "report.tsv"), "--clusters", "4"]
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        assert cli.main(argv) == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the float32 input, normalized where it was read, is 0.28 of the
+    # ratio; a float64 copy of it adds 0.56
+    assert peak <= 0.7 * (n * d * 8 + n * k * 8)
 
 
 def _outlier_images():
@@ -435,6 +495,41 @@ def test_kmeans_and_cluster_sums_bit_identical_on_one_and_two_workers(monkeypatc
     (sums1, counts1), (sums2, counts2) = _by_workers(workers, lambda: _cluster_sums(x, l1, 7))
     assert sums1.tobytes() == sums2.tobytes() == _per_cluster_sums(x, l1, 7).tobytes()
     assert counts1.tobytes() == counts2.tobytes()
+
+
+@pytest.mark.parametrize("regime", ["transduce", "fit-predict", "run_stream"])
+def test_float32_regimes_bit_identical_on_one_and_two_workers(monkeypatch, workers, regime):
+    monkeypatch.setattr(core, "CHUNK_ROWS", SMALL_BLOCK)
+    x, bank, cfg = _outlier_images()
+    x = x.astype(np.float32)
+
+    def run():
+        if regime == "transduce":
+            return umfc.transduce(x, bank, cfg)
+        if regime == "fit-predict":
+            state = umfc.fit_unsupervised(x, bank, cfg)
+            return umfc.predict(state, x, bank, cfg), state
+        # batches of 25 rows are four blocks each
+        return umfc.run_stream(x, bank, dataclasses.replace(cfg, batch_size=25))
+
+    (p1, s1), (p2, s2) = _by_workers(workers, run)
+    assert core._pool is not None  # the second run was pooled
+    assert p1.probs.dtype == s1.centroids.dtype == np.float64
+    _assert_bytes_equal(p1, p2, PRED_COLUMNS)
+    _assert_bytes_equal(s1, s2, STATE_ARRAYS)
+
+
+def test_float32_kmeans_and_cluster_sums_bit_identical_on_one_and_two_workers(monkeypatch, workers):
+    monkeypatch.setattr(core, "CHUNK_ROWS", 64)
+    x = _clustered_rows(1000, 8, 9).astype(np.float32)
+    (m1, l1), (m2, l2) = _by_workers(workers, lambda: umfc.kmeans_fit(x, 6, seed=3))
+    assert len(m1.inertia_history) > 1
+    assert m1.inertia_history == m2.inertia_history
+    assert l1.tobytes() == l2.tobytes()
+    _assert_bytes_equal(m1, m2, ("centroids", "counts"))
+    (sums1, _), (sums2, _) = _by_workers(workers, lambda: _cluster_sums(x, l1, 7))
+    want = _per_cluster_sums(x.astype(np.float64), l1, 7)
+    assert sums1.tobytes() == sums2.tobytes() == want.tobytes()
 
 
 def test_pooled_pass_raises_from_the_lowest_block(monkeypatch, workers):

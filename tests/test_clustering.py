@@ -157,3 +157,28 @@ def test_inertia_helper():
 
 def test_property_lloyd_monotone_small():
     check_lloyd_monotone(100)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_kmeans_rejects_rows_that_are_not_a_matrix(dtype):
+    with pytest.raises(ValueError, match="2-d"):
+        umfc.kmeans_fit(np.ones(6, dtype=dtype), 2, seed=0)
+    with pytest.raises(ValueError, match="2-d"):
+        umfc.kmeans_fit(np.ones((2, 3, 2), dtype=dtype), 2, seed=0)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("n_clusters", [0, -1])
+def test_kmeans_rejects_fewer_than_one_cluster(dtype, n_clusters):
+    with pytest.raises(ValueError, match="n_clusters"):
+        umfc.kmeans_fit(np.ones((4, 3), dtype=dtype), n_clusters, seed=0)
+
+
+def test_kmeans_of_float32_rows_gives_float64_centroids():
+    x = np.random.default_rng(2).standard_normal((40, 5)).astype(np.float32)
+    model, labels = umfc.kmeans_fit(x, 3, seed=0)
+    assert model.centroids.dtype == np.float64
+    # a converged centroid is the float64 mean of its members
+    for m in range(3):
+        assert np.array_equal(model.centroids[m],
+                              x[labels == m].sum(axis=0, dtype=np.float64) / model.counts[m])

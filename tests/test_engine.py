@@ -505,3 +505,74 @@ def test_property_relabel_invariance_small():
 
 def test_property_snapshot_roundtrip_small(tmp_path):
     check_snapshot_roundtrip(60, tmpdir=str(tmp_path))
+
+
+# --- float32 rows -------------------------------------------------------------
+
+FLOAT64_ARRAYS = ("centroids", "running_sums", "global_sum", "calib_global_mean",
+                  "calib_text_shifts", "bootstrap_buffer")
+
+
+@pytest.mark.parametrize("batch_size", [1, 7])
+def test_float32_stream_keeps_every_state_array_float64(tmp_path, batch_size):
+    # batch size 1 seeds the clusters from the bootstrap buffer, 7 runs k-means
+    ds = small_benchmark()
+    x = ds.images.data.astype(np.float32)
+    cfg = cfg2(clusters=3, batch_size=batch_size)
+    batches = [umfc.EmbeddingMatrix(x[i : i + batch_size])
+               for i in range(0, x.shape[0], batch_size)]
+    assert batches[0].data.dtype == np.float32
+    half = len(batches) // 2
+    preds, state = [], umfc.stream_init(cfg)
+    for i, batch in enumerate(batches):
+        p, state = umfc.stream_step(state, batch, ds.text_bank, cfg)
+        preds.append(p)
+        for name in FLOAT64_ARRAYS:
+            arr = getattr(state, name)
+            assert arr is None or arr.dtype == np.float64, (i, name)
+        assert state.counts is None or state.counts.dtype == np.int64
+        if state.centroids is not None:
+            _assert_memory_invariant(state)
+            assert np.array_equal(state.calib_global_mean, state.global_sum / state.samples_seen)
+        if i == half:
+            umfc.snapshot_state(state, cfg, tmp_path / "s.state")
+    # the snapshot taken halfway resumes bit for bit
+    resumed, rcfg = umfc.restore_state(tmp_path / "s.state")
+    resumed_preds = []
+    for batch in batches[half + 1 :]:
+        p, resumed = umfc.stream_step(resumed, batch, ds.text_bank, rcfg)
+        resumed_preds.append(p)
+    for name in FLOAT64_ARRAYS + ("counts",):
+        a, b = getattr(resumed, name), getattr(state, name)
+        assert (a is None and b is None) or a.tobytes() == b.tobytes(), name
+    got = umfc.Predictions.concat(resumed_preds)
+    want = umfc.Predictions.concat(preds[half + 1 :])
+    for name in ("probs", "labels", "clusters", "flags"):
+        assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+
+
+def test_float32_transduce_within_the_tolerance_of_the_float64_oracle():
+    # noisy rows at tau 0.05: probabilities well below 1 and top-2 margins
+    # down to about 2e-4, so the bounds of the engine's precision note are
+    # tested where they bite
+    ds = umfc.generate_benchmark(umfc.SynthSpec(noise_sigma=0.5, samples_per_cell=20))
+    x32 = ds.images.data.astype(np.float32)
+    wide = dataclasses.replace(ds, images=umfc.EmbeddingMatrix(x32.astype(np.float64)))
+    cfg = umfc.EngineConfig(clusters=3, tau=0.05)
+    oracle, ostate = umfc.oracle_transduce(wide, cfg)
+    preds, _ = umfc.transduce(x32, ds.text_bank, cfg)
+    # the argument presumes the clusters k-means gives the widened rows
+    assert np.array_equal(preds.clusters, oracle.clusters)
+    x = umfc.l2_normalize_rows(wide.images.data)
+    rho = np.linalg.norm(x - ostate.centroids[oracle.clusters], axis=1).min()
+    delta = (x.shape[1] + 8 + 8 / rho) * 2.0**-24
+    # c_1 - c_2 = tau log(p_1 / p_2) of the float64 cosines
+    top2 = np.sort(oracle.probs, axis=1)[:, -2:]
+    margin = cfg.tau * np.log(top2[:, 1] / top2[:, 0])
+    assert margin.min() < 1e-3
+    wide_margin = margin >= 2 * delta
+    assert np.array_equal(preds.labels[wide_margin], oracle.labels[wide_margin])
+    growth = np.expm1(2 * delta / cfg.tau)
+    assert (np.abs(preds.top - oracle.top) <= oracle.top * growth).all()
+    # every log-probability, not just the top one, moves by at most 2 delta / tau
+    assert (np.abs(np.log(preds.probs) - np.log(oracle.probs)) <= 2 * delta / cfg.tau).all()

@@ -178,7 +178,7 @@ def test_readers_build_their_matrix_without_a_second_check(tmp_path, monkeypatch
 
     monkeypatch.setattr(umfc.EmbeddingMatrix, "__post_init__", second_check)
     for m in (umfc.read_embeddings(tmp_path / "m.bin"), umfc.read_embeddings_csv(tmp_path / "m.csv")):
-        assert m.data.tobytes() == written.data.tobytes() and m.ids == ["a", "b"]
+        assert m.data.tobytes() == written.data.astype("<f4").tobytes() and m.ids == ["a", "b"]
         assert m.class_labels.tolist() == [3, -1] and m.domain_labels is None
     monkeypatch.undo()
     # a matrix built by the library still checks its rows
