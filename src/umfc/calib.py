@@ -169,45 +169,63 @@ def classify_batch(
     out: Optional[np.ndarray] = None,
     *,
     bank_norms: Optional[np.ndarray] = None,
+    feat_norms: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """Softmax over the cosine similarities between each feature row and
     every bank row; one probability row per feature.
 
-    The matrix product runs in the dtype of the feature rows (float32 for
-    float32 rows, core._float_rows), with bank_data cast to it; the
-    probabilities are float64 either way, written to out (float64, N x K)
-    when given and to a new array otherwise, and that array is returned.
-    bank_norms, when given, must be the row norms (core._row_norms) of
-    bank_data in that dtype: a caller scoring many blocks against one
-    bank takes them once.  Every step after the product works in that
-    array: the cosines are clipped to [-1, 1], and the max-subtracted
-    softmax at temperature tau has the bits of the oracle's per-row
-    softmax on the same cosines (synth._softmax_temp).  The bias probe calls it with the domain
-    anchors as the bank (diagnostics.domain_bias_probe).
+    Every step runs in the dtype of the feature rows (float32 for float32
+    rows, core._float_rows), with bank_data cast to it.  The
+    probabilities go to out when given (N x K, float64 or the rows'
+    dtype) and to a new float64 array otherwise, and that array is
+    returned; float32 rows scored into a float64 out are scored in a
+    float32 array of their own, and only the finished probability rows
+    are widened.  bank_norms and feat_norms, when given, must be the row
+    norms (core._row_norms) of bank_data in the rows' dtype and of feats:
+    a caller scoring many blocks against one bank takes the bank's once,
+    and the engine passes the norms it took to flag its calibrated rows.
+
+    No row is normalized.  The product is divided by the bank norms, so
+    row i holds |f_i| times its cosines c_ik; its max is subtracted, and
+    the row is scaled by 1 / (tau |f_i|), taken in float64 and clamped to
+    the largest finite value of the dtype, so the exponents are
+    (c_ik - max_j c_ij) / tau.  A tau that under- or overflows the dtype
+    still gives finite probabilities that sum to one: all the mass on the
+    top cosine, or all classes alike.  The cosines are not clipped to
+    [-1, 1]; one that rounds past it moves its exponent no more than any
+    other rounding does (see the engine's precision note).  The bias
+    probe calls it with the domain anchors as the bank
+    (diagnostics.domain_bias_probe).
     """
     tau = _check_tau(tau)
     feats = _float_rows(feats)
-    bank_data = bank_data.astype(feats.dtype, copy=False)
+    dtype = feats.dtype
+    bank_data = bank_data.astype(dtype, copy=False)
     if feats.shape[1] != bank_data.shape[1]:
         raise DimensionMismatch(
             f"features of dim {feats.shape[1]} against a bank of dim {bank_data.shape[1]}"
         )
-    fn = _row_norms(feats)
+    fn = _row_norms(feats) if feat_norms is None else feat_norms
     bn = _row_norms(bank_data) if bank_norms is None else bank_norms
     if bool(np.any(fn < DEGENERACY_EPS)) or bool(np.any(bn < DEGENERACY_EPS)):
         raise DegenerateVector("cosine similarity of a zero-norm vector is undefined")
     if out is None:
         out = np.empty((feats.shape[0], bank_data.shape[0]))
-    # float32 rows: the product runs in float32 and is written as float64
-    probs = np.matmul(feats, bank_data.T, out=out)
-    # row by row from here, so SUB_ROWS rows at a time give the same bits
-    for start in range(0, probs.shape[0], SUB_ROWS):
-        rows = slice(start, start + SUB_ROWS)
-        part = probs[rows]
-        part /= np.outer(fn[rows], bn)
-        np.clip(part, -1.0, 1.0, out=part)
-        part -= np.max(part, axis=-1, keepdims=True)
-        part /= tau
-        np.exp(part, out=part)
-        part /= np.sum(part, axis=-1, keepdims=True)
-    return probs
+    work = out if out.dtype == dtype else np.empty(out.shape, dtype=dtype)
+    bn = bn.astype(dtype, copy=False)
+    # a clamped scale may overflow the product to -inf, which exp takes to 0
+    with np.errstate(over="ignore", divide="ignore"):
+        scale = np.minimum(1.0 / (tau * fn), np.finfo(dtype).max).astype(dtype, copy=False)
+        np.matmul(feats, bank_data.T, out=work)
+        # row by row from here, so SUB_ROWS rows at a time give the same bits
+        for start in range(0, work.shape[0], SUB_ROWS):
+            rows = slice(start, start + SUB_ROWS)
+            part = work[rows]
+            part /= bn
+            part -= np.max(part, axis=-1, keepdims=True)
+            part *= scale[rows, None]
+            np.exp(part, out=part)
+            part /= np.sum(part, axis=-1, keepdims=True)
+            if work is not out:
+                out[rows] = part
+    return out

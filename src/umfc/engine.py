@@ -24,27 +24,46 @@ writes.
 
 Precision.  Float32 rows stay float32 (core._float_rows), and the
 products of normalizing, clustering, calibrating and scoring them run in
-float32; every StreamState array and every probability is float64.  Let
-u = 2**-24, d the dimension and rho the smallest norm of a row's residual
-from its cluster mean, and suppose k-means gives the float32 rows the
-clusters it gives their float64 widening.  Then a calibrated cosine
-moves by at most delta = (d + 8 + 8 / rho) * u: d * u bounds the
-rounding of a float32 dot product of unit vectors (the standard
-gamma_d), and rounding the normalized row, its cluster mean, the bank
-row and the residual adds a few u each, those of the residual before it
-is normalized scaled by 1 / rho.  Two consequences follow, each for one
-row:
+float32, as does every step of scoring after its product, from the
+division by the bank norms to the softmax; norms are taken in float64,
+every StreamState array is float64, and so is every probability (a
+float32 one, widened).  Let u = 2**-24, d the dimension, K the number of
+classes and rho the smallest norm of a row's residual from its cluster
+mean, and suppose k-means gives the float32 rows the clusters it gives
+their float64 widening.  Each exponent (c_k - c_max) / tau of the
+softmax is then within 2 * delta / tau of its float64 value, with
+delta = (d + 8 + 8 / rho) * u in units of a cosine: d * u bounds the
+rounding of a float32 dot product (the standard gamma_d); rounding the
+normalized row and its cluster mean moves the residual by about 2u, and
+so a cosine by up to 4u / rho; rounding the residual, the bank row, its
+norm and the quotient adds about 6u, and the max subtraction and the
+scaling by 1 / (tau |f|) round an exponent by up to 6u / tau, which
+counts as 3u per cosine, since an exponent carries the errors of two.
+That is (d + 9 + 4 / rho) * u, inside delta while rho is at most 4 (a
+unit row's residual is at most 2).  The cosines are not clipped to
+[-1, 1]: the true one lies inside, so a clip would move a computed
+cosine by less than its error.  exp (measured within 3.6u on [-87, 0]),
+the sum of K terms and the division then move each float32 probability
+by a factor within (K + 4) * u of 1.  Two consequences follow, each for
+one row:
 
-* Its label is the argmax of its cosines, so the float32 label can
-  differ from the float64 one only where the float64 margin between the
-  top two cosines is below 2 * delta.
+* Its label is the argmax of its probabilities, so the float32 label
+  can differ from the float64 one only where the float64 margin
+  between the top two cosines is below 2 * delta + 8 * tau * u (the
+  tau * u term: exp and the division round a runner-up whose exponent is
+  within a few u of 0 to the top's probability, a tie the lower class
+  index wins).
 * Its probabilities are p_k = exp(c_k / tau) / sum_j exp(c_j / tau), so
-  every log p_k moves by at most 2 * delta / tau, and so does the
-  largest: |top32 - top64| <= top64 * (exp(2 * delta / tau) - 1).
+  every log p_k of at least 2**-126 (float32's smallest normal; below
+  it float32 keeps fewer digits, and below 2**-149 none) moves by at
+  most e = 2 * delta / tau + (K + 4) * u, and so does the largest:
+  |top32 - top64| <= top64 * (exp(e) - 1).
 
 On the first 20,000 rows of the benchmark's 100,050 x 512 synth (rho
-about 0.55) delta is 3.2e-5, against measured cosine moves of at most
-4.3e-7 and a smallest top-2 margin of 0.32.
+about 0.55) delta is 3.2e-5, against a smallest top-2 margin of 0.32.
+On all of its rows at tau 0.01 the float32 labels are the float64 ones
+and the top probability moves by at most 1.0e-12: every float64 top is
+above 1 - 1.1e-12, and float32 rounds each to 1.
 """
 
 from dataclasses import dataclass, replace
@@ -216,18 +235,20 @@ def _as_rows(data: Union[EmbeddingMatrix, np.ndarray], dim: Optional[int] = None
 
 def _calibrate_block(
     feats: np.ndarray, clusters: np.ndarray, cluster_means: np.ndarray
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Unit residuals of rows from their cluster means (both of one dtype,
-    which the residuals keep), and their flags."""
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Residuals of rows from their cluster means (both of one dtype,
+    which the residuals keep), their row norms and their flags.  A row
+    whose residual norm is below DEGENERACY_EPS is kept as it is, with
+    its own norm, and flagged DEGENERATE.  The residuals are not
+    normalized: classify_batch takes each norm into the row's scale."""
     cal = cluster_means[clusters]
     np.subtract(feats, cal, out=cal)
     norms = core._row_norms(cal)
     ok = norms >= DEGENERACY_EPS
-    norms[~ok] = 1.0
-    cal /= norms[:, None]
     if not ok.all():
-        cal[~ok] = l2_normalize_rows(feats[~ok])
-    return cal, np.where(ok, np.uint8(0), np.uint8(Predictions.DEGENERATE))
+        cal[~ok] = feats[~ok]
+        norms[~ok] = core._row_norms(feats[~ok])
+    return cal, norms, np.where(ok, np.uint8(0), np.uint8(Predictions.DEGENERATE))
 
 
 def _predict_rows(
@@ -241,16 +262,19 @@ def _predict_rows(
     """Calibrate rows against their assigned cluster mean and classify.
 
     Rows whose residual collapses (feature sits on the mean) fall back
-    to the plain normalized feature and are flagged DEGENERATE.  With no
-    cluster model (clusters and cluster_means None) the rows are scored
-    as given, zero-shot: cluster -1, flagged UNCALIBRATED.  Rows are
+    to the plain feature and are flagged DEGENERATE.  With no cluster
+    model (clusters and cluster_means None) the rows are scored as
+    given, zero-shot: cluster -1, flagged UNCALIBRATED.  Rows are
     calibrated and scored one row block at a time (core._for_blocks),
     and each block's labels and top probabilities are read from the
     block just scored.  The scores go straight into the N x K probs, or,
-    without keep_probs, into one block of scratch per worker, and probs
-    is None.  The cluster means and the bank are cast to the rows' dtype,
-    and the bank's row norms taken, once for all blocks, so float32 rows
-    are calibrated and scored in float32 (the probabilities are float64).
+    without keep_probs, into one block of scratch of the rows' dtype per
+    worker, and probs is None.  Float32 scores are widened only where
+    they are kept, in probs and top, so keep_probs changes no label or
+    top bit.
+    The cluster means and the bank are cast to the rows' dtype, and the
+    bank's row norms taken, once for all blocks; each residual's norm is
+    taken once, for its flag and its scale in classify_batch.
     """
     n = feats.shape[0]
     k = bank_data.shape[0]
@@ -268,11 +292,11 @@ def _predict_rows(
         cluster_means = cluster_means.astype(feats.dtype, copy=False)
 
     def score(sl):
-        cal = feats[sl]
+        cal, norms = feats[sl], None
         if cluster_means is not None:
-            cal, flags[sl] = _calibrate_block(cal, clusters[sl], cluster_means)
-        out = probs[sl] if keep_probs else np.empty((sl.stop - sl.start, k))
-        classify_batch(cal, bank, tau, out=out, bank_norms=bank_norms)
+            cal, norms, flags[sl] = _calibrate_block(cal, clusters[sl], cluster_means)
+        out = probs[sl] if keep_probs else np.empty((sl.stop - sl.start, k), dtype=feats.dtype)
+        classify_batch(cal, bank, tau, out=out, bank_norms=bank_norms, feat_norms=norms)
         best = np.argmax(out, axis=1)
         labels[sl] = best
         top[sl] = out[np.arange(best.size), best]

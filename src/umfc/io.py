@@ -66,23 +66,30 @@ _HEADER = struct.Struct("<4sIIII")
 def _atomic_write(path, chunks: Iterable[bytes]) -> None:
     """Write the bytes chunks one after another to path, through a temp
     file renamed into place.  chunks is a list or an iterator of bytes; a
-    bare bytes object would be iterated as ints."""
+    bare bytes object would be iterated as ints.  An OSError names path,
+    not the temp file, which is removed."""
     path = Path(path)
-    fd, tmp = tempfile.mkstemp(dir=str(path.parent) or ".", prefix=path.name + ".", suffix=".tmp")
     try:
-        # mkstemp makes the file 0600; give it the mode open() would
-        mask = os.umask(0o077)  # the strictest mask while the umask is read
-        os.umask(mask)
-        os.chmod(tmp, 0o666 & ~mask)
-        with os.fdopen(fd, "wb") as fh:
-            fh.writelines(chunks)
-        os.replace(tmp, path)
-    except BaseException:
+        fd, tmp = tempfile.mkstemp(dir=str(path.parent) or ".", prefix=path.name + ".",
+                                   suffix=".tmp")
         try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
+            # mkstemp makes the file 0600; give it the mode open() would
+            mask = os.umask(0o077)  # the strictest mask while the umask is read
+            os.umask(mask)
+            os.chmod(tmp, 0o666 & ~mask)
+            with os.fdopen(fd, "wb") as fh:
+                fh.writelines(chunks)
+            os.replace(tmp, path)
+        except BaseException:
+            try:
+                os.unlink(tmp)
+            except OSError:
+                pass
+            raise
+    except OSError as e:
+        if e.errno is None:
+            raise
+        raise OSError(e.errno, e.strerror, str(path)) from e
 
 
 def _write_lines(path, lines: Iterable[str]) -> None:

@@ -324,21 +324,29 @@ def _assert_top1_bit_identical(top1, full):
     assert full.top.tobytes() == full.probs[np.arange(len(full)), full.labels].tobytes()
 
 
+def _float64_and_float32(x):
+    # float32 rows are scored in float32: without probs, labels and top
+    # come from a float32 block, with them from its widening
+    return x, x.astype(np.float32)
+
+
 def test_transduce_top1_bit_identical_to_full_probs(monkeypatch):
     monkeypatch.setattr(core, "CHUNK_ROWS", SMALL_BLOCK)
     x, bank, cfg = _outlier_images()
-    full, _ = umfc.transduce(x, bank, cfg)
-    top1, _ = umfc.transduce(x, bank, cfg, keep_probs=False)
-    _assert_top1_bit_identical(top1, full)
+    for rows in _float64_and_float32(x):
+        full, _ = umfc.transduce(rows, bank, cfg)
+        top1, _ = umfc.transduce(rows, bank, cfg, keep_probs=False)
+        _assert_top1_bit_identical(top1, full)
 
 
 def test_predict_top1_bit_identical_to_full_probs(monkeypatch):
     monkeypatch.setattr(core, "CHUNK_ROWS", SMALL_BLOCK)
     x, bank, cfg = _outlier_images()
-    state = umfc.fit_unsupervised(x, bank, cfg)
-    full = umfc.predict(state, x, bank, cfg)
-    top1 = umfc.predict(state, x, bank, cfg, keep_probs=False)
-    _assert_top1_bit_identical(top1, full)
+    for rows in _float64_and_float32(x):
+        state = umfc.fit_unsupervised(rows, bank, cfg)
+        full = umfc.predict(state, rows, bank, cfg)
+        top1 = umfc.predict(state, rows, bank, cfg, keep_probs=False)
+        _assert_top1_bit_identical(top1, full)
 
 
 @pytest.mark.parametrize("batch_size", [1, 7])
@@ -346,11 +354,12 @@ def test_run_stream_top1_bit_identical_to_full_probs(batch_size):
     # batch size 1 answers the first rows zero-shot, 7 clusters them at once
     x, bank, cfg = _outlier_images()
     cfg = dataclasses.replace(cfg, batch_size=batch_size)
-    full, _ = umfc.run_stream(x, bank, cfg)
-    top1, _ = umfc.run_stream(x, bank, cfg, keep_probs=False)
-    assert top1.probs is None
-    for name in ("labels", "top", "clusters", "flags"):
-        assert getattr(top1, name).tobytes() == getattr(full, name).tobytes(), name
+    for rows in _float64_and_float32(x):
+        full, _ = umfc.run_stream(rows, bank, cfg)
+        top1, _ = umfc.run_stream(rows, bank, cfg, keep_probs=False)
+        assert top1.probs is None
+        for name in ("labels", "top", "clusters", "flags"):
+            assert getattr(top1, name).tobytes() == getattr(full, name).tobytes(), name
 
 
 @pytest.fixture(scope="module")

@@ -34,7 +34,8 @@ def test_ifc_degenerate():
     preds = _predict_rows(f, np.array([0]), f.copy(), bank, tau=1.0)
     assert preds.flags[0] == umfc.Predictions.DEGENERATE
     assert preds[0].flags == ("degenerate",)
-    assert np.array_equal(preds.probs, umfc.classify_batch(umfc.l2_normalize_rows(f), bank, 1.0))
+    # scored as the feature itself, whose norm classify_batch takes
+    assert preds.probs.tobytes() == umfc.classify_batch(f, bank, 1.0).tobytes()
 
 
 def test_compute_text_shifts_hand():
@@ -313,22 +314,38 @@ def test_update_refuses_a_non_finite_statistic(name):
         _update(state, rows, np.array(labels), eta)
 
 
+def _composed_softmax(feats, bank_data, tau):
+    # the steps classify_batch runs in place, in the rows' dtype: the
+    # product over the bank norms, max-subtracted and scaled by
+    # 1 / (tau |f|), then exp and the normalization
+    dtype = feats.dtype
+    bank_data = bank_data.astype(dtype)
+    fn = np.linalg.norm(feats.astype(np.float64), axis=1)
+    bn = np.linalg.norm(bank_data.astype(np.float64), axis=1).astype(dtype)
+    scale = np.minimum(1.0 / (tau * fn), np.finfo(dtype).max).astype(dtype)
+    part = (feats @ bank_data.T) / bn
+    e = np.exp((part - part.max(axis=1, keepdims=True)) * scale[:, None])
+    return (e / e.sum(axis=1, keepdims=True)).astype(np.float64)
+
+
 def test_classify_batch_into_out_is_bit_identical():
     rng = np.random.default_rng(15)
     bank_data = rng.standard_normal((7, 12))
-    feats = rng.standard_normal((30, 12))
-    fresh = umfc.classify_batch(feats, bank_data, tau=0.05)
-    # the composed steps classify_batch runs in place
-    fn = np.linalg.norm(feats, axis=1)
-    bn = np.linalg.norm(bank_data, axis=1)
-    sims = np.clip((feats @ bank_data.T) / np.outer(fn, bn), -1.0, 1.0)
-    assert fresh.tobytes() == _softmax_temp(sims, 0.05).tobytes()
-    # into rows of a larger result, as _predict_rows scores a block
-    buf = np.full((40, 7), np.nan)
-    out = umfc.classify_batch(feats, bank_data, tau=0.05, out=buf[5:35])
-    assert out.base is buf
-    assert buf[5:35].tobytes() == fresh.tobytes()
-    assert np.isnan(buf[:5]).all() and np.isnan(buf[35:]).all()
+    for dtype in (np.float64, np.float32):
+        feats = rng.standard_normal((30, 12)).astype(dtype)
+        fresh = umfc.classify_batch(feats, bank_data, tau=0.05)
+        assert fresh.dtype == np.float64
+        assert fresh.tobytes() == _composed_softmax(feats, bank_data, 0.05).tobytes()
+        # into rows of a larger result, as _predict_rows scores a block
+        buf = np.full((40, 7), np.nan)
+        out = umfc.classify_batch(feats, bank_data, tau=0.05, out=buf[5:35])
+        assert out.base is buf
+        assert buf[5:35].tobytes() == fresh.tobytes()
+        assert np.isnan(buf[:5]).all() and np.isnan(buf[35:]).all()
+        # into an array of the rows' dtype, as _predict_rows scores a
+        # block without keep_probs
+        own = umfc.classify_batch(feats, bank_data, tau=0.05, out=np.empty((30, 7), dtype))
+        assert own.astype(np.float64).tobytes() == fresh.tobytes()
 
 
 def test_calibrate_bank_rows_just_above_near_threshold_match_plain_loop():

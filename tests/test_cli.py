@@ -778,3 +778,17 @@ def test_stream_zero_row_is_degeneracy_before_any_snapshot(tmp_path, capsys):
                "--out-state", str(tmp_path / "s.state")) == 3
     assert "row 4 has norm" in capsys.readouterr().err
     assert sorted(f.name for f in tmp_path.iterdir()) == ["b.bin", "i.bin", "n.txt"]
+
+
+@pytest.mark.parametrize("out", ["nodir/o.tsv", "adir"])
+def test_write_error_names_the_output(small, tmp_path, capsys, monkeypatch, out):
+    # a missing directory fails where the temp file is made, a directory
+    # in the output's place where it is renamed; either message names the
+    # output, and no temp file is left
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "adir").mkdir()
+    assert run("transduce", "--test", f"{small}_images.bin", "--bank", f"{small}_bank.bin",
+               "--names", f"{small}_names.txt", "--clusters", "2", "--out", out) == 2
+    err = capsys.readouterr().err
+    assert "data error" in err and f"'{out}'" in err and ".tmp" not in err
+    assert list(tmp_path.rglob("*.tmp")) == []

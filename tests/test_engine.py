@@ -576,3 +576,20 @@ def test_float32_transduce_within_the_tolerance_of_the_float64_oracle():
     assert (np.abs(preds.top - oracle.top) <= oracle.top * growth).all()
     # every log-probability, not just the top one, moves by at most 2 delta / tau
     assert (np.abs(np.log(preds.probs) - np.log(oracle.probs)) <= 2 * delta / cfg.tau).all()
+
+
+@pytest.mark.parametrize("tau", [1e-300, 1e-40, 1e300])
+def test_float32_transduce_at_a_tau_past_the_float32_range(tau):
+    # 1 / tau over- or underflows float32; the scale is clamped to its
+    # range, so the mass goes to the top cosine, or spreads evenly, as it
+    # does for the same rows in float64
+    ds = umfc.generate_benchmark(umfc.SynthSpec())
+    x32 = ds.images.data.astype(np.float32)
+    cfg = umfc.EngineConfig(clusters=3, tau=tau)
+    preds, _ = umfc.transduce(x32, ds.text_bank, cfg)
+    wide, _ = umfc.transduce(x32.astype(np.float64), ds.text_bank, cfg)
+    assert np.isfinite(preds.probs).all() and np.isfinite(preds.top).all()
+    # each float32 probability is rounded once, and so is their sum
+    sums = preds.probs.sum(axis=1)
+    assert (np.abs(sums - 1.0) <= ds.text_bank.k * 2.0**-24).all()
+    assert np.array_equal(preds.labels, wide.labels)
