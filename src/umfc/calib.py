@@ -16,7 +16,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .core import DEGENERACY_EPS, SUB_ROWS, TextBank, _check_tau, _float_rows, _row_norms
+from .core import DEGENERACY_EPS, TextBank, _check_tau, _float_rows, _row_norms, _sq_norms
 from .errors import AllShiftsDegenerate, DegenerateVector, DimensionMismatch
 
 # a text-minus-shift term whose expanded squared distance is below this
@@ -58,7 +58,7 @@ def _term_sums(rows: np.ndarray, shifts: np.ndarray) -> Tuple[np.ndarray, np.nda
     kept = np.zeros(rows.shape[0], dtype=np.int64)
     for s in shifts:
         np.subtract(rows, s, out=diff)
-        norms = np.sqrt(np.einsum("ij,ij->i", diff, diff))
+        norms = _row_norms(diff)
         drop = ~(norms >= DEGENERACY_EPS)  # a NaN norm is dropped too
         diff[drop] = 0.0
         norms[drop] = 1.0
@@ -87,17 +87,15 @@ def _calibrate_rows(rows: np.ndarray, shifts: np.ndarray) -> np.ndarray:
     count, no other bit changes), otherwise the row is recomputed by the
     exact per-shift loop, _term_sums.
     """
-    rows = np.asarray(rows, dtype=np.float64)
-    shifts = np.asarray(shifts, dtype=np.float64)
-    if rows.ndim != 2 or shifts.ndim != 2:
-        raise ValueError(f"expected 2-d rows and shifts, got {rows.shape} and {shifts.shape}")
+    rows = _float_rows(rows).astype(np.float64, copy=False)
+    shifts = _float_rows(shifts).astype(np.float64, copy=False)
     if shifts.shape[1] != rows.shape[1]:
         raise DimensionMismatch(
             f"shifts shape {shifts.shape} does not match rows of shape {rows.shape}"
         )
     shifts = shifts[_lex_order(shifts)]
-    r2 = np.einsum("kd,kd->k", rows, rows)[:, None]
-    s2 = np.einsum("md,md->m", shifts, shifts)
+    r2 = _sq_norms(rows)[:, None]
+    s2 = _sq_norms(shifts)
     d2 = r2 - 2.0 * np.einsum("kd,md->km", rows, shifts) + s2
     near = ~(d2 >= np.maximum(_NEAR_FACTOR * (r2 + s2), 4.0 * DEGENERACY_EPS**2))
     d2[near] = 1.0
@@ -108,7 +106,7 @@ def _calibrate_rows(rows: np.ndarray, shifts: np.ndarray) -> np.ndarray:
     if near.any():
         kk, ii = np.nonzero(near)
         diff = rows[kk] - shifts[ii]
-        keep = np.sqrt(np.einsum("ij,ij->i", diff, diff)) >= DEGENERACY_EPS
+        keep = _row_norms(diff) >= DEGENERACY_EPS
         exact = np.unique(kk[keep])
         w[kk[~keep], ii[~keep]] = 0.0
         kept -= np.bincount(kk[~keep], minlength=rows.shape[0])
@@ -175,7 +173,7 @@ def classify_batch(
     every bank row; one probability row per feature.
 
     Every step runs in the dtype of the feature rows (float32 for float32
-    rows, core._float_rows), with bank_data cast to it.  The
+    rows, core._float_rows), with bank_data cast to it; both must be 2-d.  The
     probabilities go to out when given (N x K, float64 or the rows'
     dtype) and to a new float64 array otherwise, and that array is
     returned; float32 rows scored into a float64 out are scored in a
@@ -189,7 +187,7 @@ def classify_batch(
     row i holds |f_i| times its cosines c_ik; its max is subtracted, and
     the row is scaled by 1 / (tau |f_i|), taken in float64 and clamped to
     the largest finite value of the dtype, so the exponents are
-    (c_ik - max_j c_ij) / tau.  A tau that under- or overflows the dtype
+    (c_ik - max_j c_ij) / tau; these steps run in place on the product.  A tau that under- or overflows the dtype
     still gives finite probabilities that sum to one: all the mass on the
     top cosine, or all classes alike.  The cosines are not clipped to
     [-1, 1]; one that rounds past it moves its exponent no more than any
@@ -200,7 +198,7 @@ def classify_batch(
     tau = _check_tau(tau)
     feats = _float_rows(feats)
     dtype = feats.dtype
-    bank_data = bank_data.astype(dtype, copy=False)
+    bank_data = _float_rows(bank_data).astype(dtype, copy=False)
     if feats.shape[1] != bank_data.shape[1]:
         raise DimensionMismatch(
             f"features of dim {feats.shape[1]} against a bank of dim {bank_data.shape[1]}"
@@ -217,15 +215,11 @@ def classify_batch(
     with np.errstate(over="ignore", divide="ignore"):
         scale = np.minimum(1.0 / (tau * fn), np.finfo(dtype).max).astype(dtype, copy=False)
         np.matmul(feats, bank_data.T, out=work)
-        # row by row from here, so SUB_ROWS rows at a time give the same bits
-        for start in range(0, work.shape[0], SUB_ROWS):
-            rows = slice(start, start + SUB_ROWS)
-            part = work[rows]
-            part /= bn
-            part -= np.max(part, axis=-1, keepdims=True)
-            part *= scale[rows, None]
-            np.exp(part, out=part)
-            part /= np.sum(part, axis=-1, keepdims=True)
-            if work is not out:
-                out[rows] = part
+        work /= bn
+        work -= np.max(work, axis=-1, keepdims=True)
+        work *= scale[:, None]
+        np.exp(work, out=work)
+        work /= np.sum(work, axis=-1, keepdims=True)
+    if work is not out:
+        out[...] = work
     return out

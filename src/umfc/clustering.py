@@ -14,8 +14,8 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .core import _float_rows, _for_blocks, _sq_norms, row_blocks
-from .errors import TooFewSamples
+from .core import _float_rows, _for_blocks, _row_norms, _sq_norms, row_blocks
+from .errors import DimensionMismatch, TooFewSamples
 
 __all__ = [
     "ClusterModel",
@@ -55,8 +55,8 @@ def _assign_dense(
     Uses the expansion |x-c|^2 = |x|^2 - 2 x.c + |c|^2 so the heavy part
     is a matrix product; negatives from cancellation are clamped to 0.
     Ties take the lowest centroid index (argmin keeps the first hit).
-    x2, the squared row norms of x (core._sq_norms), is computed here
-    unless given.  The product x.c runs in x's dtype, against the
+    x2, the squared row norms of x (core._sq_norms, which also gives the
+    centroids'), is computed here unless given.  The product x.c runs in x's dtype, against the
     centroids cast to it; the distances are float64.  It runs over
     row_blocks (core._for_blocks), so each worker holds CHUNK_ROWS x M
     scratch (and the BLAS buffer of one block's product) besides the two
@@ -64,7 +64,7 @@ def _assign_dense(
     """
     if x2 is None:
         x2 = _sq_norms(x)
-    c2 = np.einsum("ij,ij->i", centroids, centroids)
+    c2 = _sq_norms(centroids)
     ct = centroids.T.astype(x.dtype, copy=False)
     labels = np.empty(x.shape[0], dtype=np.int64)
     dist = np.empty(x.shape[0], dtype=np.float64)
@@ -185,8 +185,6 @@ def kmeans_fit(m: np.ndarray, n_clusters: int, seed: int) -> Tuple[ClusterModel,
     TooFewSamples when m has fewer rows than n_clusters.
     """
     x = _float_rows(m)
-    if x.ndim != 2:
-        raise ValueError(f"expected a 2-d array, got shape {x.shape}")
     if n_clusters < 1:
         raise ValueError(f"n_clusters must be >= 1, got {n_clusters}")
     if x.shape[0] < n_clusters:
@@ -203,7 +201,7 @@ def kmeans_fit(m: np.ndarray, n_clusters: int, seed: int) -> Tuple[ClusterModel,
         # labels is post-repair here so every cluster has members
         sums, counts = _cluster_sums(x, labels, n_clusters)
         new_centroids = sums / counts[:, None]
-        shift = float(np.max(np.linalg.norm(new_centroids - centroids, axis=1)))
+        shift = float(np.max(_row_norms(new_centroids - centroids)))
         centroids = new_centroids
         pure_labels, d2 = _assign_dense(x, centroids, x2)
         # the objective of the new centroids under the labels they assign
@@ -220,8 +218,14 @@ def kmeans_fit(m: np.ndarray, n_clusters: int, seed: int) -> Tuple[ClusterModel,
 
 
 def assign_batch(centroids: np.ndarray, m: np.ndarray) -> np.ndarray:
-    """The int64 label of the nearest centroid for every row of m."""
-    return _assign_dense(_float_rows(m), centroids)[0]
+    """The int64 label of the nearest centroid for every row of m; rows
+    of another dimension than the centroids raise DimensionMismatch."""
+    x = _float_rows(m)
+    if x.shape[1] != centroids.shape[1]:
+        raise DimensionMismatch(
+            f"rows of dim {x.shape[1]} against centroids of dim {centroids.shape[1]}"
+        )
+    return _assign_dense(x, centroids)[0]
 
 
 def batch_cluster_means(

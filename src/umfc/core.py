@@ -4,9 +4,11 @@ Everything downstream (clustering, calibration, the streaming engine) is
 built on the handful of operations defined here.  Rows keep float32 when
 they come as float32 (as every embedding file stores them) and are
 widened to float64 otherwise (_float_rows); the row-wise products then run
-in the rows' dtype, while norms, sums, means and probabilities are
-accumulated and kept in float64.  Reductions walk rows in sorted index
-order so repeated runs produce bit-identical output.
+in the rows' dtype, while norms (all from one kernel, _sq_norms), sums,
+means and probabilities are accumulated and kept in float64.  Passes over
+the rows of a matrix work in blocks of CHUNK_ROWS rows on a pool of one
+thread per usable CPU (_for_blocks).  Reductions walk rows in sorted
+index order so repeated runs produce bit-identical output.
 """
 
 import ctypes
@@ -38,36 +40,25 @@ DEGENERACY_EPS = 1e-12
 CHUNK_ROWS = 1024
 
 
-# Rows that a temporary of a block's width covers at a time inside a
-# block (row norms, softmax), so it stays cache-sized.
-SUB_ROWS = 128
-
-
 def _float_rows(a) -> np.ndarray:
-    """a as an array of float32 if it is one, of float64 otherwise: the
-    dtype in which the row-wise products on it run."""
+    """a as a 2-d array of float32 if it is one, of float64 otherwise:
+    the dtype in which the row-wise products on it run.  Raises
+    ValueError unless a is 2-d."""
     a = np.asarray(a)
+    if a.ndim != 2:
+        raise ValueError(f"expected a 2-d array, got shape {a.shape}")
     return a if a.dtype == np.float32 else a.astype(np.float64, copy=False)
 
 
-def _row_norms(m: np.ndarray) -> np.ndarray:
-    """np.linalg.norm(m, axis=1) of m widened to float64, bit for bit,
-    squaring SUB_ROWS rows at a time instead of all of m at once."""
-    out = np.empty(m.shape[0])
-    for start in range(0, m.shape[0], SUB_ROWS):
-        part = m[start : start + SUB_ROWS].astype(np.float64, copy=False)
-        np.sqrt(np.add.reduce(part * part, axis=1), out=out[start : start + SUB_ROWS])
-    return out
-
-
 def _sq_norms(m: np.ndarray) -> np.ndarray:
-    """np.einsum("ij,ij->i", m, m) of m widened to float64, bit for bit,
-    SUB_ROWS rows at a time."""
-    out = np.empty(m.shape[0])
-    for start in range(0, m.shape[0], SUB_ROWS):
-        part = m[start : start + SUB_ROWS].astype(np.float64, copy=False)
-        np.einsum("ij,ij->i", part, part, out=out[start : start + SUB_ROWS])
-    return out
+    """Squared row norms of m, accumulated in float64 whatever m's dtype;
+    the one row-norm kernel of the package."""
+    return np.einsum("ij,ij->i", m, m, dtype=np.float64)
+
+
+def _row_norms(m: np.ndarray) -> np.ndarray:
+    """Row norms of m in float64: the square roots of _sq_norms(m)."""
+    return np.sqrt(_sq_norms(m))
 
 
 def row_blocks(n: int):
@@ -126,77 +117,51 @@ def _for_blocks(fn: Callable, n: int, tasks: Optional[Iterable] = None) -> None:
     """Call fn(sl) for every slice sl of row_blocks(n), or fn(t) for every
     t of tasks when given (work that walks the n rows itself).
 
-    Calls run on one worker per usable CPU, the calling thread and a
-    pool of one thread per further CPU, with the loaded OpenBLAS pinned
-    to one thread while they run and then set back to the count it had.
-    They run inline, one after another, when n fits in one block, when
-    there is one call or one usable CPU, when the BLAS thread count
-    cannot be set, or inside another pooled pass.  Callers write
-    disjoint rows, so the bits do not depend on which of these happens.
-    An exception is re-raised from the lowest call that raised one;
-    calls after it may not have run.
+    Calls run on a pool of one thread per usable CPU, which takes them
+    in order while the calling thread waits for each result in turn,
+    with the loaded OpenBLAS pinned to one thread while they run and
+    then set back to the count it had.  They run inline, one after
+    another, when n fits in one block, when there is one call or one
+    usable CPU, when the BLAS thread count cannot be set, or inside
+    another pooled pass.  Callers write disjoint rows, so the bits do
+    not depend on which of these happens.  An exception is re-raised
+    from the lowest call that raised one: every call before it has run
+    to its end, calls after it may not have run, and none starts once
+    it is raised.
     """
     global _blas, _pool
     items = list(row_blocks(n) if tasks is None else tasks)
-    workers = min(_worker_count(), len(items)) if n > CHUNK_ROWS else 1
-    if workers > 1 and _pass_lock.acquire(blocking=False):
+    cpus = _worker_count()
+    if n > CHUNK_ROWS and len(items) > 1 and cpus > 1 and _pass_lock.acquire(blocking=False):
         try:
             if _blas == ():
                 _blas = _find_blas()
             if _blas is not None:
-                if _pool is None or _pool[0] < workers - 1:
-                    # imported on first use: it adds about 7 ms to `import umfc`
-                    from concurrent.futures import ThreadPoolExecutor
+                # imported on first use: it adds about 7 ms to `import umfc`
+                from concurrent.futures import ThreadPoolExecutor, wait
 
+                if _pool is None or _pool[0] != cpus:
                     if _pool is not None:
                         _pool[1].shutdown(wait=False)
-                    _pool = (workers - 1, ThreadPoolExecutor(workers - 1, thread_name_prefix="umfc"))
-                _run_pooled(fn, items, workers, _pool[1], *_blas)
+                    _pool = (cpus, ThreadPoolExecutor(cpus, thread_name_prefix="umfc"))
+                get_threads, set_threads = _blas
+                found = get_threads()
+                set_threads(1)
+                futures = []
+                try:
+                    futures = [_pool[1].submit(fn, item) for item in items]
+                    for future in futures:
+                        future.result()
+                finally:
+                    for future in futures:  # after a failure, start no call
+                        future.cancel()
+                    wait(futures)
+                    set_threads(found)
                 return
         finally:
             _pass_lock.release()
     for item in items:
         fn(item)
-
-
-def _run_pooled(fn, items, workers, pool, get_threads, set_threads) -> None:
-    """The pooled branch of _for_blocks: the calling thread and workers-1
-    pool threads take items in order, so when one raises, every item
-    before it has been taken and runs to its end; no worker takes
-    another after that."""
-    queue = iter(enumerate(items))
-    lock = threading.Lock()
-    stop = threading.Event()
-    raised = {}  # item index -> exception
-
-    def work():
-        while not stop.is_set():
-            with lock:
-                i, item = next(queue, (-1, None))
-            if i < 0:
-                return
-            try:
-                fn(item)
-            except Exception as e:  # handed to the caller below
-                raised[i] = e
-                stop.set()
-
-    from concurrent.futures import wait
-
-    found = get_threads()
-    set_threads(1)
-    futures = []
-    try:
-        futures = [pool.submit(work) for _ in range(workers - 1)]
-        work()
-    finally:
-        stop.set()  # an interrupted caller leaves no worker taking items
-        wait(futures)
-        set_threads(found)
-    for future in futures:
-        future.result()  # what a pool thread raised that work() let through
-    if raised:
-        raise raised[min(raised)]
 
 
 def _check_tau(tau: float) -> float:
@@ -222,8 +187,6 @@ class EmbeddingMatrix:
 
     def __post_init__(self):
         self.data = _float_rows(self.data)
-        if self.data.ndim != 2:
-            raise ValueError(f"expected a 2-d array, got shape {self.data.shape}")
         n = self.data.shape[0]
         if not all(np.isfinite(self.data[sl]).all() for sl in row_blocks(n)):
             raise NonFiniteInput("embedding matrix contains NaN or infinity")
@@ -271,9 +234,7 @@ class TextBank:
 
     def __post_init__(self):
         self.names = [str(s) for s in self.names]
-        self.data = np.asarray(self.data, dtype=np.float64)
-        if self.data.ndim != 2:
-            raise ValueError(f"expected a 2-d array, got shape {self.data.shape}")
+        self.data = _float_rows(self.data).astype(np.float64, copy=False)
         if not np.isfinite(self.data).all():
             raise NonFiniteInput("text bank contains NaN or infinity")
         if len(self.names) != self.data.shape[0]:

@@ -224,8 +224,6 @@ def _as_rows(data: Union[EmbeddingMatrix, np.ndarray], dim: Optional[int] = None
     own)."""
     raw = not isinstance(data, EmbeddingMatrix)
     out = core._float_rows(data) if raw else data.data
-    if out.ndim != 2:
-        raise ValueError(f"expected a 2-d array, got shape {out.shape}")
     if raw and not all(np.isfinite(out[sl]).all() for sl in row_blocks(out.shape[0])):
         raise NonFiniteInput("rows contain NaN or infinity")
     if dim is not None and out.shape[0] and out.shape[1] != dim:

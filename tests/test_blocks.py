@@ -560,6 +560,34 @@ def test_pooled_pass_raises_from_the_lowest_block(monkeypatch, workers):
         umfc.l2_normalize_rows(m)
 
 
+def test_failed_pass_restores_blas_and_starts_no_block_after_it_raises(monkeypatch, workers):
+    monkeypatch.setattr(core, "CHUNK_ROWS", 1)
+    workers(2)
+    get_threads, set_threads = core._find_blas() or core._blas  # real, or the stand-in
+    before = get_threads()
+    set_threads(2)
+    try:
+        started, pinned = [], []
+
+        def fail_at_five(sl):
+            started.append(sl.start)
+            pinned.append(get_threads())
+            if sl.start == 5:
+                raise ValueError("block at 5")
+            if sl.start > 5:  # slow, so blocks are still pending when 5 raises
+                time.sleep(0.01)
+
+        with pytest.raises(ValueError, match="block at 5$"):
+            core._for_blocks(fail_at_five, 200)
+        assert get_threads() == 2 and set(pinned) == {1}
+        count = len(started)
+        time.sleep(0.05)
+        assert len(started) == count < 200
+        assert set(range(6)) <= set(started)
+    finally:
+        set_threads(before)
+
+
 def test_pooled_read_names_the_lowest_nonfinite_row(monkeypatch, workers, tmp_path):
     monkeypatch.setattr(core, "CHUNK_ROWS", SMALL_BLOCK)
     workers(2)

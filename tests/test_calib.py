@@ -320,8 +320,9 @@ def _composed_softmax(feats, bank_data, tau):
     # 1 / (tau |f|), then exp and the normalization
     dtype = feats.dtype
     bank_data = bank_data.astype(dtype)
-    fn = np.linalg.norm(feats.astype(np.float64), axis=1)
-    bn = np.linalg.norm(bank_data.astype(np.float64), axis=1).astype(dtype)
+    w, b = feats.astype(np.float64), bank_data.astype(np.float64)
+    fn = np.sqrt(np.einsum("ij,ij->i", w, w))
+    bn = np.sqrt(np.einsum("ij,ij->i", b, b)).astype(dtype)
     scale = np.minimum(1.0 / (tau * fn), np.finfo(dtype).max).astype(dtype)
     part = (feats @ bank_data.T) / bn
     e = np.exp((part - part.max(axis=1, keepdims=True)) * scale[:, None])

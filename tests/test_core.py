@@ -99,6 +99,25 @@ def test_embedding_matrix_validation():
     assert m.n == 2 and m.dim == 3
 
 
+@pytest.mark.parametrize("call, error", [
+    (lambda: umfc.classify_batch(np.ones(3), np.eye(3), 1.0), ValueError),
+    (lambda: umfc.classify_batch(np.ones((2, 3)), np.ones(3), 1.0), ValueError),
+    (lambda: umfc.batch_cluster_means(np.ones(3), np.zeros(3, dtype=np.int64), 2), ValueError),
+    (lambda: umfc.l2_normalize_rows(np.ones(3)), ValueError),
+    (lambda: umfc.l2_normalize_rows(np.ones((2, 3, 2), dtype=np.float32)), ValueError),
+    (lambda: umfc.assign_batch(np.eye(3), np.ones(3)), ValueError),
+    (lambda: umfc.assign_batch(np.eye(3), np.ones((2, 4))), umfc.DimensionMismatch),
+    (lambda: umfc.assign_batch(np.eye(3), np.ones((2, 4), dtype=np.float32)), umfc.DimensionMismatch),
+], ids=["classify-feats", "classify-bank", "cluster-means", "normalize", "normalize-3d",
+        "assign", "assign-dim", "assign-dim-float32"])
+def test_row_kernels_reject_bad_shapes_with_a_typed_error(call, error):
+    # one 2-d check (core._float_rows) instead of numpy's IndexError,
+    # AxisError or matmul ValueError from inside a kernel
+    match = {ValueError: "expected a 2-d array", umfc.DimensionMismatch: "rows of dim 4"}[error]
+    with pytest.raises(error, match=match):
+        call()
+
+
 def test_text_bank_validation():
     data = np.eye(3)
     with pytest.raises(ValueError):
