@@ -1,23 +1,19 @@
 """Command line driver.
 
 Subcommands: fit, predict, transduce, stream, synth, diagnose, sweep;
-`umfc` alone (or `umfc --help`) lists them.  Every tunable flag can
-also be set through an environment variable named UMFC_<FLAG> (dashes
-become underscores, e.g. UMFC_BATCH_SIZE): when set, its value is the
-flag's argparse default, which argparse converts with the flag's type
-only when the flag is not given.  So an explicit flag always wins, even
-over a malformed variable, and a malformed value is a usage error naming
-the flag.  Progress and reports go to stderr; data goes to the files
-named by flags, never anywhere else.
+`umfc` alone (or `umfc --help`) lists them.  Each command takes only
+the flags that change its output, and a value is set only on the
+command line; `umfc <command> --help` shows each flag's default.
+Progress and reports go to stderr; data goes to the files named by
+flags, never anywhere else.
 
 Exit codes: 0 success, 1 usage error, 2 unreadable/invalid data,
 3 numerical degeneracy.
 """
 
 import argparse
-import os
 import sys
-from dataclasses import fields, replace
+from dataclasses import replace
 from typing import List, Optional
 
 import numpy as np
@@ -69,44 +65,30 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _env_name(flag: str) -> str:
-    return "UMFC_" + flag.lstrip("-").replace("-", "_").upper()
+# the EngineConfig fields a command may take as flags: field -> (type, help)
+_ENGINE_FLAGS = {
+    "clusters": (int, "number of cluster means"),
+    "tau": (float, "softmax temperature"),
+    "eta": (float, "moving-average rate (ema mode)"),
+    "mode": (str, "streaming statistics: memory or ema"),
+    "batch_size": (int, "streaming batch size"),
+    "seed": (int, "PRNG seed for clustering"),
+}
 
 
-def _parse_bool(raw: str) -> bool:
-    low = raw.strip().lower()
-    if low in ("1", "true", "yes", "on"):
-        return True
-    if low in ("0", "false", "no", "off"):
-        return False
-    raise argparse.ArgumentTypeError(f"expected a boolean (0/1), got {raw!r}")
-
-
-def _tunable(parser, flag: str, type_, default, help_) -> None:
-    """Declare a flag whose default is its UMFC_<FLAG> variable when set."""
-    env = _env_name(flag)
-    parser.add_argument(
-        flag,
-        type=type_,
-        default=os.environ.get(env, default),
-        help=f"{help_} (default: %(default)s; env: {env})",
-    )
-
-
-def _engine_flags(parser) -> None:
+def _engine_flags(parser, *names) -> None:
+    """Declare the flags of the named EngineConfig fields, with their defaults."""
     d = EngineConfig()
-    _tunable(parser, "--clusters", int, d.clusters, "number of cluster means")
-    _tunable(parser, "--tau", float, d.tau, "softmax temperature")
-    _tunable(parser, "--eta", float, d.eta, "moving-average rate (ema mode)")
-    _tunable(parser, "--mode", str, d.mode, "streaming statistics: memory or ema")
-    _tunable(parser, "--batch-size", int, d.batch_size, "streaming batch size")
-    _tunable(parser, "--seed", int, d.seed, "PRNG seed for clustering")
-    _tunable(parser, "--normalize-input", _parse_bool, d.normalize_input,
-             "L2-normalize feature rows at ingestion")
+    for name in names:
+        type_, help_ = _ENGINE_FLAGS[name]
+        parser.add_argument("--" + name.replace("_", "-"), type=type_,
+                            default=getattr(d, name), help=help_)
 
 
 def _config_from(args) -> EngineConfig:
-    return EngineConfig(**{f.name: getattr(args, f.name) for f in fields(EngineConfig)})
+    """The config of the engine flags the command declares, the rest at their defaults."""
+    return EngineConfig(**{name: getattr(args, name) for name in _ENGINE_FLAGS
+                           if hasattr(args, name)})
 
 
 def _load_matrix(path) -> EmbeddingMatrix:
@@ -373,8 +355,7 @@ def cmd_sweep(args) -> None:
 
 def _command_tree() -> _Parser:
     """The umfc parser with one subparser per command, whose run default
-    is that command's cmd_ function.  Tunable defaults are read from the
-    environment here, so main builds the tree on every call."""
+    is that command's cmd_ function."""
     parser = _Parser(
         prog="umfc",
         description="Training-free removal of domain bias from precomputed "
@@ -391,7 +372,7 @@ def _command_tree() -> _Parser:
     p.add_argument("--bank", required=True, help="text bank embedding file")
     p.add_argument("--names", required=True, help="class names, one per line")
     p.add_argument("--out-state", required=True, help="where to write the fitted state")
-    _engine_flags(p)
+    _engine_flags(p, "clusters", "tau", "seed")
 
     p = sub.add_parser("predict", help="apply a fitted state to new data",
                        description="Apply a fitted state to a test matrix.  Output rows: "
@@ -402,7 +383,8 @@ def _command_tree() -> _Parser:
     p.add_argument("--bank", required=True, help="text bank embedding file")
     p.add_argument("--names", required=True, help="class names, one per line")
     p.add_argument("--out", required=True, help="predictions TSV path")
-    _tunable(p, "--tau", float, None, "override the stored softmax temperature")
+    p.add_argument("--tau", type=float, default=None,
+                   help="override the stored softmax temperature")
 
     p = sub.add_parser("transduce", help="fit on the test set itself and predict it",
                        description="Fit on the test matrix itself and predict it in one pass.")
@@ -412,7 +394,7 @@ def _command_tree() -> _Parser:
     p.add_argument("--names", required=True, help="class names, one per line")
     p.add_argument("--out", required=True, help="predictions TSV path")
     p.add_argument("--report", default=None, help="also write a per-domain accuracy TSV here")
-    _engine_flags(p)
+    _engine_flags(p, "clusters", "tau", "seed")
 
     p = sub.add_parser("stream", help="adapt over batches as they arrive",
                        description="Consume the test matrix in batches, adapting as it goes.")
@@ -424,7 +406,7 @@ def _command_tree() -> _Parser:
     p.add_argument("--out-state", default=None, help="write the final state here")
     p.add_argument("--snapshot-every", type=int, default=0,
                    help="also snapshot every N batches to <out-state>.batchNNNNN (0 = never)")
-    _engine_flags(p)
+    _engine_flags(p, "clusters", "tau", "eta", "mode", "batch_size", "seed")
 
     p = sub.add_parser("synth", help="generate the synthetic benchmark",
                        description="Generate the synthetic benchmark files.")
@@ -435,7 +417,7 @@ def _command_tree() -> _Parser:
     d = SynthSpec()
     for flag, field, help_ in _SYNTH_FLAGS:
         default = getattr(d, field)
-        _tunable(p, flag, type(default), default, help_)
+        p.add_argument(flag, type=type(default), default=default, help=help_)
 
     p = sub.add_parser("diagnose", help="bias and sanity reports",
                        description="Reports: prediction histogram, domain-bias probe, "
@@ -449,10 +431,10 @@ def _command_tree() -> _Parser:
                    help="domain anchor embeddings (probe, direction)")
     p.add_argument("--state", default=None, help="calibrated state to apply first (hist, probe)")
     p.add_argument("--out", required=True, help="output table path")
-    _tunable(p, "--tau", float, None,
-             "temperature (hist: classification; probe: softmax over domains)")
-    _tunable(p, "--per-cell", int, 50, "balance: rows per (class, domain) cell")
-    _tunable(p, "--seed", int, 0, "balance: sampling seed")
+    p.add_argument("--tau", type=float, default=None,
+                   help="temperature (hist: classification; probe: softmax over domains)")
+    p.add_argument("--per-cell", type=int, default=50, help="balance: rows per (class, domain) cell")
+    p.add_argument("--seed", type=int, default=0, help="balance: sampling seed")
 
     p = sub.add_parser("sweep", help="accuracy across one parameter's values",
                        description="Run the pipeline across one parameter's values and "
@@ -465,7 +447,7 @@ def _command_tree() -> _Parser:
     p.add_argument("--bank", required=True, help="text bank embedding file")
     p.add_argument("--names", required=True, help="class names, one per line")
     p.add_argument("--out", required=True, help="accuracy table TSV path")
-    _engine_flags(p)
+    _engine_flags(p, "clusters", "tau", "batch_size", "seed")
     return parser
 
 

@@ -56,21 +56,20 @@ def _assign_dense(
     is a matrix product; negatives from cancellation are clamped to 0.
     Ties take the lowest centroid index (argmin keeps the first hit).
     x2, the squared row norms of x (core._sq_norms, which also gives the
-    centroids'), is computed here unless given.  The product x.c runs in x's dtype, against the
-    centroids cast to it; the distances are float64.  It runs over
-    row_blocks (core._for_blocks), so each worker holds CHUNK_ROWS x M
-    scratch (and the BLAS buffer of one block's product) besides the two
-    length-N outputs.
+    centroids'), is taken block by block unless given.  The product x.c
+    runs in x's dtype, against the centroids cast to it; the distances
+    are float64.  It runs over row_blocks (core._for_blocks), so each
+    worker holds CHUNK_ROWS x M scratch (and the BLAS buffer of one
+    block's product) besides the two length-N outputs.
     """
-    if x2 is None:
-        x2 = _sq_norms(x)
     c2 = _sq_norms(centroids)
     ct = centroids.T.astype(x.dtype, copy=False)
     labels = np.empty(x.shape[0], dtype=np.int64)
     dist = np.empty(x.shape[0], dtype=np.float64)
 
     def assign(sl):
-        d2 = x2[sl, None] - 2.0 * (x[sl] @ ct) + c2[None, :]
+        b2 = _sq_norms(x[sl]) if x2 is None else x2[sl]
+        d2 = b2[:, None] - 2.0 * (x[sl] @ ct) + c2[None, :]
         np.maximum(d2, 0.0, out=d2)
         labels[sl] = np.argmin(d2, axis=1)
         dist[sl] = d2[np.arange(d2.shape[0]), labels[sl]]

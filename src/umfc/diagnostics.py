@@ -135,10 +135,7 @@ def domain_bias_probe(
     every anchor.  The aggregate is the mean of the rows, i.e. how the
     bank as a whole distributes its affinity over domains.
     """
-    anchors = np.asarray(domain_anchors, dtype=np.float64)
-    if anchors.ndim != 2:
-        raise ValueError(f"domain anchors must be 2-d, got shape {anchors.shape}")
-    rows = classify_batch(bank.data, anchors, tau)
+    rows = classify_batch(bank.data, domain_anchors, tau)
     aggregate = np.sum(rows, axis=0) / rows.shape[0]
     return ProbeResult(rows=rows, aggregate=aggregate, class_names=list(bank.names))
 

@@ -475,7 +475,7 @@ def stream_step(
     samples are never re-predicted.  An empty batch returns an empty
     Predictions and the state as it was.  A state that restore_state
     would refuse under cfg, or in memory mode one with a model but no
-    accumulators (a fit snapshot from before fits kept them), raises
+    accumulators (an ema stream's state), raises
     FormatError; a batch of another dimension than the state raises
     DimensionMismatch, and a raw batch with a NaN or infinity
     NonFiniteInput.  keep_probs=False works as in transduce.
@@ -519,7 +519,7 @@ def stream_step(
         missing = [name for name in ("running_sums", "global_sum") if getattr(state, name) is None]
         raise FormatError(
             f"a memory-mode stream needs its accumulators, and this state has no "
-            f"{', '.join(missing)} (a fit snapshot written before fits kept them)"
+            f"{', '.join(missing)} (an ema stream keeps none; continue it in ema mode)"
         )
 
     labels = assign_batch(state.centroids, x)

@@ -275,11 +275,9 @@ def read_text_bank(path, names_path) -> TextBank:
 # ---------------------------------------------------------------------------
 # engine state snapshots
 
-# the arrays a snapshot may carry: those of engine._STATE_ARRAYS, and the
-# exact copies older snapshots carry of two of them (name -> the original)
+# the arrays a snapshot may carry: those of engine._STATE_ARRAYS
 _NAMES = {name for name, *_ in _STATE_ARRAYS}
 _DTYPES = {dtype for _, dtype, _, _ in _STATE_ARRAYS}
-_TWINS = {"running_counts": "counts", "calib_cluster_means": "centroids"}
 
 
 def _count(value) -> bool:
@@ -356,15 +354,7 @@ def restore_state(path) -> Tuple[StreamState, EngineConfig]:
         raise FormatError(f"{path}: unreadable snapshot manifest: {e}") from None
 
     try:
-        config = dict(manifest["config"])
-        # snapshots from before a knob was removed carry it: the k-means
-        # limits go whatever they say (a restored model is never fitted
-        # again), and of the switches only the default (off) still means
-        # something
-        for key in ("max_iters", "tol", "ema_additive", "normalize_shifts"):
-            if config.pop(key, False) and key not in ("max_iters", "tol"):
-                raise FormatError(f"{path}: snapshot turns on the removed switch {key}")
-        cfg = EngineConfig(**config)
+        cfg = EngineConfig(**manifest["config"])
     except (KeyError, TypeError, ValueError) as e:
         raise FormatError(f"{path}: bad config in snapshot: {e}") from None
     entries = manifest.get("arrays", [])
@@ -378,7 +368,7 @@ def restore_state(path) -> Tuple[StreamState, EngineConfig]:
         if not (isinstance(entry, list) and len(entry) == 3 and isinstance(entry[0], str)):
             raise FormatError(f"{path}: array entry {entry!r} is not a [name, dtype, shape] triple")
         name, dtype, shape = entry
-        if name not in _NAMES and name not in _TWINS:
+        if name not in _NAMES:
             raise FormatError(f"{path}: unknown array {name!r}")
         if dtype is None:
             arrays[name] = None
@@ -398,10 +388,6 @@ def restore_state(path) -> Tuple[StreamState, EngineConfig]:
         offset += nbytes
     if offset != len(body):
         raise TruncatedPayload(f"{path}: {len(body) - offset} unexpected trailing bytes")
-    for name, twin in _TWINS.items():
-        old, new = arrays.pop(name, None), arrays.get(twin)
-        if old is not None and (new is None or not np.array_equal(old, new)):
-            raise FormatError(f"{path}: array {name} differs from {twin}, of which it is a copy")
 
     state = StreamState(**arrays, **seen)
     try:

@@ -3,10 +3,8 @@
 import argparse
 import ast
 import dataclasses
-import json
 import os
 import re
-import struct
 from pathlib import Path
 
 import numpy as np
@@ -109,48 +107,56 @@ def test_unknown_command(capsys):
     assert err.startswith("usage error:") and "'frobnicate'" in err
 
 
-@pytest.mark.parametrize("cmd", _commands())
-def test_subcommand_help_documents_defaults(cmd, capsys):
-    with pytest.raises(SystemExit) as ex:
-        run(cmd, "--help")
-    assert ex.value.code == 0
-    out = capsys.readouterr().out
-    assert "default" in out
-    assert "UMFC_" in out  # every tunable names its env override
+# the flag of every EngineConfig field
+_ENGINE = {"--" + f.name.replace("_", "-") for f in dataclasses.fields(umfc.EngineConfig)}
 
 
 def _tunable_defaults(cmd):
-    """The tunable flags of a subcommand and the default each must show."""
-    engine = {"--" + f.name.replace("_", "-"): getattr(umfc.EngineConfig(), f.name)
-              for f in dataclasses.fields(umfc.EngineConfig)}
+    """The tunable flags of a subcommand and the default each must show:
+    of the engine's, only those that change the command's output."""
+    d = umfc.EngineConfig()
+
+    def engine(*names):
+        return {"--" + name.replace("_", "-"): getattr(d, name) for name in names}
+
     spec = umfc.SynthSpec()
     return {
-        "fit": engine,
+        "fit": engine("clusters", "tau", "seed"),
         "predict": {"--tau": None},
-        "transduce": engine,
-        "stream": engine,
+        "transduce": engine("clusters", "tau", "seed"),
+        "stream": engine("clusters", "tau", "eta", "mode", "batch_size", "seed"),
         "synth": {flag: getattr(spec, field) for flag, field, _ in cli._SYNTH_FLAGS},
         "diagnose": {"--tau": None, "--per-cell": 50, "--seed": 0},
-        "sweep": engine,
+        "sweep": engine("clusters", "tau", "batch_size", "seed"),
     }[cmd]
 
 
-@pytest.mark.parametrize("cmd", _commands())
-def test_help_shows_each_tunable_default_once(cmd, capsys, monkeypatch):
-    for name in [k for k in os.environ if k.startswith("UMFC_")]:
-        monkeypatch.delenv(name)
-    with pytest.raises(SystemExit):
+def _help_entries(cmd, capsys):
+    """The options of a subcommand's help, each with its wrapped lines joined."""
+    with pytest.raises(SystemExit) as ex:
         run(cmd, "--help")
-    # one entry per option, its wrapped lines joined
-    entries = {block.split()[0]: " ".join(block.split())
-               for block in re.split(r"\n(?=  -)", capsys.readouterr().out)
-               if block.startswith("  --")}
-    tunables = {flag: text for flag, text in entries.items() if "env: UMFC_" in text}
+    assert ex.value.code == 0
+    return {block.split()[0]: " ".join(block.split())
+            for block in re.split(r"\n(?=  -)", capsys.readouterr().out)
+            if block.startswith("  --")}
+
+
+@pytest.mark.parametrize("cmd", _commands())
+def test_subcommand_help_documents_defaults(cmd, capsys):
+    entries = _help_entries(cmd, capsys)
+    assert set(_tunable_defaults(cmd)) <= set(entries)
+    assert not any("UMFC_" in text for text in entries.values())
+
+
+@pytest.mark.parametrize("cmd", _commands())
+def test_help_shows_each_tunable_default_once(cmd, capsys):
+    entries = _help_entries(cmd, capsys)
     defaults = _tunable_defaults(cmd)
-    assert sorted(tunables) == sorted(defaults)
-    for flag, text in tunables.items():
-        assert text.count("default:") == 1, text
-        assert f"(default: {defaults[flag]}; env: {cli._env_name(flag)})" in text, text
+    # no engine flag that the command ignores is offered
+    assert sorted(set(entries) & (_ENGINE | set(defaults))) == sorted(defaults)
+    for flag, value in defaults.items():
+        assert entries[flag].count("default:") == 1, entries[flag]
+        assert f"(default: {value})" in entries[flag], entries[flag]
 
 
 # ---------------------------------------------------------------------------
@@ -232,23 +238,24 @@ def test_predict_rejects_zero_tau(small, small_state, tmp_path):
                "--out", str(tmp_path / "p.tsv"), "--tau", "0") == 1
 
 
-def test_predict_from_snapshot_with_normalize_shifts_off(small, small_state, tmp_path):
-    # snapshots written before the normalize_shifts switch was removed
-    # carry it, off by default; they restore and predict as they did
-    raw = Path(small_state).read_bytes()
-    (head_len,) = struct.unpack_from("<I", raw, 20)
-    manifest = json.loads(raw[24 : 24 + head_len])
-    assert "normalize_shifts" not in manifest["config"]
-    manifest["config"]["normalize_shifts"] = False
-    head = json.dumps(manifest, sort_keys=True).encode()
-    payload = struct.pack("<I", len(head)) + head + raw[24 + head_len :]
-    old = tmp_path / "old.state"
-    old.write_bytes(raw[:8] + struct.pack("<I", len(payload)) + raw[12:20] + payload)
-    files = ["--test", f"{small}_images.bin", "--bank", f"{small}_bank.bin",
-             "--names", f"{small}_names.txt"]
-    assert run("predict", "--state", small_state, *files, "--out", str(tmp_path / "new.tsv")) == 0
-    assert run("predict", "--state", str(old), *files, "--out", str(tmp_path / "old.tsv")) == 0
-    assert (tmp_path / "old.tsv").read_bytes() == (tmp_path / "new.tsv").read_bytes()
+def test_predict_honours_a_stored_normalize_input_off(small, tmp_path):
+    # no flag turns normalization off, but a library snapshot may: predict
+    # --state takes the rows as they are, as umfc.predict does
+    test = umfc.read_embeddings(f"{small}_images.bin")
+    bank = umfc.read_text_bank(f"{small}_bank.bin", f"{small}_names.txt")
+    cfg = umfc.EngineConfig(clusters=2, normalize_input=False)
+    state = umfc.fit_unsupervised(test, bank, cfg)
+    umfc.snapshot_state(state, cfg, tmp_path / "s.state")
+    out = tmp_path / "p.tsv"
+    assert run("predict", "--state", str(tmp_path / "s.state"), "--test", f"{small}_images.bin",
+               "--bank", f"{small}_bank.bin", "--names", f"{small}_names.txt",
+               "--out", str(out)) == 0
+    preds = umfc.predict(state, test, bank, cfg, keep_probs=False)
+    expected = [f"{pid}\t{bank.names[p.label]}\t{top:.9f}\t{p.cluster}\t{','.join(p.flags) or '-'}"
+                for pid, p, top in zip(test.ids, preds, preds.top)]
+    assert out.read_text().splitlines() == expected
+    normalized = umfc.predict(state, test, bank, umfc.EngineConfig(clusters=2), keep_probs=False)
+    assert not np.array_equal(normalized.top, preds.top)
 
 
 def test_predict_rejects_embedding_file_as_state(small, tmp_path):
@@ -660,45 +667,23 @@ def test_sweep_bank_dimension_mismatch_is_data_error(small, narrow, tmp_path, ca
 # flag resolution
 
 
-def test_env_supplies_default_flag_wins(small, tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("UMFC_CLUSTERS", "2")
-    assert run("fit", "--train", f"{small}_images.bin", "--bank", f"{small}_bank.bin",
-               "--names", f"{small}_names.txt", "--out-state", str(tmp_path / "a.state")) == 0
-    assert "-> 2 clusters" in capsys.readouterr().err
-    assert run("fit", "--train", f"{small}_images.bin", "--bank", f"{small}_bank.bin",
-               "--names", f"{small}_names.txt", "--out-state", str(tmp_path / "b.state"),
-               "--clusters", "3") == 0
-    assert "-> 3 clusters" in capsys.readouterr().err
+def test_environment_sets_no_flag(tmp_path, monkeypatch):
+    # the variables that once stood in for flags change no output
+    def outputs(tag):
+        d = tmp_path / tag
+        d.mkdir()
+        assert run("synth", "--out-prefix", str(d / "b")) == 0
+        assert run("transduce", "--test", str(d / "b_images.bin"), "--bank", str(d / "b_bank.bin"),
+                   "--names", str(d / "b_names.txt"), "--out", str(d / "t.tsv")) == 0
+        return {p.name: p.read_bytes() for p in sorted(d.iterdir())}
 
-
-def test_env_bad_value_is_usage_error(small, tmp_path, capsys, monkeypatch):
-    args = ["fit", "--train", f"{small}_images.bin", "--bank", f"{small}_bank.bin",
-            "--names", f"{small}_names.txt", "--out-state"]
-    for env, value, flag in [("UMFC_CLUSTERS", "lots", "--clusters"),
-                             ("UMFC_NORMALIZE_INPUT", "maybe", "--normalize-input"),
-                             ("UMFC_TAU", "hot", "--tau")]:
-        monkeypatch.setenv(env, value)
-        assert run(*args, str(tmp_path / "x.state")) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("usage error: ") and flag in err and repr(value) in err
-        assert not (tmp_path / "x.state").exists()
-        # argparse converts the variable only when the flag is not given
-        ok = str(tmp_path / f"{env}.state")
-        assert run(*args, ok, flag, "3" if flag == "--clusters" else "1") == 0
-        capsys.readouterr()
-        monkeypatch.delenv(env)
-
-
-def test_bool_flag_values(small, tmp_path, monkeypatch):
-    base = ["transduce", "--test", f"{small}_images.bin", "--bank", f"{small}_bank.bin",
-            "--names", f"{small}_names.txt", "--clusters", "2", "--out"]
-    assert run(*base, str(tmp_path / "p.tsv"), "--normalize-input", "off") == 0
-    assert run(*base, str(tmp_path / "p.tsv"), "--normalize-input", "maybe") == 1
-    # the environment takes the same spellings
-    assert run(*base, str(tmp_path / "flag.tsv"), "--normalize-input", "0") == 0
-    monkeypatch.setenv("UMFC_NORMALIZE_INPUT", "off")
-    assert run(*base, str(tmp_path / "env.tsv")) == 0
-    assert (tmp_path / "env.tsv").read_bytes() == (tmp_path / "flag.tsv").read_bytes()
+    for name in [k for k in os.environ if k.startswith("UMFC_")]:
+        monkeypatch.delenv(name)
+    plain = outputs("plain")
+    for name, value in [("UMFC_SEED", "5"), ("UMFC_TAU", "0.5"), ("UMFC_CLUSTERS", "lots"),
+                        ("UMFC_PER_CELL", "7")]:
+        monkeypatch.setenv(name, value)
+    assert outputs("env") == plain
 
 
 def test_negative_seed_is_usage_error_naming_seed(small, tmp_path, capsys):
@@ -716,15 +701,35 @@ def test_removed_normalize_shifts_flag_is_usage_error(small, tmp_path):
     assert not (tmp_path / "p.tsv").exists()
 
 
-@pytest.mark.parametrize("flag", ["--max-iters", "--tol", "--micro"])
-def test_removed_clustering_limit_flags_are_usage_errors(small, tmp_path, monkeypatch, flag):
-    # the flags are gone; their environment variables are ignored
-    args = ["transduce", "--test", f"{small}_images.bin", "--bank", f"{small}_bank.bin",
-            "--names", f"{small}_names.txt", "--out", str(tmp_path / "p.tsv")]
-    assert run(*args, flag, "5") == 1
-    assert not (tmp_path / "p.tsv").exists()
-    monkeypatch.setenv(cli._env_name(flag), "nonsense")
-    assert run(*args) == 0
+# removed flags, with a value each once took, and the commands that took them
+_ENGINE_COMMANDS = ("fit", "transduce", "stream", "sweep")
+_REMOVED_FLAGS = {
+    "--max-iters": ("5", _ENGINE_COMMANDS),
+    "--tol": ("5", _ENGINE_COMMANDS),
+    "--micro": ("5", _ENGINE_COMMANDS),
+    "--mode": ("ema", ("fit", "transduce", "sweep")),
+    "--eta": ("0.5", ("fit", "transduce", "sweep")),
+    "--batch-size": ("5", ("fit", "transduce")),
+    "--normalize-input": ("0", _ENGINE_COMMANDS),
+}
+
+
+@pytest.mark.parametrize("flag", list(_REMOVED_FLAGS))
+def test_removed_clustering_limit_flags_are_usage_errors(small, tmp_path, capsys, flag):
+    value, commands = _REMOVED_FLAGS[flag]
+    out = tmp_path / "out"
+    files = ["--bank", f"{small}_bank.bin", "--names", f"{small}_names.txt"]
+    argv = {
+        "fit": ["fit", "--train", f"{small}_images.bin", *files, "--out-state", str(out)],
+        "transduce": ["transduce", "--test", f"{small}_images.bin", *files, "--out", str(out)],
+        "stream": ["stream", "--test", f"{small}_images.bin", *files, "--out", str(out)],
+        "sweep": ["sweep", "--param", "clusters", "--values", "2",
+                  "--test", f"{small}_images.bin", *files, "--out", str(out)],
+    }
+    for cmd in commands:
+        assert run(*argv[cmd], flag, value) == 1, cmd
+        assert flag in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [], cmd
 
 
 @pytest.mark.parametrize("rows", [0, 1])
@@ -738,15 +743,13 @@ def test_bank_of_fewer_than_two_rows_is_data_error(small, tmp_path, capsys, rows
     assert "at least two classes" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("normalize", ["1", "0"])
-def test_fit_state_byte_identical_to_library_route(small, tmp_path, normalize):
+def test_fit_state_byte_identical_to_library_route(small, tmp_path):
     # the command normalizes the rows it read in place; the state it
     # writes must still carry the config as given
     out = tmp_path / "cli.state"
     assert run("fit", "--train", f"{small}_images.bin", "--bank", f"{small}_bank.bin",
-               "--names", f"{small}_names.txt", "--out-state", str(out), "--clusters", "2",
-               "--normalize-input", normalize) == 0
-    cfg = umfc.EngineConfig(clusters=2, normalize_input=normalize == "1")
+               "--names", f"{small}_names.txt", "--out-state", str(out), "--clusters", "2") == 0
+    cfg = umfc.EngineConfig(clusters=2)
     train = umfc.read_embeddings(f"{small}_images.bin")
     bank = umfc.read_text_bank(f"{small}_bank.bin", f"{small}_names.txt")
     state = umfc.fit_unsupervised(train, bank, cfg)

@@ -337,35 +337,10 @@ def _snapshot_bytes(manifest: dict, blobs: bytes) -> bytes:
 def _minimal_manifest(**config_overrides):
     config = {
         "clusters": 2, "tau": 0.01, "eta": 0.1, "mode": "memory",
-        "batch_size": 10, "seed": 0, "max_iters": 100, "tol": 1e-4,
-        "normalize_input": True, "normalize_shifts": False, "ema_additive": False,
+        "batch_size": 10, "seed": 0, "normalize_input": True,
     }
     config.update(config_overrides)
     return {"config": config, "samples_seen": 0, "batches_seen": 0, "arrays": []}
-
-
-def _old_format_bytes(state, cfg, **copies):
-    """A snapshot as it was written before running_counts and
-    calib_cluster_means (copies of counts and centroids, unless given
-    here) and the max_iters and tol config keys were dropped."""
-    copies = {"running_counts": None if state.running_sums is None else state.counts,
-              "calib_cluster_means": state.centroids, **copies}
-    arrays = [("centroids", state.centroids, "<f8"), ("counts", state.counts, "<i8"),
-              ("running_sums", state.running_sums, "<f8"),
-              ("running_counts", copies["running_counts"], "<i8"),
-              ("global_sum", state.global_sum, "<f8"),
-              ("calib_cluster_means", copies["calib_cluster_means"], "<f8"),
-              ("calib_global_mean", state.calib_global_mean, "<f8"),
-              ("calib_text_shifts", state.calib_text_shifts, "<f8"),
-              ("bootstrap_buffer", state.bootstrap_buffer, "<f8")]
-    manifest = {
-        "config": dict(dataclasses.asdict(cfg), max_iters=100, tol=1e-4),
-        "samples_seen": state.samples_seen,
-        "batches_seen": state.batches_seen,
-        "arrays": [[n, None, None] if a is None else [n, d, list(a.shape)] for n, a, d in arrays],
-    }
-    blobs = b"".join(a.astype(d).tobytes() for _, a, d in arrays if a is not None)
-    return _snapshot_bytes(manifest, blobs)
 
 
 def _unchecked_bytes(state, cfg):
@@ -380,35 +355,6 @@ def _unchecked_bytes(state, cfg):
     }
     blobs = b"".join(a.astype(d).tobytes() for _, a, d in arrays if a is not None)
     return _snapshot_bytes(manifest, blobs)
-
-
-@pytest.mark.parametrize("mode", ["memory", "ema"])
-def test_old_format_snapshot_restores_like_the_new_one(tmp_path, mode):
-    ds, cfg, state = _fit_state(mode)
-    old, new = tmp_path / "old.state", tmp_path / "new.state"
-    old.write_bytes(_old_format_bytes(state, cfg))
-    umfc.snapshot_state(state, cfg, new)
-    assert len(new.read_bytes()) < len(old.read_bytes())
-    (a, cfg_a), (b, cfg_b) = umfc.restore_state(old), umfc.restore_state(new)
-    assert cfg_a == cfg_b == cfg
-    _assert_states_equal(a, b)
-    x = ds.images.data[40:80]
-    (step_a, next_a), (step_b, next_b) = (umfc.stream_step(s, x, ds.text_bank, cfg) for s in (a, b))
-    for pa, pb in [(umfc.predict(a, x, ds.text_bank, cfg), umfc.predict(b, x, ds.text_bank, cfg)),
-                   (step_a, step_b)]:
-        assert np.array_equal(pa.probs, pb.probs)
-        assert np.array_equal(pa.clusters, pb.clusters)
-    _assert_states_equal(next_a, next_b)
-
-
-@pytest.mark.parametrize("name", ["running_counts", "calib_cluster_means"])
-def test_old_format_snapshot_with_a_changed_copy_is_refused(tmp_path, name):
-    _, cfg, state = _fit_state()
-    twin = state.counts if name == "running_counts" else state.centroids
-    p = tmp_path / "old.state"
-    p.write_bytes(_old_format_bytes(state, cfg, **{name: twin + 1}))
-    with pytest.raises(umfc.FormatError, match=name):
-        umfc.restore_state(p)
 
 
 @pytest.mark.parametrize("field, value", [
@@ -439,13 +385,32 @@ def test_malformed_snapshot_manifest_is_format_error(tmp_path, field, value):
     assert type(info.value) is umfc.FormatError
 
 
-@pytest.mark.parametrize("switch", ["ema_additive", "normalize_shifts"])
-def test_snapshot_with_additive_ema_is_refused(tmp_path, switch):
-    # a snapshot that turned on a removed switch cannot resume; one that
-    # left it off (as _minimal_manifest does) restores
+# names snapshot_state no longer writes: config keys with the value once
+# written by default, and exact copies of two arrays (name -> the original)
+_LEGACY_KEYS = {"ema_additive": False, "normalize_shifts": False, "max_iters": 100, "tol": 1e-4}
+_LEGACY_ARRAYS = {"running_counts": "counts", "calib_cluster_means": "centroids"}
+
+
+@pytest.mark.parametrize("name", [*_LEGACY_KEYS, *_LEGACY_ARRAYS])
+def test_snapshot_with_additive_ema_is_refused(tmp_path, name):
+    # restore reads only what snapshot_state writes: a snapshot that also
+    # carries one of these names, whatever its value, is refused naming it
+    _, cfg, state = _fit_state()
     p = tmp_path / "s.state"
-    p.write_bytes(_snapshot_bytes(_minimal_manifest(**{switch: True}), b""))
-    with pytest.raises(umfc.FormatError, match=switch):
+    umfc.snapshot_state(state, cfg, p)
+    raw = p.read_bytes()
+    (head_len,) = struct.unpack_from("<I", raw, HEADER.size)
+    manifest = json.loads(raw[HEADER.size + 4 : HEADER.size + 4 + head_len])
+    blobs = raw[HEADER.size + 4 + head_len :]
+    if name in _LEGACY_KEYS:
+        manifest["config"][name] = _LEGACY_KEYS[name]
+    else:
+        copy = getattr(state, _LEGACY_ARRAYS[name])
+        dtype = "<i8" if copy.dtype.kind == "i" else "<f8"
+        manifest["arrays"].append([name, dtype, list(copy.shape)])
+        blobs += copy.astype(dtype).tobytes()
+    p.write_bytes(_snapshot_bytes(manifest, blobs))
+    with pytest.raises(umfc.FormatError, match=name):
         umfc.restore_state(p)
 
 
@@ -544,8 +509,9 @@ def test_fit_state_resumes_as_memory_stream_and_older_ones_name_missing_accumula
     (pa, sa), (pb, sb) = (umfc.stream_step(s, x, ds.text_bank, back_cfg) for s in (fit, back))
     assert np.array_equal(pa.probs, pb.probs)
     _assert_states_equal(sa, sb)
-    # fit snapshots written before fits kept accumulators carry [name, null,
-    # null] for them: refused as a memory stream, naming what is missing
+    # a state without the accumulators (as an ema stream keeps none) stores
+    # [name, null, null] for them: refused as a memory stream, naming what
+    # is missing
     old = dataclasses.replace(fit, running_sums=None, global_sum=None)
     umfc.snapshot_state(old, cfg, p)
     back, back_cfg = umfc.restore_state(p)
