@@ -34,20 +34,20 @@ ls stream.state*
 
 echo
 echo "== how biased is the text bank toward each domain? =="
-umfc diagnose --which probe --bank bench_bank.bin --names bench_names.txt \
+umfc diagnose probe --bank bench_bank.bin --names bench_names.txt \
     --domain-bank bench_domains.bin --out probe_raw.csv
-umfc diagnose --which probe --bank bench_bank.bin --names bench_names.txt \
+umfc diagnose probe --bank bench_bank.bin --names bench_names.txt \
     --domain-bank bench_domains.bin --state bench.state --out probe_cal.csv
 tail -1 probe_raw.csv
 tail -1 probe_cal.csv
 
 echo
 echo "== sensitivity: accuracy across batch sizes and cluster counts =="
-umfc sweep --param batch-size --values 1,10,32,100 --clusters 3 \
+umfc sweep batch-size --values 1,10,32,100 --clusters 3 \
     --test bench_images.bin --bank bench_bank.bin --names bench_names.txt \
     --out sweep_bs.tsv
 cat sweep_bs.tsv
-umfc sweep --param clusters --values 2,3,6 \
+umfc sweep clusters --values 2,3,6 \
     --test bench_images.bin --bank bench_bank.bin --names bench_names.txt \
     --out sweep_m.tsv
 cat sweep_m.tsv

@@ -1,9 +1,19 @@
 """Command line driver.
 
-Subcommands: fit, predict, transduce, stream, synth, diagnose, sweep;
-`umfc` alone (or `umfc --help`) lists them.  Each command takes only
-the flags that change its output, and a value is set only on the
-command line; `umfc <command> --help` shows each flag's default.
+Commands: fit, predict, transduce, stream, synth, diagnose, sweep;
+`umfc` alone (or `umfc --help`) lists them.  Each takes only the flags
+that change its output, and a value is set only on the command line;
+`--help` after a command shows each flag's default.  diagnose and
+sweep take one subcommand per report and per swept parameter:
+
+    diagnose hist       --test --bank --names --out [--state --tau]
+    diagnose probe      --bank --names --domain-bank --out [--state --tau]
+    diagnose direction  --test --domain-bank --out
+    diagnose balance    --test --out [--per-cell --seed]
+    sweep clusters      --values --test --bank --names --out [--tau --seed]
+    sweep batch-size    the same, and [--clusters]
+    sweep eta           the same, and [--clusters --batch-size]
+
 Progress and reports go to stderr; data goes to the files named by
 flags, never anywhere else.
 
@@ -121,10 +131,7 @@ def _predict_loaded(state_path, tau, test: EmbeddingMatrix, bank: TextBank) -> P
     if state.centroids is None:
         raise FormatError(f"{state_path}: state has no fitted model to predict with")
     if tau is not None:
-        try:
-            cfg = replace(cfg, tau=tau)
-        except ValueError:
-            raise UsageError(f"--tau: must be finite and > 0, got {tau}") from None
+        cfg = replace(cfg, tau=tau)
     dim = state.centroids.shape[1]
     if test.n and test.dim != dim:
         raise DimensionMismatch(f"rows of dim {test.dim} against a state of dim {dim}")
@@ -253,84 +260,70 @@ def cmd_synth(args) -> None:
         _note(f"domain anchors -> {prefix}_domains.bin")
 
 
-def cmd_diagnose(args) -> None:
-    def need(flag, value):
-        if value is None:
-            raise UsageError(f"--which {args.which} requires {flag}")
-        return value
-
-    if args.which == "hist":
-        test = _load_matrix(need("--test", args.test))
-        bank = uio.read_text_bank(need("--bank", args.bank), need("--names", args.names))
+def cmd_hist(args) -> None:
+    test = _load_matrix(args.test)
+    bank = uio.read_text_bank(args.bank, args.names)
+    if args.state is not None:
+        labels = _predict_loaded(args.state, args.tau, test, bank).labels
+    else:
+        # one row block at a time, keeping only its argmax; 0 rows still
+        # score one empty block, so tau and the dimension are checked
         tau = EngineConfig().tau if args.tau is None else args.tau
-        if args.state is not None:
-            labels = _predict_loaded(args.state, tau, test, bank).labels
-        else:
-            # one row block at a time, keeping only its argmax; 0 rows still
-            # score one empty block, so tau and the dimension are checked
-            labels = np.empty(test.n, dtype=np.int64)
-            for sl in row_blocks(max(test.n, 1)):
-                labels[sl] = classify_batch(test.data[sl], bank.data, tau).argmax(axis=1)
-        hist = prediction_histogram(labels, bank.k)
-        uio._atomic_write(args.out, [hist.to_tsv(bank.names).encode("utf-8")])
-        _note(f"histogram of {test.n} predictions -> {args.out}")
-
-    elif args.which == "probe":
-        bank = uio.read_text_bank(need("--bank", args.bank), need("--names", args.names))
-        anchors = _load_matrix(need("--domain-bank", args.domain_bank))
-        probed = bank
-        if args.state is not None:
-            state, _ = uio.restore_state(args.state)
-            if state.calib_text_shifts is None:
-                raise FormatError(f"{args.state}: state has no calibration")
-            probed = calibrate_bank(bank, state.calib_text_shifts)
-        tau = 1.0 if args.tau is None else args.tau
-        result = domain_bias_probe(probed, anchors.data, tau=tau)
-        uio._atomic_write(args.out, [result.to_csv().encode("utf-8")])
-        _note(f"probe: KL(aggregate || uniform) = {kl_to_uniform(result.aggregate):.6e} -> {args.out}")
-
-    elif args.which == "direction":
-        test = _load_matrix(need("--test", args.test))
-        anchors = _load_matrix(need("--domain-bank", args.domain_bank))
-        refs = pairwise_directions(anchors.data)
-        table = transition_direction_check(test, refs)
-        uio._atomic_write(args.out, [table.to_tsv().encode("utf-8")])
-        _note(f"direction: min off-diagonal cosine {table.min_off_diagonal():.6f} -> {args.out}")
-
-    else:  # balance
-        test = _load_matrix(need("--test", args.test))
-        idx, shortfalls = balanced_subsample(test, args.per_cell, args.seed)
-        cls = test.class_labels
-        dom = test.domain_labels
-        uio._write_lines(args.out, (f"{test.ids[i]}\t{int(cls[i])}\t{int(dom[i])}" for i in idx))
-        for c, z, have, want in shortfalls:
-            _note(f"short cell: class {c} domain {z} has {have} of {want}")
-        _note(f"balance: {idx.size} rows selected -> {args.out}")
+        labels = np.empty(test.n, dtype=np.int64)
+        for sl in row_blocks(max(test.n, 1)):
+            labels[sl] = classify_batch(test.data[sl], bank.data, tau).argmax(axis=1)
+    hist = prediction_histogram(labels, bank.k)
+    uio._atomic_write(args.out, [hist.to_tsv(bank.names).encode("utf-8")])
+    _note(f"histogram of {test.n} predictions -> {args.out}")
 
 
-# umfc sweep's parameters: what each value's config sets besides the
-# parameter's own field (clusters are swept over transductions, the
-# others over streams)
-_SWEPT = {"clusters": {}, "batch-size": {"mode": "memory"}, "eta": {"mode": "ema"}}
+def cmd_probe(args) -> None:
+    bank = uio.read_text_bank(args.bank, args.names)
+    anchors = _load_matrix(args.domain_bank)
+    if args.state is not None:
+        state, _ = uio.restore_state(args.state)
+        if state.calib_text_shifts is None:
+            raise FormatError(f"{args.state}: state has no calibration")
+        bank = calibrate_bank(bank, state.calib_text_shifts)
+    result = domain_bias_probe(bank, anchors.data, tau=args.tau)
+    uio._atomic_write(args.out, [result.to_csv().encode("utf-8")])
+    _note(f"probe: KL(aggregate || uniform) = {kl_to_uniform(result.aggregate):.6e} -> {args.out}")
+
+
+def cmd_direction(args) -> None:
+    test = _load_matrix(args.test)
+    anchors = _load_matrix(args.domain_bank)
+    table = transition_direction_check(test, pairwise_directions(anchors.data))
+    uio._atomic_write(args.out, [table.to_tsv().encode("utf-8")])
+    _note(f"direction: min off-diagonal cosine {table.min_off_diagonal():.6f} -> {args.out}")
+
+
+def cmd_balance(args) -> None:
+    test = _load_matrix(args.test)
+    idx, shortfalls = balanced_subsample(test, args.per_cell, args.seed)
+    cls, dom = test.class_labels, test.domain_labels
+    uio._write_lines(args.out, (f"{test.ids[i]}\t{int(cls[i])}\t{int(dom[i])}" for i in idx))
+    for c, z, have, want in shortfalls:
+        _note(f"short cell: class {c} domain {z} has {have} of {want}")
+    _note(f"balance: {idx.size} rows selected -> {args.out}")
 
 
 def cmd_sweep(args) -> None:
     base = _config_from(args)
-    caster = float if args.param == "eta" else int
+    field = args.param.replace("-", "_")
+    cast = type(getattr(base, field))  # the type of the config field each value sets
     try:
-        values = [caster(tok) for tok in args.values.split(",") if tok != ""]
+        values = [cast(tok) for tok in args.values.split(",") if tok != ""]
     except ValueError as e:
         raise UsageError(f"--values: {e}") from None
     if not values:
         raise UsageError("--values: empty list")
     # every value is checked before any file is read; the rows are
     # normalized once, in place, so each run takes them as they are
-    field = args.param.replace("-", "_")
     configs = []
     for val in values:
         try:
-            configs.append(replace(base, normalize_input=False, **_SWEPT[args.param],
-                                   **{field: val}))
+            configs.append(replace(base, normalize_input=False, **{field: val}))
         except ValueError as e:
             raise UsageError(f"--values: {val!r}: {e}") from None
 
@@ -340,11 +333,10 @@ def cmd_sweep(args) -> None:
         raise MissingLabels("sweep needs class and domain labels on --test")
     _normalize_loaded(test, base)
 
-    run = transduce if args.param == "clusters" else run_stream
     domains = np.unique(test.domain_labels)
     lines = ["param\tvalue\toverall_macro\t" + "\t".join(f"domain_{z}" for z in domains)]
     for val, cfg in zip(values, configs):
-        preds, _ = run(test, bank, cfg, keep_probs=False)
+        preds, _ = args.run_each(test, bank, cfg, keep_probs=False)
         table = per_domain_accuracy(preds, test.class_labels, test.domain_labels)
         _note(f"sweep {args.param}={val}: overall {table.overall():.4f}")
         accs = "\t".join(f"{a:.6f}" for a in table.accuracies)
@@ -353,64 +345,67 @@ def cmd_sweep(args) -> None:
     _note(f"sweep table -> {args.out}")
 
 
+# the file flags the commands share, each required: flag -> help
+_FILE_FLAGS = {
+    "--test": "embedding file to read",
+    "--bank": "text bank embedding file",
+    "--names": "class names, one per line",
+    "--domain-bank": "domain anchor embeddings",
+    "--out": "output path",
+}
+
+
+def _file_flags(parser, *flags) -> None:
+    for flag in flags:
+        parser.add_argument(flag, required=True, help=_FILE_FLAGS[flag])
+
+
+def _command(subparsers, name, help_, **defaults) -> _Parser:
+    """A subparser listed with the summary help_, which its own --help
+    repeats as a sentence."""
+    p = subparsers.add_parser(name, help=help_, description=help_[0].upper() + help_[1:] + ".")
+    p.set_defaults(**defaults)
+    return p
+
+
 def _command_tree() -> _Parser:
-    """The umfc parser with one subparser per command, whose run default
-    is that command's cmd_ function."""
+    """The umfc parser with one subparser per command (per report of
+    diagnose, per parameter of sweep), whose run default is its cmd_
+    function."""
     parser = _Parser(
         prog="umfc",
         description="Training-free removal of domain bias from precomputed "
         "vision-language embeddings.",
-        epilog="umfc <command> --help shows that command's flags and defaults.",
+        epilog="umfc <command> [<report|parameter>] --help shows its flags and defaults.",
     )
     sub = parser.add_subparsers(title="commands", dest="command", required=True)
 
-    p = sub.add_parser("fit", help="estimate calibration statistics from unlabeled data",
-                       description="Estimate calibration statistics from an unlabeled "
-                       "training matrix.")
-    p.set_defaults(run=cmd_fit)
+    p = _command(sub, "fit", "estimate calibration statistics from unlabeled data", run=cmd_fit)
     p.add_argument("--train", required=True, help="embedding file to fit on")
-    p.add_argument("--bank", required=True, help="text bank embedding file")
-    p.add_argument("--names", required=True, help="class names, one per line")
+    _file_flags(p, "--bank", "--names")
     p.add_argument("--out-state", required=True, help="where to write the fitted state")
     _engine_flags(p, "clusters", "tau", "seed")
 
-    p = sub.add_parser("predict", help="apply a fitted state to new data",
-                       description="Apply a fitted state to a test matrix.  Output rows: "
-                       "id, predicted class, probability, cluster, flags (tab-separated).")
-    p.set_defaults(run=cmd_predict)
+    p = _command(sub, "predict", "apply a fitted state to new data", run=cmd_predict)
+    p.epilog = "Output rows: id, predicted class, probability, cluster, flags (tab-separated)."
     p.add_argument("--state", required=True, help="state file from fit or stream")
-    p.add_argument("--test", required=True, help="embedding file to predict")
-    p.add_argument("--bank", required=True, help="text bank embedding file")
-    p.add_argument("--names", required=True, help="class names, one per line")
-    p.add_argument("--out", required=True, help="predictions TSV path")
+    _file_flags(p, "--test", "--bank", "--names", "--out")
     p.add_argument("--tau", type=float, default=None,
                    help="override the stored softmax temperature")
 
-    p = sub.add_parser("transduce", help="fit on the test set itself and predict it",
-                       description="Fit on the test matrix itself and predict it in one pass.")
-    p.set_defaults(run=cmd_transduce)
-    p.add_argument("--test", required=True, help="embedding file to calibrate and predict")
-    p.add_argument("--bank", required=True, help="text bank embedding file")
-    p.add_argument("--names", required=True, help="class names, one per line")
-    p.add_argument("--out", required=True, help="predictions TSV path")
+    p = _command(sub, "transduce", "fit on the test set itself and predict it", run=cmd_transduce)
+    _file_flags(p, "--test", "--bank", "--names", "--out")
     p.add_argument("--report", default=None, help="also write a per-domain accuracy TSV here")
     _engine_flags(p, "clusters", "tau", "seed")
 
-    p = sub.add_parser("stream", help="adapt over batches as they arrive",
-                       description="Consume the test matrix in batches, adapting as it goes.")
-    p.set_defaults(run=cmd_stream)
-    p.add_argument("--test", required=True, help="embedding file to stream")
-    p.add_argument("--bank", required=True, help="text bank embedding file")
-    p.add_argument("--names", required=True, help="class names, one per line")
-    p.add_argument("--out", required=True, help="predictions TSV path")
+    p = _command(sub, "stream", "adapt over batches as they arrive", run=cmd_stream)
+    _file_flags(p, "--test", "--bank", "--names", "--out")
     p.add_argument("--out-state", default=None, help="write the final state here")
     p.add_argument("--snapshot-every", type=int, default=0,
                    help="also snapshot every N batches to <out-state>.batchNNNNN (0 = never)")
     _engine_flags(p, "clusters", "tau", "eta", "mode", "batch_size", "seed")
 
-    p = sub.add_parser("synth", help="generate the synthetic benchmark",
-                       description="Generate the synthetic benchmark files.")
-    p.set_defaults(run=cmd_synth)
+    p = _command(sub, "synth", "generate the synthetic benchmark", run=cmd_synth)
     p.add_argument("--out-prefix", required=True, help="prefix for the written files")
     p.add_argument("--emit-domain-bank", action="store_true",
                    help="also write the domain anchor texts (for the bias probe)")
@@ -419,35 +414,44 @@ def _command_tree() -> _Parser:
         default = getattr(d, field)
         p.add_argument(flag, type=type(default), default=default, help=help_)
 
-    p = sub.add_parser("diagnose", help="bias and sanity reports",
-                       description="Reports: prediction histogram, domain-bias probe, "
-                       "transition-direction check, balanced subsample.")
-    p.set_defaults(run=cmd_diagnose)
-    p.add_argument("--which", required=True, choices=["hist", "probe", "direction", "balance"])
-    p.add_argument("--test", default=None, help="embedding file (hist, direction, balance)")
-    p.add_argument("--bank", default=None, help="text bank (hist, probe)")
-    p.add_argument("--names", default=None, help="class names (hist, probe)")
-    p.add_argument("--domain-bank", default=None,
-                   help="domain anchor embeddings (probe, direction)")
-    p.add_argument("--state", default=None, help="calibrated state to apply first (hist, probe)")
-    p.add_argument("--out", required=True, help="output table path")
-    p.add_argument("--tau", type=float, default=None,
-                   help="temperature (hist: classification; probe: softmax over domains)")
-    p.add_argument("--per-cell", type=int, default=50, help="balance: rows per (class, domain) cell")
-    p.add_argument("--seed", type=int, default=0, help="balance: sampling seed")
+    p = _command(sub, "diagnose", "bias and sanity reports, one subcommand each")
+    reports = p.add_subparsers(title="reports", dest="report", required=True)
 
-    p = sub.add_parser("sweep", help="accuracy across one parameter's values",
-                       description="Run the pipeline across one parameter's values and "
-                       "tabulate accuracy (labels required).")
-    p.set_defaults(run=cmd_sweep)
-    p.add_argument("--param", required=True, choices=list(_SWEPT), metavar="PARAM",
-                   help="clusters | batch-size | eta")
-    p.add_argument("--values", required=True, help="comma-separated parameter values")
-    p.add_argument("--test", required=True, help="labeled embedding file")
-    p.add_argument("--bank", required=True, help="text bank embedding file")
-    p.add_argument("--names", required=True, help="class names, one per line")
-    p.add_argument("--out", required=True, help="accuracy table TSV path")
-    _engine_flags(p, "clusters", "tau", "batch_size", "seed")
+    p = _command(reports, "hist", "count the top-1 predictions of each class", run=cmd_hist)
+    _file_flags(p, "--test", "--bank", "--names", "--out")
+    p.add_argument("--state", default=None, help="fitted state to predict with")
+    p.add_argument("--tau", type=float, default=None,
+                   help=f"softmax temperature (unset: the state's, else {EngineConfig().tau})")
+
+    p = _command(reports, "probe", "softmax each class text over the domain anchors", run=cmd_probe)
+    _file_flags(p, "--bank", "--names", "--domain-bank", "--out")
+    p.add_argument("--state", default=None, help="calibrated state to apply to the bank first")
+    p.add_argument("--tau", type=float, default=1.0, help="softmax temperature over domains")
+
+    p = _command(reports, "direction", "check each domain pair's mean feature transition "
+                 "against its anchor direction (domain labels required)", run=cmd_direction)
+    _file_flags(p, "--test", "--domain-bank", "--out")
+
+    p = _command(reports, "balance", "pick up to N rows per (class, domain) cell", run=cmd_balance)
+    _file_flags(p, "--test", "--out")
+    p.add_argument("--per-cell", type=int, default=50, help="rows per (class, domain) cell")
+    p.add_argument("--seed", type=int, default=0, help="sampling seed")
+
+    p = _command(sub, "sweep", "accuracy across one parameter's values (labels required)")
+    params = p.add_subparsers(title="parameters", dest="param", required=True)
+    # each parameter: what one value runs, the engine flags that run also
+    # reads, and the mode of its streams; the swept value sets the parameter
+    for param, run_each, flags, fixed, help_ in (
+        ("clusters", transduce, ("tau", "seed"), {}, "cluster counts, a transduction each"),
+        ("batch-size", run_stream, ("clusters", "tau", "seed"), {"mode": "memory"},
+         "batch sizes, a memory-mode stream each"),
+        ("eta", run_stream, ("clusters", "tau", "batch_size", "seed"), {"mode": "ema"},
+         "moving-average rates, an ema-mode stream each"),
+    ):
+        p = _command(params, param, "sweep " + help_, run=cmd_sweep, run_each=run_each, **fixed)
+        p.add_argument("--values", required=True, help="comma-separated parameter values")
+        _file_flags(p, "--test", "--bank", "--names", "--out")
+        _engine_flags(p, *flags)
     return parser
 
 

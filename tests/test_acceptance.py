@@ -152,10 +152,10 @@ def test_criterion_07_text_calibration_flattens_domain_bias(bench):
 
 def test_criterion_08_robustness_sweeps_cli(bench, bench_files, tmp_path):
     base = ["--test", f"{bench_files}_images.bin", "--bank", f"{bench_files}_bank.bin",
-            "--names", f"{bench_files}_names.txt", "--clusters", "3"]
+            "--names", f"{bench_files}_names.txt"]
 
     bs_out = tmp_path / "bs.tsv"
-    assert cli.main(["sweep", "--param", "batch-size", "--values", "1,10,32,100",
+    assert cli.main(["sweep", "batch-size", "--values", "1,10,32,100", "--clusters", "3",
                      *base, "--out", str(bs_out)]) == 0
     rows = [line.split("\t") for line in bs_out.read_text().splitlines()[1:]]
     accs = [float(r[2]) for r in rows]
@@ -165,7 +165,7 @@ def test_criterion_08_robustness_sweeps_cli(bench, bench_files, tmp_path):
 
     zero_shot = _macro(umfc.oracle_zero_shot(bench), bench.images)
     m_out = tmp_path / "m.tsv"
-    assert cli.main(["sweep", "--param", "clusters", "--values", "2,3,6",
+    assert cli.main(["sweep", "clusters", "--values", "2,3,6",
                      *base, "--out", str(m_out)]) == 0
     rows = [line.split("\t") for line in m_out.read_text().splitlines()[1:]]
     assert len(rows) == 3

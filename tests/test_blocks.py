@@ -381,11 +381,11 @@ def peak_files(tmp_path_factory):
 @pytest.mark.parametrize("command", [
     ["transduce", "--report", "{d}/report.tsv", "--clusters", "4"],
     ["predict", "--state", "{d}/s.state"],
-    ["sweep", "--param", "clusters", "--values", "4"],
-    ["sweep", "--param", "batch-size", "--values", "100"],
-    ["sweep", "--param", "batch-size", "--values", "20000"],
-    ["sweep", "--param", "eta", "--values", "0.5"],
-    ["diagnose", "--which", "hist"],
+    ["sweep", "clusters", "--values", "4"],
+    ["sweep", "batch-size", "--values", "100"],
+    ["sweep", "batch-size", "--values", "20000"],
+    ["sweep", "eta", "--values", "0.5"],
+    ["diagnose", "hist"],
     ["stream", "--batch-size", "20000", "--clusters", "4"],
 ], ids=["transduce", "predict", "sweep", "sweep-batch-size", "sweep-one-batch", "sweep-eta", "hist",
         "stream"])

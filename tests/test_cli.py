@@ -83,11 +83,22 @@ def test_cli_imports_no_private_names():
 # dispatch and help
 
 
+def _subcommands(parser):
+    """The subparsers of a parser, by name ({} when it has none)."""
+    return next((a.choices for a in parser._actions
+                 if isinstance(a, argparse._SubParsersAction)), {})
+
+
 def _commands():
     """The command names of the umfc parser tree."""
-    tree = cli._command_tree()
-    sub = next(a for a in tree._actions if isinstance(a, argparse._SubParsersAction))
-    return sorted(sub.choices)
+    return sorted(_subcommands(cli._command_tree()))
+
+
+def _runs(cmd):
+    """The argv prefix of each run a command takes: the command itself,
+    or each report of diagnose and each parameter of sweep."""
+    leaves = _subcommands(_subcommands(cli._command_tree())[cmd])
+    return [(cmd, leaf) for leaf in leaves] or [(cmd,)]
 
 
 def test_no_args_prints_command_list(capsys):
@@ -111,9 +122,9 @@ def test_unknown_command(capsys):
 _ENGINE = {"--" + f.name.replace("_", "-") for f in dataclasses.fields(umfc.EngineConfig)}
 
 
-def _tunable_defaults(cmd):
-    """The tunable flags of a subcommand and the default each must show:
-    of the engine's, only those that change the command's output."""
+def _tunable_defaults(path):
+    """The tunable flags of a run and the default each must show: of the
+    engine's, only those that change the run's output."""
     d = umfc.EngineConfig()
 
     def engine(*names):
@@ -126,15 +137,20 @@ def _tunable_defaults(cmd):
         "transduce": engine("clusters", "tau", "seed"),
         "stream": engine("clusters", "tau", "eta", "mode", "batch_size", "seed"),
         "synth": {flag: getattr(spec, field) for flag, field, _ in cli._SYNTH_FLAGS},
-        "diagnose": {"--tau": None, "--per-cell": 50, "--seed": 0},
-        "sweep": engine("clusters", "tau", "batch_size", "seed"),
-    }[cmd]
+        "diagnose hist": {"--tau": None},
+        "diagnose probe": {"--tau": 1.0},
+        "diagnose direction": {},
+        "diagnose balance": {"--per-cell": 50, "--seed": 0},
+        "sweep clusters": engine("tau", "seed"),
+        "sweep batch-size": engine("clusters", "tau", "seed"),
+        "sweep eta": engine("clusters", "tau", "batch_size", "seed"),
+    }[" ".join(path)]
 
 
-def _help_entries(cmd, capsys):
-    """The options of a subcommand's help, each with its wrapped lines joined."""
+def _help_entries(path, capsys):
+    """The options of a run's help, each with its wrapped lines joined."""
     with pytest.raises(SystemExit) as ex:
-        run(cmd, "--help")
+        run(*path, "--help")
     assert ex.value.code == 0
     return {block.split()[0]: " ".join(block.split())
             for block in re.split(r"\n(?=  -)", capsys.readouterr().out)
@@ -143,20 +159,22 @@ def _help_entries(cmd, capsys):
 
 @pytest.mark.parametrize("cmd", _commands())
 def test_subcommand_help_documents_defaults(cmd, capsys):
-    entries = _help_entries(cmd, capsys)
-    assert set(_tunable_defaults(cmd)) <= set(entries)
-    assert not any("UMFC_" in text for text in entries.values())
+    for path in _runs(cmd):
+        entries = _help_entries(path, capsys)
+        assert set(_tunable_defaults(path)) <= set(entries), path
+        assert not any("UMFC_" in text for text in entries.values())
 
 
 @pytest.mark.parametrize("cmd", _commands())
 def test_help_shows_each_tunable_default_once(cmd, capsys):
-    entries = _help_entries(cmd, capsys)
-    defaults = _tunable_defaults(cmd)
-    # no engine flag that the command ignores is offered
-    assert sorted(set(entries) & (_ENGINE | set(defaults))) == sorted(defaults)
-    for flag, value in defaults.items():
-        assert entries[flag].count("default:") == 1, entries[flag]
-        assert f"(default: {value})" in entries[flag], entries[flag]
+    for path in _runs(cmd):
+        entries = _help_entries(path, capsys)
+        defaults = _tunable_defaults(path)
+        # no engine flag that the run ignores is offered
+        assert sorted(set(entries) & (_ENGINE | set(defaults))) == sorted(defaults), path
+        for flag, value in defaults.items():
+            assert entries[flag].count("default:") == 1, entries[flag]
+            assert f"(default: {value})" in entries[flag], entries[flag]
 
 
 # ---------------------------------------------------------------------------
@@ -281,7 +299,7 @@ def test_predict_dimension_mismatch_is_data_error(small, small_state, narrow, tm
     assert "data error" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("command", [["predict"], ["diagnose", "--which", "hist"]],
+@pytest.mark.parametrize("command", [["predict"], ["diagnose", "hist"]],
                          ids=["predict", "hist"])
 def test_state_dimension_mismatch_with_degenerate_row_is_data_error(
         small, small_state, tmp_path, capsys, command):
@@ -458,7 +476,7 @@ def bootstrap_snapshot(small, tmp_path_factory):
 
 @pytest.mark.parametrize("command, message", [
     (["predict", "--test", "{small}_images.bin"], "state has no fitted model"),
-    (["diagnose", "--which", "probe", "--domain-bank", "{small}_domains.bin"],
+    (["diagnose", "probe", "--domain-bank", "{small}_domains.bin"],
      "state has no calibration"),
 ], ids=["predict", "probe"])
 def test_bootstrapping_snapshot_is_data_error(small, bootstrap_snapshot, tmp_path, capsys,
@@ -485,7 +503,7 @@ def test_diagnose_probe_kl_drops_after_calibration(bench, tmp_path):
     assert run("fit", "--train", f"{bench}_images.bin", "--bank", f"{bench}_bank.bin",
                "--names", f"{bench}_names.txt", "--out-state", str(state), "--clusters", "3") == 0
     raw_csv, cal_csv = tmp_path / "raw.csv", tmp_path / "cal.csv"
-    base = ["diagnose", "--which", "probe", "--bank", f"{bench}_bank.bin",
+    base = ["diagnose", "probe", "--bank", f"{bench}_bank.bin",
             "--names", f"{bench}_names.txt", "--domain-bank", f"{bench}_domains.bin"]
     assert run(*base, "--out", str(raw_csv)) == 0
     assert run(*base, "--out", str(cal_csv), "--state", str(state)) == 0
@@ -501,7 +519,7 @@ def test_diagnose_direction_noiseless_matches_storage_precision(tmp_path, capsys
     assert run("synth", "--out-prefix", prefix, "--classes", "4", "--domains", "2",
                "--dim", "16", "--per-cell", "10", "--noise", "0", "--emit-domain-bank") == 0
     out = tmp_path / "d.tsv"
-    assert run("diagnose", "--which", "direction", "--test", f"{prefix}_images.bin",
+    assert run("diagnose", "direction", "--test", f"{prefix}_images.bin",
                "--domain-bank", f"{prefix}_domains.bin", "--out", str(out)) == 0
     assert "min off-diagonal cosine" in capsys.readouterr().err
     cells = [float(line.split("\t")[2]) for line in out.read_text().splitlines()[1:]]
@@ -513,28 +531,28 @@ def test_diagnose_direction_with_one_domain_is_data_error(tmp_path, capsys):
     # a domain bank of one anchor has no pair of domains to compare
     prefix = str(tmp_path / "one")
     assert run("synth", "--out-prefix", prefix, "--domains", "1", "--emit-domain-bank") == 0
-    assert run("diagnose", "--which", "direction", "--test", f"{prefix}_images.bin",
+    assert run("diagnose", "direction", "--test", f"{prefix}_images.bin",
                "--domain-bank", f"{prefix}_domains.bin", "--out", str(tmp_path / "d.tsv")) == 2
     assert "data error" in capsys.readouterr().err
     assert not (tmp_path / "d.tsv").exists()
 
 
-@pytest.mark.parametrize("which", ["probe", "direction"])
-def test_diagnose_anchor_dimension_mismatch_is_data_error(small, narrow, tmp_path, capsys, which):
+@pytest.mark.parametrize("report", ["probe", "direction"])
+def test_diagnose_anchor_dimension_mismatch_is_data_error(small, narrow, tmp_path, capsys, report):
     # one dim-8 anchor per domain of the dim-16 bank (probe) and test matrix (direction)
     anchors = tmp_path / "anchors.bin"
     narrow_rows = umfc.read_embeddings(f"{narrow}_images.bin").data
     umfc.write_embeddings(umfc.EmbeddingMatrix(data=narrow_rows[:2]), anchors)
     inputs = {"probe": ["--bank", f"{small}_bank.bin", "--names", f"{small}_names.txt"],
-              "direction": ["--test", f"{small}_images.bin"]}[which]
-    assert run("diagnose", "--which", which, *inputs, "--domain-bank", str(anchors),
+              "direction": ["--test", f"{small}_images.bin"]}[report]
+    assert run("diagnose", report, *inputs, "--domain-bank", str(anchors),
                "--out", str(tmp_path / "d.out")) == 2
     assert "data error" in capsys.readouterr().err
 
 
 def test_diagnose_balance_shortfall_still_succeeds(small, tmp_path, capsys):
     out = tmp_path / "b.tsv"
-    assert run("diagnose", "--which", "balance", "--test", f"{small}_images.bin",
+    assert run("diagnose", "balance", "--test", f"{small}_images.bin",
                "--out", str(out), "--per-cell", "100") == 0
     err = capsys.readouterr().err
     assert "short cell" in err
@@ -547,14 +565,14 @@ def test_diagnose_balance_refuses_absent_labels(small, tmp_path):
     test.class_labels[::50] = -1
     holes = tmp_path / "holes.bin"
     umfc.write_embeddings(test, holes)
-    assert run("diagnose", "--which", "balance", "--test", str(holes),
+    assert run("diagnose", "balance", "--test", str(holes),
                "--out", str(tmp_path / "b.tsv"), "--per-cell", "10") == 2
     assert not (tmp_path / "b.tsv").exists()
 
 
 def test_diagnose_hist_counts_sum(small, small_state, tmp_path):
     out = tmp_path / "h.tsv"
-    base = ["diagnose", "--which", "hist", "--test", f"{small}_images.bin",
+    base = ["diagnose", "hist", "--test", f"{small}_images.bin",
             "--bank", f"{small}_bank.bin", "--names", f"{small}_names.txt"]
     assert run(*base, "--out", str(out)) == 0
     lines = out.read_text().splitlines()
@@ -565,29 +583,51 @@ def test_diagnose_hist_counts_sum(small, small_state, tmp_path):
     assert sum(int(l.split("\t")[1]) for l in lines[1:]) == 120
 
 
-@pytest.mark.parametrize("which", ["hist", "probe"])
-def test_diagnose_rejects_zero_tau(small, tmp_path, which, capsys):
-    assert run("diagnose", "--which", which, "--test", f"{small}_images.bin",
-               "--bank", f"{small}_bank.bin", "--names", f"{small}_names.txt",
-               "--domain-bank", f"{small}_domains.bin", "--out", str(tmp_path / "x"),
-               "--tau", "0") == 1
-    assert "tau must be finite and > 0" in capsys.readouterr().err
+@pytest.mark.parametrize("report", ["hist", "probe"])
+def test_diagnose_rejects_zero_tau(small, small_state, tmp_path, report, capsys):
+    inputs = {"hist": ["--test", f"{small}_images.bin"],
+              "probe": ["--domain-bank", f"{small}_domains.bin"]}[report]
+    base = ["diagnose", report, *inputs, "--bank", f"{small}_bank.bin",
+            "--names", f"{small}_names.txt", "--out", str(tmp_path / "x"), "--tau", "0"]
+    for state in ([], ["--state", small_state]):
+        assert run(*base, *state) == 1
+        assert "usage error: tau must be finite and > 0" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+
+def test_diagnose_hist_with_state_counts_predict_labels(small, tmp_path):
+    # a state fitted at tau 1e9 scores every float32 row as a tie, which
+    # the lowest class index wins: hist --state S counts what predict
+    # --state S writes, under the stored tau
+    state, preds, hist = tmp_path / "s.state", tmp_path / "p.tsv", tmp_path / "h.tsv"
+    files = ["--test", f"{small}_images.bin", "--bank", f"{small}_bank.bin",
+             "--names", f"{small}_names.txt"]
+    assert run("fit", "--train", f"{small}_images.bin", *files[2:], "--clusters", "2",
+               "--tau", "1e9", "--out-state", str(state)) == 0
+    assert run("predict", "--state", str(state), *files, "--out", str(preds)) == 0
+    assert run("diagnose", "hist", "--state", str(state), *files, "--out", str(hist)) == 0
+    names = [row[1] for row in _read_preds(preds)]
+    counts = {line.split("\t")[0]: int(line.split("\t")[1])
+              for line in hist.read_text().splitlines()[1:]}
+    assert counts == {name: names.count(name) for name in counts}
+    assert counts["class_000"] == 120
 
 
 def test_diagnose_hist_empty_file_counts_zero(small, tmp_path):
     empty = tmp_path / "empty.bin"
     umfc.write_embeddings(umfc.EmbeddingMatrix(data=np.empty((0, 16))), empty)
     out = tmp_path / "h.tsv"
-    assert run("diagnose", "--which", "hist", "--test", str(empty), "--bank", f"{small}_bank.bin",
+    assert run("diagnose", "hist", "--test", str(empty), "--bank", f"{small}_bank.bin",
                "--names", f"{small}_names.txt", "--out", str(out)) == 0
     lines = out.read_text().splitlines()
     assert lines[0] == "class\tcount" and len(lines) == 5
     assert all(line.split("\t")[1] == "0" for line in lines[1:])
 
 
-def test_diagnose_missing_required_flag(small, tmp_path):
-    assert run("diagnose", "--which", "probe", "--bank", f"{small}_bank.bin",
+def test_diagnose_missing_required_flag(small, tmp_path, capsys):
+    assert run("diagnose", "probe", "--bank", f"{small}_bank.bin",
                "--names", f"{small}_names.txt", "--out", str(tmp_path / "x.csv")) == 1
+    assert "--domain-bank" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------
@@ -596,7 +636,7 @@ def test_diagnose_missing_required_flag(small, tmp_path):
 
 def test_sweep_single_value_matches_single_run(bench, tmp_path):
     sweep_out, report = tmp_path / "s.tsv", tmp_path / "r.tsv"
-    assert run("sweep", "--param", "clusters", "--values", "3",
+    assert run("sweep", "clusters", "--values", "3",
                "--test", f"{bench}_images.bin", "--bank", f"{bench}_bank.bin",
                "--names", f"{bench}_names.txt", "--out", str(sweep_out)) == 0
     assert run("transduce", "--test", f"{bench}_images.bin", "--bank", f"{bench}_bank.bin",
@@ -613,7 +653,7 @@ def test_sweep_single_value_matches_single_run(bench, tmp_path):
 
 def test_sweep_more_clusters_not_worse(bench, tmp_path):
     out = tmp_path / "s.tsv"
-    assert run("sweep", "--param", "clusters", "--values", "1,3",
+    assert run("sweep", "clusters", "--values", "1,3",
                "--test", f"{bench}_images.bin", "--bank", f"{bench}_bank.bin",
                "--names", f"{bench}_names.txt", "--out", str(out)) == 0
     rows = [l.split("\t") for l in out.read_text().splitlines()[1:]]
@@ -622,7 +662,7 @@ def test_sweep_more_clusters_not_worse(bench, tmp_path):
 
 
 def test_sweep_unknown_param(bench, tmp_path):
-    assert run("sweep", "--param", "tau", "--values", "1",
+    assert run("sweep", "tau", "--values", "1",
                "--test", f"{bench}_images.bin", "--bank", f"{bench}_bank.bin",
                "--names", f"{bench}_names.txt", "--out", str(tmp_path / "s.tsv")) == 1
 
@@ -631,7 +671,7 @@ def test_sweep_needs_labels(small, tmp_path):
     bare = tmp_path / "bare.bin"
     data = umfc.read_embeddings(f"{small}_images.bin").data
     umfc.write_embeddings(umfc.EmbeddingMatrix(data=data), bare)
-    assert run("sweep", "--param", "clusters", "--values", "2",
+    assert run("sweep", "clusters", "--values", "2",
                "--test", str(bare), "--bank", f"{small}_bank.bin",
                "--names", f"{small}_names.txt", "--out", str(tmp_path / "s.tsv")) == 2
 
@@ -640,7 +680,7 @@ def test_sweep_needs_labels(small, tmp_path):
     ("clusters", "a,b"), ("clusters", ","), ("clusters", "0"), ("eta", "1.5"),
 ])
 def test_sweep_bad_values_are_usage_errors(small, tmp_path, capsys, param, values):
-    assert run("sweep", "--param", param, "--values", values,
+    assert run("sweep", param, "--values", values,
                "--test", f"{small}_images.bin", "--bank", f"{small}_bank.bin",
                "--names", f"{small}_names.txt", "--out", str(tmp_path / "s.tsv")) == 1
     assert capsys.readouterr().err.startswith("usage error: --values: ")
@@ -649,14 +689,14 @@ def test_sweep_bad_values_are_usage_errors(small, tmp_path, capsys, param, value
 
 def test_sweep_checks_values_before_reading_files(tmp_path, capsys):
     missing = str(tmp_path / "missing.bin")
-    assert run("sweep", "--param", "clusters", "--values", "0", "--test", missing,
+    assert run("sweep", "clusters", "--values", "0", "--test", missing,
                "--bank", missing, "--names", missing, "--out", str(tmp_path / "s.tsv")) == 1
     assert capsys.readouterr().err.startswith("usage error: --values: 0: ")
 
 
 @pytest.mark.parametrize("param, values", [("clusters", "2"), ("batch-size", "7"), ("eta", "0.5")])
 def test_sweep_bank_dimension_mismatch_is_data_error(small, narrow, tmp_path, capsys, param, values):
-    assert run("sweep", "--param", param, "--values", values,
+    assert run("sweep", param, "--values", values,
                "--test", f"{small}_images.bin", "--bank", f"{narrow}_bank.bin",
                "--names", f"{narrow}_names.txt", "--out", str(tmp_path / "s.tsv")) == 2
     assert capsys.readouterr().err.startswith("data error: ")
@@ -694,13 +734,6 @@ def test_negative_seed_is_usage_error_naming_seed(small, tmp_path, capsys):
     assert not (tmp_path / "p.tsv").exists()
 
 
-def test_removed_normalize_shifts_flag_is_usage_error(small, tmp_path):
-    assert run("transduce", "--test", f"{small}_images.bin", "--bank", f"{small}_bank.bin",
-               "--names", f"{small}_names.txt", "--out", str(tmp_path / "p.tsv"),
-               "--normalize-shifts", "1") == 1
-    assert not (tmp_path / "p.tsv").exists()
-
-
 # removed flags, with a value each once took, and the commands that took them
 _ENGINE_COMMANDS = ("fit", "transduce", "stream", "sweep")
 _REMOVED_FLAGS = {
@@ -711,11 +744,12 @@ _REMOVED_FLAGS = {
     "--eta": ("0.5", ("fit", "transduce", "sweep")),
     "--batch-size": ("5", ("fit", "transduce")),
     "--normalize-input": ("0", _ENGINE_COMMANDS),
+    "--normalize-shifts": ("1", _ENGINE_COMMANDS),
 }
 
 
 @pytest.mark.parametrize("flag", list(_REMOVED_FLAGS))
-def test_removed_clustering_limit_flags_are_usage_errors(small, tmp_path, capsys, flag):
+def test_removed_flags_are_usage_errors(small, tmp_path, capsys, flag):
     value, commands = _REMOVED_FLAGS[flag]
     out = tmp_path / "out"
     files = ["--bank", f"{small}_bank.bin", "--names", f"{small}_names.txt"]
@@ -723,13 +757,101 @@ def test_removed_clustering_limit_flags_are_usage_errors(small, tmp_path, capsys
         "fit": ["fit", "--train", f"{small}_images.bin", *files, "--out-state", str(out)],
         "transduce": ["transduce", "--test", f"{small}_images.bin", *files, "--out", str(out)],
         "stream": ["stream", "--test", f"{small}_images.bin", *files, "--out", str(out)],
-        "sweep": ["sweep", "--param", "clusters", "--values", "2",
+        "sweep": ["sweep", "clusters", "--values", "2",
                   "--test", f"{small}_images.bin", *files, "--out", str(out)],
     }
     for cmd in commands:
         assert run(*argv[cmd], flag, value) == 1, cmd
         assert flag in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == [], cmd
+
+
+# every report and sweep on the `small` files: flag -> value, with {s}
+# the files' prefix, {state} a fitted state and {out} the output
+_RUNS = {
+    ("diagnose", "hist"): {"--test": "{s}_images.bin", "--bank": "{s}_bank.bin",
+                           "--names": "{s}_names.txt", "--out": "{out}",
+                           "--state": "{state}", "--tau": "0.5"},
+    ("diagnose", "probe"): {"--bank": "{s}_bank.bin", "--names": "{s}_names.txt",
+                            "--domain-bank": "{s}_domains.bin", "--out": "{out}",
+                            "--state": "{state}", "--tau": "0.5"},
+    ("diagnose", "direction"): {"--test": "{s}_images.bin", "--domain-bank": "{s}_domains.bin",
+                                "--out": "{out}"},
+    ("diagnose", "balance"): {"--test": "{s}_images.bin", "--out": "{out}",
+                              "--per-cell": "5", "--seed": "1"},
+    ("sweep", "clusters"): {"--values": "2", "--test": "{s}_images.bin", "--bank": "{s}_bank.bin",
+                            "--names": "{s}_names.txt", "--out": "{out}",
+                            "--tau": "0.5", "--seed": "1"},
+    ("sweep", "batch-size"): {"--values": "40", "--test": "{s}_images.bin",
+                              "--bank": "{s}_bank.bin", "--names": "{s}_names.txt",
+                              "--out": "{out}", "--clusters": "2", "--tau": "0.5", "--seed": "1"},
+    ("sweep", "eta"): {"--values": "0.5", "--test": "{s}_images.bin", "--bank": "{s}_bank.bin",
+                       "--names": "{s}_names.txt", "--out": "{out}", "--clusters": "2",
+                       "--tau": "0.5", "--batch-size": "40", "--seed": "1"},
+}
+# every flag of a report or sweep, with a value it takes
+_RUN_FLAGS = {flag: value for flags in _RUNS.values() for flag, value in flags.items()}
+
+
+def _run_argv(path, flags, small, state, out):
+    return [*path, *(a.format(s=small, state=state, out=out)
+                     for flag, value in flags.items() for a in (flag, value))]
+
+
+@pytest.mark.parametrize("path", list(_RUNS), ids=" ".join)
+def test_each_run_reads_every_flag_it_lists(small, small_state, tmp_path, capsys, path):
+    # the help lists exactly the run's flags, and with all of them set
+    # the run succeeds
+    assert set(_help_entries(path, capsys)) == set(_RUNS[path])
+    out = tmp_path / "out"
+    assert run(*_run_argv(path, _RUNS[path], small, small_state, out)) == 0
+    assert out.exists()
+
+
+@pytest.mark.parametrize("path", list(_RUNS), ids=" ".join)
+def test_each_run_refuses_a_flag_it_does_not_read(small, small_state, tmp_path, capsys, path):
+    argv = _run_argv(path, _RUNS[path], small, small_state, tmp_path / "out")
+    for flag in sorted(set(_RUN_FLAGS) - set(_RUNS[path])):
+        assert run(*argv, flag, _RUN_FLAGS[flag].format(s=small, state=small_state,
+                                                         out=tmp_path / "x")) == 1, flag
+        assert "unrecognized arguments: " + flag in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [], flag
+
+
+# flags a report or sweep once took and never read, and the old spellings
+# of the runs: each is a usage error (exit 1) that names what it refuses
+_UNREAD = [
+    (["diagnose", "direction", "--test", "{s}_images.bin", "--domain-bank", "{s}_domains.bin",
+      "--out", "{out}", "--tau", "5", "--seed", "3", "--per-cell", "2", "--bank", "{s}_bank.bin",
+      "--state", "{nope}"], "--tau --seed --per-cell --bank --state"),
+    (["diagnose", "balance", "--test", "{s}_images.bin", "--out", "{out}", "--tau", "0",
+      "--state", "{nope}"], "--tau --state"),
+    (["diagnose", "probe", "--bank", "{s}_bank.bin", "--names", "{s}_names.txt",
+      "--domain-bank", "{s}_domains.bin", "--out", "{out}", "--test", "{nope}",
+      "--per-cell", "0"], "--test --per-cell"),
+    (["sweep", "clusters", "--values", "2", "--test", "{s}_images.bin", "--bank", "{s}_bank.bin",
+      "--names", "{s}_names.txt", "--out", "{out}", "--clusters", "9", "--batch-size", "7"],
+     "--clusters --batch-size"),
+    (["sweep", "batch-size", "--values", "2", "--test", "{s}_images.bin",
+      "--bank", "{s}_bank.bin", "--names", "{s}_names.txt", "--out", "{out}",
+      "--batch-size", "3"], "--batch-size"),
+    (["diagnose", "--which", "hist", "--test", "{s}_images.bin", "--bank", "{s}_bank.bin",
+      "--names", "{s}_names.txt", "--out", "{out}"], "--which"),
+    (["sweep", "--param", "clusters", "--values", "2", "--test", "{s}_images.bin",
+      "--bank", "{s}_bank.bin", "--names", "{s}_names.txt", "--out", "{out}"], "--param"),
+]
+
+
+@pytest.mark.parametrize("argv, refused", _UNREAD,
+                         ids=["direction", "balance", "probe", "sweep-clusters",
+                              "sweep-batch-size", "old-diagnose", "old-sweep"])
+def test_unread_flags_and_old_spellings_are_usage_errors(small, tmp_path, capsys, argv, refused):
+    out, nope = tmp_path / "out", tmp_path / "nope"
+    assert run(*(a.format(s=small, out=out, nope=nope) for a in argv)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: unrecognized arguments: ")
+    assert [a for a in err.split() if a.startswith("--")] == refused.split()
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("rows", [0, 1])

@@ -1,4 +1,4 @@
-"""The Python demos run to completion against the package in src/."""
+"""The demos run to completion against the package in src/."""
 
 import os
 import subprocess
@@ -23,3 +23,22 @@ def test_demo_runs(demo):
         timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def test_cli_walkthrough_runs(tmp_path):
+    # the walkthrough calls `umfc`; a shim first on PATH runs this
+    # interpreter's umfc.cli on the package in src/
+    shim = tmp_path / "umfc"
+    shim.write_text(f'#!/bin/sh\nexec "{sys.executable}" -m umfc.cli "$@"\n')
+    shim.chmod(0o755)
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"),
+               PATH=f"{tmp_path}{os.pathsep}{os.environ.get('PATH', '')}")
+    proc = subprocess.run(
+        ["sh", str(ROOT / "demos" / "03_cli_walkthrough.sh")],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.rstrip().endswith("walkthrough complete")

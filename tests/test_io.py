@@ -392,7 +392,7 @@ _LEGACY_ARRAYS = {"running_counts": "counts", "calib_cluster_means": "centroids"
 
 
 @pytest.mark.parametrize("name", [*_LEGACY_KEYS, *_LEGACY_ARRAYS])
-def test_snapshot_with_additive_ema_is_refused(tmp_path, name):
+def test_snapshot_with_a_name_snapshot_state_does_not_write_is_refused(tmp_path, name):
     # restore reads only what snapshot_state writes: a snapshot that also
     # carries one of these names, whatever its value, is refused naming it
     _, cfg, state = _fit_state()
