@@ -240,6 +240,8 @@ def balanced_subsample(
         raise MissingLabels("some rows are missing a class or domain label")
     if per_cell < 1:
         raise ValueError(f"per_cell must be >= 1, got {per_cell}")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
     classes, ci = np.unique(cls, return_inverse=True)
     domains, zi = np.unique(dom, return_inverse=True)

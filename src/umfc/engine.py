@@ -84,7 +84,7 @@ from .core import (
     l2_normalize_rows,
     row_blocks,
 )
-from .errors import DimensionMismatch, FormatError, NonFiniteInput
+from .errors import DimensionMismatch, FormatError, NonFiniteInput, NonFinitePayload
 
 __all__ = [
     "EngineConfig",
@@ -143,8 +143,7 @@ class EngineConfig:
 class StreamState:
     """The fitted state of every regime: a stream between batches, or
     what fit_unsupervised and transduce estimate (a memory stream after
-    one batch).  Each array is named as in a snapshot, and is float64
-    (counts int64) whatever the dtype of the rows folded into it.
+    one batch).  Each array is named as in a snapshot.
 
     The fitted arrays are the cluster means (centroids) with their
     member counts, the global mean and one text shift row per cluster;
@@ -152,9 +151,16 @@ class StreamState:
     four are None and bootstrap_buffer holds what has been seen.  In
     memory mode and in every fit running_sums / global_sum are the exact
     accumulators behind the means; ema mode allocates none of them.
-    Invariant (accumulators kept): every row m with counts[m] > 0 of
-    centroids equals running_sums[m] / counts[m], and calib_global_mean
-    equals global_sum / samples_seen.
+
+    Under a config of M clusters a state is well-formed when its
+    counters are int64 counts >= 0; each array is float64 (counts int64)
+    whatever the rows' dtype, finite, of its ndim and of one feature
+    dimension, with M rows if per cluster (bootstrap_buffer at most M);
+    the four fitted arrays are all present or all absent; and kept
+    accumulators give a model's means: centroids[m] = running_sums[m] /
+    counts[m] where counts[m] > 0, other rows of running_sums are zero,
+    and calib_global_mean = global_sum / samples_seen > 0.  predict,
+    stream_step, snapshot_state and restore_state refuse any other state.
     """
 
     centroids: Optional[np.ndarray] = None
@@ -184,17 +190,27 @@ _STATE_ARRAYS = (
 _FITTED = ("centroids", "counts", "calib_global_mean", "calib_text_shifts")
 
 
+def _count(value) -> bool:
+    """value is an integer in [0, 2**63), the range of an int64."""
+    return isinstance(value, Integral) and not isinstance(value, bool) and 0 <= value < 2**63
+
+
 def _check_state(state: StreamState, cfg: EngineConfig) -> Optional[int]:
-    """Raise FormatError unless a state is well-formed under cfg: every
-    array of _STATE_ARRAYS of cfg.clusters rows if it has one per cluster,
-    of its ndim and of one feature dimension, a bootstrap buffer of at
-    most cfg.clusters rows, and the fitted arrays all present or all
-    absent.  Return that dimension (None with no array)."""
+    """Raise FormatError unless a state is well-formed under cfg, by the
+    rules StreamState lists, in its order (a NaN or infinity raises
+    NonFinitePayload; a dtype may be of either byte order).  Return the
+    feature dimension (None with no array)."""
+    if not (_count(state.samples_seen) and _count(state.batches_seen)):
+        raise FormatError("samples_seen and batches_seen must be int64 counts >= 0")
     shapes, dims, ndim_ok = {}, set(), True
-    for name, _, ndim, per_cluster in _STATE_ARRAYS:
+    for name, dtype, ndim, per_cluster in _STATE_ARRAYS:
         arr = getattr(state, name)
         if arr is None:
             continue
+        if arr.dtype.newbyteorder("<") != dtype:
+            raise FormatError(f"array {name} has dtype {arr.dtype.str}, not {dtype}")
+        if arr.dtype.kind == "f" and not np.isfinite(arr).all():
+            raise NonFinitePayload(f"array {name} contains NaN or infinity")
         shape = shapes[name] = arr.shape
         if per_cluster and shape[:1] != (cfg.clusters,):
             raise FormatError(f"array {name} has shape {shape}, "
@@ -213,6 +229,15 @@ def _check_state(state: StreamState, cfg: EngineConfig) -> Optional[int]:
     if have and len(have) < len(_FITTED):
         lack = ", ".join(name for name in _FITTED if name not in shapes)
         raise FormatError(f"the state has {', '.join(have)} but no {lack}")
+    sums, counts, seen = state.running_sums, state.counts, state.samples_seen
+    if have and sums is not None:
+        nz = counts > 0
+        if sums[~nz].any() or not np.array_equal(state.centroids[nz], sums[nz] / counts[nz, None]):
+            raise FormatError("array running_sums does not give centroids over counts")
+    if have and state.global_sum is not None and not (
+        seen and np.array_equal(state.calib_global_mean, state.global_sum / seen)
+    ):
+        raise FormatError("array global_sum does not give calib_global_mean over samples_seen")
     return dims.pop() if dims else None
 
 
@@ -406,12 +431,12 @@ def predict(
     """Calibrate and classify rows against a fitted state.
 
     bank is the raw text bank; it is calibrated here from
-    state.calib_text_shifts.  A state that restore_state would refuse
-    under cfg, or with no cluster means yet (a stream still
-    bootstrapping), raises FormatError.  Each row is assigned to its
-    nearest cluster mean and re-expressed as the unit direction from it;
-    a row on its mean falls back to plain normalization and is flagged
-    DEGENERATE.
+    state.calib_text_shifts.  A state that is not well-formed under cfg
+    (see StreamState) raises FormatError, NonFinitePayload for a NaN or
+    infinity, and so does one with no cluster means yet (a stream still
+    bootstrapping).  Each row is assigned to its nearest cluster mean and
+    re-expressed as the unit direction from it; a row on its mean falls
+    back to plain normalization and is flagged DEGENERATE.
     Zero rows give an empty Predictions; rows whose dimension differs
     from the state raise DimensionMismatch, and a raw array with a NaN
     or infinity raises NonFiniteInput.  With keep_probs=False the
@@ -452,7 +477,7 @@ def transduce(
 
 
 def stream_init(cfg: EngineConfig) -> StreamState:
-    """Fresh stream with nothing seen yet."""
+    """Fresh stream with nothing seen yet; cfg is unused, taken to match stream_step."""
     return StreamState()
 
 
@@ -473,12 +498,12 @@ def stream_step(
     first `clusters` samples overall then seed one cluster each, and any
     remainder of the completing batch is processed normally.  Buffered
     samples are never re-predicted.  An empty batch returns an empty
-    Predictions and the state as it was.  A state that restore_state
-    would refuse under cfg, or in memory mode one with a model but no
-    accumulators (an ema stream's state), raises
-    FormatError; a batch of another dimension than the state raises
-    DimensionMismatch, and a raw batch with a NaN or infinity
-    NonFiniteInput.  keep_probs=False works as in transduce.
+    Predictions and the state as it was.  A state that is not well-formed
+    under cfg (see StreamState) raises FormatError, NonFinitePayload for
+    a NaN or infinity, and so does, in memory mode, one with a model but
+    no accumulators (an ema stream's state); a batch of another dimension
+    than the state raises DimensionMismatch, and a raw batch with a NaN
+    or infinity NonFiniteInput.  keep_probs=False works as in transduce.
     """
     x = _as_rows(batch, _check_state(state, cfg))
     if not x.shape[0]:

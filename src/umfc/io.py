@@ -31,7 +31,7 @@ from typing import Iterable, List, Optional, Tuple
 import numpy as np
 
 from .core import CHUNK_ROWS, EmbeddingMatrix, TextBank, _for_blocks, row_blocks
-from .engine import EngineConfig, StreamState, _STATE_ARRAYS, _check_state
+from .engine import EngineConfig, StreamState, _STATE_ARRAYS, _check_state, _count
 from .errors import (
     BadMagic,
     DuplicateName,
@@ -275,39 +275,10 @@ def read_text_bank(path, names_path) -> TextBank:
 # ---------------------------------------------------------------------------
 # engine state snapshots
 
-# the arrays a snapshot may carry: those of engine._STATE_ARRAYS
-_NAMES = {name for name, *_ in _STATE_ARRAYS}
-_DTYPES = {dtype for _, dtype, _, _ in _STATE_ARRAYS}
-
-
-def _count(value) -> bool:
-    """value is a JSON integer in [0, 2**63), the range of an int64."""
-    return isinstance(value, int) and not isinstance(value, bool) and 0 <= value < 2**63
-
-
-def _check_accumulators(state: StreamState) -> None:
-    """Raise FormatError unless the accumulators a fitted state carries
-    give its cluster means and global mean bit for bit, as the update
-    that wrote them divides: each member row of centroids is its row of
-    running_sums over its count (a row with no members sums to zero),
-    and calib_global_mean is global_sum over samples_seen > 0."""
-    if state.centroids is None:
-        return
-    sums, counts, seen = state.running_sums, state.counts, state.samples_seen
-    if sums is not None:
-        nz = counts > 0
-        if sums[~nz].any() or not np.array_equal(state.centroids[nz], sums[nz] / counts[nz, None]):
-            raise FormatError("array running_sums does not give centroids over counts")
-    if state.global_sum is not None and not (
-        seen and np.array_equal(state.calib_global_mean, state.global_sum / seen)
-    ):
-        raise FormatError("array global_sum does not give calib_global_mean over samples_seen")
-
-
 def snapshot_state(state: StreamState, cfg: EngineConfig, path) -> None:
     """Persist a fitted state plus its config; restoring continues bit-for-bit.
 
-    A state that is not well-formed under cfg (see restore_state) raises
+    A state that is not well-formed under cfg (see StreamState) raises
     FormatError and nothing is written.  Cluster inertia history is a
     fit-time diagnostic and is not carried across a snapshot.
     """
@@ -332,10 +303,10 @@ def snapshot_state(state: StreamState, cfg: EngineConfig, path) -> None:
 
 
 def restore_state(path) -> Tuple[StreamState, EngineConfig]:
-    """Read a snapshot back as its state and config.  A malformed one,
-    one holding a state that predict would refuse, and one whose
-    accumulators disagree with the cluster means or the global mean they
-    were divided into are each a FormatError."""
+    """Read a snapshot back as its state and config.  A malformed file,
+    one naming an array twice or in another dtype than snapshot_state
+    writes, and one whose state is not well-formed under its config (see
+    StreamState) are each a FormatError naming the path."""
     raw = Path(path).read_bytes()
     count, _, kind = _read_header(raw, path)
     if kind != KIND_STATE:
@@ -358,41 +329,40 @@ def restore_state(path) -> Tuple[StreamState, EngineConfig]:
     except (KeyError, TypeError, ValueError) as e:
         raise FormatError(f"{path}: bad config in snapshot: {e}") from None
     entries = manifest.get("arrays", [])
-    seen = {key: manifest.get(key, 0) for key in ("samples_seen", "batches_seen")}
-    if not isinstance(entries, list) or not all(map(_count, seen.values())):
-        raise FormatError(f"{path}: snapshot manifest needs an arrays list and int64 counters >= 0")
+    if not isinstance(entries, list):
+        raise FormatError(f"{path}: snapshot manifest needs an arrays list")
 
+    written = {name: dtype for name, dtype, *_ in _STATE_ARRAYS}
     offset = 4 + head_len
     arrays = {}
     for entry in entries:
         if not (isinstance(entry, list) and len(entry) == 3 and isinstance(entry[0], str)):
             raise FormatError(f"{path}: array entry {entry!r} is not a [name, dtype, shape] triple")
         name, dtype, shape = entry
-        if name not in _NAMES:
+        if name not in written:
             raise FormatError(f"{path}: unknown array {name!r}")
+        if name in arrays:
+            raise FormatError(f"{path}: array {name!r} listed twice")
         if dtype is None:
             arrays[name] = None
             continue
-        if dtype not in _DTYPES:
-            raise FormatError(f"{path}: unknown array dtype {dtype!r}")
+        if dtype != written[name]:
+            raise FormatError(f"{path}: array {name} has dtype {dtype!r}, not {written[name]!r}")
         if not (isinstance(shape, list) and all(map(_count, shape))):
             raise FormatError(f"{path}: array {name} has a bad shape {shape!r}")
         nbytes = math.prod(shape) * 8
         chunk = body[offset : offset + nbytes]
         if len(chunk) != nbytes:
             raise TruncatedPayload(f"{path}: array {name} cut short")
-        arr = np.frombuffer(chunk, dtype=dtype).reshape(shape).copy()
-        if arr.dtype.kind == "f" and not np.isfinite(arr).all():
-            raise NonFinitePayload(f"{path}: array {name} contains NaN or infinity")
-        arrays[name] = arr
+        arrays[name] = np.frombuffer(chunk, dtype=dtype).reshape(shape).copy()
         offset += nbytes
-    if offset != len(body):
-        raise TruncatedPayload(f"{path}: {len(body) - offset} unexpected trailing bytes")
 
+    seen = {key: manifest.get(key, 0) for key in ("samples_seen", "batches_seen")}
     state = StreamState(**arrays, **seen)
     try:
         _check_state(state, cfg)
-        _check_accumulators(state)
     except FormatError as e:
-        raise FormatError(f"{path}: {e}") from None
+        raise type(e)(f"{path}: {e}") from None
+    if offset != len(body):
+        raise TruncatedPayload(f"{path}: {len(body) - offset} unexpected trailing bytes")
     return state, cfg

@@ -82,6 +82,8 @@ class SynthSpec:
             raise ValueError("domain_offset_norm, noise_sigma and text_domain_bias must be >= 0")
         if self.samples_per_cell < 1:
             raise ValueError(f"samples_per_cell must be >= 1, got {self.samples_per_cell}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.class_imbalance is not None:
             w = np.asarray(self.class_imbalance, dtype=np.float64)
             if w.shape != (self.n_domains, self.n_classes):

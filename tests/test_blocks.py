@@ -75,11 +75,13 @@ def test_predict_same_across_block_sizes_with_degenerate_row(monkeypatch):
     cfg = umfc.EngineConfig(clusters=3)
     state = umfc.fit_unsupervised(ds.images, ds.text_bank, cfg)
     # put cluster 0's mean on row 9 (in the second block), so that row
-    # calibrates to a zero residual
+    # calibrates to a zero residual; the accumulators, which no longer
+    # give the means, are dropped
     means = state.centroids.copy()
     means[0] = umfc.l2_normalize_rows(ds.images.data[9:10])[0]
     state = dataclasses.replace(
-        state, centroids=means, calib_text_shifts=means - state.calib_global_mean
+        state, centroids=means, calib_text_shifts=means - state.calib_global_mean,
+        running_sums=None, global_sum=None,
     )
 
     def run():

@@ -726,12 +726,18 @@ def test_environment_sets_no_flag(tmp_path, monkeypatch):
     assert outputs("env") == plain
 
 
-def test_negative_seed_is_usage_error_naming_seed(small, tmp_path, capsys):
-    assert run("transduce", "--test", f"{small}_images.bin", "--bank", f"{small}_bank.bin",
-               "--names", f"{small}_names.txt", "--out", str(tmp_path / "p.tsv"),
-               "--seed", "-1") == 1
-    assert "usage error: seed must be >= 0" in capsys.readouterr().err
-    assert not (tmp_path / "p.tsv").exists()
+@pytest.mark.parametrize("command", ["transduce", "synth", "diagnose balance"])
+def test_negative_seed_is_usage_error_naming_seed(small, tmp_path, capsys, command):
+    out = tmp_path / "p"
+    files = {
+        "transduce": ("--test", f"{small}_images.bin", "--bank", f"{small}_bank.bin",
+                      "--names", f"{small}_names.txt", "--out", str(out)),
+        "synth": ("--out-prefix", str(out)),
+        "diagnose balance": ("--test", f"{small}_images.bin", "--out", str(out)),
+    }[command]
+    assert run(*command.split(), *files, "--seed", "-1") == 1
+    assert "usage error: seed must be >= 0, got -1" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 # removed flags, with a value each once took, and the commands that took them

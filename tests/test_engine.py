@@ -116,7 +116,8 @@ def test_predict_without_a_model_is_format_error():
 
 @pytest.mark.parametrize("case", [
     "short-counts", "extra-shift-row", "other-cluster-count", "narrow-running-sums",
-    "wrong-width-buffer", "calib-without-model",
+    "wrong-width-buffer", "calib-without-model", "doubled-running-sums", "nan-centroids",
+    "float32-centroids", "float64-counts", "negative-samples-seen", "fractional-batches-seen",
 ])
 def test_malformed_in_memory_state_is_format_error(tmp_path, case):
     # the rules restore_state applies to a snapshot hold for a state built
@@ -138,6 +139,21 @@ def test_malformed_in_memory_state_is_format_error(tmp_path, case):
         state = dataclasses.replace(state, running_sums=state.running_sums[:, :5])
     elif case == "wrong-width-buffer":
         state = dataclasses.replace(state, bootstrap_buffer=x[:2, :7])
+    elif case == "doubled-running-sums":
+        state = dataclasses.replace(state, running_sums=2 * state.running_sums)
+    elif case == "nan-centroids":
+        centroids = state.centroids.copy()
+        centroids[1, 3] = np.nan
+        state = dataclasses.replace(state, centroids=centroids)
+    elif case == "float32-centroids":
+        state = dataclasses.replace(state, centroids=state.centroids.astype(np.float32))
+    elif case == "float64-counts":
+        state = dataclasses.replace(state, counts=state.counts.astype(np.float64))
+    elif case == "negative-samples-seen":
+        # without the accumulators, which -7 would break too
+        state = dataclasses.replace(state, running_sums=None, global_sum=None, samples_seen=-7)
+    elif case == "fractional-batches-seen":
+        state = dataclasses.replace(state, batches_seen=2.5)
     else:
         state = dataclasses.replace(state, centroids=None, counts=None)
     p = tmp_path / "s.state"
@@ -149,6 +165,28 @@ def test_malformed_in_memory_state_is_format_error(tmp_path, case):
             umfc.stream_step(state, x, ds.text_bank, cfg)
         with pytest.raises(umfc.FormatError):
             umfc.snapshot_state(state, cfg, p)
+    assert not p.exists()
+
+
+@pytest.mark.parametrize("name", ["centroids", "running_sums", "global_sum",
+                                  "calib_global_mean", "calib_text_shifts"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_state_array_with_a_nan_or_infinity_is_non_finite_payload(tmp_path, name, bad):
+    # refused by name before any arithmetic sees it, as restore_state
+    # refuses such a snapshot
+    ds = small_benchmark()
+    cfg = cfg2()
+    fit = umfc.fit_unsupervised(ds.images, ds.text_bank, cfg)
+    arr = getattr(fit, name).copy()
+    arr.flat[1] = bad
+    state = dataclasses.replace(fit, **{name: arr})
+    x = ds.images.data[:10]
+    p = tmp_path / "s.state"
+    for call in (lambda: umfc.predict(state, x, ds.text_bank, cfg),
+                 lambda: umfc.stream_step(state, x, ds.text_bank, cfg),
+                 lambda: umfc.snapshot_state(state, cfg, p)):
+        with pytest.raises(umfc.NonFinitePayload, match=f"array {name} contains NaN"):
+            call()
     assert not p.exists()
 
 

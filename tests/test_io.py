@@ -345,15 +345,17 @@ def _minimal_manifest(**config_overrides):
 
 def _unchecked_bytes(state, cfg):
     """The bytes snapshot_state writes for a state, also for a malformed
-    one that it refuses to write."""
-    arrays = [(name, getattr(state, name), dtype) for name, dtype, *_ in _STATE_ARRAYS]
+    one that it refuses to write; each array is written in its own
+    dtype."""
+    arrays = [(name, getattr(state, name)) for name, *_ in _STATE_ARRAYS]
     manifest = {
         "config": dataclasses.asdict(cfg),
         "samples_seen": state.samples_seen,
         "batches_seen": state.batches_seen,
-        "arrays": [[n, None, None] if a is None else [n, d, list(a.shape)] for n, a, d in arrays],
+        "arrays": [[n, None, None] if a is None else [n, a.dtype.str, list(a.shape)]
+                   for n, a in arrays],
     }
-    blobs = b"".join(a.astype(d).tobytes() for _, a, d in arrays if a is not None)
+    blobs = b"".join(a.tobytes() for _, a in arrays if a is not None)
     return _snapshot_bytes(manifest, blobs)
 
 
@@ -535,16 +537,57 @@ def test_snapshot_config_of_a_wrong_type_is_format_error(tmp_path, key, value):
         umfc.restore_state(p)
 
 
+def _rewritten(path, edit):
+    """Rewrite a snapshot's manifest and array bytes with edit(manifest, blobs)."""
+    raw = path.read_bytes()
+    (head_len,) = struct.unpack_from("<I", raw, HEADER.size)
+    manifest = json.loads(raw[HEADER.size + 4 : HEADER.size + 4 + head_len])
+    path.write_bytes(_snapshot_bytes(*edit(manifest, raw[HEADER.size + 4 + head_len :])))
+
+
 def test_snapshot_with_an_unknown_array_name_is_refused(tmp_path):
     _, cfg, state = _fit_state()
     p = tmp_path / "s.state"
     umfc.snapshot_state(state, cfg, p)
-    raw = p.read_bytes()
-    (head_len,) = struct.unpack_from("<I", raw, HEADER.size)
-    manifest = json.loads(raw[HEADER.size + 4 : HEADER.size + 4 + head_len])
-    manifest["arrays"][0][0] = "centroidz"
-    p.write_bytes(_snapshot_bytes(manifest, raw[HEADER.size + 4 + head_len :]))
+
+    def misspell(manifest, blobs):
+        manifest["arrays"][0][0] = "centroidz"
+        return manifest, blobs
+
+    _rewritten(p, misspell)
     with pytest.raises(umfc.FormatError, match="unknown array 'centroidz'"):
+        umfc.restore_state(p)
+
+
+@pytest.mark.parametrize("name, dtype", [("centroids", "<i8"), ("counts", "<f8")])
+def test_snapshot_array_of_another_dtype_than_written_is_refused(tmp_path, name, dtype):
+    # an ema state keeps no accumulators, so nothing else refuses the
+    # array cast to the other dtype (same shape, same byte count)
+    _, cfg, state = _fit_state("ema")
+    p = tmp_path / "s.state"
+    p.write_bytes(_unchecked_bytes(
+        dataclasses.replace(state, **{name: getattr(state, name).astype(dtype)}), cfg))
+    written = "<f8" if dtype == "<i8" else "<i8"
+    with pytest.raises(umfc.FormatError, match=f"array {name} has dtype '{dtype}', not '{written}'"):
+        umfc.restore_state(p)
+
+
+@pytest.mark.parametrize("name", ["calib_global_mean", "bootstrap_buffer"])
+def test_snapshot_listing_an_array_twice_is_refused(tmp_path, name):
+    # a second entry for an array snapshot_state wrote, with its bytes, or
+    # for one it wrote as absent: refused, not read as the last copy
+    _, cfg, state = _fit_state()
+    p = tmp_path / "s.state"
+    umfc.snapshot_state(state, cfg, p)
+
+    def repeat(manifest, blobs):
+        arr = getattr(state, name)
+        entry = [name, None, None] if arr is None else [name, "<f8", list(arr.shape)]
+        manifest["arrays"].append(entry)
+        return manifest, blobs + (b"" if arr is None else arr.tobytes())
+
+    _rewritten(p, repeat)
+    with pytest.raises(umfc.FormatError, match=f"array '{name}' listed twice"):
         umfc.restore_state(p)
 
 
