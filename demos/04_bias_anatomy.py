@@ -44,8 +44,7 @@ def main():
     spread_after = max(hist2.counts) - min(hist2.counts)
     print(f"\nprediction-count spread: {spread_before} before, {spread_after} after")
 
-    refs = umfc.pairwise_directions(ds.true_transition_directions)
-    table = umfc.transition_direction_check(ds.images, refs)
+    table = umfc.transition_direction_check(ds.images, ds.true_transition_directions)
     print(f"measured vs planted transition directions, "
           f"min cosine: {table.min_off_diagonal():.6f}")
 

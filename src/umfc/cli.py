@@ -55,7 +55,7 @@ from .errors import (
     MissingLabels,
     UmfcError,
 )
-from .synth import SynthSpec, generate_benchmark, pairwise_directions
+from .synth import SynthSpec, generate_benchmark
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -293,7 +293,7 @@ def cmd_probe(args) -> None:
 def cmd_direction(args) -> None:
     test = _load_matrix(args.test)
     anchors = _load_matrix(args.domain_bank)
-    table = transition_direction_check(test, pairwise_directions(anchors.data))
+    table = transition_direction_check(test, anchors.data)
     uio._atomic_write(args.out, [table.to_tsv().encode("utf-8")])
     _note(f"direction: min off-diagonal cosine {table.min_off_diagonal():.6f} -> {args.out}")
 

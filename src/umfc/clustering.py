@@ -32,8 +32,7 @@ TOL = 1e-4
 
 @dataclass
 class ClusterModel:
-    """What kmeans_fit fits: the centroids with the member count behind
-    each one.
+    """What kmeans_fit fits: the centroids.
 
     inertia_history is a diagnostic: after each Lloyd update, the sum of
     squared distances from every row to the nearest updated centroid.
@@ -43,7 +42,6 @@ class ClusterModel:
     """
 
     centroids: np.ndarray
-    counts: np.ndarray
     inertia_history: Optional[list] = None
 
 
@@ -212,8 +210,7 @@ def kmeans_fit(m: np.ndarray, n_clusters: int, seed: int) -> Tuple[ClusterModel,
 
     # the returned labels are the plain argmin against the final
     # centroids, so assign_batch reproduces them row for row
-    counts = np.bincount(pure_labels, minlength=n_clusters).astype(np.int64)
-    return ClusterModel(centroids=centroids, counts=counts, inertia_history=history), pure_labels
+    return ClusterModel(centroids=centroids, inertia_history=history), pure_labels
 
 
 def assign_batch(centroids: np.ndarray, m: np.ndarray) -> np.ndarray:

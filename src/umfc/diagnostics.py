@@ -12,7 +12,7 @@ import numpy as np
 
 from .calib import classify_batch
 from .clustering import batch_cluster_means
-from .core import DEGENERACY_EPS, EmbeddingMatrix, TextBank
+from .core import DEGENERACY_EPS, EmbeddingMatrix, TextBank, l2_normalize_rows
 from .errors import DegenerateVector, DimensionMismatch, EmptyDomain, MissingLabels, TooFewSamples
 
 __all__ = [
@@ -81,11 +81,9 @@ def per_domain_accuracy(
 class Histogram:
     counts: np.ndarray
 
-    def top(self, k: Optional[int] = None) -> List[Tuple[int, int]]:
+    def top(self) -> List[Tuple[int, int]]:
         """(class, count) sorted by count descending, ties by class index."""
         order = sorted(range(self.counts.size), key=lambda c: (-self.counts[c], c))
-        if k is not None:
-            order = order[:k]
         return [(c, int(self.counts[c])) for c in order]
 
     def to_tsv(self, names: Optional[Sequence[str]] = None) -> str:
@@ -171,32 +169,28 @@ class DirectionTable:
         return "\n".join(lines) + "\n"
 
 
-def transition_direction_check(
-    images: EmbeddingMatrix, reference_directions: np.ndarray
-) -> DirectionTable:
-    """Compare measured domain-mean differences against references.
+def transition_direction_check(images: EmbeddingMatrix, anchors: np.ndarray) -> DirectionTable:
+    """Compare measured domain-mean differences against the domain anchors.
 
-    reference_directions is a Z x Z x D table whose [i, j] row is the
-    expected unit direction from domain j's mean to domain i's; entry
+    anchors is Z x D, one row per domain; the reference direction from
+    domain j to domain i is normalize(anchors[i] - anchors[j]), and entry
     [i, j] of the result is the cosine between mean_i - mean_j and that
     reference.  Same-domain entries are skipped (NaN), and rows whose
     domain id is not one of 0..Z-1 (-1 marks an unlabeled row) are
-    ignored.  Raises TooFewSamples when Z < 2, EmptyDomain when any of
-    the Z domain ids has no samples,
-    MissingLabels when the matrix carries no domain labels,
-    DimensionMismatch when D is not the images' dimension and
-    DegenerateVector when a compared pair has a zero-norm vector.
+    ignored.  Raises ValueError unless anchors is 2-d, DimensionMismatch
+    when D is not the images' dimension, TooFewSamples when Z < 2,
+    MissingLabels when the matrix carries no domain labels, EmptyDomain
+    when any of the Z domain ids has no samples and DegenerateVector
+    when two anchors or two domain means coincide.
     """
-    refs = np.asarray(reference_directions, dtype=np.float64)
-    if refs.ndim != 3 or refs.shape[0] != refs.shape[1]:
-        raise ValueError(f"expected a Z x Z x D reference table, got shape {refs.shape}")
-    if refs.shape[2] != images.dim:
-        raise DimensionMismatch(
-            f"reference directions of dim {refs.shape[2]} against images of dim {images.dim}"
-        )
-    z = refs.shape[0]
+    a = np.asarray(anchors, dtype=np.float64)
+    if a.ndim != 2:
+        raise ValueError(f"anchors must be 2-d, got shape {a.shape}")
+    if a.shape[1] != images.dim:
+        raise DimensionMismatch(f"anchors of dim {a.shape[1]} against images of dim {images.dim}")
+    z = a.shape[0]
     if z < 2:
-        raise TooFewSamples(f"{z} domain(s) in the reference table; directions need at least 2")
+        raise TooFewSamples(f"{z} domain anchor(s); directions need at least 2")
     if images.domain_labels is None:
         raise MissingLabels("transition check needs domain labels")
     # rows outside the Z domains (unlabeled -1, or >= Z) go to a spare group
@@ -209,13 +203,13 @@ def transition_direction_check(
     # every off-diagonal pair at once, in row-major (i, j) order
     off = ~np.eye(z, dtype=bool)
     diffs = (means[:, None, :] - means[None, :, :])[off]
-    ref = refs[off]
+    ref = l2_normalize_rows((a[:, None, :] - a[None, :, :])[off])
     dn = np.linalg.norm(diffs, axis=1)
-    rn = np.linalg.norm(ref, axis=1)
-    if bool(np.any(dn < DEGENERACY_EPS)) or bool(np.any(rn < DEGENERACY_EPS)):
+    if np.any(dn < DEGENERACY_EPS):
         raise DegenerateVector("cosine similarity of a zero-norm vector is undefined")
     cos = np.full((z, z), np.nan)
-    cos[off] = np.clip(np.einsum("pd,pd->p", diffs, ref) / (dn * rn), -1.0, 1.0)
+    cos[off] = np.clip(np.einsum("pd,pd->p", diffs, ref) / (dn * np.linalg.norm(ref, axis=1)),
+                       -1.0, 1.0)
     return DirectionTable(domains=np.arange(z), cosines=cos)
 
 

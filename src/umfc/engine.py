@@ -153,13 +153,14 @@ class StreamState:
     accumulators behind the means; ema mode allocates none of them.
 
     Under a config of M clusters a state is well-formed when its
-    counters are int64 counts >= 0; each array is float64 (counts int64)
-    whatever the rows' dtype, finite, of its ndim and of one feature
-    dimension, with M rows if per cluster (bootstrap_buffer at most M);
-    the four fitted arrays are all present or all absent; and kept
-    accumulators give a model's means: centroids[m] = running_sums[m] /
-    counts[m] where counts[m] > 0, other rows of running_sums are zero,
-    and calib_global_mean = global_sum / samples_seen > 0.  predict,
+    counters are int64 counts >= 0; each array is a numpy array of
+    float64 (counts int64) whatever the rows' dtype, finite, of its ndim
+    and of one feature dimension, with M rows if per cluster
+    (bootstrap_buffer at most M); the four fitted arrays are all present
+    or all absent; and kept accumulators give a model's means:
+    centroids[m] = running_sums[m] / counts[m] where counts[m] > 0,
+    other rows of running_sums are zero, and calib_global_mean =
+    global_sum / samples_seen > 0.  predict,
     stream_step, snapshot_state and restore_state refuse any other state.
     """
 
@@ -207,6 +208,8 @@ def _check_state(state: StreamState, cfg: EngineConfig) -> Optional[int]:
         arr = getattr(state, name)
         if arr is None:
             continue
+        if not isinstance(arr, np.ndarray):
+            raise FormatError(f"array {name} is a {type(arr).__name__}, not a numpy array")
         if arr.dtype.newbyteorder("<") != dtype:
             raise FormatError(f"array {name} has dtype {arr.dtype.str}, not {dtype}")
         if arr.dtype.kind == "f" and not np.isfinite(arr).all():

@@ -22,7 +22,6 @@ import math
 import os
 import struct
 import tempfile
-import threading
 from dataclasses import asdict
 from itertools import chain, islice, repeat
 from pathlib import Path
@@ -130,8 +129,7 @@ def write_embeddings(matrix: EmbeddingMatrix, path, kind: int = KIND_IMAGE) -> N
 
 
 def _parse_labels(path, n: int):
-    text = Path(path).read_bytes().decode("utf-8")
-    lines = text.split("\n")
+    lines = Path(path).read_text(encoding="utf-8").split("\n")
     if lines and lines[-1] == "":
         lines.pop()
     if len(lines) != n:
@@ -157,11 +155,10 @@ def read_embeddings(path) -> EmbeddingMatrix:
 
     The rows stay float32, as stored, so every computation on them runs
     in float32 products (core._float_rows).  The payload size is checked
-    against the header before anything is allocated; rows are then read
-    block by block (core.row_blocks), one read at a time, straight into
-    the result, and each worker of the pass (core._for_blocks) checks the
-    block it read.  A NaN or infinity raises NonFinitePayload naming the
-    lowest such row.
+    against the header before anything is allocated; the payload is then
+    read in one read straight into the result, and each worker of a pass
+    (core._for_blocks) checks one block of rows.  A NaN or infinity
+    raises NonFinitePayload naming the lowest such row.
     """
     with open(path, "rb") as fh:
         count, dim, kind = _read_header(fh.read(_HEADER.size), path)
@@ -172,21 +169,16 @@ def read_embeddings(path) -> EmbeddingMatrix:
         if size != expected:
             raise TruncatedPayload(f"{path}: payload is {size} bytes, header promises {expected}")
         data = np.empty((count, dim), dtype="<f4")
-        read_lock = threading.Lock()
+        if fh.readinto(data) != data.nbytes:
+            raise TruncatedPayload(f"{path}: payload cut short while reading")
 
-        def read_block(sl):
-            block = data[sl]
-            with read_lock:
-                fh.seek(_HEADER.size + sl.start * dim * 4)
-                got = fh.readinto(block)
-            if got != block.nbytes:
-                raise TruncatedPayload(f"{path}: payload cut short while reading")
-            finite = np.isfinite(block)
-            if not finite.all():
-                row = sl.start + int(np.flatnonzero(~finite.all(axis=1))[0])
-                raise NonFinitePayload(f"{path}: payload row {row} contains NaN or infinity")
+    def check_block(sl):
+        finite = np.isfinite(data[sl])
+        if not finite.all():
+            row = sl.start + int(np.flatnonzero(~finite.all(axis=1))[0])
+            raise NonFinitePayload(f"{path}: payload row {row} contains NaN or infinity")
 
-        _for_blocks(read_block, count)
+    _for_blocks(check_block, count)
     ids = cls = dom = None
     sidecar = Path(str(path) + ".labels")
     if sidecar.exists():
@@ -244,9 +236,9 @@ def write_embeddings_csv(matrix: EmbeddingMatrix, path) -> None:
 
 
 def read_names(path, expected: Optional[int] = None) -> List[str]:
-    """Class names, one per line; must be non-empty and unique."""
-    text = Path(path).read_bytes().decode("utf-8")
-    lines = text.split("\n")
+    """Class names, one per line; must be non-empty and unique.  As in
+    every text file read here, a line ends at \\n, \\r\\n or \\r."""
+    lines = Path(path).read_text(encoding="utf-8").split("\n")
     if lines and lines[-1] == "":
         lines.pop()
     if expected is not None and len(lines) != expected:

@@ -14,7 +14,7 @@ reimplementation of the transductive pipeline.
 """
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -25,7 +25,6 @@ from .core import (
     Predictions,
     TextBank,
     _check_tau,
-    l2_normalize_rows,
 )
 from .engine import EngineConfig, StreamState
 from .errors import DegenerateVector, DimensionMismatch, DimensionTooSmall
@@ -37,7 +36,6 @@ __all__ = [
     "default_benchmark",
     "oracle_zero_shot",
     "oracle_transduce",
-    "pairwise_directions",
 ]
 
 # scale of the random jitter added to every text vector and domain anchor
@@ -52,8 +50,7 @@ class SynthSpec:
     fit in mutually orthogonal directions.  text_domain_bias controls how
     far each class text leans along its home domain's axis; with 0 the
     text is perfectly domain-neutral and uncalibrated accuracy is already
-    near perfect.  class_imbalance, when given, is an (n_domains,
-    n_classes) weight array reshaping the per-cell sample counts.
+    near perfect.  Every (domain, class) cell has samples_per_cell rows.
     """
 
     n_classes: int = 10
@@ -65,7 +62,6 @@ class SynthSpec:
     samples_per_cell: int = 50
     seed: int = 7
     text_domain_bias: float = 0.75
-    class_imbalance: Optional[tuple] = None
 
     def __post_init__(self):
         if self.n_classes < 2:
@@ -84,15 +80,6 @@ class SynthSpec:
             raise ValueError(f"samples_per_cell must be >= 1, got {self.samples_per_cell}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
-        if self.class_imbalance is not None:
-            w = np.asarray(self.class_imbalance, dtype=np.float64)
-            if w.shape != (self.n_domains, self.n_classes):
-                raise ValueError(
-                    f"class_imbalance shape {w.shape} != ({self.n_domains}, {self.n_classes})"
-                )
-            if not (np.isfinite(w).all() and (w > 0).all()):
-                raise ValueError("class_imbalance weights must be finite and > 0")
-            object.__setattr__(self, "class_imbalance", tuple(map(tuple, w.tolist())))
 
     def home_domain(self, c: int) -> int:
         return c % self.n_domains
@@ -129,17 +116,6 @@ def _orthonormal_rows(rng: np.random.Generator, n_rows: int, dim: int) -> np.nda
     return basis
 
 
-def _cell_counts(spec: SynthSpec) -> np.ndarray:
-    """Sample count per (domain, class) cell."""
-    z, k = spec.n_domains, spec.n_classes
-    if spec.class_imbalance is None:
-        return np.full((z, k), spec.samples_per_cell, dtype=np.int64)
-    w = np.asarray(spec.class_imbalance, dtype=np.float64)
-    w = w / w.sum(axis=1, keepdims=True)
-    counts = np.rint(spec.samples_per_cell * k * w).astype(np.int64)
-    return np.maximum(counts, 1)
-
-
 def generate_benchmark(spec: SynthSpec) -> SyntheticDataset:
     """Build the dataset a spec describes.
 
@@ -149,12 +125,13 @@ def generate_benchmark(spec: SynthSpec) -> SyntheticDataset:
         class_sep * g_c + text_domain_bias * d_home(c) + jitter
     where g are the class anchors and d the domain axes, all orthonormal.
     Rows are emitted round-robin over domains (row i belongs to domain
-    i mod Z while every domain still has rows) with each domain's class
+    i mod Z) with each domain's class
     stream independently seeded-shuffled, so any contiguous window of the
     file mixes all domains: the setting a batch-at-a-time consumer is
     meant to face.  true_transition_directions holds the exact unit
-    domain axes; the planted direction of travel between domains i and j
-    is normalize(d_i - d_j) (see pairwise_directions).
+    domain axes; the planted direction of travel from domain j to domain
+    i is normalize(d_i - d_j), the reference that
+    diagnostics.transition_direction_check takes from these anchors.
     """
     rng = np.random.default_rng(spec.seed)
     k, z, d = spec.n_classes, spec.n_domains, spec.dim
@@ -162,21 +139,16 @@ def generate_benchmark(spec: SynthSpec) -> SyntheticDataset:
     anchors = basis[:k]
     axes = basis[k:]
 
-    counts = _cell_counts(spec)
+    n = spec.samples_per_cell
     blocks = []
-    class_labels = []
-    domain_labels = []
     for zi in range(z):
         for ci in range(k):
-            n = int(counts[zi, ci])
             base = spec.class_sep * anchors[ci] + spec.domain_offset_norm * axes[zi]
             noise = spec.noise_sigma * rng.standard_normal((n, d))
             blocks.append(base[None, :] + noise)
-            class_labels.extend([ci] * n)
-            domain_labels.extend([zi] * n)
     data = np.vstack(blocks)
-    class_labels = np.asarray(class_labels, dtype=np.int64)
-    domain_labels = np.asarray(domain_labels, dtype=np.int64)
+    class_labels = np.tile(np.repeat(np.arange(k, dtype=np.int64), n), z)
+    domain_labels = np.repeat(np.arange(z, dtype=np.int64), k * n)
 
     text = spec.class_sep * anchors.copy()
     for ci in range(k):
@@ -189,12 +161,7 @@ def generate_benchmark(spec: SynthSpec) -> SyntheticDataset:
     for zi in range(z):
         rows = np.flatnonzero(domain_labels == zi)
         queues.append(rows[rng.permutation(rows.size)])
-    order = []
-    for i in range(max(q.size for q in queues)):
-        for q in queues:
-            if i < q.size:
-                order.append(q[i])
-    perm = np.asarray(order, dtype=np.int64)
+    perm = np.stack(queues, axis=1).ravel()
     images = EmbeddingMatrix(
         data=data[perm],
         class_labels=class_labels[perm],
@@ -212,17 +179,6 @@ def generate_benchmark(spec: SynthSpec) -> SyntheticDataset:
 
 def default_benchmark() -> SyntheticDataset:
     return generate_benchmark(SynthSpec())
-
-
-def pairwise_directions(axes: np.ndarray) -> np.ndarray:
-    """Expand per-domain axes into the Z x Z x D table of unit directions
-    from domain j to domain i (rows i == j are zero)."""
-    axes = np.asarray(axes, dtype=np.float64)
-    z, d = axes.shape
-    off = ~np.eye(z, dtype=bool)
-    out = np.zeros((z, z, d))
-    out[off] = l2_normalize_rows((axes[:, None, :] - axes[None, :, :])[off])
-    return out
 
 
 # The oracles' own per-row helpers: scalar forms of core.l2_normalize_rows

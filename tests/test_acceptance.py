@@ -130,13 +130,13 @@ def test_criterion_05_calibration_beats_zero_shot(bench):
 
 
 def test_criterion_06_transition_direction_fidelity(bench):
-    refs = umfc.pairwise_directions(bench.true_transition_directions)
-    noisy = umfc.transition_direction_check(bench.images, refs)
+    anchors = bench.true_transition_directions
+    noisy = umfc.transition_direction_check(bench.images, anchors)
     off = ~np.eye(3, dtype=bool)
     assert np.all(noisy.cosines[off] >= 0.99)
 
     clean_ds = umfc.generate_benchmark(umfc.SynthSpec(noise_sigma=0.0))
-    clean = umfc.transition_direction_check(clean_ds.images, refs)
+    clean = umfc.transition_direction_check(clean_ds.images, anchors)
     assert np.all(np.abs(clean.cosines[off] - 1.0) <= 1e-9)
 
 

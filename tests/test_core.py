@@ -94,6 +94,8 @@ def test_embedding_matrix_validation():
         umfc.EmbeddingMatrix(data=np.ones(3))
     with pytest.raises(ValueError):
         umfc.EmbeddingMatrix(data=np.ones((2, 2)), class_labels=np.zeros(3, dtype=np.int64))
+    with pytest.raises(ValueError, match="1 ids for 2 rows"):
+        umfc.EmbeddingMatrix(data=np.ones((2, 2)), ids=["a"])
     m = umfc.EmbeddingMatrix(data=np.ones((2, 3)))
     assert m.ids == ["0", "1"]
     assert m.n == 2 and m.dim == 3
@@ -126,6 +128,8 @@ def test_text_bank_validation():
         umfc.TextBank(names=["a"], data=np.eye(1))
     with pytest.raises(ValueError):
         umfc.TextBank(names=["a", "b"], data=data)
+    with pytest.raises(umfc.NonFiniteInput):
+        umfc.TextBank(names=["a", "b", "c"], data=np.where(data == 1, np.nan, data))
     bank = umfc.TextBank(names=["a", "b", "c"], data=data)
     assert bank.k == 3 and bank.dim == 3
 

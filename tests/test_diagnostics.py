@@ -64,13 +64,15 @@ def test_per_domain_accuracy_missing_labels():
         umfc.per_domain_accuracy(_preds([0]), np.array([-1]), np.array([0]))
     with pytest.raises(umfc.MissingLabels):
         umfc.per_domain_accuracy(_preds([0]), np.array([0]), None)
+    with pytest.raises(ValueError, match="mismatched lengths"):
+        umfc.per_domain_accuracy(_preds([0, 1]), np.array([0]), np.array([0]))
 
 
 def test_prediction_histogram():
     hist = umfc.prediction_histogram(_preds([0, 2, 2, 1, 2]), 4)
     assert np.array_equal(hist.counts, [1, 1, 3, 0])
     assert hist.counts.sum() == 5
-    assert hist.top(2) == [(2, 3), (0, 1)]  # tie 0 vs 1 broken by class index
+    assert hist.top()[:2] == [(2, 3), (0, 1)]  # tie 0 vs 1 broken by class index
     assert hist.top() == [(2, 3), (0, 1), (1, 1), (3, 0)]
     assert hist.to_tsv().startswith("class\tcount\n")
 
@@ -149,12 +151,14 @@ def test_kl_to_uniform_hand_values():
     assert np.isclose(umfc.kl_to_uniform(np.array([1.0, 0.0])), np.log(2.0), atol=1e-12)
     with pytest.raises(ValueError):
         umfc.kl_to_uniform(np.array([0.5, 0.6]))
+    for not_a_vector in (np.full((2, 2), 0.25), np.empty(0)):
+        with pytest.raises(ValueError, match="1-D"):
+            umfc.kl_to_uniform(not_a_vector)
 
 
 def test_transition_direction_check_exact():
     ds = umfc.generate_benchmark(umfc.SynthSpec(noise_sigma=0.0))
-    refs = umfc.pairwise_directions(ds.true_transition_directions)
-    table = umfc.transition_direction_check(ds.images, refs)
+    table = umfc.transition_direction_check(ds.images, ds.true_transition_directions)
     assert table.cosines.shape == (3, 3)
     off = ~np.eye(3, dtype=bool)
     assert np.all(table.cosines[off] >= 1.0 - 1e-9)
@@ -167,20 +171,19 @@ def test_transition_direction_check_exact():
 
 def test_transition_direction_check_errors():
     ds = umfc.generate_benchmark(umfc.SynthSpec(n_classes=4, n_domains=2, dim=8))
-    refs = umfc.pairwise_directions(ds.true_transition_directions)
+    anchors = ds.true_transition_directions
     unlabeled = umfc.EmbeddingMatrix(data=ds.images.data)
     with pytest.raises(umfc.MissingLabels):
-        umfc.transition_direction_check(unlabeled, refs)
-    # a domain named by the reference table but absent from the data
-    refs3 = umfc.pairwise_directions(np.random.default_rng(0).standard_normal((3, 8)))
+        umfc.transition_direction_check(unlabeled, anchors)
+    # a domain with an anchor but absent from the data
+    anchors3 = np.random.default_rng(0).standard_normal((3, 8))
     with pytest.raises(umfc.EmptyDomain):
-        umfc.transition_direction_check(ds.images, refs3)
+        umfc.transition_direction_check(ds.images, anchors3)
     # one domain: no pair to compare
-    refs1 = np.zeros((1, 1, 8))
     with pytest.raises(umfc.TooFewSamples, match="at least 2"):
-        umfc.transition_direction_check(ds.images, refs1)
-    # references of another dimension than the images
-    wide = umfc.pairwise_directions(np.random.default_rng(0).standard_normal((2, 9)))
+        umfc.transition_direction_check(ds.images, anchors[:1])
+    # anchors of another dimension than the images
+    wide = np.random.default_rng(0).standard_normal((2, 9))
     with pytest.raises(umfc.DimensionMismatch, match="dim 9"):
         umfc.transition_direction_check(ds.images, wide)
     # two domains with equal means: their difference has no direction
@@ -188,17 +191,19 @@ def test_transition_direction_check_errors():
     same[ds.images.domain_labels == 1] = same[ds.images.domain_labels == 0]
     flat = umfc.EmbeddingMatrix(data=same, domain_labels=ds.images.domain_labels)
     with pytest.raises(umfc.DegenerateVector):
-        umfc.transition_direction_check(flat, refs)
-    # a zero-norm reference entry
-    refs_zero = refs.copy()
-    refs_zero[0, 1] = 0.0
+        umfc.transition_direction_check(flat, anchors)
+    # two coinciding anchors: no reference direction between them
     with pytest.raises(umfc.DegenerateVector):
-        umfc.transition_direction_check(ds.images, refs_zero)
+        umfc.transition_direction_check(ds.images, anchors[[0, 0]])
+    # anchors must be a Z x D array
+    with pytest.raises(ValueError, match="2-d"):
+        umfc.transition_direction_check(ds.images, anchors[None])
 
 
-def _direction_cosines_pair_by_pair(images, refs):
-    """The direction check written out: one cosine per ordered pair."""
-    z = refs.shape[0]
+def _direction_cosines_pair_by_pair(images, anchors):
+    """The direction check written out: one cosine per ordered pair,
+    against the pair's anchor difference normalized on its own."""
+    z = anchors.shape[0]
     means = []
     for zi in range(z):
         rows = images.data[images.domain_labels == zi]
@@ -207,7 +212,9 @@ def _direction_cosines_pair_by_pair(images, refs):
     for i in range(z):
         for j in range(z):
             if i != j:
-                cos[i, j] = _cosine_sim(means[i] - means[j], refs[i, j])
+                d = anchors[i] - anchors[j]
+                ref = d / np.sqrt(np.einsum("i,i", d, d))
+                cos[i, j] = _cosine_sim(means[i] - means[j], ref)
     return cos
 
 
@@ -224,10 +231,9 @@ def test_transition_direction_check_matches_pair_by_pair_reference(spec):
                           ds.images.domain_labels[7:], [spec.n_domains, -1]])
     data = np.concatenate([ds.images.data[:7], stray[:2], ds.images.data[7:], stray[2:]])
     images = umfc.EmbeddingMatrix(data=data, domain_labels=dom)
-    for axes in (ds.true_transition_directions, ds.domain_anchor_texts):
-        refs = umfc.pairwise_directions(axes)
-        want = _direction_cosines_pair_by_pair(images, refs)
-        got = umfc.transition_direction_check(images, refs)
+    for anchors in (ds.true_transition_directions, ds.domain_anchor_texts):
+        want = _direction_cosines_pair_by_pair(images, anchors)
+        got = umfc.transition_direction_check(images, anchors)
         off = ~np.eye(spec.n_domains, dtype=bool)
         assert np.isnan(got.cosines[~off]).all()
         assert np.allclose(got.cosines[off], want[off], rtol=0, atol=1e-15)
@@ -268,6 +274,12 @@ def test_balanced_subsample_missing_labels():
         umfc.balanced_subsample(m, per_cell=1, seed=0)
 
 
+def test_balanced_subsample_refuses_a_quota_below_one():
+    ds = umfc.generate_benchmark(umfc.SynthSpec(n_classes=3, n_domains=2, dim=8, samples_per_cell=5))
+    with pytest.raises(ValueError, match="per_cell must be >= 1, got 0"):
+        umfc.balanced_subsample(ds.images, per_cell=0, seed=0)
+
+
 def test_balanced_subsample_refuses_absent_labels():
     # -1 is "absent", not a class or domain of its own
     ds = umfc.generate_benchmark(umfc.SynthSpec(n_classes=3, n_domains=2, dim=8, samples_per_cell=5))
@@ -298,10 +310,15 @@ def _balanced_subsample_cell_by_cell(images, per_cell, seed):
 @pytest.mark.parametrize("per_cell", [1, 4, 5])
 def test_balanced_subsample_matches_cell_by_cell_reference(per_cell):
     # cells of 2 to 8 rows, and cell (class 2, domain 1) emptied
-    spec = umfc.SynthSpec(n_classes=4, n_domains=3, dim=8, samples_per_cell=5, seed=5,
-                          class_imbalance=((1, 2, 3, 4), (4, 3, 2, 1), (1, 1, 1, 1)))
+    spec = umfc.SynthSpec(n_classes=4, n_domains=3, dim=8, samples_per_cell=8, seed=5)
     ds = umfc.generate_benchmark(spec)
-    keep = ~((ds.images.class_labels == 2) & (ds.images.domain_labels == 1))
+    cls, dom = ds.images.class_labels, ds.images.domain_labels
+    rank = np.zeros_like(cls)  # each row's place among the rows of its cell
+    for c in range(4):
+        for z in range(3):
+            rank[(cls == c) & (dom == z)] = np.arange(8)
+    sizes = np.array([(2, 4, 6, 8), (8, 6, 0, 2), (5, 5, 5, 5)])  # [domain, class]
+    keep = rank < sizes[dom, cls]
     images = umfc.EmbeddingMatrix(data=ds.images.data[keep],
                                   class_labels=ds.images.class_labels[keep],
                                   domain_labels=ds.images.domain_labels[keep])

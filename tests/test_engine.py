@@ -118,6 +118,7 @@ def test_predict_without_a_model_is_format_error():
     "short-counts", "extra-shift-row", "other-cluster-count", "narrow-running-sums",
     "wrong-width-buffer", "calib-without-model", "doubled-running-sums", "nan-centroids",
     "float32-centroids", "float64-counts", "negative-samples-seen", "fractional-batches-seen",
+    "list-centroids", "tuple-counts",
 ])
 def test_malformed_in_memory_state_is_format_error(tmp_path, case):
     # the rules restore_state applies to a snapshot hold for a state built
@@ -154,6 +155,10 @@ def test_malformed_in_memory_state_is_format_error(tmp_path, case):
         state = dataclasses.replace(state, running_sums=None, global_sum=None, samples_seen=-7)
     elif case == "fractional-batches-seen":
         state = dataclasses.replace(state, batches_seen=2.5)
+    elif case == "list-centroids":
+        state = dataclasses.replace(state, centroids=state.centroids.tolist())
+    elif case == "tuple-counts":
+        state = dataclasses.replace(state, counts=tuple(state.counts))
     else:
         state = dataclasses.replace(state, centroids=None, counts=None)
     p = tmp_path / "s.state"

@@ -66,6 +66,11 @@ def test_zero_row_labelled_matrix_round_trips(tmp_path):
     assert (tmp_path / "m.bin.labels").read_bytes() == b""
     back = umfc.read_embeddings(p)
     assert back.data.shape == (0, 4) and back.ids == []
+    # a CSV of no rows has no width to keep: it reads back as 0 x 0
+    pc = tmp_path / "m.csv"
+    umfc.write_embeddings_csv(m, pc)
+    assert pc.read_bytes() == b""
+    assert umfc.read_embeddings_csv(pc).data.shape == (0, 0)
 
 
 def test_sidecar_with_class_only(tmp_path):
@@ -91,6 +96,32 @@ def test_sidecar_bad_row(tmp_path):
     (tmp_path / "m.bin.labels").write_text("r0\tnot_an_int\t0\n")
     with pytest.raises(umfc.FormatError):
         umfc.read_embeddings(p)
+    (tmp_path / "m.bin.labels").write_text("r0\t0\n")
+    with pytest.raises(umfc.FormatError, match="expected id<TAB>class<TAB>domain"):
+        umfc.read_embeddings(p)
+
+
+@pytest.mark.parametrize("end", ["\r\n", "\r"])
+def test_label_sidecar_reads_any_line_end(tmp_path, end):
+    # a line ends at \n, \r\n or \r in every text file read, as in the CSV reader
+    m = umfc.EmbeddingMatrix(data=np.ones((2, 2)), ids=["a", "b"],
+                             class_labels=np.array([1, 0]), domain_labels=np.array([0, 1]))
+    p = tmp_path / "m.bin"
+    umfc.write_embeddings(m, p)
+    labels = tmp_path / "m.bin.labels"
+    labels.write_bytes(labels.read_bytes().replace(b"\n", end.encode()))
+    back = umfc.read_embeddings(p)
+    assert back.ids == ["a", "b"]
+    assert np.array_equal(back.class_labels, [1, 0])
+    assert np.array_equal(back.domain_labels, [0, 1])
+
+
+@pytest.mark.parametrize("end", ["\r\n", "\r"])
+def test_names_read_any_line_end(tmp_path, end):
+    # no class name keeps a stray \r, which every output line would carry
+    pn = tmp_path / "names.txt"
+    pn.write_bytes(f"cat{end}dog{end}".encode())
+    assert umfc.read_names(pn, expected=2) == ["cat", "dog"]
 
 
 def test_bad_magic(tmp_path):
@@ -422,6 +453,12 @@ def test_snapshot_corrupt_manifest(tmp_path):
     p.write_bytes(_header(len(payload), 1, 2) + payload)
     with pytest.raises(umfc.FormatError):
         umfc.restore_state(p)
+    # a payload too short for the manifest length, and a manifest cut short
+    for payload, match in [(b"\x09\x00", "too short for its manifest"),
+                           (struct.pack("<I", 50) + b"{}", "manifest cut short")]:
+        p.write_bytes(_header(len(payload), 1, 2) + payload)
+        with pytest.raises(umfc.TruncatedPayload, match=match):
+            umfc.restore_state(p)
 
 
 def test_snapshot_bad_config(tmp_path):
