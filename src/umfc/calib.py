@@ -90,9 +90,7 @@ def _calibrate_rows(rows: np.ndarray, shifts: np.ndarray) -> np.ndarray:
     rows = _float_rows(rows).astype(np.float64, copy=False)
     shifts = _float_rows(shifts).astype(np.float64, copy=False)
     if shifts.shape[1] != rows.shape[1]:
-        raise DimensionMismatch(
-            f"shifts shape {shifts.shape} does not match rows of shape {rows.shape}"
-        )
+        raise DimensionMismatch(f"a bank of dim {rows.shape[1]} against shifts of dim {shifts.shape[1]}")
     shifts = shifts[_lex_order(shifts)]
     r2 = _sq_norms(rows)[:, None]
     s2 = _sq_norms(shifts)

@@ -29,7 +29,7 @@ from typing import List, Optional
 import numpy as np
 
 from . import io as uio
-from .calib import calibrate_bank, classify_batch
+from .calib import calibrate_bank
 from .core import EmbeddingMatrix, Predictions, TextBank, l2_normalize_rows, row_blocks
 from .diagnostics import (
     balanced_subsample,
@@ -264,15 +264,13 @@ def cmd_hist(args) -> None:
     test = _load_matrix(args.test)
     bank = uio.read_text_bank(args.bank, args.names)
     if args.state is not None:
-        labels = _predict_loaded(args.state, args.tau, test, bank).labels
+        preds = _predict_loaded(args.state, args.tau, test, bank)
     else:
-        # one row block at a time, keeping only its argmax; 0 rows still
-        # score one empty block, so tau and the dimension are checked
-        tau = EngineConfig().tau if args.tau is None else args.tau
-        labels = np.empty(test.n, dtype=np.int64)
-        for sl in row_blocks(max(test.n, 1)):
-            labels[sl] = classify_batch(test.data[sl], bank.data, tau).argmax(axis=1)
-    hist = prediction_histogram(labels, bank.k)
+        # a zero-shot cosine takes the row's norm: no normalized copy
+        cfg = EngineConfig(tau=EngineConfig.tau if args.tau is None else args.tau,
+                           normalize_input=False)
+        preds = predict(None, test, bank, cfg, keep_probs=False)
+    hist = prediction_histogram(preds, bank.k)
     uio._atomic_write(args.out, [hist.to_tsv(bank.names).encode("utf-8")])
     _note(f"histogram of {test.n} predictions -> {args.out}")
 

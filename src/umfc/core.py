@@ -67,6 +67,16 @@ def row_blocks(n: int):
     return (slice(start, min(start + step, n)) for start in range(0, n, step))
 
 
+def _check_finite(m: np.ndarray, error: type, what: str, block: Optional[slice] = None) -> None:
+    """Raise error naming the lowest row of m with a NaN or infinity: of
+    block's rows (one call of a pooled pass), else of all, block by block."""
+    for sl in row_blocks(m.shape[0]) if block is None else (block,):
+        finite = np.isfinite(m[sl])
+        if not finite.all():
+            row = sl.start + int(np.flatnonzero(~finite.all(axis=1))[0])
+            raise error(f"{what} row {row} contains NaN or infinity")
+
+
 def _worker_count() -> int:
     """CPUs this process may run on; a pooled pass has a worker on each."""
     if hasattr(os, "sched_getaffinity"):
@@ -188,8 +198,7 @@ class EmbeddingMatrix:
     def __post_init__(self):
         self.data = _float_rows(self.data)
         n = self.data.shape[0]
-        if not all(np.isfinite(self.data[sl]).all() for sl in row_blocks(n)):
-            raise NonFiniteInput("embedding matrix contains NaN or infinity")
+        _check_finite(self.data, NonFiniteInput, "embedding matrix")
         if self.ids is None:
             self.ids = [str(i) for i in range(n)]
         else:
@@ -235,8 +244,7 @@ class TextBank:
     def __post_init__(self):
         self.names = [str(s) for s in self.names]
         self.data = _float_rows(self.data).astype(np.float64, copy=False)
-        if not np.isfinite(self.data).all():
-            raise NonFiniteInput("text bank contains NaN or infinity")
+        _check_finite(self.data, NonFiniteInput, "text bank")
         if len(self.names) != self.data.shape[0]:
             raise ValueError(
                 f"{len(self.names)} names for {self.data.shape[0]} text rows"

@@ -12,7 +12,7 @@ import numpy as np
 
 from .calib import classify_batch
 from .clustering import batch_cluster_means
-from .core import DEGENERACY_EPS, EmbeddingMatrix, TextBank, l2_normalize_rows
+from .core import DEGENERACY_EPS, EmbeddingMatrix, TextBank, _float_rows, _row_norms, l2_normalize_rows
 from .errors import DegenerateVector, DimensionMismatch, EmptyDomain, MissingLabels, TooFewSamples
 
 __all__ = [
@@ -131,9 +131,13 @@ def domain_bias_probe(
     Zero-shot classification of the class texts against the domain
     anchors: each bank row gets the softmax of its cosine similarities to
     every anchor.  The aggregate is the mean of the rows, i.e. how the
-    bank as a whole distributes its affinity over domains.
+    bank as a whole distributes its affinity over domains.  Anchors of
+    another dimension than the bank raise DimensionMismatch.
     """
-    rows = classify_batch(bank.data, domain_anchors, tau)
+    a = _float_rows(domain_anchors)
+    if a.shape[1] != bank.dim:
+        raise DimensionMismatch(f"domain anchors of dim {a.shape[1]} against a bank of dim {bank.dim}")
+    rows = classify_batch(bank.data, a, tau)
     aggregate = np.sum(rows, axis=0) / rows.shape[0]
     return ProbeResult(rows=rows, aggregate=aggregate, class_names=list(bank.names))
 
@@ -183,11 +187,9 @@ def transition_direction_check(images: EmbeddingMatrix, anchors: np.ndarray) -> 
     when any of the Z domain ids has no samples and DegenerateVector
     when two anchors or two domain means coincide.
     """
-    a = np.asarray(anchors, dtype=np.float64)
-    if a.ndim != 2:
-        raise ValueError(f"anchors must be 2-d, got shape {a.shape}")
+    a = _float_rows(anchors).astype(np.float64, copy=False)
     if a.shape[1] != images.dim:
-        raise DimensionMismatch(f"anchors of dim {a.shape[1]} against images of dim {images.dim}")
+        raise DimensionMismatch(f"domain anchors of dim {a.shape[1]} against images of dim {images.dim}")
     z = a.shape[0]
     if z < 2:
         raise TooFewSamples(f"{z} domain anchor(s); directions need at least 2")
@@ -199,17 +201,18 @@ def transition_direction_check(images: EmbeddingMatrix, anchors: np.ndarray) -> 
     means, counts = batch_cluster_means(images.data, groups, z + 1)
     if not counts[:z].all():
         raise EmptyDomain(f"domain {int(np.argmin(counts[:z]))} has no samples")
-    means = means[:z]
-    # every off-diagonal pair at once, in row-major (i, j) order
-    off = ~np.eye(z, dtype=bool)
-    diffs = (means[:, None, :] - means[None, :, :])[off]
-    ref = l2_normalize_rows((a[:, None, :] - a[None, :, :])[off])
+    # every off-diagonal pair (i, j) at once, in row-major order
+    i, j = np.nonzero(~np.eye(z, dtype=bool))
+    ref, diffs = a[i] - a[j], means[i] - means[j]
+    for what, d in (("anchors", ref), ("means", diffs)):
+        bad = np.flatnonzero(_row_norms(d) < DEGENERACY_EPS)
+        if bad.size:
+            raise DegenerateVector(f"domain {what} {i[bad[0]]} and {j[bad[0]]} coincide")
+    ref = l2_normalize_rows(ref)
     dn = np.linalg.norm(diffs, axis=1)
-    if np.any(dn < DEGENERACY_EPS):
-        raise DegenerateVector("cosine similarity of a zero-norm vector is undefined")
     cos = np.full((z, z), np.nan)
-    cos[off] = np.clip(np.einsum("pd,pd->p", diffs, ref) / (dn * np.linalg.norm(ref, axis=1)),
-                       -1.0, 1.0)
+    cos[i, j] = np.clip(np.einsum("pd,pd->p", diffs, ref) / (dn * np.linalg.norm(ref, axis=1)),
+                        -1.0, 1.0)
     return DirectionTable(domains=np.arange(z), cosines=cos)
 
 

@@ -4,23 +4,24 @@ Three ways to use the same math:
 
 * fit_unsupervised - estimate cluster means, the global mean, and text
   shifts from an unlabeled training matrix; predict then applies them
-  to any rows.
+  to any rows (and, given no state, scores rows zero-shot).
 * transduce - fit on the evaluation matrix itself and predict it in one
   call.
 * stream_init / stream_step - consume batches as they arrive, keeping
   either exact running statistics ("memory" mode) or an exponential
   moving average ("ema" mode), recalibrating the text bank after every
-  batch.
+  batch; run_stream feeds a matrix through them.
 
-Every regime accumulates through one update (_update), which folds rows
-and their cluster labels into the counts, accumulators, cluster means,
-global mean and text shifts.  A fit is k-means followed by that update
-of an empty state under k-means' own labels, and a later stream batch is
-assign_batch followed by it, so a fitted state continues as a memory
-stream bit for bit.  Every regime returns its rows as one columnar
-Predictions and its fitted state as one StreamState, a flat record of
-the arrays a snapshot holds, which predict applies and snapshot_state
-writes.
+Rows enter every regime through one preamble, _rows, which refuses bad
+rows before k-means or any batch runs.  Every regime accumulates through
+one update (_update), which folds rows and their cluster labels into the
+counts, accumulators, cluster means, global mean and text shifts.  A fit
+is k-means followed by that update of an empty state under k-means' own
+labels, and a later stream batch is assign_batch followed by it, so a
+fitted state continues as a memory stream bit for bit.  Every regime
+returns its rows as one columnar Predictions and its fitted state as one
+StreamState, a flat record of the arrays a snapshot holds, which predict
+applies and snapshot_state writes.
 
 Precision.  Float32 rows stay float32 (core._float_rows), and the
 products of normalizing, clustering, calibrating and scoring them run in
@@ -82,7 +83,6 @@ from .core import (
     TextBank,
     _check_tau,
     l2_normalize_rows,
-    row_blocks,
 )
 from .errors import DimensionMismatch, FormatError, NonFiniteInput, NonFinitePayload
 
@@ -244,19 +244,23 @@ def _check_state(state: StreamState, cfg: EngineConfig) -> Optional[int]:
     return dims.pop() if dims else None
 
 
-def _as_rows(data: Union[EmbeddingMatrix, np.ndarray], dim: Optional[int] = None) -> np.ndarray:
+def _rows(data: Union[EmbeddingMatrix, np.ndarray], bank: TextBank, cfg: EngineConfig,
+          dim: Optional[int] = None) -> np.ndarray:
     """data as a 2-d array, of float32 if its rows are float32 and of
-    float64 otherwise (core._float_rows); rows of another dimension than
-    a given dim raise DimensionMismatch, and a raw array with a NaN or
-    infinity raises NonFiniteInput (an EmbeddingMatrix has checked its
-    own)."""
+    float64 otherwise (core._float_rows), normalized under
+    cfg.normalize_input; first a raw array with a NaN or infinity raises
+    NonFiniteInput (an EmbeddingMatrix has checked its own), then rows of
+    another dimension than a state's dim, then than the bank's, raise
+    DimensionMismatch (a 0 x 0 array, an empty CSV, has no dimension)."""
     raw = not isinstance(data, EmbeddingMatrix)
-    out = core._float_rows(data) if raw else data.data
-    if raw and not all(np.isfinite(out[sl]).all() for sl in row_blocks(out.shape[0])):
-        raise NonFiniteInput("rows contain NaN or infinity")
-    if dim is not None and out.shape[0] and out.shape[1] != dim:
-        raise DimensionMismatch(f"rows of dim {out.shape[1]} against a state of dim {dim}")
-    return out
+    x = core._float_rows(data) if raw else data.data
+    if raw:
+        core._check_finite(x, NonFiniteInput, "input")
+    if any(x.shape):
+        for what, d in (("state", dim), ("bank", bank.dim)):
+            if d is not None and x.shape[1] != d:
+                raise DimensionMismatch(f"rows of dim {x.shape[1]} against a {what} of dim {d}")
+    return l2_normalize_rows(x) if cfg.normalize_input else x
 
 
 def _calibrate_block(
@@ -412,26 +416,23 @@ def fit_unsupervised(
     cluster means), so unequal cluster sizes weigh in proportionally.
     The update is the exact one whatever cfg.mode says, and the state
     keeps its accumulators, so it continues as a memory stream bit for
-    bit.  The bank is only checked against the rows' dimension; predict
-    calibrates it.
+    bit.  The bank is only checked against the rows' dimension (in
+    _rows, as in every regime); predict calibrates it.
     """
-    x = _as_rows(train)
-    if x.shape[1] != bank.dim:
-        raise DimensionMismatch(f"rows of dim {x.shape[1]} against a bank of dim {bank.dim}")
-    if cfg.normalize_input:
-        x = l2_normalize_rows(x)
-    return _kmeans_state(x, cfg)[0]
+    return _kmeans_state(_rows(train, bank, cfg), cfg)[0]
 
 
 def predict(
-    state: StreamState,
+    state: Optional[StreamState],
     x: Union[EmbeddingMatrix, np.ndarray],
     bank: TextBank,
     cfg: EngineConfig,
     *,
     keep_probs: bool = True,
 ) -> Predictions:
-    """Calibrate and classify rows against a fitted state.
+    """Calibrate and classify rows against a fitted state, or, with state
+    None, score them zero-shot against the raw bank: cluster -1, every
+    row flagged UNCALIBRATED.
 
     bank is the raw text bank; it is calibrated here from
     state.calib_text_shifts.  A state that is not well-formed under cfg
@@ -441,19 +442,19 @@ def predict(
     re-expressed as the unit direction from it; a row on its mean falls
     back to plain normalization and is flagged DEGENERATE.
     Zero rows give an empty Predictions; rows whose dimension differs
-    from the state raise DimensionMismatch, and a raw array with a NaN
-    or infinity raises NonFiniteInput.  With keep_probs=False the
-    result holds no N x K matrix: probs is None and labels, top,
+    from the state or the bank raise DimensionMismatch, and a raw array
+    with a NaN or infinity raises NonFiniteInput.  With keep_probs=False
+    the result holds no N x K matrix: probs is None and labels, top,
     clusters and flags have the bits of the default call.
     """
-    dim = _check_state(state, cfg)
-    if state.centroids is None:
+    dim = None if state is None else _check_state(state, cfg)
+    if state is not None and state.centroids is None:
         raise FormatError("the state has no fitted model to predict with yet")
-    x = _as_rows(x, dim)
+    x = _rows(x, bank, cfg, dim)
     if not x.shape[0]:
         return Predictions.empty(bank.k)
-    if cfg.normalize_input:
-        x = l2_normalize_rows(x)
+    if state is None:
+        return _predict_rows(x, None, None, bank.data, cfg.tau, keep_probs)
     return _score(state, x, assign_batch(state.centroids, x), bank, cfg.tau, keep_probs)
 
 
@@ -472,9 +473,7 @@ def transduce(
     predictions hold no N x K matrix: probs is None and labels, top,
     clusters and flags have the bits of the default call.
     """
-    x = _as_rows(test)
-    if cfg.normalize_input:
-        x = l2_normalize_rows(x)
+    x = _rows(test, bank, cfg)
     state, labels = _kmeans_state(x, cfg)
     return _score(state, x, labels, bank, cfg.tau, keep_probs), state
 
@@ -504,15 +503,12 @@ def stream_step(
     Predictions and the state as it was.  A state that is not well-formed
     under cfg (see StreamState) raises FormatError, NonFinitePayload for
     a NaN or infinity, and so does, in memory mode, one with a model but
-    no accumulators (an ema stream's state); a batch of another dimension
-    than the state raises DimensionMismatch, and a raw batch with a NaN
-    or infinity NonFiniteInput.  keep_probs=False works as in transduce.
+    no accumulators (an ema stream's state); a batch is refused as
+    predict refuses rows.  keep_probs=False works as in transduce.
     """
-    x = _as_rows(batch, _check_state(state, cfg))
+    x = _rows(batch, bank, cfg, _check_state(state, cfg))
     if not x.shape[0]:
         return Predictions.empty(bank.k), state
-    if cfg.normalize_input:
-        x = l2_normalize_rows(x)
     eta = cfg.eta if cfg.mode == "ema" else None
 
     if state.centroids is None and state.bootstrap_buffer is None and x.shape[0] >= cfg.clusters:
@@ -569,9 +565,10 @@ def run_stream(
     on_batch(batches_done, state), when given, runs after every batch.
     With keep_probs=False no batch keeps an N x K matrix: probs is None
     and labels, top, clusters and flags have the bits of the default
-    call.
+    call.  The rows are normalized once, which is row-local: the same bits.
     """
-    x = _as_rows(test)
+    x = _rows(test, bank, cfg)
+    cfg = replace(cfg, normalize_input=False)
     state = stream_init(cfg)
     parts = [Predictions.empty(bank.k)]
     for start in range(0, x.shape[0], cfg.batch_size):

@@ -29,7 +29,7 @@ from typing import Iterable, List, Optional, Tuple
 
 import numpy as np
 
-from .core import CHUNK_ROWS, EmbeddingMatrix, TextBank, _for_blocks, row_blocks
+from .core import CHUNK_ROWS, EmbeddingMatrix, TextBank, _check_finite, _for_blocks, row_blocks
 from .engine import EngineConfig, StreamState, _STATE_ARRAYS, _check_state, _count
 from .errors import (
     BadMagic,
@@ -172,13 +172,7 @@ def read_embeddings(path) -> EmbeddingMatrix:
         if fh.readinto(data) != data.nbytes:
             raise TruncatedPayload(f"{path}: payload cut short while reading")
 
-    def check_block(sl):
-        finite = np.isfinite(data[sl])
-        if not finite.all():
-            row = sl.start + int(np.flatnonzero(~finite.all(axis=1))[0])
-            raise NonFinitePayload(f"{path}: payload row {row} contains NaN or infinity")
-
-    _for_blocks(check_block, count)
+    _for_blocks(lambda sl: _check_finite(data, NonFinitePayload, f"{path}: payload", sl), count)
     ids = cls = dom = None
     sidecar = Path(str(path) + ".labels")
     if sidecar.exists():
@@ -190,7 +184,8 @@ def read_embeddings_csv(path) -> EmbeddingMatrix:
     """Fallback text reader: rows of id,class,domain,v0,...,vD-1.
 
     Values are parsed to float32 rows so a CSV and a binary file
-    written from the same data decode to identical matrices.
+    written from the same data decode to identical matrices (and fail
+    alike: a NaN or infinity is a NonFinitePayload naming its row).
     """
     ids, cls, dom, rows = [], [], [], []
     width = None
@@ -216,8 +211,7 @@ def read_embeddings_csv(path) -> EmbeddingMatrix:
     if not rows:
         return EmbeddingMatrix(data=np.empty((0, 0), dtype=np.float32))
     data = np.stack(rows)
-    if not np.isfinite(data).all():
-        raise NonFinitePayload(f"{path}: payload contains NaN or infinity")
+    _check_finite(data, NonFinitePayload, f"{path}: payload")
     cls = np.asarray(cls, dtype=np.int64)
     dom = np.asarray(dom, dtype=np.int64)
     return EmbeddingMatrix._unchecked(

@@ -297,6 +297,12 @@ def test_classify_batch_dimension_mismatch():
         umfc.classify_batch(np.ones((2, 3)), np.eye(2), tau=1.0)
 
 
+def test_calibrate_bank_names_a_bank_and_shifts_of_other_dimensions():
+    bank = umfc.TextBank(names=["a", "b"], data=np.eye(3)[:2])
+    with pytest.raises(umfc.DimensionMismatch, match="^a bank of dim 3 against shifts of dim 2$"):
+        umfc.calibrate_bank(bank, np.eye(2))
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("name", ["calib_global_mean", "calib_text_shifts"])
 def test_update_refuses_a_non_finite_statistic(name):

@@ -53,6 +53,10 @@ def small_state(small, tmp_path_factory):
     return path
 
 
+# the one message of the dim-16 `small` rows against the dim-8 `narrow` bank
+BANK_MISMATCH = "data error: rows of dim 16 against a bank of dim 8\n"
+
+
 @pytest.fixture(scope="module")
 def narrow(tmp_path_factory):
     """A 4-class bank and a 10-row matrix of dim 8, against the dim-16 `small` files."""
@@ -346,7 +350,7 @@ def test_transduce_dimension_mismatch_is_data_error(small, narrow, tmp_path, cap
     assert run("transduce", "--test", f"{small}_images.bin", "--bank", f"{narrow}_bank.bin",
                "--names", f"{narrow}_names.txt", "--out", str(tmp_path / "p.tsv"),
                "--clusters", "2") == 2
-    assert "data error" in capsys.readouterr().err
+    assert capsys.readouterr().err == BANK_MISMATCH
 
 
 def test_transduce_single_cluster_runs(small, tmp_path):
@@ -433,11 +437,11 @@ def test_stream_snapshots_and_ema_replacement(small, tmp_path):
 
 @pytest.mark.parametrize("batch_size", ["1", "100"])
 def test_stream_dimension_mismatch_is_data_error(small, narrow, tmp_path, capsys, batch_size):
-    # batch size 1 fails in the zero-shot cold start, 100 in text calibration
+    # refused before the zero-shot cold start (batch size 1) or k-means (100)
     assert run("stream", "--test", f"{small}_images.bin", "--bank", f"{narrow}_bank.bin",
                "--names", f"{narrow}_names.txt", "--out", str(tmp_path / "p.tsv"),
                "--clusters", "2", "--batch-size", batch_size) == 2
-    assert "data error" in capsys.readouterr().err
+    assert capsys.readouterr().err == BANK_MISMATCH
 
 
 def test_stream_empty_test_writes_empty_file(small, tmp_path):
@@ -613,6 +617,32 @@ def test_diagnose_hist_with_state_counts_predict_labels(small, tmp_path):
     assert counts["class_000"] == 120
 
 
+@pytest.mark.parametrize("command", [
+    ["fit", "--train", "{s}_images.bin", "--out-state", "{o}"],
+    ["predict", "--state", "{state}", "--test", "{s}_images.bin", "--out", "{o}"],
+    ["diagnose", "hist", "--test", "{s}_images.bin", "--out", "{o}"],
+    ["diagnose", "hist", "--state", "{state}", "--test", "{s}_images.bin", "--out", "{o}"],
+], ids=["fit", "predict", "hist", "hist-state"])
+def test_bank_dimension_mismatch_is_one_data_error(small, small_state, narrow, tmp_path, capsys,
+                                                   command):
+    out = tmp_path / "x.out"
+    argv = [a.format(s=small, state=small_state, o=out) for a in command]
+    assert run(*argv, "--bank", f"{narrow}_bank.bin", "--names", f"{narrow}_names.txt") == 2
+    assert capsys.readouterr().err == BANK_MISMATCH
+    assert not out.exists()
+
+
+def test_diagnose_hist_zero_rows_of_another_dimension_is_data_error(small, tmp_path, capsys):
+    # zero rows still have a dimension to check against the bank
+    empty = tmp_path / "empty.bin"
+    umfc.write_embeddings(umfc.EmbeddingMatrix(data=np.empty((0, 8))), empty)
+    out = tmp_path / "h.tsv"
+    assert run("diagnose", "hist", "--test", str(empty), "--bank", f"{small}_bank.bin",
+               "--names", f"{small}_names.txt", "--out", str(out)) == 2
+    assert capsys.readouterr().err == "data error: rows of dim 8 against a bank of dim 16\n"
+    assert not out.exists()
+
+
 def test_diagnose_hist_empty_file_counts_zero(small, tmp_path):
     empty = tmp_path / "empty.bin"
     umfc.write_embeddings(umfc.EmbeddingMatrix(data=np.empty((0, 16))), empty)
@@ -699,7 +729,7 @@ def test_sweep_bank_dimension_mismatch_is_data_error(small, narrow, tmp_path, ca
     assert run("sweep", param, "--values", values,
                "--test", f"{small}_images.bin", "--bank", f"{narrow}_bank.bin",
                "--names", f"{narrow}_names.txt", "--out", str(tmp_path / "s.tsv")) == 2
-    assert capsys.readouterr().err.startswith("data error: ")
+    assert capsys.readouterr().err == BANK_MISMATCH
     assert not (tmp_path / "s.tsv").exists()
 
 

@@ -98,6 +98,14 @@ def test_domain_bias_probe_flat_when_unbiased():
     assert umfc.kl_to_uniform(result.aggregate) < 1e-15
 
 
+def test_domain_bias_probe_names_anchors_of_another_dimension():
+    bank = umfc.TextBank(names=["a", "b"], data=np.eye(4)[:2])
+    with pytest.raises(umfc.DimensionMismatch, match="^domain anchors of dim 5 against a bank of dim 4$"):
+        umfc.domain_bias_probe(bank, np.eye(5)[:2])
+    with pytest.raises(ValueError, match="2-d"):
+        umfc.domain_bias_probe(bank, np.eye(4)[0])
+
+
 def test_domain_bias_probe_detects_lean():
     d0 = np.array([0.0, 0.0, 1.0, 0.0])
     d1 = np.array([0.0, 0.0, 0.0, 1.0])
@@ -184,16 +192,17 @@ def test_transition_direction_check_errors():
         umfc.transition_direction_check(ds.images, anchors[:1])
     # anchors of another dimension than the images
     wide = np.random.default_rng(0).standard_normal((2, 9))
-    with pytest.raises(umfc.DimensionMismatch, match="dim 9"):
+    with pytest.raises(umfc.DimensionMismatch,
+                       match="^domain anchors of dim 9 against images of dim 8$"):
         umfc.transition_direction_check(ds.images, wide)
     # two domains with equal means: their difference has no direction
     same = ds.images.data.copy()
     same[ds.images.domain_labels == 1] = same[ds.images.domain_labels == 0]
     flat = umfc.EmbeddingMatrix(data=same, domain_labels=ds.images.domain_labels)
-    with pytest.raises(umfc.DegenerateVector):
+    with pytest.raises(umfc.DegenerateVector, match="^domain means 0 and 1 coincide$"):
         umfc.transition_direction_check(flat, anchors)
     # two coinciding anchors: no reference direction between them
-    with pytest.raises(umfc.DegenerateVector):
+    with pytest.raises(umfc.DegenerateVector, match="^domain anchors 0 and 1 coincide$"):
         umfc.transition_direction_check(ds.images, anchors[[0, 0]])
     # anchors must be a Z x D array
     with pytest.raises(ValueError, match="2-d"):

@@ -72,13 +72,37 @@ def test_fit_rejects_small_train():
         umfc.fit_unsupervised(np.eye(2), bank, umfc.EngineConfig(clusters=5))
 
 
-def test_fit_rejects_bank_of_another_dimension():
-    # fit no longer calibrates the bank, but still refuses one that no
-    # state fitted on these rows could be applied with
+@pytest.mark.parametrize("call", [
+    "fit_unsupervised", "transduce", "predict", "predict-zero-shot", "stream_step-fresh",
+    "stream_step-bootstrapping", "stream_step-fitted", "run_stream",
+])
+def test_a_bank_of_another_dimension_is_refused_up_front(monkeypatch, call):
+    # every regime refuses the bank in its preamble, with one message,
+    # before k-means or any batch of a stream runs
     ds = small_benchmark()
-    bank = umfc.TextBank(names=["a", "b"], data=np.eye(3)[:2])
-    with pytest.raises(umfc.DimensionMismatch):
-        umfc.fit_unsupervised(ds.images, bank, cfg2())
+    cfg = cfg2(clusters=3)
+    x = ds.images.data
+    fit = umfc.fit_unsupervised(x, ds.text_bank, cfg)
+    _, bootstrapping = umfc.stream_step(umfc.stream_init(cfg), x[:1], ds.text_bank, cfg)
+    assert bootstrapping.bootstrap_buffer.shape == (1, 8)
+    wide = umfc.TextBank(names=["a", "b"], data=np.eye(9)[:2])
+
+    def never(*args, **kwargs):
+        raise AssertionError("ran past the preamble")
+
+    monkeypatch.setattr(umfc.engine, "kmeans_fit", never)
+    calls = {
+        "fit_unsupervised": lambda: umfc.fit_unsupervised(x, wide, cfg),
+        "transduce": lambda: umfc.transduce(x, wide, cfg),
+        "predict": lambda: umfc.predict(fit, x, wide, cfg),
+        "predict-zero-shot": lambda: umfc.predict(None, x, wide, cfg),
+        "stream_step-fresh": lambda: umfc.stream_step(umfc.stream_init(cfg), x[:16], wide, cfg),
+        "stream_step-bootstrapping": lambda: umfc.stream_step(bootstrapping, x[1:2], wide, cfg),
+        "stream_step-fitted": lambda: umfc.stream_step(fit, x[:16], wide, cfg),
+        "run_stream": lambda: umfc.run_stream(x, wide, cfg, on_batch=never),
+    }
+    with pytest.raises(umfc.DimensionMismatch, match="^rows of dim 8 against a bank of dim 9$"):
+        calls[call]()
 
 
 def test_predict_matches_transduce():
@@ -105,6 +129,22 @@ def test_predict_empty_and_mismatched_rows():
     assert len(empty) == 0 and empty.probs.shape == (0, ds.text_bank.k)
     with pytest.raises(umfc.DimensionMismatch):
         umfc.predict(state, np.ones((3, 5)), ds.text_bank, cfg)
+
+
+def test_predict_without_a_state_scores_zero_shot():
+    ds = small_benchmark()
+    cfg = cfg2()
+    preds = umfc.predict(None, ds.images, ds.text_bank, cfg)
+    oracle = umfc.oracle_zero_shot(ds, cfg.tau)
+    assert np.array_equal(preds.labels, oracle.labels)
+    assert (preds.clusters == -1).all()
+    assert (preds.flags == umfc.Predictions.UNCALIBRATED).all()
+    assert np.allclose(preds.probs, oracle.probs, rtol=0, atol=1e-12)
+    top1 = umfc.predict(None, ds.images, ds.text_bank, cfg, keep_probs=False)
+    assert top1.probs is None
+    for name in ("labels", "top", "clusters", "flags"):
+        assert getattr(top1, name).tobytes() == getattr(preds, name).tobytes()
+    assert len(umfc.predict(None, np.empty((0, 0)), ds.text_bank, cfg)) == 0
 
 
 def test_predict_without_a_model_is_format_error():
@@ -249,7 +289,7 @@ def test_raw_rows_with_a_nan_or_infinity_are_non_finite_input(call):
         for bad in (np.nan, np.inf, -np.inf):
             x = ds.images.data[:10].copy()
             x[3, 2] = bad
-            with pytest.raises(umfc.NonFiniteInput, match="rows contain NaN or infinity"):
+            with pytest.raises(umfc.NonFiniteInput, match="^input row 3 contains NaN or infinity$"):
                 getattr(umfc, name)(*args, x, ds.text_bank, cfg)
 
 

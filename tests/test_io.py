@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import os
+import re
 import stat
 import struct
 import tracemalloc
@@ -263,6 +264,40 @@ def test_csv_nan_rejected(tmp_path):
     p.write_text("a,0,0,nan,1.0\n")
     with pytest.raises(umfc.NonFinitePayload):
         umfc.read_embeddings_csv(p)
+
+
+@pytest.mark.parametrize("site", [
+    "EmbeddingMatrix", "TextBank", "engine", "read_embeddings", "read_embeddings_csv",
+])
+def test_every_finite_check_names_the_lowest_bad_row(tmp_path, monkeypatch, site):
+    # one check (core._check_finite) at every site, over blocks of 4 rows
+    # here, so the bad rows 6, 9 and 10 lie in two blocks
+    monkeypatch.setattr(umfc.core, "CHUNK_ROWS", 4)
+    data = np.ones((12, 3), dtype="<f4")
+    data[[9, 6], 1] = np.nan
+    data[10, 2] = np.inf
+    p = tmp_path / "m"
+    if site == "read_embeddings":
+        umfc.write_embeddings(umfc.EmbeddingMatrix(data=np.ones((12, 3))), p)
+        p.write_bytes(p.read_bytes()[:20] + data.tobytes())
+    elif site == "read_embeddings_csv":
+        p.write_text("".join(f"{i},-1,-1," + ",".join(map(str, row)) + "\n"
+                             for i, row in enumerate(data.tolist())))
+    bank = umfc.TextBank(names=["a", "b"], data=np.eye(3)[:2])
+    error, what, call = {
+        "EmbeddingMatrix": (umfc.NonFiniteInput, "embedding matrix",
+                            lambda: umfc.EmbeddingMatrix(data=data)),
+        "TextBank": (umfc.NonFiniteInput, "text bank",
+                     lambda: umfc.TextBank(names=[str(i) for i in range(12)], data=data)),
+        "engine": (umfc.NonFiniteInput, "input",
+                   lambda: umfc.transduce(data, bank, umfc.EngineConfig(clusters=2))),
+        "read_embeddings": (umfc.NonFinitePayload, f"{p}: payload",
+                            lambda: umfc.read_embeddings(p)),
+        "read_embeddings_csv": (umfc.NonFinitePayload, f"{p}: payload",
+                                lambda: umfc.read_embeddings_csv(p)),
+    }[site]
+    with pytest.raises(error, match=f"^{re.escape(what)} row 6 contains NaN or infinity$"):
+        call()
 
 
 def test_text_bank_round_trip(tmp_path):
