@@ -107,18 +107,10 @@ def _load_matrix(path) -> EmbeddingMatrix:
     return uio.read_embeddings(path)
 
 
-def _normalize_loaded(matrix: EmbeddingMatrix, cfg: EngineConfig) -> EngineConfig:
-    """Normalize the rows of a matrix this command loaded, in place, and
-    return the config for the engine to take them as they are.
-
-    The engine would normalize the same rows with the same function into
-    a copy; doing it here keeps one copy of the input alive, in the
-    float32 it was stored in.
-    """
-    if not cfg.normalize_input:
-        return cfg
+def _normalize_loaded(matrix: EmbeddingMatrix) -> None:
+    """Normalize a loaded matrix's rows in place: the engine takes unit rows
+    as they are, so one copy of the input stays alive, in its float32."""
     l2_normalize_rows(matrix.data, out=matrix.data)
-    return replace(cfg, normalize_input=False)
 
 
 def _predict_loaded(state_path, tau, test: EmbeddingMatrix, bank: TextBank) -> Predictions:
@@ -135,7 +127,7 @@ def _predict_loaded(state_path, tau, test: EmbeddingMatrix, bank: TextBank) -> P
     dim = state.centroids.shape[1]
     if test.n and test.dim != dim:
         raise DimensionMismatch(f"rows of dim {test.dim} against a state of dim {dim}")
-    cfg = _normalize_loaded(test, cfg)
+    _normalize_loaded(test)
     return predict(state, test, bank, cfg, keep_probs=False)
 
 
@@ -167,8 +159,8 @@ def cmd_fit(args) -> None:
     cfg = _config_from(args)
     train = _load_matrix(args.train)
     bank = uio.read_text_bank(args.bank, args.names)
-    # the snapshot keeps cfg as given, so predict --state normalizes its rows
-    state = fit_unsupervised(train, bank, _normalize_loaded(train, cfg))
+    _normalize_loaded(train)
+    state = fit_unsupervised(train, bank, cfg)
     uio.snapshot_state(state, cfg, args.out_state)
     _note(f"fit: {train.n} samples -> {cfg.clusters} clusters")
     shift_norms = np.linalg.norm(state.calib_text_shifts, axis=1)
@@ -191,7 +183,8 @@ def cmd_transduce(args) -> None:
     bank = uio.read_text_bank(args.bank, args.names)
     if args.report is not None and (test.class_labels is None or test.domain_labels is None):
         raise MissingLabels("per-domain accuracy needs class and domain labels")
-    preds, _ = transduce(test, bank, _normalize_loaded(test, cfg), keep_probs=False)
+    _normalize_loaded(test)
+    preds, _ = transduce(test, bank, cfg, keep_probs=False)
     _write_predictions(args.out, preds, test.ids, bank.names)
     _note(f"transduce: {test.n} rows -> {args.out}")
     if args.report is not None:
@@ -210,13 +203,12 @@ def cmd_stream(args) -> None:
     test = _load_matrix(args.test)
     bank = uio.read_text_bank(args.bank, args.names)
 
-    # the snapshots keep cfg as given, so a resumed stream normalizes its rows
     def snapshot(batches_done, state):
         if args.snapshot_every and batches_done % args.snapshot_every == 0:
             uio.snapshot_state(state, cfg, f"{args.out_state}.batch{batches_done:05d}")
 
-    preds, state = run_stream(test, bank, _normalize_loaded(test, cfg), keep_probs=False,
-                              on_batch=snapshot)
+    _normalize_loaded(test)
+    preds, state = run_stream(test, bank, cfg, keep_probs=False, on_batch=snapshot)
     _write_predictions(args.out, preds, test.ids, bank.names)
     if args.out_state:
         uio.snapshot_state(state, cfg, args.out_state)
@@ -266,9 +258,8 @@ def cmd_hist(args) -> None:
     if args.state is not None:
         preds = _predict_loaded(args.state, args.tau, test, bank)
     else:
-        # a zero-shot cosine takes the row's norm: no normalized copy
-        cfg = EngineConfig(tau=EngineConfig.tau if args.tau is None else args.tau,
-                           normalize_input=False)
+        _normalize_loaded(test)
+        cfg = EngineConfig(tau=EngineConfig.tau if args.tau is None else args.tau)
         preds = predict(None, test, bank, cfg, keep_probs=False)
     hist = prediction_histogram(preds, bank.k)
     uio._atomic_write(args.out, [hist.to_tsv(bank.names).encode("utf-8")])
@@ -321,7 +312,7 @@ def cmd_sweep(args) -> None:
     configs = []
     for val in values:
         try:
-            configs.append(replace(base, normalize_input=False, **{field: val}))
+            configs.append(replace(base, **{field: val}))
         except ValueError as e:
             raise UsageError(f"--values: {val!r}: {e}") from None
 
@@ -329,7 +320,7 @@ def cmd_sweep(args) -> None:
     bank = uio.read_text_bank(args.bank, args.names)
     if test.class_labels is None or test.domain_labels is None:
         raise MissingLabels("sweep needs class and domain labels on --test")
-    _normalize_loaded(test, base)
+    _normalize_loaded(test)
 
     domains = np.unique(test.domain_labels)
     lines = ["param\tvalue\toverall_macro\t" + "\t".join(f"domain_{z}" for z in domains)]

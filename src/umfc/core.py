@@ -315,10 +315,10 @@ class Predictions:
             self.top = self.probs[np.arange(self.labels.shape[0]), self.labels]
 
     @classmethod
-    def empty(cls, k: int) -> "Predictions":
-        """Zero rows over k classes."""
+    def empty(cls, k: int, keep_probs: bool = True) -> "Predictions":
+        """Zero rows over k classes; probs is None without keep_probs."""
         return cls(
-            probs=np.empty((0, k)),
+            probs=np.empty((0, k)) if keep_probs else None,
             labels=np.empty(0, dtype=np.int64),
             clusters=np.empty(0, dtype=np.int64),
             flags=np.empty(0, dtype=np.uint8),

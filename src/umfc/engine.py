@@ -13,15 +13,16 @@ Three ways to use the same math:
   batch; run_stream feeds a matrix through them.
 
 Rows enter every regime through one preamble, _rows, which refuses bad
-rows before k-means or any batch runs.  Every regime accumulates through
-one update (_update), which folds rows and their cluster labels into the
-counts, accumulators, cluster means, global mean and text shifts.  A fit
-is k-means followed by that update of an empty state under k-means' own
-labels, and a later stream batch is assign_batch followed by it, so a
-fitted state continues as a memory stream bit for bit.  Every regime
-returns its rows as one columnar Predictions and its fitted state as one
-StreamState, a flat record of the arrays a snapshot holds, which predict
-applies and snapshot_state writes.
+rows before k-means or any batch runs and normalizes rows that are not
+already unit.  Every regime accumulates through one update (_update),
+which folds rows and their cluster labels into the counts, accumulators,
+cluster means, global mean and text shifts.  A fit is k-means followed
+by that update of an empty state under k-means' own labels, and a later
+stream batch is assign_batch followed by it, so a fitted state continues
+as a memory stream bit for bit.  Every regime returns its rows as one
+columnar Predictions and its fitted state as one StreamState, a flat
+record of the arrays a snapshot holds, which predict applies and
+snapshot_state writes.
 
 Precision.  Float32 rows stay float32 (core._float_rows), and the
 products of normalizing, clustering, calibrating and scoring them run in
@@ -107,7 +108,7 @@ class EngineConfig:
     clusters is the number of cluster means estimated from images.  tau
     is the softmax temperature (0.01 matches the usual logit scale of
     100 used with contrastive image-text encoders).  eta only matters in
-    ema mode.
+    ema mode.  Every regime takes rows as unit vectors (see _rows).
     """
 
     clusters: int = 6
@@ -116,7 +117,6 @@ class EngineConfig:
     mode: str = "memory"
     batch_size: int = 100
     seed: int = 0
-    normalize_input: bool = True
 
     def __post_init__(self):
         for name in ("clusters", "batch_size", "seed", "tau", "eta"):
@@ -124,8 +124,6 @@ class EngineConfig:
             if isinstance(value, bool) or not isinstance(value, Real if real else Integral):
                 what = "a real number" if real else "an integer"
                 raise ValueError(f"{name} must be {what}, got {value!r}")
-        if not isinstance(self.normalize_input, bool):
-            raise ValueError(f"normalize_input must be a bool, got {self.normalize_input!r}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.clusters < 1:
@@ -244,11 +242,13 @@ def _check_state(state: StreamState, cfg: EngineConfig) -> Optional[int]:
     return dims.pop() if dims else None
 
 
-def _rows(data: Union[EmbeddingMatrix, np.ndarray], bank: TextBank, cfg: EngineConfig,
+def _rows(data: Union[EmbeddingMatrix, np.ndarray], bank: TextBank,
           dim: Optional[int] = None) -> np.ndarray:
-    """data as a 2-d array, of float32 if its rows are float32 and of
-    float64 otherwise (core._float_rows), normalized under
-    cfg.normalize_input; first a raw array with a NaN or infinity raises
+    """data as a 2-d array of unit rows, of float32 if its rows are float32
+    and of float64 otherwise (core._float_rows): the rows themselves when
+    every float64 norm is within tol of 1, else l2_normalize_rows' copy;
+    tol = eps / 2 + (d + 4) * 2**-53 (eps the dtype's) bounds the rounding
+    of that copy.  First a raw array with a NaN or infinity raises
     NonFiniteInput (an EmbeddingMatrix has checked its own), then rows of
     another dimension than a state's dim, then than the bank's, raise
     DimensionMismatch (a 0 x 0 array, an empty CSV, has no dimension)."""
@@ -260,7 +260,17 @@ def _rows(data: Union[EmbeddingMatrix, np.ndarray], bank: TextBank, cfg: EngineC
         for what, d in (("state", dim), ("bank", bank.dim)):
             if d is not None and x.shape[1] != d:
                 raise DimensionMismatch(f"rows of dim {x.shape[1]} against a {what} of dim {d}")
-    return l2_normalize_rows(x) if cfg.normalize_input else x
+    (n, d), eps = x.shape, np.finfo(x.dtype).eps
+    tol = eps / 2 + (d + 4) * 2.0**-53
+    # a first row with x0 . x0 off 1 past its rounding (< d * eps) is not unit
+    off = [bool(n) and abs(float(x[0] @ x[0]) - 1.0) > d * eps + 2 * tol]
+
+    def scan(sl):
+        off.append((np.abs(core._row_norms(x[sl]) - 1.0) > tol).any())
+
+    if not off[0]:
+        core._for_blocks(scan, n)
+    return l2_normalize_rows(x) if any(off) else x
 
 
 def _calibrate_block(
@@ -419,7 +429,7 @@ def fit_unsupervised(
     bit.  The bank is only checked against the rows' dimension (in
     _rows, as in every regime); predict calibrates it.
     """
-    return _kmeans_state(_rows(train, bank, cfg), cfg)[0]
+    return _kmeans_state(_rows(train, bank), cfg)[0]
 
 
 def predict(
@@ -450,9 +460,9 @@ def predict(
     dim = None if state is None else _check_state(state, cfg)
     if state is not None and state.centroids is None:
         raise FormatError("the state has no fitted model to predict with yet")
-    x = _rows(x, bank, cfg, dim)
+    x = _rows(x, bank, dim)
     if not x.shape[0]:
-        return Predictions.empty(bank.k)
+        return Predictions.empty(bank.k, keep_probs)
     if state is None:
         return _predict_rows(x, None, None, bank.data, cfg.tau, keep_probs)
     return _score(state, x, assign_batch(state.centroids, x), bank, cfg.tau, keep_probs)
@@ -473,7 +483,7 @@ def transduce(
     predictions hold no N x K matrix: probs is None and labels, top,
     clusters and flags have the bits of the default call.
     """
-    x = _rows(test, bank, cfg)
+    x = _rows(test, bank)
     state, labels = _kmeans_state(x, cfg)
     return _score(state, x, labels, bank, cfg.tau, keep_probs), state
 
@@ -506,9 +516,9 @@ def stream_step(
     no accumulators (an ema stream's state); a batch is refused as
     predict refuses rows.  keep_probs=False works as in transduce.
     """
-    x = _rows(batch, bank, cfg, _check_state(state, cfg))
+    x = _rows(batch, bank, _check_state(state, cfg))
     if not x.shape[0]:
-        return Predictions.empty(bank.k), state
+        return Predictions.empty(bank.k, keep_probs), state
     eta = cfg.eta if cfg.mode == "ema" else None
 
     if state.centroids is None and state.bootstrap_buffer is None and x.shape[0] >= cfg.clusters:
@@ -565,14 +575,14 @@ def run_stream(
     on_batch(batches_done, state), when given, runs after every batch.
     With keep_probs=False no batch keeps an N x K matrix: probs is None
     and labels, top, clusters and flags have the bits of the default
-    call.  The rows are normalized once, which is row-local: the same bits.
+    call.  The rows are checked and normalized once (row-local: the same
+    bits), and stream_step takes each batch of them as it is.
     """
-    x = _rows(test, bank, cfg)
-    cfg = replace(cfg, normalize_input=False)
+    x = _rows(test, bank)
     state = stream_init(cfg)
-    parts = [Predictions.empty(bank.k)]
+    parts = [Predictions.empty(bank.k, keep_probs)]
     for start in range(0, x.shape[0], cfg.batch_size):
-        batch = x[start : start + cfg.batch_size]
+        batch = EmbeddingMatrix._unchecked(x[start : start + cfg.batch_size])
         batch_preds, state = stream_step(state, batch, bank, cfg, keep_probs=keep_probs)
         parts.append(batch_preds)
         if on_batch is not None:

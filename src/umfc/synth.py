@@ -269,10 +269,8 @@ def oracle_transduce(
     operations so the fast vectorized path has an independent yardstick.
     The returned state is built from those recomputed means.
     """
-    x = np.array(dataset.images.data, dtype=np.float64)
+    x = np.stack([_l2_normalize(row) for row in dataset.images.data])
     n = x.shape[0]
-    if cfg.normalize_input:
-        x = np.stack([_l2_normalize(row) for row in x])
 
     model, _ = kmeans_fit(x, cfg.clusters, cfg.seed)
 

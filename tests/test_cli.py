@@ -260,26 +260,6 @@ def test_predict_rejects_zero_tau(small, small_state, tmp_path):
                "--out", str(tmp_path / "p.tsv"), "--tau", "0") == 1
 
 
-def test_predict_honours_a_stored_normalize_input_off(small, tmp_path):
-    # no flag turns normalization off, but a library snapshot may: predict
-    # --state takes the rows as they are, as umfc.predict does
-    test = umfc.read_embeddings(f"{small}_images.bin")
-    bank = umfc.read_text_bank(f"{small}_bank.bin", f"{small}_names.txt")
-    cfg = umfc.EngineConfig(clusters=2, normalize_input=False)
-    state = umfc.fit_unsupervised(test, bank, cfg)
-    umfc.snapshot_state(state, cfg, tmp_path / "s.state")
-    out = tmp_path / "p.tsv"
-    assert run("predict", "--state", str(tmp_path / "s.state"), "--test", f"{small}_images.bin",
-               "--bank", f"{small}_bank.bin", "--names", f"{small}_names.txt",
-               "--out", str(out)) == 0
-    preds = umfc.predict(state, test, bank, cfg, keep_probs=False)
-    expected = [f"{pid}\t{bank.names[p.label]}\t{top:.9f}\t{p.cluster}\t{','.join(p.flags) or '-'}"
-                for pid, p, top in zip(test.ids, preds, preds.top)]
-    assert out.read_text().splitlines() == expected
-    normalized = umfc.predict(state, test, bank, umfc.EngineConfig(clusters=2), keep_probs=False)
-    assert not np.array_equal(normalized.top, preds.top)
-
-
 def test_predict_rejects_embedding_file_as_state(small, tmp_path):
     assert run("predict", "--state", f"{small}_images.bin", "--test", f"{small}_images.bin",
                "--bank", f"{small}_bank.bin", "--names", f"{small}_names.txt",

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import umfc
+from umfc import engine
 from umfc.clustering import batch_cluster_means
 
 from properties import check_relabel_invariance, check_snapshot_roundtrip
@@ -47,6 +48,9 @@ def test_config_validation():
         umfc.EngineConfig(mode="both")
     with pytest.raises(ValueError):
         umfc.EngineConfig(batch_size=0)
+    # no knob turns normalization off
+    with pytest.raises(TypeError):
+        umfc.EngineConfig(normalize_input=False)
     assert umfc.EngineConfig().mode == "memory"
 
 
@@ -129,6 +133,21 @@ def test_predict_empty_and_mismatched_rows():
     assert len(empty) == 0 and empty.probs.shape == (0, ds.text_bank.k)
     with pytest.raises(umfc.DimensionMismatch):
         umfc.predict(state, np.ones((3, 5)), ds.text_bank, cfg)
+
+
+def test_zero_rows_without_keep_probs_have_no_probs():
+    ds = small_benchmark()
+    cfg = cfg2()
+    state = umfc.fit_unsupervised(ds.images, ds.text_bank, cfg)
+    none = np.empty((0, ds.images.dim))
+    for preds in (
+        umfc.predict(state, none, ds.text_bank, cfg, keep_probs=False),
+        umfc.predict(None, none, ds.text_bank, cfg, keep_probs=False),
+        umfc.stream_step(umfc.stream_init(cfg), none, ds.text_bank, cfg, keep_probs=False)[0],
+        umfc.stream_step(state, none, ds.text_bank, cfg, keep_probs=False)[0],
+        umfc.run_stream(none, ds.text_bank, cfg, keep_probs=False)[0],
+    ):
+        assert len(preds) == 0 and preds.probs is None and preds.top.shape == (0,)
 
 
 def test_predict_without_a_state_scores_zero_shot():
@@ -415,14 +434,22 @@ def test_memory_prototypes_equal_stored_means():
     assert state.samples_seen == ds.images.n
 
 
+def _unit_blobs(rng, sizes, center, sigma=0.01):
+    """Unit rows (l2_normalize_rows') of two tight blobs, sizes[0] rows
+    about center and then sizes[1] about -center."""
+    c = np.asarray(center, dtype=np.float64)
+    rows = [rng.normal(0, sigma, (n, c.size)) + sign * c for n, sign in zip(sizes, (1, -1))]
+    return umfc.l2_normalize_rows(np.vstack(rows))
+
+
 def test_ema_closed_form():
     rng = np.random.default_rng(20)
-    # two tight, far-apart blobs so clustering is unambiguous
-    b1 = np.vstack([rng.normal(0, 0.01, (8, 3)) + [5, 0, 0], rng.normal(0, 0.01, (8, 3)) - [5, 0, 0]])
-    b2 = np.vstack([rng.normal(0, 0.01, (6, 3)) + [5, 0, 0], rng.normal(0, 0.01, (10, 3)) - [5, 0, 0]])
+    # two tight, far-apart blobs of unit rows, which the engine takes as
+    # they are, so clustering is unambiguous
+    b1 = _unit_blobs(rng, (8, 8), [5, 0, 0])
+    b2 = _unit_blobs(rng, (6, 10), [5, 0, 0])
     bank = umfc.TextBank(names=["a", "b"], data=np.array([[1.0, 0, 0], [0, 1.0, 0]]))
-    cfg = umfc.EngineConfig(clusters=2, mode="ema", eta=0.3, batch_size=16, seed=0,
-                            normalize_input=False)
+    cfg = umfc.EngineConfig(clusters=2, mode="ema", eta=0.3, batch_size=16, seed=0)
 
     st = umfc.stream_init(cfg)
     _, st1 = umfc.stream_step(st, b1, bank, cfg)
@@ -444,11 +471,10 @@ def test_ema_closed_form():
 
 def test_ema_eta_one_replaces():
     rng = np.random.default_rng(21)
-    b1 = np.vstack([rng.normal(0, 0.01, (5, 2)) + [3, 0], rng.normal(0, 0.01, (5, 2)) - [3, 0]])
-    b2 = np.vstack([rng.normal(0, 0.01, (4, 2)) + [3, 0], rng.normal(0, 0.01, (4, 2)) - [3, 0]])
+    b1 = _unit_blobs(rng, (5, 5), [3, 0])
+    b2 = _unit_blobs(rng, (4, 4), [3, 0])
     bank = umfc.TextBank(names=["a", "b"], data=np.eye(2))
-    cfg = umfc.EngineConfig(clusters=2, mode="ema", eta=1.0, batch_size=10, seed=0,
-                            normalize_input=False)
+    cfg = umfc.EngineConfig(clusters=2, mode="ema", eta=1.0, batch_size=10, seed=0)
     st = umfc.stream_init(cfg)
     _, st1 = umfc.stream_step(st, b1, bank, cfg)
     labels = umfc.assign_batch(st1.centroids, b2)
@@ -459,11 +485,10 @@ def test_ema_eta_one_replaces():
 
 def test_absent_cluster_keeps_prototype_and_shift():
     rng = np.random.default_rng(23)
-    b1 = np.vstack([rng.normal(0, 0.01, (5, 2)) + [3, 0], rng.normal(0, 0.01, (5, 2)) - [3, 0]])
-    b2 = rng.normal(0, 0.01, (6, 2)) + [3, 0]  # only the first blob shows up
+    b1 = _unit_blobs(rng, (5, 5), [3, 0])
+    b2 = _unit_blobs(rng, (6, 0), [3, 0])  # only the first blob shows up
     bank = umfc.TextBank(names=["a", "b"], data=np.eye(2))
-    cfg = umfc.EngineConfig(clusters=2, mode="ema", eta=0.5, batch_size=10, seed=0,
-                            normalize_input=False)
+    cfg = umfc.EngineConfig(clusters=2, mode="ema", eta=0.5, batch_size=10, seed=0)
     st = umfc.stream_init(cfg)
     _, st1 = umfc.stream_step(st, b1, bank, cfg)
     absent = 0 if st1.centroids[0, 0] < 0 else 1
@@ -556,22 +581,71 @@ def test_empty_batch_leaves_state_untouched():
 
 def test_degenerate_row_flagged_not_fatal():
     rng = np.random.default_rng(24)
-    base = np.vstack([rng.normal(0, 0.01, (6, 2)) + [2, 0], rng.normal(0, 0.01, (6, 2)) - [2, 0]])
+    # eleven unit rows about one direction and a lone one far from them,
+    # which k-means makes a cluster of its own: its mean is that row
+    base = _unit_blobs(rng, (11, 1), [2, 0])
     bank = umfc.TextBank(names=["a", "b"], data=np.eye(2))
-    cfg = umfc.EngineConfig(clusters=2, batch_size=12, seed=0, normalize_input=False)
+    cfg = umfc.EngineConfig(clusters=2, batch_size=12, seed=0)
     _, st = umfc.run_stream(base, bank, cfg)
+    assert sorted(st.counts.tolist()) == [1, 11]
     # a sample exactly on a prototype has no direction left after centering
-    probe = st.centroids[0:1].copy()
+    probe = base[-1:]
+    assert np.array_equal(probe[0], st.centroids[st.counts.tolist().index(1)])
     preds, _ = umfc.stream_step(st, probe, bank, cfg)
     assert preds[0].flags == ("degenerate",)
     assert np.isfinite(preds[0].probs).all()
 
 
-def test_normalize_input_off_is_respected():
+def test_run_stream_checks_its_rows_for_nan_once(monkeypatch):
+    # the batches it hands stream_step are rows it has already checked
     ds = small_benchmark()
-    on = umfc.transduce(ds.images, ds.text_bank, cfg2())[0]
-    off = umfc.transduce(ds.images, ds.text_bank, cfg2(normalize_input=False))[0]
-    assert any(not np.array_equal(a.probs, b.probs) for a, b in zip(on, off))
+    calls = []
+    check = umfc.core._check_finite
+    monkeypatch.setattr(umfc.core, "_check_finite", lambda *a: calls.append(a) or check(*a))
+    umfc.run_stream(ds.images.data, ds.text_bank, cfg2(batch_size=16))
+    assert len(calls) == 1
+
+
+def _unit_rule_cases():
+    """(rows, bank) pairs: the default synth and a 512-d one."""
+    ds = umfc.default_benchmark()
+    rng = np.random.default_rng(5)
+    wide = umfc.TextBank(names=["a", "b", "c"], data=rng.standard_normal((3, 512)))
+    return [(ds.images.data, ds.text_bank), (rng.standard_normal((300, 512)), wide)]
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("case", [0, 1], ids=["synth", "dim512"])
+def test_unit_rows_are_taken_as_they_are(dtype, case):
+    x, bank = _unit_rule_cases()[case]
+    u = umfc.l2_normalize_rows(x.astype(dtype))
+    assert engine._rows(u, bank) is u
+    assert engine._rows(umfc.EmbeddingMatrix(data=u), bank) is u
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_transduce_of_unit_rows_has_the_bits_of_the_raw_rows(dtype):
+    ds = small_benchmark()
+    x = ds.images.data.astype(dtype)
+    raw_preds, raw_state = umfc.transduce(x, ds.text_bank, cfg2())
+    preds, state = umfc.transduce(umfc.l2_normalize_rows(x), ds.text_bank, cfg2())
+    for name in ("labels", "top", "clusters", "flags"):
+        assert getattr(preds, name).tobytes() == getattr(raw_preds, name).tobytes()
+    for name, *_ in engine._STATE_ARRAYS:
+        a, b = getattr(state, name), getattr(raw_state, name)
+        assert (a is None and b is None) or a.tobytes() == b.tobytes()
+
+
+# past the tolerance of the dtype: 8 float32 epsilons, and for float64,
+# whose tolerance grows with the dimension, 2**-40
+@pytest.mark.parametrize("dtype, scale", [(np.float32, 1 + 8 * np.finfo(np.float32).eps),
+                                          (np.float64, 1 + 2.0**-40)])
+@pytest.mark.parametrize("case", [0, 1], ids=["synth", "dim512"])
+def test_rows_just_off_unit_are_normalized(dtype, scale, case):
+    x, bank = _unit_rule_cases()[case]
+    v = umfc.l2_normalize_rows(x.astype(dtype)) * dtype(scale)
+    out = engine._rows(v, bank)
+    assert out is not v and out.tobytes() == umfc.l2_normalize_rows(v).tobytes()
 
 
 def test_run_stream_partial_final_batch():

@@ -403,7 +403,7 @@ def _snapshot_bytes(manifest: dict, blobs: bytes) -> bytes:
 def _minimal_manifest(**config_overrides):
     config = {
         "clusters": 2, "tau": 0.01, "eta": 0.1, "mode": "memory",
-        "batch_size": 10, "seed": 0, "normalize_input": True,
+        "batch_size": 10, "seed": 0,
     }
     config.update(config_overrides)
     return {"config": config, "samples_seen": 0, "batches_seen": 0, "arrays": []}
@@ -455,7 +455,8 @@ def test_malformed_snapshot_manifest_is_format_error(tmp_path, field, value):
 
 # names snapshot_state no longer writes: config keys with the value once
 # written by default, and exact copies of two arrays (name -> the original)
-_LEGACY_KEYS = {"ema_additive": False, "normalize_shifts": False, "max_iters": 100, "tol": 1e-4}
+_LEGACY_KEYS = {"ema_additive": False, "normalize_shifts": False, "max_iters": 100, "tol": 1e-4,
+                "normalize_input": True}
 _LEGACY_ARRAYS = {"running_counts": "counts", "calib_cluster_means": "centroids"}
 
 
@@ -599,8 +600,7 @@ def test_fit_state_resumes_as_memory_stream_and_older_ones_name_missing_accumula
 
 @pytest.mark.parametrize("key, value", [
     ("clusters", 3.0), ("clusters", True), ("batch_size", 2.5), ("seed", -1), ("seed", 1.5),
-    ("normalize_input", "no"), ("normalize_input", 1), ("mode", 1),
-    ("eta", True), ("eta", "0.5"), ("tau", "0.5"),
+    ("mode", 1), ("eta", True), ("eta", "0.5"), ("tau", "0.5"),
 ])
 def test_snapshot_config_of_a_wrong_type_is_format_error(tmp_path, key, value):
     p = tmp_path / "s.state"
