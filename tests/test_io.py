@@ -600,9 +600,12 @@ def test_fit_state_resumes_as_memory_stream_and_older_ones_name_missing_accumula
 
 @pytest.mark.parametrize("key, value", [
     ("clusters", 3.0), ("clusters", True), ("batch_size", 2.5), ("seed", -1), ("seed", 1.5),
-    ("mode", 1), ("eta", True), ("eta", "0.5"), ("tau", "0.5"),
+    ("normalize_input", "no"), ("normalize_input", 1), ("mode", 1),
+    ("eta", True), ("eta", "0.5"), ("tau", "0.5"),
 ])
 def test_snapshot_config_of_a_wrong_type_is_format_error(tmp_path, key, value):
+    # normalize_input is no longer a config key: any value of it, these
+    # wrong-typed ones too, is still refused naming the key
     p = tmp_path / "s.state"
     p.write_bytes(_snapshot_bytes(_minimal_manifest(**{key: value}), b""))
     with pytest.raises(umfc.FormatError, match=key):
