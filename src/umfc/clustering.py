@@ -188,7 +188,12 @@ def kmeans_fit(m: np.ndarray, n_clusters: int, seed: int) -> Tuple[ClusterModel,
         raise TooFewSamples(f"{x.shape[0]} samples for {n_clusters} clusters")
 
     rng = np.random.default_rng(seed)
-    x2 = _sq_norms(x)
+    x2 = np.empty(x.shape[0])
+
+    def sq_norms(sl):
+        x2[sl] = _sq_norms(x[sl])
+
+    _for_blocks(sq_norms, x.shape[0])
     centroids = _kmeanspp_init(x, x2, n_clusters, rng)
     pure_labels, d2 = _assign_dense(x, centroids, x2)
     labels = _repair_empty(pure_labels, d2, n_clusters)

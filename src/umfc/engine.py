@@ -42,7 +42,18 @@ norm and the quotient adds about 6u, and the max subtraction and the
 scaling by 1 / (tau |f|) round an exponent by up to 6u / tau, which
 counts as 3u per cosine, since an exponent carries the errors of two.
 That is (d + 9 + 4 / rho) * u, inside delta while rho is at most 4 (a
-unit row's residual is at most 2).  The cosines are not clipped to
+unit row's residual is at most 2).  Fewer rows than the dimension are
+scored in factored form (_score): the numerator of cosine k is
+f . t_k - sum_i (f . s_i) v_ki, with v_k = w_k / wsum_k, whose terms
+reach |f| (|t_k| + sum_i v_ki |s_i|).  Its two products, the cast of
+v_k and the sum of M terms round it by up to (d + M + 2) u times that,
+which in units of a cosine is (d + M + 2) * g_k * u, with
+g_k = (wsum_k |t_k| + sum_i w_ki |s_i|) / |t'_k| >= 1 for the
+calibrated row t'_k; there delta = ((d + M + 2) * g + 8 + 8 / rho) * u,
+g the largest g_k.  A row whose g_k could pass 10 is built and scored
+as against the built bank (calib._factored_classifier), so g <= 10;
+the calibrated norms are expanded in float64, within about 1e-16 g^2
+of their own size.  The cosines are not clipped to
 [-1, 1]: the true one lies inside, so a clip would move a computed
 cosine by less than its error.  exp (measured within 3.6u on [-87, 0]),
 the sum of K terms and the division then move each float32 probability
@@ -75,7 +86,7 @@ from typing import Callable, Optional, Tuple, Union
 import numpy as np
 
 from . import core
-from .calib import calibrate_bank, classify_batch
+from .calib import _factored_classifier, calibrate_bank, classify_batch
 from .clustering import assign_batch, kmeans_fit, _cluster_sums
 from .core import (
     DEGENERACY_EPS,
@@ -295,13 +306,17 @@ def _predict_rows(
     feats: np.ndarray,
     clusters: Optional[np.ndarray],
     cluster_means: Optional[np.ndarray],
-    bank_data: np.ndarray,
+    bank: Union[np.ndarray, Tuple[np.ndarray, np.ndarray]],
     tau: float,
     keep_probs: bool = True,
 ) -> Predictions:
     """Calibrate rows against their assigned cluster mean and classify.
 
-    Rows whose residual collapses (feature sits on the mean) fall back
+    bank is the K x D array of the bank rows to score against, or a pair
+    (text bank rows, shift rows): the calibrated bank calibrate_bank
+    would build from them, which is scored in factored form
+    (calib._factored_classifier) instead.  Rows whose residual collapses
+    (feature sits on the mean) fall back
     to the plain feature and are flagged DEGENERATE.  With no cluster
     model (clusters and cluster_means None) the rows are scored as
     given, zero-shot: cluster -1, flagged UNCALIBRATED.  Rows are
@@ -314,29 +329,35 @@ def _predict_rows(
     top bit.
     The cluster means and the bank are cast to the rows' dtype, and the
     bank's row norms taken, once for all blocks; each residual's norm is
-    taken once, for its flag and its scale in classify_batch.
+    taken once, for its flag and its scale in the softmax.
     """
     n = feats.shape[0]
-    k = bank_data.shape[0]
+    if isinstance(bank, tuple):
+        k = bank[0].shape[0]
+        classify = _factored_classifier(*bank, tau, feats.dtype)
+    else:
+        k = bank.shape[0]
+        bank = bank.astype(feats.dtype, copy=False)
+        bank_norms = core._row_norms(bank)
+
+        def classify(cal, out, norms):
+            return classify_batch(cal, bank, tau, out=out, bank_norms=bank_norms, feat_norms=norms)
     if cluster_means is None:
         clusters = np.full(n, -1, dtype=np.int64)
         flags = np.full(n, Predictions.UNCALIBRATED, dtype=np.uint8)
     else:
         flags = np.empty(n, dtype=np.uint8)
+        cluster_means = cluster_means.astype(feats.dtype, copy=False)
     probs = np.empty((n, k)) if keep_probs else None
     labels = np.empty(n, dtype=np.int64)
     top = np.empty(n)
-    bank = bank_data.astype(feats.dtype, copy=False)
-    bank_norms = core._row_norms(bank)
-    if cluster_means is not None:
-        cluster_means = cluster_means.astype(feats.dtype, copy=False)
 
     def score(sl):
         cal, norms = feats[sl], None
         if cluster_means is not None:
             cal, norms, flags[sl] = _calibrate_block(cal, clusters[sl], cluster_means)
         out = probs[sl] if keep_probs else np.empty((sl.stop - sl.start, k), dtype=feats.dtype)
-        classify_batch(cal, bank, tau, out=out, bank_norms=bank_norms, feat_norms=norms)
+        classify(cal, out, norms)
         best = np.argmax(out, axis=1)
         labels[sl] = best
         top[sl] = out[np.arange(best.size), best]
@@ -412,9 +433,16 @@ def _kmeans_state(x: np.ndarray, cfg: EngineConfig, eta: Optional[float] = None)
 
 def _score(state: StreamState, x: np.ndarray, labels: np.ndarray, bank: TextBank, tau: float,
            keep_probs: bool = True) -> Predictions:
-    """Predictions of rows with their cluster labels against a fitted state."""
-    cal_bank = calibrate_bank(bank, state.calib_text_shifts)
-    return _predict_rows(x, labels, state.centroids, cal_bank.data, tau, keep_probs)
+    """Predictions of rows with their cluster labels against a fitted state.
+
+    Fewer rows than the dimension are scored against the calibrated bank
+    in factored form, whose products take N K (D + M) multiplications,
+    fewer than the K M D of building the bank (calibrate_bank) that
+    more rows are scored against.
+    """
+    shifts = state.calib_text_shifts
+    cal = (bank.data, shifts) if x.shape[0] < x.shape[1] else calibrate_bank(bank, shifts).data
+    return _predict_rows(x, labels, state.centroids, cal, tau, keep_probs)
 
 
 def fit_unsupervised(
@@ -516,7 +544,13 @@ def stream_step(
     no accumulators (an ema stream's state); a batch is refused as
     predict refuses rows.  keep_probs=False works as in transduce.
     """
-    x = _rows(batch, bank, _check_state(state, cfg))
+    return _step(state, _rows(batch, bank, _check_state(state, cfg)), bank, cfg, keep_probs)
+
+
+def _step(state: StreamState, x: np.ndarray, bank: TextBank, cfg: EngineConfig,
+          keep_probs: bool) -> Tuple[Predictions, StreamState]:
+    """stream_step on rows _rows has prepared, against a state that
+    _check_state accepts under cfg."""
     if not x.shape[0]:
         return Predictions.empty(bank.k, keep_probs), state
     eta = cfg.eta if cfg.mode == "ema" else None
@@ -576,14 +610,15 @@ def run_stream(
     With keep_probs=False no batch keeps an N x K matrix: probs is None
     and labels, top, clusters and flags have the bits of the default
     call.  The rows are checked and normalized once (row-local: the same
-    bits), and stream_step takes each batch of them as it is.
+    bits), and each batch of them is stepped as stream_step steps it,
+    without its checks of the rows and of the state, which the previous
+    step made.
     """
     x = _rows(test, bank)
     state = stream_init(cfg)
     parts = [Predictions.empty(bank.k, keep_probs)]
     for start in range(0, x.shape[0], cfg.batch_size):
-        batch = EmbeddingMatrix._unchecked(x[start : start + cfg.batch_size])
-        batch_preds, state = stream_step(state, batch, bank, cfg, keep_probs=keep_probs)
+        batch_preds, state = _step(state, x[start : start + cfg.batch_size], bank, cfg, keep_probs)
         parts.append(batch_preds)
         if on_batch is not None:
             on_batch(len(parts) - 1, state)

@@ -79,7 +79,8 @@ def check_relabel_invariance(cases: int, seed: int = 404) -> None:
 
     Covers both halves of the pipeline: the image side (residual against
     the same mean values) and the text side (shift rows are summed in a
-    canonical order, so row order cannot matter).
+    canonical order, so row order cannot matter), scoring against the
+    built bank and in factored form.
     """
     rng = np.random.default_rng(seed)
     for i in range(cases):
@@ -93,16 +94,16 @@ def check_relabel_invariance(cases: int, seed: int = 404) -> None:
         bank = rng.standard_normal((k, dim))
         clusters = rng.integers(0, m, size=n)
 
-        cal_rows = np.stack([calibrate_row(bank[j], shifts) for j in range(k)])
-        base = _predict_rows(feats, clusters, means, cal_rows, tau=0.05)
-
         perm = rng.permutation(m)
-        cal_rows_p = np.stack([calibrate_row(bank[j], shifts[perm]) for j in range(k)])
-        moved = _predict_rows(feats, np.argsort(perm)[clusters], means[perm], cal_rows_p, tau=0.05)
-
-        for a, b in zip(base, moved):
-            assert a.label == b.label, f"case {i}: label changed under relabeling"
-            assert np.array_equal(a.probs, b.probs), f"case {i}: probs changed under relabeling"
+        moved_clusters = np.argsort(perm)[clusters]
+        # against the bank built row by row, and in factored form
+        for form in (lambda s: np.stack([calibrate_row(bank[j], s) for j in range(k)]),
+                     lambda s: (bank, s)):
+            base = _predict_rows(feats, clusters, means, form(shifts), tau=0.05)
+            moved = _predict_rows(feats, moved_clusters, means[perm], form(shifts[perm]), tau=0.05)
+            for a, b in zip(base, moved):
+                assert a.label == b.label, f"case {i}: label changed under relabeling"
+                assert np.array_equal(a.probs, b.probs), f"case {i}: probs changed under relabeling"
 
 
 def _random_state(rng) -> tuple:

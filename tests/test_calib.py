@@ -377,3 +377,74 @@ def test_calibrate_bank_rows_just_above_near_threshold_match_plain_loop():
         for j in range(len(ratios)):
             worst = max(worst, np.max(np.abs(cal.data[j] - _plain_calibration(data[j], shifts))))
     assert worst <= 3e-15
+
+
+def _calibration_cases(dtype):
+    """Unit rows in three clusters, and a bank with a near term (an exact
+    row), a dropped term and a row whose shifted copy nearly cancels
+    (built by the factored form's rule) among ordinary rows."""
+    rng = np.random.default_rng(31)
+    d = 32
+    a, b = rng.standard_normal((2, d))
+    shifts = np.stack([a, -a, b, -b])
+    bank_data = rng.standard_normal((12, d))
+    bank_data[1] = shifts[0] + 1e-7 * _unit(rng, d)
+    bank_data[2] = shifts[2] + 1e-14 * _unit(rng, d)
+    bank_data[3] = 1e-6 * _unit(rng, d)
+    feats = umfc.l2_normalize_rows(rng.standard_normal((40, d))).astype(dtype)
+    means = 0.2 * rng.standard_normal((3, d))
+    return feats, rng.integers(0, 3, size=40), means, bank_data, shifts
+
+
+def _both_forms(feats, clusters, means, bank_data, shifts, tau):
+    """_predict_rows against the built bank and in factored form."""
+    bank = umfc.TextBank._unchecked([f"c{j}" for j in range(bank_data.shape[0])], bank_data)
+    built = _predict_rows(feats, clusters, means, umfc.calibrate_bank(bank, shifts).data, tau)
+    return built, _predict_rows(feats, clusters, means, (bank_data, shifts), tau)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("tau", [0.05, 1e-300])
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_factored_scoring_matches_the_built_bank(dtype, tau):
+    feats, clusters, means, bank_data, shifts = _calibration_cases(dtype)
+    built, factored = _both_forms(feats, clusters, means, bank_data, shifts, tau)
+    for column in ("labels", "clusters", "flags"):
+        assert np.array_equal(getattr(built, column), getattr(factored, column))
+    # the engine's precision note: each form's log-probabilities are within
+    # 2 delta / tau + (K + 4) u of the exact ones, with delta = (d + 8 + 8 /
+    # rho) u for the built bank and ((d + M + 2) g + 8 + 8 / rho) u in
+    # factored form, g the largest (wsum |t| + sum_i w_i |s_i|) / |t'| of
+    # a row it does not build (at most 10)
+    (k, d), m = bank_data.shape, shifts.shape[0]
+    rows, s, _, r2, w, wsum, exact, _ = umfc.calib._factors(bank_data, shifts)
+    reach = wsum * np.sqrt(r2) + w @ np.linalg.norm(s, axis=1)
+    g = reach / np.linalg.norm(umfc.calibrate_bank(
+        umfc.TextBank._unchecked([f"c{j}" for j in range(k)], bank_data), shifts).data, axis=1)
+    g = np.delete(g, np.append(exact, 3)).max()
+    assert 1.0 <= g <= 10.0
+    rho = np.linalg.norm(feats - means[clusters], axis=1).min()
+    u = np.finfo(dtype).eps / 2
+    delta_built = (d + 8 + 8 / rho) * u
+    delta_factored = ((d + m + 2) * g + 8 + 8 / rho) * u
+    bound = 2 * (delta_built + delta_factored) / tau + 2 * (k + 4) * u
+    tiny = np.finfo(dtype).tiny
+    both = (built.probs >= tiny) & (factored.probs >= tiny)
+    assert both.any(axis=1).all()
+    moved = np.abs(np.log(built.probs[both]) - np.log(factored.probs[both]))
+    assert moved.max() <= bound
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("dtype, shift_scale, mean_scale",
+                         [(np.float32, 1e40, 1.0), (np.float64, 1.0, 1e160)])
+def test_factored_scoring_past_the_dtype_range_scores_the_built_bank(dtype, shift_scale, mean_scale):
+    # a product |f| |s| or |f| |t| the rows' dtype may not hold: every
+    # block is scored against the built bank, to its bits, with no warning
+    feats, clusters, means, bank_data, shifts = _calibration_cases(dtype)
+    bank_data = np.delete(bank_data, [1, 2], axis=0)
+    # shifts that do not cancel, so huge ones leave calibrated rows of norm near 1
+    built, factored = _both_forms(feats, clusters, mean_scale * means, bank_data,
+                                  shift_scale * shifts[::2], 0.05)
+    assert factored.probs.tobytes() == built.probs.tobytes()
+    assert factored.labels.tobytes() == built.labels.tobytes()

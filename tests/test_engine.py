@@ -606,6 +606,28 @@ def test_run_stream_checks_its_rows_for_nan_once(monkeypatch):
     assert len(calls) == 1
 
 
+def test_run_stream_prepares_its_rows_once(monkeypatch):
+    # the batches are slices of rows _rows has already checked and normalized
+    ds = small_benchmark()
+    calls = []
+    rows = engine._rows
+    monkeypatch.setattr(engine, "_rows", lambda *a: calls.append(a) or rows(*a))
+    umfc.run_stream(ds.images.data, ds.text_bank, cfg2(batch_size=16))
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("rows, calls", [(7, 0), (8, 1)])
+def test_a_batch_of_fewer_rows_than_the_dimension_builds_no_bank(monkeypatch, rows, calls):
+    # 7 rows of dimension 8 are scored in factored form, 8 against the built bank
+    ds = small_benchmark()
+    _, state = umfc.run_stream(ds.images.data[:32], ds.text_bank, cfg2())
+    built = []
+    calibrate = engine.calibrate_bank
+    monkeypatch.setattr(engine, "calibrate_bank", lambda *a: built.append(a) or calibrate(*a))
+    preds, _ = umfc.stream_step(state, ds.images.data[32 : 32 + rows], ds.text_bank, cfg2())
+    assert len(preds) == rows and len(built) == calls
+
+
 def _unit_rule_cases():
     """(rows, bank) pairs: the default synth and a 512-d one."""
     ds = umfc.default_benchmark()
